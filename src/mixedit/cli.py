@@ -138,7 +138,7 @@ def _rephrase_records(records, config) -> int:
             variants = ds.rephrase(
                 Prompt(record.prompt, Provenance.TEMPLATE), config)
             return record, variants[0].text
-        except (ds.Disabled, ds.NetworkError):
+        except (ds.Disabled, ds.NetworkError, ds.MalformedResponse):
             return record, None
 
     workers = max(1, config.max_concurrency)

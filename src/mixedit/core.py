@@ -152,6 +152,9 @@ _SYMBOL = {
     Action.VOLUME_DOWN: "↓",
 }
 
+# Action by its serialized value ("remove", "keep", "up", "down").
+ACTION_BY_VALUE = {a.value: a for a in Action}
+
 _ACTION_TOKENS = {
     "0": Action.REMOVE,
     "1": Action.KEEP,

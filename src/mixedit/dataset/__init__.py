@@ -30,7 +30,7 @@ from .rephrase import (
     RephraseConfig,
     rephrase,
 )
-from .synth import SynthesisSummary, read_wav, synthesize, write_wav
+from .synth import BadWavFile, SynthesisSummary, read_wav, synthesize, write_wav
 
 __all__ = [
     "BadMetadataRow", "Catalog", "CatalogEntry", "DEFAULT_BLOCKLIST",
@@ -40,5 +40,5 @@ __all__ = [
     "generate_manifest", "load_manifest", "write_manifest",
     "Disabled", "MalformedResponse", "MockRephraser", "NetworkError",
     "RephraseConfig", "rephrase",
-    "SynthesisSummary", "read_wav", "synthesize", "write_wav",
+    "BadWavFile", "SynthesisSummary", "read_wav", "synthesize", "write_wav",
 ]

@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from ..core import (
+    ACTION_BY_VALUE,
     Action,
     AudioDescriptor,
     AudioSignature,
@@ -33,8 +34,6 @@ from ..taskspace import Composition, sample_edit
 from .catalog import Catalog, CatalogEntry, SplitAssignment
 
 SCHEMA_VERSION = 1
-
-_ACTION_BY_VALUE = {a.value: a for a in Action}
 
 
 class ExhaustedRetries(MixeditError):
@@ -76,7 +75,7 @@ def simplified_to_json(simp: SimplifiedInstruction) -> list[dict]:
 def simplified_from_json(doc: list[dict]) -> SimplifiedInstruction:
     edits = []
     for item in doc:
-        action = _ACTION_BY_VALUE[item["action"]]
+        action = ACTION_BY_VALUE[item["action"]]
         if item["kind"] == "speech":
             attrs = tuple(sorted(
                 item["attrs"].items(),
@@ -136,7 +135,7 @@ class ManifestRecord:
         return Composition(self.n_speech, self.n_audio)
 
     def action_vector(self) -> tuple[Action, ...]:
-        return tuple(_ACTION_BY_VALUE[a] for a in self.actions)
+        return tuple(ACTION_BY_VALUE[a] for a in self.actions)
 
     def signatures(self):
         return [signature_from_json(s.signature) for s in self.sources]

@@ -8,6 +8,7 @@ worker or eight produces bit-identical output trees.
 from __future__ import annotations
 
 import json
+import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,9 +23,20 @@ from ..seeding import derive_seed
 from .manifest import ManifestRecord, signature_from_json, write_manifest
 
 
+class BadWavFile(MixeditError):
+    """A WAV file that cannot be read, or holds no valid clip."""
+
+
 def read_wav(path) -> Clip:
-    """Load a WAV file as float64 in [-1, 1]; multichannel is downmixed."""
-    rate, data = wavfile.read(path)
+    """Load a WAV file as float64 in [-1, 1]; multichannel is downmixed.
+
+    Raises BadWavFile for a missing, non-WAV or corrupt file, and for one
+    whose samples are not finite or whose rate is not positive.
+    """
+    try:
+        rate, data = wavfile.read(path)
+    except (OSError, ValueError, struct.error) as err:
+        raise BadWavFile(f"cannot read {path}: {err}") from err
     data = np.asarray(data)
     if data.ndim == 2:
         data = data.mean(axis=1)
@@ -36,7 +48,10 @@ def read_wav(path) -> Clip:
         samples = (data.astype(np.float64) - 128.0) / 128.0
     else:
         samples = data.astype(np.float64)
-    return Clip(samples, int(rate))
+    try:
+        return Clip(samples, int(rate))
+    except ValueError as err:
+        raise BadWavFile(f"{path}: {err}") from err
 
 
 def write_wav(path, clip: Clip, pcm16: bool = False):

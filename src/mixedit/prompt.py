@@ -19,6 +19,7 @@ from importlib import resources
 from pathlib import Path
 
 from .core import (
+    ACTION_BY_VALUE,
     Action,
     AudioDescriptor,
     AudioSignature,
@@ -109,7 +110,6 @@ class SpecialPrompt:
 
 
 _SCOPES = {s.value: s for s in GroupScope}
-_ACTION_BY_VALUE = {a.value: a for a in Action}
 
 
 @dataclass
@@ -145,7 +145,7 @@ class Lexicon:
             raw = Path(path).read_text("utf-8")
         doc = json.loads(raw)
         verbs = {
-            _ACTION_BY_VALUE[key]: tuple(phrases)
+            ACTION_BY_VALUE[key]: tuple(phrases)
             for key, phrases in doc["verbs"].items()
         }
         specials = {}
@@ -153,7 +153,7 @@ class Lexicon:
             parsed = []
             for entry in entries:
                 edits = tuple(
-                    (_ACTION_BY_VALUE[a], GroupDescriptor(_SCOPES[scope]))
+                    (ACTION_BY_VALUE[a], GroupDescriptor(_SCOPES[scope]))
                     for a, scope in entry["edits"]
                 )
                 parsed.append(SpecialPrompt(entry["text"], edits))

@@ -284,6 +284,47 @@ def test_generate_rephrase_disabled_falls_back(catalog_dir, tmp_path, capsys):
                for r in records)
 
 
+def test_generate_rephrase_malformed_reply_falls_back(catalog_dir, tmp_path,
+                                                      capsys):
+    import threading
+    from http.server import BaseHTTPRequestHandler, HTTPServer
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            self.rfile.read(int(self.headers["Content-Length"]))
+            body = b'{"something": "else"}'
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    server = HTTPServer(("127.0.0.1", 0), Handler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        config = tmp_path / "rephrase.json"
+        config.write_text(json.dumps({
+            "endpoint": f"http://127.0.0.1:{server.server_port}/", "n": 1,
+        }))
+        out = tmp_path / "data"
+        assert main([
+            "generate", "--catalog", str(catalog_dir), "--out", str(out),
+            "--count", "6", "--seed", "2", "--rephrase", str(config),
+        ]) == 0
+    finally:
+        server.shutdown()
+    err = capsys.readouterr().err
+    from mixedit.dataset import load_manifest
+    records = load_manifest(out / "manifest.jsonl")
+    templated = sum(r.prompt_provenance == "template" for r in records)
+    assert templated > 0
+    assert f"rephrase unavailable for {templated} records" in err
+    assert all(r.prompt_provenance in ("template", "special_generic")
+               for r in records)
+
+
 def test_train_toy_cli(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({

@@ -322,6 +322,35 @@ def test_synthesize_collects_silent_source_failures(demo, tmp_path):
     assert listed["failures"][0]["error"].startswith("SilentSource")
 
 
+def _garbage_wav(path):
+    path.write_bytes(b"not a wav file" * 8)
+
+
+def _nan_wav(path):
+    from scipy.io import wavfile
+    wavfile.write(path, RATE, np.array([0.0, np.nan, 0.5], dtype=np.float32))
+
+
+def _missing_wav(path):
+    pass
+
+
+@pytest.mark.parametrize("make_bad", [_garbage_wav, _nan_wav, _missing_wav])
+def test_synthesize_keeps_a_bad_source_to_its_record(demo, tmp_path, make_bad):
+    records = generate_manifest(demo, partition(demo, seed=0), count=3,
+                                comp=Composition(2, 2), seed=7)
+    bad = tmp_path / "bad.wav"
+    make_bad(bad)
+    records[1].sources[0].path = str(bad)
+    out = tmp_path / "out"
+    summary = synthesize(records, out, workers=1)
+    assert summary.succeeded == 2
+    assert [r for r, _ in summary.failures] == [records[1].record_id]
+    assert summary.failures[0][1].startswith("BadWavFile")
+    for record in (records[0], records[2]):
+        assert (out / f"{record.record_id:06d}_input.wav").exists()
+
+
 # ---------------- rephrase client ----------------
 
 def test_rephrase_disabled_without_endpoint():

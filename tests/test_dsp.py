@@ -1,13 +1,22 @@
 """Waveform primitives: resampling, conditioning, STFT, Mel projection."""
 
+import math
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.signal import upfirdn
 
+import mixedit
 from mixedit.dsp import (
     BadWindowConfig,
     Clip,
     EmptyClip,
     Spectrogram,
+    _design_resample_filter,
+    _resample_plan,
     condition,
     istft,
     mean_square,
@@ -81,6 +90,57 @@ def test_resample_stopband_attenuation():
     )).max()
     residual = spectrum[freqs >= 7600].max()
     assert 20 * np.log10(residual / ref) < -60.0
+
+
+def _polyphase_reference(x, src, tgt):
+    """The same Kaiser-sinc filter applied one output sample at a time."""
+    g = math.gcd(src, tgt)
+    up, down = tgt // g, src // g
+    h, half = _design_resample_filter(src, tgt, up)
+    out_len = round(len(x) * tgt / src)
+    pad = math.ceil((half + 1) / up) + math.ceil(down * out_len / up)
+    full = upfirdn(h * up, np.concatenate([x, np.zeros(pad)]), up=up, down=down)
+    return full[half // down:half // down + out_len]
+
+
+@pytest.mark.parametrize("src,tgt", [
+    (8000, 16000), (11025, 16000), (22050, 16000), (24000, 16000),
+    (32000, 16000), (44100, 16000), (48000, 16000), (96000, 16000),
+    (16000, 8000),
+])
+def test_resample_matches_polyphase_reference(src, tgt):
+    up = tgt // math.gcd(src, tgt)
+    span = len(_design_resample_filter(src, tgt, up)[0]) // up
+    _, advance, _ = _resample_plan(src, tgt)
+    rng = np.random.default_rng(src)
+    # One sample, shorter than the filter span, a whole number of blocks
+    # plus a remainder, and half a second.
+    for n in (1, max(2, span // 2), 3 * advance + 7, src // 2 + 13):
+        x = 3.0 * rng.standard_normal(n)
+        out = resample(Clip(x, src), tgt).samples
+        ref = _polyphase_reference(x, src, tgt)
+        assert len(out) == len(ref) == round(n * tgt / src)
+        if len(out):
+            assert np.abs(out - ref).max() <= 1e-12 * max(1.0, np.abs(x).max())
+
+
+def test_resample_near_coprime_rates_keep_the_plan_small():
+    x = np.random.default_rng(0).standard_normal(2000)
+    out = resample(Clip(x, 16001), 16000).samples
+    ref = _polyphase_reference(x, 16001, 16000)
+    assert np.abs(out - ref).max() <= 1e-12 * np.abs(x).max()
+    h, _ = _design_resample_filter(16001, 16000, 16000)
+    _, _, groups = _resample_plan(16001, 16000)
+    assert sum(taps.size for _, _, taps in groups) <= 4 * len(h)
+    assert not any(taps.flags.writeable for _, _, taps in groups)
+
+
+def test_import_does_not_load_scipy_signal():
+    src = str(Path(mixedit.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import mixedit; "
+            "sys.exit('scipy.signal' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", code, src], timeout=60)
+    assert run.returncode == 0
 
 
 def test_condition_pads_short_clips_with_trailing_zeros():
