@@ -315,6 +315,11 @@ def cmd_eval(args) -> int:
         est = ds.read_wav(est_dir / name)
         ref = ds.read_wav(ref_path)
         unprocessed = ds.read_wav(input_path)
+        if not est.rate == ref.rate == unprocessed.rate:
+            print(f"error: sample rates differ for {name}: est {est.rate}, "
+                  f"ref {ref.rate}, input {unprocessed.rate} Hz",
+                  file=sys.stderr)
+            return 1
         value = snri(unprocessed, est, ref)
         entries.append({
             "name": name,

@@ -15,6 +15,7 @@ from .catalog import (
     partition,
 )
 from .manifest import (
+    BadManifestLine,
     ExhaustedRetries,
     ManifestRecord,
     SCHEMA_VERSION,
@@ -36,7 +37,7 @@ __all__ = [
     "BadMetadataRow", "Catalog", "CatalogEntry", "DEFAULT_BLOCKLIST",
     "EmptyCatalog", "MissingFile", "SplitAssignment", "TooFewEntities",
     "build_demo_catalog", "ingest", "partition",
-    "ExhaustedRetries", "ManifestRecord", "SCHEMA_VERSION",
+    "BadManifestLine", "ExhaustedRetries", "ManifestRecord", "SCHEMA_VERSION",
     "generate_manifest", "load_manifest", "write_manifest",
     "Disabled", "MalformedResponse", "MockRephraser", "NetworkError",
     "RephraseConfig", "rephrase",

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from ..core import (
+    STYLE_FIELDS,
     AudioSignature,
     Signature,
     SpeechSignature,
@@ -63,8 +64,6 @@ class CatalogEntry:
     path: Path
     signature: Signature
     speaker: str | None = None  # split entity for speech; None for audio
-    duration: float | None = None
-    split_hint: str | None = None
 
     @property
     def is_speech(self) -> bool:
@@ -92,12 +91,6 @@ class Catalog:
     @property
     def speakers(self) -> list[str]:
         return sorted({e.speaker for e in self.speech})
-
-    def by_id(self, entry_id: str) -> CatalogEntry:
-        for e in self.entries:
-            if e.id == entry_id:
-                return e
-        raise KeyError(entry_id)
 
 
 def _read_rows(metadata_path: Path) -> list[dict]:
@@ -128,7 +121,9 @@ def ingest(root, metadata=None,
 
     ``metadata`` defaults to <root>/metadata.json; a .csv file with the
     same columns works too. Malformed rows raise BadMetadataRow;
-    blocklisted labels are skipped and reported on the catalog.
+    blocklisted labels are skipped and reported on the catalog. Other
+    columns (such as ``duration`` or ``split``) are ignored: ``partition``
+    alone assigns splits.
     """
     root = Path(root)
     metadata_path = Path(metadata) if metadata else root / "metadata.json"
@@ -151,26 +146,21 @@ def ingest(root, metadata=None,
         path = (root / rel).resolve()
         if not path.exists():
             raise MissingFile(f"metadata row {row_no}: no such file {path}")
-        duration = float(row["duration"]) if row.get("duration") else None
-        split_hint = row.get("split") or None
         if kind == "speech":
             try:
                 style = StyleVector.from_strings(
-                    *(str(row[f]).strip().lower()
-                      for f in ("gender", "pitch", "tempo", "volume", "emotion"))
-                )
+                    *(str(row[f]).strip().lower() for f in STYLE_FIELDS))
             except (KeyError, ValueError) as err:
                 raise BadMetadataRow(row_no, f"bad style attributes: {err}")
             speaker = str(row.get("speaker") or entry_id)
             entries.append(CatalogEntry(entry_id, path, SpeechSignature(style),
-                                        speaker, duration, split_hint))
+                                        speaker))
         elif kind == "audio":
             label = _parse_label(row.get("label"), row_no)
             if label in blocked:
                 skipped.append(label)
                 continue
-            entries.append(CatalogEntry(entry_id, path, AudioSignature(label),
-                                        None, duration, split_hint))
+            entries.append(CatalogEntry(entry_id, path, AudioSignature(label)))
         else:
             raise BadMetadataRow(row_no, f"unknown type {kind!r}")
         seen_ids.add(entry_id)
@@ -352,10 +342,7 @@ def build_demo_catalog(out_dir, seed: int = 0, n_speakers: int = 16,
         rows.append({
             "id": f"spk{i:03d}", "path": name, "type": "speech",
             "speaker": f"speaker{i:03d}",
-            "gender": style.gender.value, "pitch": style.pitch.value,
-            "tempo": style.tempo.value, "volume": style.volume.value,
-            "emotion": style.emotion.value,
-            "duration": round(duration, 3),
+            **dict(zip(STYLE_FIELDS, style.values())),
         })
     for i, label in enumerate(_DEMO_LABELS):
         duration = float(rng.uniform(4.0, 6.0))
@@ -364,7 +351,7 @@ def build_demo_catalog(out_dir, seed: int = 0, n_speakers: int = 16,
         write_wav(out_dir / name, Clip(wave, rate))
         rows.append({
             "id": f"aud{i:03d}", "path": name, "type": "audio",
-            "label": label, "duration": round(duration, 3),
+            "label": label,
         })
     metadata = out_dir / "metadata.json"
     metadata.write_text(json.dumps(rows, indent=2, sort_keys=True))

@@ -15,6 +15,7 @@ from pathlib import Path
 
 from ..core import (
     ACTION_BY_VALUE,
+    STYLE_FIELDS,
     Action,
     AudioDescriptor,
     AudioSignature,
@@ -40,20 +41,21 @@ class ExhaustedRetries(MixeditError):
     pass
 
 
+class BadManifestLine(MixeditError):
+    pass
+
+
 def signature_to_json(sig) -> dict:
     if isinstance(sig, SpeechSignature):
-        return {"kind": "speech", "style": dict(zip(
-            ("gender", "pitch", "tempo", "volume", "emotion"),
-            sig.style.values(),
-        ))}
+        return {"kind": "speech",
+                "style": dict(zip(STYLE_FIELDS, sig.style.values()))}
     return {"kind": "audio", "label": sig.label}
 
 
 def signature_from_json(doc: dict):
     if doc["kind"] == "speech":
-        s = doc["style"]
         return SpeechSignature(StyleVector.from_strings(
-            s["gender"], s["pitch"], s["tempo"], s["volume"], s["emotion"]))
+            *(doc["style"][f] for f in STYLE_FIELDS)))
     return AudioSignature(doc["label"])
 
 
@@ -77,11 +79,8 @@ def simplified_from_json(doc: list[dict]) -> SimplifiedInstruction:
     for item in doc:
         action = ACTION_BY_VALUE[item["action"]]
         if item["kind"] == "speech":
-            attrs = tuple(sorted(
-                item["attrs"].items(),
-                key=lambda kv: ("gender", "pitch", "tempo", "volume",
-                                "emotion").index(kv[0]),
-            ))
+            attrs = tuple(sorted(item["attrs"].items(),
+                                 key=lambda kv: STYLE_FIELDS.index(kv[0])))
             edits.append((action, SpeechDescriptor(attrs)))
         elif item["kind"] == "audio":
             edits.append((action, AudioDescriptor(item["label"])))
@@ -122,13 +121,17 @@ class ManifestRecord:
 
     @classmethod
     def from_json(cls, line: str) -> "ManifestRecord":
-        doc = json.loads(line)
-        if doc.get("schema") != SCHEMA_VERSION:
-            raise MixeditError(
-                f"unsupported manifest schema {doc.get('schema')}"
-            )
-        doc["sources"] = [SourceRef(**s) for s in doc["sources"]]
-        return cls(**doc)
+        try:
+            doc = json.loads(line)
+            if doc.get("schema") != SCHEMA_VERSION:
+                raise BadManifestLine(
+                    f"unsupported manifest schema {doc.get('schema')}"
+                )
+            doc["sources"] = [SourceRef(**s) for s in doc["sources"]]
+            return cls(**doc)
+        except (ValueError, KeyError, TypeError, AttributeError,
+                RecursionError) as err:
+            raise BadManifestLine(f"{type(err).__name__}: {err}") from err
 
     @property
     def composition(self) -> Composition:
@@ -240,8 +243,12 @@ def write_manifest(records, path):
 
 
 def load_manifest(path) -> list[ManifestRecord]:
-    return [
-        ManifestRecord.from_json(line)
-        for line in Path(path).read_text("utf-8").splitlines()
-        if line.strip()
-    ]
+    records = []
+    lines = Path(path).read_text("utf-8").splitlines()
+    for line_no, line in enumerate(lines, start=1):
+        if line.strip():
+            try:
+                records.append(ManifestRecord.from_json(line))
+            except BadManifestLine as err:
+                raise BadManifestLine(f"{path} line {line_no}: {err}") from err
+    return records

@@ -250,19 +250,33 @@ def stft(clip: Clip, window: int = DEFAULT_WINDOW, hop: int = DEFAULT_HOP) -> Sp
     return Spectrogram(np.ascontiguousarray(spec), window, hop, clip.rate, n)
 
 
+def overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
+    """Sum of ``(n_frames, width)`` frames laid ``hop`` samples apart:
+    frame f adds into ``out[f * hop : f * hop + width]``. ``hop`` must
+    divide ``width``.
+
+    Runs one slice-add per ``hop``-wide column block, last block first,
+    so every output sample adds its frames in ascending frame order:
+    the result equals a per-frame loop bit for bit.
+    """
+    n_frames, width = frames.shape
+    if width % hop != 0:
+        raise BadWindowConfig(f"hop {hop} must divide frame width {width}")
+    out = np.zeros((n_frames - 1) * hop + width)
+    for start in range(width - hop, -1, -hop):
+        block = out[start:start + n_frames * hop].reshape(n_frames, hop)
+        block += frames[:, start:start + hop]
+    return out
+
+
 def istft(spec: Spectrogram) -> Clip:
     """Weighted overlap-add inverse; exact on the interior for any
     hop that divides the window."""
     w = _hann(spec.window)
     frames_t = np.fft.irfft(spec.frames.T, n=spec.window, axis=1)
-    total = (spec.n_frames - 1) * spec.hop + spec.window
-    num = np.zeros(total)
-    den = np.zeros(total)
-    wsq = w * w
-    for f in range(spec.n_frames):
-        start = f * spec.hop
-        num[start:start + spec.window] += frames_t[f] * w
-        den[start:start + spec.window] += wsq
+    frames_t *= w
+    num = overlap_add(frames_t, spec.hop)
+    den = overlap_add(np.broadcast_to(w * w, frames_t.shape), spec.hop)
     y = num / np.maximum(den, 1e-12)
     y = y[:spec.n_samples]
     if len(y) < spec.n_samples:

@@ -14,6 +14,7 @@ from .masking import (
     oracle_edit,
 )
 from .film import (
+    BadNetConfig,
     Diverged,
     FilmMaskNet,
     MaskNetConfig,
@@ -27,7 +28,7 @@ from .serialize import load_net, save_net
 __all__ = [
     "DimMismatch", "EditingMask", "MaskKind", "embed_instruction",
     "export_mask_csv", "export_mask_pgm", "ideal_mask", "mask_edit",
-    "oracle_edit", "Diverged", "FilmMaskNet", "MaskNetConfig",
+    "oracle_edit", "BadNetConfig", "Diverged", "FilmMaskNet", "MaskNetConfig",
     "ShapeMismatch", "TrainExample", "TrainResult", "train_toy",
     "load_net", "save_net",
 ]

@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..dsp import Clip
+from ..dsp import Clip, overlap_add
 from ..errors import MixeditError
-from ..metrics import EPS, pit_snr
+from ..metrics import pit_snr, snr
 from .masking import DEFAULT_MASK_MAX, EditingMask
 
 _LN10 = math.log(10.0)
@@ -34,6 +34,10 @@ class ShapeMismatch(MixeditError):
 
 
 class Diverged(MixeditError):
+    pass
+
+
+class BadNetConfig(MixeditError, ValueError):
     pass
 
 
@@ -48,8 +52,19 @@ class MaskNetConfig:
     n_masks: int = 1          # >1 adds a per-source mask stack
 
     def __post_init__(self):
+        sizes = ["channels", "kernel", "blocks", "embed_dim", "n_masks"]
+        if self.hidden is not None:
+            sizes.append("hidden")
+        for name in sizes:
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value <= 0:
+                raise BadNetConfig(f"{name} must be a positive integer, "
+                                   f"got {value!r}")
         if self.kernel % 2 != 0:
-            raise ValueError("kernel must be even so the stride is kernel/2")
+            raise BadNetConfig("kernel must be even so the stride is kernel/2")
+        if not self.mask_max > 0:
+            raise BadNetConfig(
+                f"mask_max must be positive, got {self.mask_max!r}")
 
     @property
     def stride(self) -> int:
@@ -150,7 +165,7 @@ class FilmMaskNet:
         h_x = p["enc.w"] @ frames.T  # (C, L)
 
         cache = {"x": x, "z": z, "frames": frames, "h_x": h_x, "blocks": [],
-                 "n": n, "L": n_frames}
+                 "L": n_frames}
         h = h_x
         for i in range(cfg.blocks):
             a_f, gamma, a_g, beta = self._film(i, z)
@@ -173,20 +188,14 @@ class FilmMaskNet:
         )
         masks = np.clip(m_pre, 0.0, cfg.mask_max)
         prods = masks * h_x[None, :, :]
-        y_full_len = (n_frames - 1) * s + k
         per_source = np.zeros((cfg.n_masks, n))
-        contribs = []
         for m in range(cfg.n_masks):
             contrib = p["dec.w"].T @ prods[m]  # (K, L)
-            y_full = np.zeros(y_full_len)
-            for kk in range(k):
-                y_full[kk:kk + (n_frames - 1) * s + 1:s] += contrib[kk]
-            per_source[m, :min(n, y_full_len)] = y_full[:n]
-            contribs.append(contrib)
+            y_full = overlap_add(contrib.T, s)  # <= n samples; tail stays 0
+            per_source[m, :len(y_full)] = y_full
         cache.update({
             "h_last": h, "m_pre": m_pre, "masks": masks, "prods": prods,
             "per_source": per_source, "y": per_source.sum(axis=0),
-            "y_full_len": y_full_len,
         })
         return cache
 
@@ -224,11 +233,11 @@ class FilmMaskNet:
         grad_masks = np.zeros_like(cache["masks"])
         grad_hx = np.zeros_like(cache["h_x"])
         for m in range(cfg.n_masks):
-            g_full = np.zeros(cache["y_full_len"])
-            g_full[:cache["n"]] = grad_sources[m][:cache["y_full_len"]]
-            grad_contrib = np.empty((k, n_frames))
-            for kk in range(k):
-                grad_contrib[kk] = g_full[kk:kk + (n_frames - 1) * s + 1:s]
+            # The decoder's adjoint frames the gradient like the encoder;
+            # a contiguous copy keeps the products below on BLAS.
+            grad_contrib = np.ascontiguousarray(
+                np.lib.stride_tricks.sliding_window_view(
+                    grad_sources[m], k)[::s].T)  # (K, L)
             grads["dec.w"] += cache["prods"][m] @ grad_contrib.T
             grad_prod = p["dec.w"] @ grad_contrib
             grad_masks[m] = grad_prod * cache["h_x"]
@@ -282,16 +291,13 @@ class FilmMaskNet:
 
 
 def _snr_and_grad(est: np.ndarray, ref: np.ndarray):
-    """SNR in dB and d(SNR)/d(est); zero gradient in the clamped regime."""
+    """``metrics.snr`` in dB and d(SNR)/d(est); zero gradient in the
+    clamped regime."""
+    value = snr(est, ref)
+    if not value.finite:
+        return value.value, np.zeros_like(est)
     err = ref - est
-    err_e = float(np.sum(err * err))
-    ref_e = float(np.sum(ref * ref))
-    if ref_e == 0.0:
-        raise ValueError("reference is all zero")
-    if err_e < EPS * ref_e:
-        return 300.0, np.zeros_like(est)
-    value = 10.0 * math.log10(ref_e / err_e)
-    return value, 20.0 * err / (_LN10 * err_e)
+    return value.value, 20.0 * err / (_LN10 * float(np.sum(err * err)))
 
 
 @dataclass(frozen=True)

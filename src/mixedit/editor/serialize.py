@@ -15,6 +15,7 @@ Layout, all little-endian:
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -54,32 +55,42 @@ def save_net(path, net: FilmMaskNet):
 
 
 def load_net(path) -> FilmMaskNet:
+    """Read a container; any malformed content raises BadContainer."""
     data = Path(path).read_bytes()
     view = memoryview(data)
     if bytes(view[:4]) != MAGIC:
         raise BadContainer("not a mask-network container")
-    version, config_len = struct.unpack_from("<II", view, 4)
-    if version != VERSION:
-        raise BadContainer(f"unsupported container version {version}")
-    offset = 12
-    config = MaskNetConfig(**json.loads(bytes(view[offset:offset + config_len])))
-    offset += config_len
-    (count,) = struct.unpack_from("<I", view, offset)
-    offset += 4
-    params: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", view, offset)
-        offset += 2
-        name = bytes(view[offset:offset + name_len]).decode("utf-8")
-        offset += name_len
-        (ndim,) = struct.unpack_from("<B", view, offset)
-        offset += 1
-        dims = struct.unpack_from(f"<{ndim}I", view, offset)
-        offset += 4 * ndim
-        size = int(np.prod(dims)) if ndim else 1
-        tensor = np.frombuffer(view, dtype="<f4", count=size, offset=offset)
-        offset += 4 * size
-        params[name] = tensor.reshape(dims).astype(np.float64)
+    try:
+        version, config_len = struct.unpack_from("<II", view, 4)
+        if version != VERSION:
+            raise BadContainer(f"unsupported container version {version}")
+        offset = 12
+        config = MaskNetConfig(
+            **json.loads(bytes(view[offset:offset + config_len])))
+        offset += config_len
+        (count,) = struct.unpack_from("<I", view, offset)
+        offset += 4
+        params: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            (name_len,) = struct.unpack_from("<H", view, offset)
+            offset += 2
+            name = bytes(view[offset:offset + name_len]).decode("utf-8")
+            offset += name_len
+            (ndim,) = struct.unpack_from("<B", view, offset)
+            offset += 1
+            dims = struct.unpack_from(f"<{ndim}I", view, offset)
+            offset += 4 * ndim
+            size = math.prod(dims)
+            tensor = np.frombuffer(view, dtype="<f4", count=size, offset=offset)
+            if not np.isfinite(tensor).all():
+                raise BadContainer(f"non-finite values in tensor {name!r}")
+            offset += 4 * size
+            params[name] = tensor.reshape(dims).astype(np.float64)
+    except (struct.error, ValueError, TypeError, OverflowError,
+            RecursionError) as err:
+        # ValueError covers bad JSON/UTF-8, short tensors and BadNetConfig;
+        # TypeError covers unknown config keys.
+        raise BadContainer(f"{type(err).__name__}: {err}") from err
     if offset != len(data):
         raise BadContainer("trailing bytes after the tensor table")
     return FilmMaskNet(config, params)

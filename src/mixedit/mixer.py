@@ -128,11 +128,8 @@ def _check_aligned(clips):
 
 def mix(sources) -> Clip:
     """Sample-wise sum of equally long clips."""
-    clips = _check_aligned(sources)
-    total = np.zeros(len(clips[0]))
-    for c in clips:
-        total += c.samples
-    return Clip(total, clips[0].rate)
+    clips = list(sources)
+    return weighted_sum(clips, [1.0] * len(clips))
 
 
 def weighted_sum(sources, alphas) -> Clip:

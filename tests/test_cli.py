@@ -382,3 +382,27 @@ def test_film_editor_cli_prompt_path(tmp_path, capsys):
     assert doc["editor"] == "film"
     assert "snr_db" in doc  # an untrained toy net is scored, not judged
     assert (tmp_path / "out.wav").exists()
+
+
+def test_eval_rejects_mismatched_sample_rates(tmp_path, capsys):
+    est, ref, inp = tmp_path / "est", tmp_path / "ref", tmp_path / "inp"
+    for d in (est, ref, inp):
+        d.mkdir()
+    x = np.random.default_rng(0).standard_normal(800) * 0.1
+    write_wav(est / "7.wav", Clip(x, 8000))
+    write_wav(ref / "7.wav", Clip(x, RATE))
+    write_wav(inp / "7.wav", Clip(x, RATE))
+    assert main(["eval", "--est", str(est), "--ref", str(ref),
+                 "--input", str(inp)]) == 1
+    err = capsys.readouterr().err
+    assert "7.wav" in err and "8000" in err
+
+
+@pytest.mark.parametrize("bad", [{"kernel": 15}, {"channels": 0},
+                                 {"n_masks": -1}])
+def test_train_toy_bad_net_config_exits_1(tmp_path, capsys, bad):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"steps": 1, "samples": 400, **bad}))
+    assert main(["train-toy", "--config", str(config),
+                 "--out-dir", str(tmp_path / "run")]) == 1
+    assert "BadNetConfig" in capsys.readouterr().err

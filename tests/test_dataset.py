@@ -9,6 +9,7 @@ import pytest
 
 from mixedit.core import Action, AudioSignature, SpeechSignature
 from mixedit.dataset import (
+    BadManifestLine,
     BadMetadataRow,
     Disabled,
     EmptyCatalog,
@@ -423,3 +424,40 @@ def test_mock_rephraser_distinct_variants():
     assert len(texts) == 5
     assert len(set(texts)) == 5
     assert all(t.strip() for t in texts)
+
+
+# ---------------- ignored columns, typed manifest lines ----------------
+
+def test_ingest_ignores_duration_and_split_columns(tmp_path):
+    root = _row_catalog(tmp_path, [
+        {"id": "a1", "type": "audio", "label": "dog", "duration": "abc",
+         "split": "holdout"},
+        {"id": "s1", "type": "speech", "gender": "female", "pitch": "low",
+         "tempo": "low", "volume": "low", "emotion": "neutral",
+         "duration": "n/a", "split": "train"},
+    ])
+    catalog = ingest(root)
+    assert catalog.labels == {"dog"}
+    assert len(catalog.speech) == 1
+
+
+@pytest.mark.parametrize("line", [
+    "{", '{"schema": 1}', "[]", '"text"', '{"schema": 2}',
+    '{"schema": 1, "sources": [1]}',
+    '{"schema": 1, "sources": [], "unknown": 0}',
+    "[" * 100_000,
+])
+def test_manifest_line_errors_are_typed(line):
+    with pytest.raises(BadManifestLine):
+        ManifestRecord.from_json(line)
+
+
+def test_load_manifest_names_the_bad_line(demo, tmp_path):
+    splits = partition(demo, ratios=(12, 2, 2), seed=0)
+    records = generate_manifest(demo, splits, count=2,
+                                comp=Composition(2, 2), seed=0)
+    path = tmp_path / "manifest.jsonl"
+    path.write_text("\n".join([records[0].to_json(), "",
+                               records[1].to_json(), '{"schema": 1}']) + "\n")
+    with pytest.raises(BadManifestLine, match="line 4"):
+        load_manifest(path)

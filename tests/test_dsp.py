@@ -22,6 +22,7 @@ from mixedit.dsp import (
     mean_square,
     mel_filterbank,
     mel_project,
+    overlap_add,
     resample,
     stft,
 )
@@ -254,3 +255,57 @@ def test_mean_square():
 def test_spectrogram_validation():
     with pytest.raises(ValueError):
         Spectrogram(np.zeros((10, 4), dtype=complex), 512, 128, 16000, 1000)
+
+
+# ---------------- overlap-add ----------------
+
+def _overlap_add_loop(frames, hop):
+    out = np.zeros((len(frames) - 1) * hop + frames.shape[1])
+    for f, frame in enumerate(frames):
+        out[f * hop:f * hop + len(frame)] += frame
+    return out
+
+
+def _istft_loop(spec):
+    """Per-frame weighted overlap-add inverse, written out longhand."""
+    w = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(spec.window) / spec.window)
+    frames_t = np.fft.irfft(spec.frames.T, n=spec.window, axis=1)
+    total = (spec.n_frames - 1) * spec.hop + spec.window
+    num, den = np.zeros(total), np.zeros(total)
+    for f in range(spec.n_frames):
+        start = f * spec.hop
+        num[start:start + spec.window] += frames_t[f] * w
+        den[start:start + spec.window] += w * w
+    y = (num / np.maximum(den, 1e-12))[:spec.n_samples]
+    return np.concatenate([y, np.zeros(spec.n_samples - len(y))])
+
+
+@pytest.mark.parametrize("ratio", [2, 3, 4])
+@pytest.mark.parametrize("n_frames", [1, 2, 9])
+def test_overlap_add_equals_per_frame_loop_bit_for_bit(ratio, n_frames):
+    hop = 7
+    frames = np.random.default_rng(10 * ratio + n_frames).standard_normal(
+        (n_frames, ratio * hop))
+    got = overlap_add(frames, hop)
+    assert got.shape == ((n_frames - 1) * hop + ratio * hop,)
+    assert np.array_equal(got, _overlap_add_loop(frames, hop))
+
+
+def test_overlap_add_rejects_hop_not_dividing_width():
+    with pytest.raises(BadWindowConfig):
+        overlap_add(np.ones((3, 10)), 4)
+
+
+@pytest.mark.parametrize("window,hop", [(64, 32), (96, 32), (64, 16)])
+@pytest.mark.parametrize("offset", [-1, 0, 1, 3 * 64 + 5])
+def test_istft_equals_per_frame_loop_bit_for_bit(window, hop, offset):
+    n = window + offset
+    x = np.random.default_rng(n).standard_normal(n)
+    spec = stft(Clip(x, 16000), window, hop)
+    assert np.array_equal(istft(spec).samples, _istft_loop(spec))
+
+
+def test_istft_single_frame_equals_loop():
+    spec = stft(Clip(np.linspace(-0.5, 0.5, 40), 16000), 64, 16)
+    assert spec.n_frames == 1
+    assert np.array_equal(istft(spec).samples, _istft_loop(spec))

@@ -15,6 +15,7 @@ from mixedit.core import (
 )
 from mixedit.dsp import Clip
 from mixedit.editor import (
+    BadNetConfig,
     Diverged,
     EditingMask,
     FilmMaskNet,
@@ -34,7 +35,8 @@ from mixedit.editor import (
 )
 from mixedit.editor.film import latent_frames, snr_loss_and_grad
 from mixedit.editor.masking import DimMismatch
-from mixedit.metrics import snr
+from mixedit.errors import MixeditError
+from mixedit.metrics import ZeroReference, edit_loss, snr
 from mixedit.mixer import mix, target_mixture
 from mixedit.prompt import simplify
 from mixedit.taskspace import Composition, defined_tasks, enumerate_edits
@@ -419,3 +421,94 @@ def test_mask_exports(tmp_path):
     header, rest = blob.split(b"255\n", 1)
     dims = header.split(b"\n")[1].split()
     assert len(rest) == int(dims[0]) * int(dims[1])
+
+
+# ---------------- shared overlap-add and SNR ----------------
+
+def _decode_per_tap(net, prods, n):
+    """Linear decoder written as one strided add per kernel tap."""
+    k, s = net.config.kernel, net.config.stride
+    n_frames = prods.shape[1]
+    contrib = net.params["dec.w"].T @ prods
+    y = np.zeros(n)
+    for kk in range(k):
+        y[kk:kk + (n_frames - 1) * s + 1:s] += contrib[kk]
+    return y
+
+
+def test_film_decoder_equals_per_tap_loop_bit_for_bit():
+    cfg = MaskNetConfig(channels=8, kernel=12, blocks=2, embed_dim=8, n_masks=2)
+    net = FilmMaskNet.init(cfg, seed=4)
+    x = np.random.default_rng(5).standard_normal(1003) * 0.3  # ragged tail
+    cache = net.forward(x, unit_vec(8, seed=6))
+    for m in range(cfg.n_masks):
+        assert np.array_equal(cache["per_source"][m],
+                              _decode_per_tap(net, cache["prods"][m], len(x)))
+
+
+def test_film_decoder_gradient_equals_per_tap_framing_bit_for_bit():
+    cfg = MaskNetConfig(channels=8, kernel=12, blocks=2, embed_dim=8, n_masks=2)
+    net = FilmMaskNet.init(cfg, seed=4)
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal(1003) * 0.3
+    cache = net.forward(x, unit_vec(8, seed=6))
+    g = rng.standard_normal((2, len(x)))
+    k, s, n_frames = cfg.kernel, cfg.stride, cache["L"]
+    expected = np.zeros_like(net.params["dec.w"])
+    for m in range(2):
+        framed = np.empty((k, n_frames))
+        for kk in range(k):
+            framed[kk] = g[m][kk:kk + (n_frames - 1) * s + 1:s]
+        expected += cache["prods"][m] @ framed.T
+    assert np.array_equal(net.backward(cache, g)["dec.w"], expected)
+
+
+def test_pit_training_loss_is_metrics_edit_loss():
+    cfg = MaskNetConfig(channels=8, kernel=16, blocks=2, embed_dim=8, n_masks=2)
+    net = FilmMaskNet.init(cfg, seed=1)
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal(800) * 0.3
+    z = unit_vec(8, seed=3)
+    r1 = 0.4 * x + 0.05 * rng.standard_normal(800)
+    r2 = 0.2 * x + 0.05 * rng.standard_normal(800)
+    y = r1 + r2
+    loss, _ = snr_loss_and_grad(net, x, z, y, refs=(r1, r2), use_pit=True)
+    cache = net.forward(x, z)
+    assert loss == edit_loss(list(cache["per_source"]), [r1, r2],
+                             cache["y"], y)
+
+
+def test_training_loss_rejects_zero_target_typed():
+    net = FilmMaskNet.init(TOY, seed=3)
+    x, z, _ = toy_data()
+    with pytest.raises(ZeroReference):
+        snr_loss_and_grad(net, x, z, np.zeros_like(x))
+
+
+@pytest.mark.parametrize("bad", [
+    {"kernel": 15}, {"kernel": 0}, {"channels": 0}, {"blocks": -1},
+    {"embed_dim": 0}, {"n_masks": 0}, {"hidden": 0}, {"channels": 8.0},
+    {"mask_max": 0.0}, {"mask_max": float("nan")},
+])
+def test_mask_net_config_rejects_bad_values_typed(bad):
+    with pytest.raises(BadNetConfig) as info:
+        MaskNetConfig(**bad)
+    assert isinstance(info.value, MixeditError)
+    assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("edit", ["truncate", "unknown key", "bad json"])
+def test_load_net_malformed_raises_bad_container(tmp_path, edit):
+    from mixedit.editor.serialize import BadContainer
+    path = tmp_path / "net.mxn"
+    save_net(path, FilmMaskNet.init(TOY, seed=0))
+    data = path.read_bytes()
+    if edit == "truncate":
+        data = data[:len(data) // 2]
+    elif edit == "unknown key":
+        data = data.replace(b'"blocks"', b'"blockz"')
+    else:
+        data = data.replace(b'"blocks"', b'"blocks\x01')
+    path.write_bytes(data)
+    with pytest.raises(BadContainer):
+        load_net(path)

@@ -1,5 +1,10 @@
 """Property-based checks of the library invariants."""
 
+import functools
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +16,11 @@ from mixedit.core import (
     TrivialSilence,
     validate_instruction,
 )
+from mixedit.dataset.manifest import ManifestRecord, SourceRef
 from mixedit.dsp import Clip, condition
+from mixedit.editor import FilmMaskNet, MaskNetConfig, load_net, save_net
+from mixedit.editor.serialize import BadContainer
+from mixedit.errors import MixeditError
 from mixedit.metrics import si_sdr, snr
 from mixedit.mixer import MixturePair, weighted_sum
 from mixedit.taskspace import Composition, Task, TrivialEdit, classify
@@ -95,3 +104,72 @@ def test_weighted_sum_additive_in_weights(seed):
     lhs = weighted_sum(sources, a).samples + weighted_sum(sources, b).samples
     rhs = weighted_sum(sources, [x + y for x, y in zip(a, b)]).samples
     assert np.allclose(lhs, rhs, atol=1e-9)
+
+
+# ---------------- external inputs fail typed ----------------
+
+_RECORD = json.loads(ManifestRecord(
+    record_id=0, seed=1, n_speech=0, n_audio=2,
+    sources=[SourceRef("a", "a.wav", {"kind": "audio", "label": "dog"}, 0.0),
+             SourceRef("b", "b.wav", {"kind": "audio", "label": "cat"}, 1.5)],
+    actions=["keep", "remove"], task="T1", simplified=[], prompt="p",
+    prompt_provenance="template",
+).to_json())
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def mutated_records(draw):
+    doc = dict(_RECORD)
+    key = draw(st.sampled_from(sorted(doc) + ["extra"]))
+    if draw(st.booleans()):
+        doc.pop(key, None)
+    else:
+        doc[key] = draw(json_values)
+    return json.dumps(doc)
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.text(), json_values.map(json.dumps), mutated_records()))
+def test_any_manifest_line_loads_or_raises_typed(line):
+    try:
+        ManifestRecord.from_json(line)
+    except MixeditError:
+        pass
+
+
+@functools.cache
+def _checkpoint() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "net.mxn"
+        cfg = MaskNetConfig(channels=2, kernel=4, blocks=1, embed_dim=2)
+        save_net(path, FilmMaskNet.init(cfg, seed=0))
+        return path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_checkpoint_prefixes_and_byte_flips_fail_typed(data):
+    good = _checkpoint()
+    pos = data.draw(st.integers(0, len(good) - 1), label="pos")
+    truncate = data.draw(st.booleans(), label="truncate")
+    if truncate:
+        blob = good[:pos]
+    else:
+        byte = data.draw(st.integers(0, 255).filter(lambda b: b != good[pos]),
+                         label="byte")
+        blob = good[:pos] + bytes([byte]) + good[pos + 1:]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "net.mxn"
+        path.write_bytes(blob)
+        try:
+            load_net(path)
+            assert not truncate, "a truncated checkpoint must not load"
+        except BadContainer:
+            pass
