@@ -50,6 +50,10 @@ def _parse_composition(text: str) -> Composition:
         )
 
 
+class BadConfigFile(MixeditError):
+    pass
+
+
 def _echo_config(args, keys) -> dict:
     return {k: getattr(args, k) for k in keys if hasattr(args, k)}
 
@@ -378,7 +382,12 @@ def _toy_examples(n_examples, embed_dim, seed, t=4000, rate=16000):
 
 
 def cmd_train_toy(args) -> int:
-    config = json.loads(Path(args.config).read_text("utf-8"))
+    try:
+        config = json.loads(Path(args.config).read_text("utf-8"))
+    except (OSError, ValueError) as err:  # unreadable, bad UTF-8 or JSON
+        raise BadConfigFile(f"{args.config}: {err}") from err
+    if not isinstance(config, dict):
+        raise BadConfigFile(f"{args.config}: expected a JSON object")
     net_config = MaskNetConfig(
         channels=config.get("channels", 16),
         kernel=config.get("kernel", 16),

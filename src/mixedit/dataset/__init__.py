@@ -24,6 +24,7 @@ from .manifest import (
     write_manifest,
 )
 from .rephrase import (
+    BadRephraseConfig,
     Disabled,
     MalformedResponse,
     MockRephraser,
@@ -39,7 +40,7 @@ __all__ = [
     "build_demo_catalog", "ingest", "partition",
     "BadManifestLine", "ExhaustedRetries", "ManifestRecord", "SCHEMA_VERSION",
     "generate_manifest", "load_manifest", "write_manifest",
-    "Disabled", "MalformedResponse", "MockRephraser", "NetworkError",
-    "RephraseConfig", "rephrase",
+    "BadRephraseConfig", "Disabled", "MalformedResponse", "MockRephraser",
+    "NetworkError", "RephraseConfig", "rephrase",
     "BadWavFile", "SynthesisSummary", "read_wav", "synthesize", "write_wav",
 ]

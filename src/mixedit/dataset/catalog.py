@@ -94,11 +94,14 @@ class Catalog:
 
 
 def _read_rows(metadata_path: Path) -> list[dict]:
-    if metadata_path.suffix.lower() == ".csv":
-        with open(metadata_path, newline="", encoding="utf-8") as fh:
-            return [dict(row) for row in csv.DictReader(fh)]
-    doc = json.loads(metadata_path.read_text("utf-8"))
-    if not isinstance(doc, list):
+    try:
+        if metadata_path.suffix.lower() == ".csv":
+            with open(metadata_path, newline="", encoding="utf-8") as fh:
+                return [dict(row) for row in csv.DictReader(fh)]
+        doc = json.loads(metadata_path.read_text("utf-8"))
+    except (ValueError, csv.Error) as err:  # bad JSON, UTF-8 or CSV
+        raise BadMetadataRow(0, f"unreadable metadata: {err}") from err
+    if not isinstance(doc, list) or not all(isinstance(r, dict) for r in doc):
         raise BadMetadataRow(0, "metadata JSON must be a list of rows")
     return doc
 

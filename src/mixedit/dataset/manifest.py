@@ -244,7 +244,10 @@ def write_manifest(records, path):
 
 def load_manifest(path) -> list[ManifestRecord]:
     records = []
-    lines = Path(path).read_text("utf-8").splitlines()
+    try:
+        lines = Path(path).read_text("utf-8").splitlines()
+    except UnicodeDecodeError as err:
+        raise BadManifestLine(f"{path}: not UTF-8 text: {err}") from err
     for line_no, line in enumerate(lines, start=1):
         if line.strip():
             try:

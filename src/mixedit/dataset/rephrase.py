@@ -14,9 +14,10 @@ import random
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
+from pathlib import Path
 
 from ..errors import MixeditError
-from ..prompt import Lexicon, Prompt, Provenance, default_lexicon
+from ..prompt import Prompt, Provenance, default_lexicon
 from ..seeding import derive_seed
 
 DEFAULT_WRAPPER = (
@@ -39,6 +40,10 @@ class MalformedResponse(MixeditError):
     pass
 
 
+class BadRephraseConfig(MixeditError):
+    pass
+
+
 @dataclass
 class RephraseConfig:
     endpoint: str | None = None
@@ -50,8 +55,12 @@ class RephraseConfig:
 
     @classmethod
     def from_file(cls, path) -> "RephraseConfig":
-        doc = json.loads(open(path, encoding="utf-8").read())
-        return cls(**doc)
+        try:
+            return cls(**json.loads(Path(path).read_text("utf-8")))
+        except (OSError, ValueError, TypeError) as err:
+            # ValueError covers bad JSON or UTF-8; TypeError covers a
+            # document that is not an object and unknown keys.
+            raise BadRephraseConfig(f"{path}: {err}") from err
 
 
 def rephrase(prompt: Prompt, config: RephraseConfig) -> list[Prompt]:
@@ -99,8 +108,7 @@ class MockRephraser:
     variants (the original text is always the first).
     """
 
-    def __init__(self, lexicon: Lexicon | None = None, seed: int = 0):
-        self.lexicon = lexicon or default_lexicon()
+    def __init__(self, seed: int = 0):
         self.seed = seed
 
     def __call__(self, prompt: Prompt, n: int = 5) -> list[Prompt]:
@@ -110,7 +118,7 @@ class MockRephraser:
         while len(variants) < n and attempts < 50 * n:
             attempts += 1
             text = prompt.text
-            for phrases in self.lexicon.verbs.values():
+            for phrases in default_lexicon().verbs.values():
                 present = [p for p in phrases if p in text.lower()]
                 for p in present:
                     alt = phrases[rng.randrange(len(phrases))]

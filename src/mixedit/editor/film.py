@@ -105,18 +105,15 @@ class FilmMaskNet:
                 rng.standard_normal((c, c, 3)) * math.sqrt(2.0 / (3 * c))
             )
             p[f"block{i}.conv.b"] = np.zeros(c)
-            p[f"block{i}.film.f1.w"] = rng.standard_normal((h, d)) / math.sqrt(d)
-            p[f"block{i}.film.f1.b"] = np.zeros(h)
-            p[f"block{i}.film.f2.w"] = (
-                rng.standard_normal((c, h)) * 0.1 / math.sqrt(h)
-            )
-            p[f"block{i}.film.f2.b"] = np.ones(c)
-            p[f"block{i}.film.g1.w"] = rng.standard_normal((h, d)) / math.sqrt(d)
-            p[f"block{i}.film.g1.b"] = np.zeros(h)
-            p[f"block{i}.film.g2.w"] = (
-                rng.standard_normal((c, h)) * 0.1 / math.sqrt(h)
-            )
-            p[f"block{i}.film.g2.b"] = np.zeros(c)
+            # f gives gamma (starts at 1), g gives beta (starts at 0).
+            for mlp, bias in (("f", 1.0), ("g", 0.0)):
+                name = f"block{i}.film.{mlp}"
+                p[f"{name}1.w"] = rng.standard_normal((h, d)) / math.sqrt(d)
+                p[f"{name}1.b"] = np.zeros(h)
+                p[f"{name}2.w"] = (
+                    rng.standard_normal((c, h)) * 0.1 / math.sqrt(h)
+                )
+                p[f"{name}2.b"] = np.full(c, bias)
         p["head.w"] = rng.standard_normal((config.n_masks * c, c)) * math.sqrt(1.0 / c)
         p["head.b"] = np.ones(config.n_masks * c)
         return cls(config, p)
@@ -126,25 +123,11 @@ class FilmMaskNet:
 
     # ---------------- forward ----------------
 
-    def _film(self, i: int, z: np.ndarray):
+    def _mlp(self, name: str, z: np.ndarray):
+        """Two-layer tanh perceptron ``name``; returns (hidden, output)."""
         p = self.params
-        a_f = np.tanh(p[f"block{i}.film.f1.w"] @ z + p[f"block{i}.film.f1.b"])
-        gamma = p[f"block{i}.film.f2.w"] @ a_f + p[f"block{i}.film.f2.b"]
-        a_g = np.tanh(p[f"block{i}.film.g1.w"] @ z + p[f"block{i}.film.g1.b"])
-        beta = p[f"block{i}.film.g2.w"] @ a_g + p[f"block{i}.film.g2.b"]
-        return a_f, gamma, a_g, beta
-
-    @staticmethod
-    def _shift(m: np.ndarray, off: int) -> np.ndarray:
-        """Columns shifted so out[:, l] = m[:, l + off], zero-filled."""
-        if off == 0:
-            return m
-        out = np.zeros_like(m)
-        if off > 0:
-            out[:, :-off] = m[:, off:]
-        else:
-            out[:, -off:] = m[:, :off]
-        return out
+        hidden = np.tanh(p[f"{name}1.w"] @ z + p[f"{name}1.b"])
+        return hidden, p[f"{name}2.w"] @ hidden + p[f"{name}2.b"]
 
     def forward(self, x: np.ndarray, z: np.ndarray) -> dict:
         """Run the net; returns a cache consumed by ``backward``."""
@@ -168,18 +151,24 @@ class FilmMaskNet:
                  "L": n_frames}
         h = h_x
         for i in range(cfg.blocks):
-            a_f, gamma, a_g, beta = self._film(i, z)
-            h_tilde = gamma[:, None] * h + beta[:, None]
+            a_f, gamma = self._mlp(f"block{i}.film.f", z)
+            a_g, beta = self._mlp(f"block{i}.film.g", z)
+            # h_tilde sits between zero margins of d columns, so tap j of
+            # the dilated conv reads the window starting at column j*d.
             d = 2 ** i
+            padded = np.zeros((cfg.channels, n_frames + 2 * d))
+            h_tilde = padded[:, d:d + n_frames]
+            np.multiply(gamma[:, None], h, out=h_tilde)
+            h_tilde += beta[:, None]
             pre = p[f"block{i}.conv.b"][:, None] + sum(
-                p[f"block{i}.conv.w"][:, :, j] @ self._shift(h_tilde, (j - 1) * d)
+                p[f"block{i}.conv.w"][:, :, j] @ padded[:, j * d:j * d + n_frames]
                 for j in range(3)
             )
             h_out = np.maximum(pre, 0.0)
             cache["blocks"].append({
                 "h_in": h, "a_f": a_f, "gamma": gamma, "a_g": a_g,
-                "beta": beta, "h_tilde": h_tilde, "pre": pre, "h_out": h_out,
-                "dilation": d,
+                "beta": beta, "padded": padded, "h_tilde": h_tilde,
+                "pre": pre, "h_out": h_out, "dilation": d,
             })
             h = h_out
 
@@ -203,11 +192,10 @@ class FilmMaskNet:
         """Edit a clip under conditioning z; returns the output and the
         combined latent editing mask."""
         cache = self.forward(clip.samples, z)
-        mask = cache["masks"].sum(axis=0) if self.config.n_masks > 1 \
-            else cache["masks"][0]
-        max_gain = self.config.mask_max * max(self.config.n_masks, 1)
+        max_gain = self.config.mask_max * self.config.n_masks
         return (Clip(cache["y"], clip.rate),
-                EditingMask(np.clip(mask, 0.0, max_gain), max_gain))
+                EditingMask(np.clip(cache["masks"].sum(axis=0), 0.0, max_gain),
+                            max_gain))
 
     def separate(self, clip: Clip, z: np.ndarray) -> list[Clip]:
         """Per-mask outputs (multi-mask nets); their sum is the edit."""
@@ -216,6 +204,36 @@ class FilmMaskNet:
                 for m in range(self.config.n_masks)]
 
     # ---------------- backward ----------------
+
+    def _mlp_backward(self, name: str, z: np.ndarray, hidden: np.ndarray,
+                      grad_out: np.ndarray, grads: dict) -> np.ndarray:
+        """Adjoint of ``_mlp``: accumulates its parameter gradients into
+        ``grads`` and returns d(loss)/dz."""
+        p = self.params
+        grads[f"{name}2.w"] += np.outer(grad_out, hidden)
+        grads[f"{name}2.b"] += grad_out
+        g_pre = (p[f"{name}2.w"].T @ grad_out) * (1.0 - hidden ** 2)
+        grads[f"{name}1.w"] += np.outer(g_pre, z)
+        grads[f"{name}1.b"] += g_pre
+        return p[f"{name}1.w"].T @ g_pre
+
+    def _conv_backward(self, i: int, blk: dict, grad_out: np.ndarray,
+                       grads: dict) -> np.ndarray:
+        """Adjoint of block i's ReLU dilated conv: accumulates the conv
+        gradients into ``grads`` and returns d(loss)/d(h_tilde). Zero
+        margins around the output gradient let tap j gather from the
+        mirrored window at column (2-j)*d."""
+        w = self.params[f"block{i}.conv.w"]
+        d, n = blk["dilation"], blk["pre"].shape[1]
+        grad_padded = np.zeros_like(blk["padded"])
+        grad_pre = grad_padded[:, d:d + n]
+        np.multiply(grad_out, blk["pre"] > 0.0, out=grad_pre)
+        grads[f"block{i}.conv.b"] += grad_pre.sum(axis=1)
+        for j in range(3):
+            grads[f"block{i}.conv.w"][:, :, j] += (
+                grad_pre @ blk["padded"][:, j * d:j * d + n].T)
+        return sum(w[:, :, j].T @ grad_padded[:, (2 - j) * d:(2 - j) * d + n]
+                   for j in range(3))
 
     def backward(self, cache: dict, grad_sources: np.ndarray) -> dict:
         """Gradients of a scalar loss given d(loss)/d(per-source output).
@@ -252,37 +270,17 @@ class FilmMaskNet:
 
         for i in reversed(range(cfg.blocks)):
             blk = cache["blocks"][i]
-            d = blk["dilation"]
-            grad_pre = grad_h * (blk["pre"] > 0.0)
-            grads[f"block{i}.conv.b"] += grad_pre.sum(axis=1)
-            grad_htilde = np.zeros_like(blk["h_tilde"])
-            for j in range(3):
-                off = (j - 1) * d
-                grads[f"block{i}.conv.w"][:, :, j] += (
-                    grad_pre @ self._shift(blk["h_tilde"], off).T
-                )
-                grad_htilde += (
-                    p[f"block{i}.conv.w"][:, :, j].T @ self._shift(grad_pre, -off)
-                )
+            grad_htilde = self._conv_backward(i, blk, grad_h, grads)
             grad_gamma = (grad_htilde * blk["h_in"]).sum(axis=1)
             grad_beta = grad_htilde.sum(axis=1)
-            grad_h = grad_htilde * blk["gamma"][:, None]
+            # grad_htilde is spent: its buffer becomes the next grad_h.
+            grad_h = np.multiply(grad_htilde, blk["gamma"][:, None],
+                                 out=grad_htilde)
 
-            grads[f"block{i}.film.f2.w"] += np.outer(grad_gamma, blk["a_f"])
-            grads[f"block{i}.film.f2.b"] += grad_gamma
-            g_af = p[f"block{i}.film.f2.w"].T @ grad_gamma
-            g_pre_f = g_af * (1.0 - blk["a_f"] ** 2)
-            grads[f"block{i}.film.f1.w"] += np.outer(g_pre_f, cache["z"])
-            grads[f"block{i}.film.f1.b"] += g_pre_f
-            grad_z += p[f"block{i}.film.f1.w"].T @ g_pre_f
-
-            grads[f"block{i}.film.g2.w"] += np.outer(grad_beta, blk["a_g"])
-            grads[f"block{i}.film.g2.b"] += grad_beta
-            g_ag = p[f"block{i}.film.g2.w"].T @ grad_beta
-            g_pre_g = g_ag * (1.0 - blk["a_g"] ** 2)
-            grads[f"block{i}.film.g1.w"] += np.outer(g_pre_g, cache["z"])
-            grads[f"block{i}.film.g1.b"] += g_pre_g
-            grad_z += p[f"block{i}.film.g1.w"].T @ g_pre_g
+            grad_z += self._mlp_backward(f"block{i}.film.f", cache["z"],
+                                         blk["a_f"], grad_gamma, grads)
+            grad_z += self._mlp_backward(f"block{i}.film.g", cache["z"],
+                                         blk["a_g"], grad_beta, grads)
 
         grad_hx += grad_h  # the first block reads the encoded mixture
         grads["enc.w"] += grad_hx @ cache["frames"]

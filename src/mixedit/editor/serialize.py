@@ -55,7 +55,8 @@ def save_net(path, net: FilmMaskNet):
 
 
 def load_net(path) -> FilmMaskNet:
-    """Read a container; any malformed content raises BadContainer."""
+    """Read a container; any malformed content, including a tensor whose
+    name or shape does not fit the config, raises BadContainer."""
     data = Path(path).read_bytes()
     view = memoryview(data)
     if bytes(view[:4]) != MAGIC:
@@ -93,4 +94,10 @@ def load_net(path) -> FilmMaskNet:
         raise BadContainer(f"{type(err).__name__}: {err}") from err
     if offset != len(data):
         raise BadContainer("trailing bytes after the tensor table")
+    expected = {k: v.shape for k, v in FilmMaskNet.init(config).params.items()}
+    found = {k: v.shape for k, v in params.items()}
+    if found != expected:
+        wrong = sorted(k for k in expected.keys() | found.keys()
+                       if found.get(k) != expected.get(k))
+        raise BadContainer(f"tensors do not fit the config: {', '.join(wrong)}")
     return FilmMaskNet(config, params)

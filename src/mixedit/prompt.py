@@ -308,13 +308,13 @@ def _join_and(parts) -> str:
 
 
 def render(simplified: SimplifiedInstruction, template: TemplateId,
-           lexicon: Lexicon | None = None, seed: int = 0) -> Prompt:
+           seed: int = 0) -> Prompt:
     """Slot a simplified instruction into one of the three templates.
 
     Edits are shuffled first so sources do not sit at fixed positions;
     verbs are sampled from the lexicon. Deterministic per seed.
     """
-    lex = lexicon or default_lexicon()
+    lex = default_lexicon()
     rng = random.Random(derive_seed(seed))
     edits = list(simplified.edits)
     rng.shuffle(edits)
@@ -336,8 +336,7 @@ def render(simplified: SimplifiedInstruction, template: TemplateId,
     return Prompt(text, Provenance.TEMPLATE, template)
 
 
-def special_generic(actions, comp, seed: int = 0,
-                    lexicon: Lexicon | None = None) -> Prompt | None:
+def special_generic(actions, comp, seed: int = 0) -> Prompt | None:
     """One of five generic phrasings for uniform group edits, or None.
 
     Applicable exactly when all speech actions agree and all audio actions
@@ -345,7 +344,6 @@ def special_generic(actions, comp, seed: int = 0,
     onto the whole-mixture pattern. Callers are expected to use the result
     with probability 0.5 when it is available.
     """
-    lex = lexicon or default_lexicon()
     actions = tuple(actions)
     speech = actions[:comp.n_speech]
     audio = actions[comp.n_speech:]
@@ -361,7 +359,7 @@ def special_generic(actions, comp, seed: int = 0,
         a_act = s_act
     if s_act is a_act and s_act in (Action.KEEP, Action.REMOVE):
         return None  # identity or silence; nothing to phrase
-    entries = lex.special_entries(s_act, a_act)
+    entries = default_lexicon().special_entries(s_act, a_act)
     if not entries:
         return None
     rng = random.Random(derive_seed(seed))
@@ -373,7 +371,7 @@ def _normalize_text(text: str) -> str:
     return " ".join(text.casefold().split())
 
 
-def parse(text: str, labels, lexicon: Lexicon | None = None) -> SimplifiedInstruction:
+def parse(text: str, labels) -> SimplifiedInstruction:
     """Invert ``render``: map a template or special generic prompt back to
     its simplified instruction.
 
@@ -381,7 +379,7 @@ def parse(text: str, labels, lexicon: Lexicon | None = None) -> SimplifiedInstru
     back in textual order. Raises UnknownVerb, UnknownDescriptor,
     ConflictingEdits, or EmptyInstruction, each carrying a source span.
     """
-    lex = lexicon or default_lexicon()
+    lex = default_lexicon()
     labels = {normalize_label(l) for l in labels}
     norm = _normalize_text(text)
     special = lex._special_lookup.get(norm)

@@ -406,3 +406,47 @@ def test_train_toy_bad_net_config_exits_1(tmp_path, capsys, bad):
     assert main(["train-toy", "--config", str(config),
                  "--out-dir", str(tmp_path / "run")]) == 1
     assert "BadNetConfig" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ['{"steps": 1,', "[1, 2]"])
+def test_train_toy_bad_config_file_exits_1(tmp_path, capsys, text):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    assert main(["train-toy", "--config", str(config),
+                 "--out-dir", str(tmp_path / "run")]) == 1
+    assert "error: BadConfigFile" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ['{"endpoint":', '{"endpointz": null}',
+                                  "[1, 2]"])
+def test_generate_bad_rephrase_config_exits_1(catalog_dir, tmp_path, capsys,
+                                              text):
+    config = tmp_path / "rephrase.json"
+    config.write_text(text)
+    assert main([
+        "generate", "--catalog", str(catalog_dir), "--out",
+        str(tmp_path / "data"), "--count", "2", "--rephrase", str(config),
+    ]) == 1
+    assert "error: BadRephraseConfig" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("blob", [b'[{"id": "a",', b"\xff\xfe", b"[1, 2]"])
+def test_generate_bad_metadata_exits_1(tmp_path, capsys, blob):
+    root = tmp_path / "catalog"
+    root.mkdir()
+    (root / "metadata.json").write_bytes(blob)
+    assert main(["generate", "--catalog", str(root), "--out",
+                 str(tmp_path / "data"), "--count", "2"]) == 1
+    assert "error: BadMetadataRow" in capsys.readouterr().err
+
+
+def test_eval_non_utf8_manifest_exits_1(tmp_path, capsys):
+    est, ref, inp = tmp_path / "est", tmp_path / "ref", tmp_path / "inp"
+    for d in (est, ref, inp):
+        d.mkdir()
+        write_wav(d / "000000.wav", Clip(np.full(800, 0.1), RATE))
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_bytes(b"\xff\xfe")
+    assert main(["eval", "--est", str(est), "--ref", str(ref),
+                 "--input", str(inp), "--per-task", str(manifest)]) == 1
+    assert "error: BadManifestLine" in capsys.readouterr().err

@@ -463,6 +463,48 @@ def test_film_decoder_gradient_equals_per_tap_framing_bit_for_bit():
     assert np.array_equal(net.backward(cache, g)["dec.w"], expected)
 
 
+def _shift(m, off):
+    """Columns shifted so out[:, l] = m[:, l + off], zero-filled."""
+    if off == 0:
+        return m
+    out = np.zeros_like(m)
+    if off > 0:
+        out[:, :-off] = m[:, off:]
+    else:
+        out[:, -off:] = m[:, :off]
+    return out
+
+
+@pytest.mark.parametrize("cfg, n", [
+    (MaskNetConfig(channels=8, kernel=12, blocks=3, embed_dim=8), 1003),
+    # 47 latent frames: the taps of dilation 32 reach past both ends, and
+    # with a seventh block the dilation (64) exceeds the latent length.
+    (MaskNetConfig(channels=8, kernel=4, blocks=6, embed_dim=8), 97),
+    (MaskNetConfig(channels=8, kernel=4, blocks=7, embed_dim=8), 97),
+])
+def test_dilated_conv_and_adjoint_equal_shifted_copies_bit_for_bit(cfg, n):
+    net = FilmMaskNet.init(cfg, seed=4)
+    rng = np.random.default_rng(8)
+    cache = net.forward(rng.standard_normal(n) * 0.3, unit_vec(8, seed=6))
+    for i, blk in enumerate(cache["blocks"]):
+        w, d = net.params[f"block{i}.conv.w"], blk["dilation"]
+        pre = net.params[f"block{i}.conv.b"][:, None] + sum(
+            w[:, :, j] @ _shift(blk["h_tilde"], (j - 1) * d) for j in range(3))
+        assert np.array_equal(blk["pre"], pre)
+        grad_out = rng.standard_normal(pre.shape)
+        grad_pre = grad_out * (pre > 0.0)
+        grad_w = np.zeros_like(w)
+        grad_htilde = np.zeros_like(blk["h_tilde"])
+        for j in range(3):
+            off = (j - 1) * d
+            grad_w[:, :, j] += grad_pre @ _shift(blk["h_tilde"], off).T
+            grad_htilde += w[:, :, j].T @ _shift(grad_pre, -off)
+        grads = {k: np.zeros_like(v) for k, v in net.params.items()}
+        assert np.array_equal(net._conv_backward(i, blk, grad_out, grads),
+                              grad_htilde)
+        assert np.array_equal(grads[f"block{i}.conv.w"], grad_w)
+        assert np.array_equal(grads[f"block{i}.conv.b"], grad_pre.sum(axis=1))
+
 def test_pit_training_loss_is_metrics_edit_loss():
     cfg = MaskNetConfig(channels=8, kernel=16, blocks=2, embed_dim=8, n_masks=2)
     net = FilmMaskNet.init(cfg, seed=1)
@@ -497,7 +539,8 @@ def test_mask_net_config_rejects_bad_values_typed(bad):
     assert isinstance(info.value, ValueError)
 
 
-@pytest.mark.parametrize("edit", ["truncate", "unknown key", "bad json"])
+@pytest.mark.parametrize("edit", ["truncate", "unknown key", "bad json",
+                                  "renamed tensor", "bad shape"])
 def test_load_net_malformed_raises_bad_container(tmp_path, edit):
     from mixedit.editor.serialize import BadContainer
     path = tmp_path / "net.mxn"
@@ -507,6 +550,13 @@ def test_load_net_malformed_raises_bad_container(tmp_path, edit):
         data = data[:len(data) // 2]
     elif edit == "unknown key":
         data = data.replace(b'"blocks"', b'"blockz"')
+    elif edit == "renamed tensor":
+        data = data.replace(b"head.b", b"head.c")
+    elif edit == "bad shape":
+        net = FilmMaskNet.init(TOY, seed=0)
+        net.params["head.b"] = np.ones(3)
+        save_net(path, net)
+        data = path.read_bytes()
     else:
         data = data.replace(b'"blocks"', b'"blocks\x01')
     path.write_bytes(data)
