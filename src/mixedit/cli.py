@@ -8,6 +8,7 @@ Every subcommand takes --seed and is byte-deterministic for a fixed seed;
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -381,33 +382,63 @@ def _toy_examples(n_examples, embed_dim, seed, t=4000, rate=16000):
     return examples
 
 
-def cmd_train_toy(args) -> int:
+# Toy sizes over the MaskNetConfig defaults, then the training run's keys.
+_TOY_DEFAULTS = {
+    "channels": 16, "kernel": 16, "blocks": 2, "embed_dim": 16,
+    "examples": 4, "samples": 4000, "steps": 200, "lr": 1e-3, "lr_decay": 1.0,
+    "pit": False,
+}
+
+
+def _has_default_type(value, default) -> bool:
+    """JSON type check: a bool only for a bool, any number for a float, an
+    integer for an integer, and an integer or null for a null default."""
+    if isinstance(default, bool) or isinstance(value, bool):
+        return type(value) is type(default)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, int) or (value is None and default is None)
+
+
+def _read_toy_config(path, seed: int) -> tuple[dict, dict]:
+    """The config file as written and the full settings it stands for;
+    raises BadConfigFile for an unknown key, a value of the wrong type, a
+    negative seed, or no examples or steps."""
     try:
-        config = json.loads(Path(args.config).read_text("utf-8"))
+        config = json.loads(Path(path).read_text("utf-8"))
     except (OSError, ValueError) as err:  # unreadable, bad UTF-8 or JSON
-        raise BadConfigFile(f"{args.config}: {err}") from err
+        raise BadConfigFile(f"{path}: {err}") from err
     if not isinstance(config, dict):
-        raise BadConfigFile(f"{args.config}: expected a JSON object")
-    net_config = MaskNetConfig(
-        channels=config.get("channels", 16),
-        kernel=config.get("kernel", 16),
-        blocks=config.get("blocks", 2),
-        embed_dim=config.get("embed_dim", 16),
-        mask_max=config.get("mask_max", 4.0),
-        n_masks=config.get("n_masks", 1),
-    )
-    seed = config.get("seed", args.seed)
+        raise BadConfigFile(f"{path}: expected a JSON object")
+    settings = {f.name: f.default for f in dataclasses.fields(MaskNetConfig)}
+    settings.update(_TOY_DEFAULTS, seed=seed)
+    for key, value in config.items():
+        if key not in settings:
+            raise BadConfigFile(f"{path}: unknown key {key!r}")
+        if not _has_default_type(value, settings[key]):
+            raise BadConfigFile(f"{path}: {key} has the wrong type: {value!r}")
+    settings.update(config)
+    if settings["seed"] < 0 or settings["examples"] < 1 or settings["steps"] < 1:
+        raise BadConfigFile(f"{path}: need seed >= 0, examples >= 1, steps >= 1")
+    return config, settings
+
+
+def cmd_train_toy(args) -> int:
+    config, settings = _read_toy_config(args.config, args.seed)
+    net_config = MaskNetConfig(**{
+        f.name: settings[f.name] for f in dataclasses.fields(MaskNetConfig)})
+    seed = settings["seed"]
     net = FilmMaskNet.init(net_config, seed=seed)
-    examples = _toy_examples(config.get("examples", 4), net_config.embed_dim,
-                             seed, t=config.get("samples", 4000))
+    examples = _toy_examples(settings["examples"], net_config.embed_dim,
+                             seed, t=settings["samples"])
     if net_config.n_masks == 1:
         examples = [TrainExample(e.x, e.z, e.y) for e in examples]
     result = train_toy(
         net, examples,
-        steps=config.get("steps", 200),
-        lr=config.get("lr", 1e-3),
-        lr_decay=config.get("lr_decay", 1.0),
-        use_pit=config.get("pit", False),
+        steps=settings["steps"],
+        lr=settings["lr"],
+        lr_decay=settings["lr_decay"],
+        use_pit=settings["pit"],
     )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -155,19 +155,11 @@ _SYMBOL = {
 # Action by its serialized value ("remove", "keep", "up", "down").
 ACTION_BY_VALUE = {a.value: a for a in Action}
 
+# Each action reads from its symbol, its serialized value and that value's
+# initial ("u" for "up").
 _ACTION_TOKENS = {
-    "0": Action.REMOVE,
-    "1": Action.KEEP,
-    "↑": Action.VOLUME_UP,
-    "↓": Action.VOLUME_DOWN,
-    "u": Action.VOLUME_UP,
-    "d": Action.VOLUME_DOWN,
-    "r": Action.REMOVE,
-    "k": Action.KEEP,
-    "remove": Action.REMOVE,
-    "keep": Action.KEEP,
-    "up": Action.VOLUME_UP,
-    "down": Action.VOLUME_DOWN,
+    token: action for value, action in ACTION_BY_VALUE.items()
+    for token in (_SYMBOL[action], value, value[0])
 }
 
 

@@ -3,7 +3,7 @@
 A catalog row maps an audio file to its signature. Speech rows carry the
 full five-attribute style (and a speaker id for speaker-level splits);
 audio rows carry exactly one class label. Labels related to human voices
-are filtered out against a configurable blocklist.
+are filtered out against a fixed blocklist.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ SPLITS = ("train", "valid", "test")
 # Default speaker-level split ratio: 1177 train, 50 valid, 100 test.
 DEFAULT_SPLIT_RATIOS = (1177, 50, 100)
 
+# Normalized labels (see ``normalize_label``) that ``ingest`` skips.
 DEFAULT_BLOCKLIST = frozenset({
     "people", "children", "police radio chatter", "speech", "conversation",
     "human voice", "crowd", "baby crying", "singing", "laughing",
@@ -118,8 +119,7 @@ def _parse_label(raw, row_no: int) -> str:
     return normalize_label(raw)
 
 
-def ingest(root, metadata=None,
-           blocklist: frozenset[str] = DEFAULT_BLOCKLIST) -> Catalog:
+def ingest(root, metadata=None) -> Catalog:
     """Build a validated catalog from a metadata file.
 
     ``metadata`` defaults to <root>/metadata.json; a .csv file with the
@@ -132,7 +132,6 @@ def ingest(root, metadata=None,
     metadata_path = Path(metadata) if metadata else root / "metadata.json"
     if not metadata_path.exists():
         raise MissingFile(f"metadata file not found: {metadata_path}")
-    blocked = {normalize_label(b) for b in blocklist}
     entries: list[CatalogEntry] = []
     skipped: list[str] = []
     seen_ids: set[str] = set()
@@ -160,7 +159,7 @@ def ingest(root, metadata=None,
                                         speaker))
         elif kind == "audio":
             label = _parse_label(row.get("label"), row_no)
-            if label in blocked:
+            if label in DEFAULT_BLOCKLIST:
                 skipped.append(label)
                 continue
             entries.append(CatalogEntry(entry_id, path, AudioSignature(label)))
@@ -244,6 +243,8 @@ _DEMO_LABELS = (
     "pulse train", "wind noise",
 )
 
+_DEMO_SPEAKERS = 16
+
 _F0 = {"low": 110.0, "normal": 180.0, "high": 280.0}
 _AM = {"low": 1.5, "normal": 3.0, "high": 5.5}
 _AMP = {"low": 0.08, "normal": 0.16, "high": 0.3}
@@ -318,7 +319,7 @@ def _demo_audio(label: str, rng, duration: float, rate: int) -> np.ndarray:
     return 0.25 * w / np.max(np.abs(w))
 
 
-def build_demo_catalog(out_dir, seed: int = 0, n_speakers: int = 16,
+def build_demo_catalog(out_dir, seed: int = 0,
                        rate: int = DEFAULT_RATE) -> Path:
     """Write the tiny synthetic catalog (tones, chirps, noise bursts with
     fabricated style metadata) used by the tests and demos.
@@ -335,7 +336,7 @@ def build_demo_catalog(out_dir, seed: int = 0, n_speakers: int = 16,
     rows = []
 
     styles = list(StyleVector.all_vectors())
-    picked_idx = rng.choice(len(styles), size=n_speakers, replace=False)
+    picked_idx = rng.choice(len(styles), size=_DEMO_SPEAKERS, replace=False)
     for i, idx in enumerate(picked_idx):
         style = styles[idx]
         duration = float(rng.uniform(4.0, 6.0))

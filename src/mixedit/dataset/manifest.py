@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 from ..core import (
@@ -35,6 +35,9 @@ from ..taskspace import Composition, sample_edit
 from .catalog import Catalog, CatalogEntry, SplitAssignment
 
 SCHEMA_VERSION = 1
+
+# Draws per record before a split is declared too small for distinct sources.
+_MAX_TRIES = 200
 
 
 class ExhaustedRetries(MixeditError):
@@ -116,8 +119,7 @@ class ManifestRecord:
     schema: int = SCHEMA_VERSION
 
     def to_json(self) -> str:
-        doc = asdict(self)
-        return json.dumps(doc, sort_keys=True)
+        return json.dumps(vars(self), sort_keys=True, default=vars)
 
     @classmethod
     def from_json(cls, line: str) -> "ManifestRecord":
@@ -145,12 +147,12 @@ class ManifestRecord:
 
 
 def _sample_distinct(pool: list[CatalogEntry], count: int, rng: random.Random,
-                     *, speech: bool, max_tries: int) -> list[CatalogEntry]:
+                     *, speech: bool) -> list[CatalogEntry]:
     if len(pool) < count:
         raise ExhaustedRetries(
             f"need {count} sources but the split holds {len(pool)}"
         )
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         picked = rng.sample(pool, count)
         if speech:
             styles = {e.signature.style for e in picked}
@@ -163,13 +165,13 @@ def _sample_distinct(pool: list[CatalogEntry], count: int, rng: random.Random,
                 return picked
     raise ExhaustedRetries(
         f"could not draw {count} distinct-{'style' if speech else 'label'} "
-        f"sources in {max_tries} tries"
+        f"sources in {_MAX_TRIES} tries"
     )
 
 
 def generate_manifest(catalog: Catalog, splits: SplitAssignment, count: int,
-                      comp: Composition, seed: int, split: str = "train",
-                      max_tries: int = 200) -> list[ManifestRecord]:
+                      comp: Composition, seed: int,
+                      split: str = "train") -> list[ManifestRecord]:
     """Symbolic dataset plan: no audio is read here.
 
     Per record, all randomness derives from hash(master seed, record id),
@@ -188,10 +190,10 @@ def generate_manifest(catalog: Catalog, splits: SplitAssignment, count: int,
         picked = []
         if comp.n_speech:
             picked += _sample_distinct(speech_pool, comp.n_speech, rng,
-                                       speech=True, max_tries=max_tries)
+                                       speech=True)
         if comp.n_audio:
             picked += _sample_distinct(audio_pool, comp.n_audio, rng,
-                                       speech=False, max_tries=max_tries)
+                                       speech=False)
         signatures = [e.signature for e in picked]
         task, actions = sample_edit(comp, derive_seed(rec_seed, "edit"))
         instruction = validate_instruction(list(zip(actions, signatures)))

@@ -20,7 +20,7 @@ from ..dsp import Clip, DEFAULT_DURATION_S, DEFAULT_RATE, condition, resample
 from ..errors import MixeditError
 from ..mixer import MixturePair, apply_gains, assign_gains
 from ..seeding import derive_seed
-from .manifest import ManifestRecord, signature_from_json, write_manifest
+from .manifest import ManifestRecord, write_manifest
 
 
 class BadWavFile(MixeditError):
@@ -97,8 +97,7 @@ def synthesize_record(record: ManifestRecord, out_dir: str,
     out = Path(out_dir)
     clips = [_load_source(ref, record.seed, i)
              for i, ref in enumerate(record.sources)]
-    signatures = [signature_from_json(ref.signature) for ref in record.sources]
-    pairs = list(zip(clips, signatures))
+    pairs = list(zip(clips, record.signatures()))
     assignment = assign_gains(pairs, derive_seed(record.seed, "gains"))
     scaled = apply_gains(pairs, assignment)
     pair = MixturePair.build(scaled, record.action_vector())

@@ -292,15 +292,13 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(n_mels: int, n_bins: int, rate: int,
-                   fmin: float = 0.0, fmax: float | None = None) -> np.ndarray:
-    """Triangular Mel filterbank, (n_mels, n_bins). Full-band coverage:
-    every row has positive weight."""
-    if fmax is None:
-        fmax = rate / 2.0
+def mel_filterbank(n_mels: int, n_bins: int, rate: int) -> np.ndarray:
+    """Triangular Mel filterbank from 0 Hz to Nyquist, (n_mels, n_bins).
+    Full-band coverage: every row has positive weight."""
     window = 2 * (n_bins - 1)
     bin_freqs = np.arange(n_bins) * rate / window
-    edges = mel_to_hz(np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_mels + 2))
+    edges = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(rate / 2.0),
+                                  n_mels + 2))
     bank = np.zeros((n_mels, n_bins))
     for m in range(n_mels):
         lo, center, hi = edges[m], edges[m + 1], edges[m + 2]

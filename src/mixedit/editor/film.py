@@ -82,6 +82,32 @@ def latent_frames(n_samples: int, kernel: int) -> int:
     return (n_samples - kernel) // (kernel // 2) + 1
 
 
+def param_layout(config: MaskNetConfig) -> dict:
+    """Every parameter in initialization order: name -> (shape, init), where
+    init scales a standard-normal draw of that shape or is a constant fill.
+    Building it allocates no tensor."""
+    c, k, h, d = (config.channels, config.kernel, config.film_hidden,
+                  config.embed_dim)
+    layout = {
+        "enc.w": ((c, k), lambda w: w / math.sqrt(k)),
+        "dec.w": ((c, k), lambda w: w / math.sqrt(c * k)),
+    }
+    for i in range(config.blocks):
+        layout[f"block{i}.conv.w"] = (
+            (c, c, 3), lambda w: w * math.sqrt(2.0 / (3 * c)))
+        layout[f"block{i}.conv.b"] = ((c,), 0.0)
+        # f gives gamma (starts at 1), g gives beta (starts at 0).
+        for mlp, bias in (("f", 1.0), ("g", 0.0)):
+            name = f"block{i}.film.{mlp}"
+            layout[f"{name}1.w"] = ((h, d), lambda w: w / math.sqrt(d))
+            layout[f"{name}1.b"] = ((h,), 0.0)
+            layout[f"{name}2.w"] = ((c, h), lambda w: w * 0.1 / math.sqrt(h))
+            layout[f"{name}2.b"] = ((c,), bias)
+    layout["head.w"] = ((config.n_masks * c, c), lambda w: w * math.sqrt(1.0 / c))
+    layout["head.b"] = ((config.n_masks * c,), 1.0)
+    return layout
+
+
 class FilmMaskNet:
     """Parameter container plus forward/backward passes."""
 
@@ -95,27 +121,11 @@ class FilmMaskNet:
         the first step is an unmodulated pass, and the mask head biases
         toward unity gain."""
         rng = np.random.default_rng(seed)
-        c, k, h, d = (config.channels, config.kernel, config.film_hidden,
-                      config.embed_dim)
-        p: dict[str, np.ndarray] = {}
-        p["enc.w"] = rng.standard_normal((c, k)) / math.sqrt(k)
-        p["dec.w"] = rng.standard_normal((c, k)) / math.sqrt(c * k)
-        for i in range(config.blocks):
-            p[f"block{i}.conv.w"] = (
-                rng.standard_normal((c, c, 3)) * math.sqrt(2.0 / (3 * c))
-            )
-            p[f"block{i}.conv.b"] = np.zeros(c)
-            # f gives gamma (starts at 1), g gives beta (starts at 0).
-            for mlp, bias in (("f", 1.0), ("g", 0.0)):
-                name = f"block{i}.film.{mlp}"
-                p[f"{name}1.w"] = rng.standard_normal((h, d)) / math.sqrt(d)
-                p[f"{name}1.b"] = np.zeros(h)
-                p[f"{name}2.w"] = (
-                    rng.standard_normal((c, h)) * 0.1 / math.sqrt(h)
-                )
-                p[f"{name}2.b"] = np.full(c, bias)
-        p["head.w"] = rng.standard_normal((config.n_masks * c, c)) * math.sqrt(1.0 / c)
-        p["head.b"] = np.ones(config.n_masks * c)
+        p = {
+            name: init(rng.standard_normal(shape)) if callable(init)
+            else np.full(shape, init)
+            for name, (shape, init) in param_layout(config).items()
+        }
         return cls(config, p)
 
     def clone(self) -> "FilmMaskNet":

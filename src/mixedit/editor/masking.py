@@ -9,7 +9,7 @@ and reduces every source at once, as far as their supports allow.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -20,14 +20,13 @@ from ..core import (
     SimplifiedInstruction,
     SpeechDescriptor,
 )
-from ..dsp import Clip, DEFAULT_HOP, DEFAULT_WINDOW, Spectrogram, istft, mel_project, stft
+from ..dsp import Clip, istft, mel_project, stft
 from ..errors import MixeditError
 from ..mixer import target_mixture
 
 MASK_EPS = 1e-8
 DEFAULT_MASK_MAX = 4.0
 DEFAULT_EMBED_DIM = 32
-DEFAULT_HASH_SEED = 0
 
 
 class DimMismatch(MixeditError):
@@ -72,8 +71,7 @@ def oracle_edit(scaled_sources, actions) -> Clip:
 
 
 def ideal_mask(mixture: Clip, target: Clip, kind: MaskKind = MaskKind.PSM,
-               m_max: float = DEFAULT_MASK_MAX, window: int = DEFAULT_WINDOW,
-               hop: int = DEFAULT_HOP) -> EditingMask:
+               m_max: float = DEFAULT_MASK_MAX) -> EditingMask:
     """Oracle editing mask computed from the mixture and its target.
 
     IRM: |Y| / max(|X|, eps). PSM: Re(Y * conj(X)) / max(|X|^2, eps),
@@ -81,8 +79,8 @@ def ideal_mask(mixture: Clip, target: Clip, kind: MaskKind = MaskKind.PSM,
     """
     if len(mixture) != len(target) or mixture.rate != target.rate:
         raise DimMismatch("mixture and target must be aligned")
-    x = stft(mixture, window, hop).frames
-    y = stft(target, window, hop).frames
+    x = stft(mixture).frames
+    y = stft(target).frames
     if kind is MaskKind.IRM:
         raw = np.abs(y) / np.maximum(np.abs(x), MASK_EPS)
     else:
@@ -90,18 +88,15 @@ def ideal_mask(mixture: Clip, target: Clip, kind: MaskKind = MaskKind.PSM,
     return EditingMask(np.clip(raw, 0.0, m_max), m_max)
 
 
-def mask_edit(mixture: Clip, mask: EditingMask, window: int = DEFAULT_WINDOW,
-              hop: int = DEFAULT_HOP) -> Clip:
+def mask_edit(mixture: Clip, mask: EditingMask) -> Clip:
     """Apply an editing mask to the mixture spectrogram and resynthesize."""
-    spec = stft(mixture, window, hop)
+    spec = stft(mixture)
     if mask.values.shape != spec.frames.shape:
         raise DimMismatch(
             f"mask shape {mask.values.shape} does not match "
             f"spectrogram {spec.frames.shape}"
         )
-    edited = Spectrogram(mask.values * spec.frames, window, hop,
-                         spec.rate, spec.n_samples)
-    return istft(edited)
+    return istft(replace(spec, frames=mask.values * spec.frames))
 
 
 def _edit_tokens(action, desc):
@@ -122,8 +117,7 @@ _HASH_SPREAD = 4  # buckets per token; tokens collide only if all four agree
 
 
 def embed_instruction(simplified: SimplifiedInstruction,
-                      dim: int = DEFAULT_EMBED_DIM,
-                      hash_seed: int = DEFAULT_HASH_SEED) -> np.ndarray:
+                      dim: int = DEFAULT_EMBED_DIM) -> np.ndarray:
     """Deterministic semantic-filter vector for a simplified instruction.
 
     Signed sparse feature hashing: every (action, attribute) token lights
@@ -134,13 +128,12 @@ def embed_instruction(simplified: SimplifiedInstruction,
     if dim < 1:
         raise ValueError("embedding dimension must be positive")
     v = np.zeros(dim)
-    salt = hash_seed.to_bytes(8, "little", signed=True)
     for action, desc in simplified.edits:
         for token in _edit_tokens(action, desc):
             for r in range(_HASH_SPREAD):
                 digest = hashlib.blake2b(
                     f"{r}|{action.value}|{token}".encode("utf-8"),
-                    digest_size=9, salt=salt,
+                    digest_size=9,
                 ).digest()
                 idx = int.from_bytes(digest[:8], "little") % dim
                 sign = 1.0 if digest[8] & 1 else -1.0

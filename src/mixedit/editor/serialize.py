@@ -17,12 +17,13 @@ from __future__ import annotations
 import json
 import math
 import struct
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from ..errors import MixeditError
-from .film import FilmMaskNet, MaskNetConfig
+from .film import FilmMaskNet, MaskNetConfig, param_layout
 
 MAGIC = b"MXN1"
 VERSION = 1
@@ -33,12 +34,7 @@ class BadContainer(MixeditError):
 
 
 def save_net(path, net: FilmMaskNet):
-    cfg = net.config
-    config_blob = json.dumps({
-        "channels": cfg.channels, "kernel": cfg.kernel, "blocks": cfg.blocks,
-        "embed_dim": cfg.embed_dim, "hidden": cfg.hidden,
-        "mask_max": cfg.mask_max, "n_masks": cfg.n_masks,
-    }, sort_keys=True).encode("utf-8")
+    config_blob = json.dumps(asdict(net.config), sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, len(config_blob)))
@@ -94,7 +90,7 @@ def load_net(path) -> FilmMaskNet:
         raise BadContainer(f"{type(err).__name__}: {err}") from err
     if offset != len(data):
         raise BadContainer("trailing bytes after the tensor table")
-    expected = {k: v.shape for k, v in FilmMaskNet.init(config).params.items()}
+    expected = {k: shape for k, (shape, _) in param_layout(config).items()}
     found = {k: v.shape for k, v in params.items()}
     if found != expected:
         wrong = sorted(k for k in expected.keys() | found.keys()

@@ -35,6 +35,7 @@ from .core import (
 )
 from .errors import MixeditError
 from .seeding import derive_seed
+from .taskspace import uniform
 
 
 class CannotDistinguish(MixeditError):
@@ -71,16 +72,11 @@ class TemplateId(Enum):
     CAN_YOU = "can_you"
 
 
-_TEMPLATE_PREFIX = {
-    TemplateId.PLEASE: "Please ",
-    TemplateId.I_WANT_TO: "I want to ",
-    TemplateId.CAN_YOU: "Can you ",
-}
-
-_TEMPLATE_SUFFIX = {
-    TemplateId.PLEASE: ".",
-    TemplateId.I_WANT_TO: ".",
-    TemplateId.CAN_YOU: "?",
+# (opening, closing) of each template sentence; ``parse`` strips the openings.
+_TEMPLATE_FORMS = {
+    TemplateId.PLEASE: ("Please ", "."),
+    TemplateId.I_WANT_TO: ("I want to ", "."),
+    TemplateId.CAN_YOU: ("Can you ", "?"),
 }
 
 
@@ -111,6 +107,10 @@ class SpecialPrompt:
 
 _SCOPES = {s.value: s for s in GroupScope}
 
+# Term tables of the lexicon file (``<name>_terms``), each mapping a value
+# (an attribute value, or a field name for "trait") to its phrases.
+_TERM_TABLES = ("gender", "emotion", "level", "trait")
+
 
 @dataclass
 class Lexicon:
@@ -122,20 +122,14 @@ class Lexicon:
 
     version: int
     verbs: dict[Action, tuple[str, ...]]
-    gender_terms: dict[str, tuple[str, ...]]
-    emotion_terms: dict[str, tuple[str, ...]]
-    level_terms: dict[str, tuple[str, ...]]
-    trait_terms: dict[str, tuple[str, ...]]
+    terms: dict[str, dict[str, tuple[str, ...]]]  # table -> value -> phrases
     speaker_terms: tuple[str, ...]
     sound_terms: tuple[str, ...]
     specials: dict[str, tuple[SpecialPrompt, ...]]
     # lookup tables built after validation
     _verb_lookup: tuple[tuple[str, Action], ...] = field(default=(), repr=False)
     _special_lookup: dict = field(default_factory=dict, repr=False)
-    _gender_lookup: dict = field(default_factory=dict, repr=False)
-    _emotion_lookup: dict = field(default_factory=dict, repr=False)
-    _level_lookup: dict = field(default_factory=dict, repr=False)
-    _trait_lookup: dict = field(default_factory=dict, repr=False)
+    _term_lookup: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def load(cls, path: str | Path | None = None) -> "Lexicon":
@@ -161,10 +155,10 @@ class Lexicon:
         lex = cls(
             version=doc["version"],
             verbs=verbs,
-            gender_terms={k: tuple(v) for k, v in doc["gender_terms"].items()},
-            emotion_terms={k: tuple(v) for k, v in doc["emotion_terms"].items()},
-            level_terms={k: tuple(v) for k, v in doc["level_terms"].items()},
-            trait_terms={k: tuple(v) for k, v in doc["trait_terms"].items()},
+            terms={
+                table: {k: tuple(v) for k, v in doc[f"{table}_terms"].items()}
+                for table in _TERM_TABLES
+            },
             speaker_terms=tuple(doc["speaker_terms"]),
             sound_terms=tuple(doc["sound_terms"]),
             specials=specials,
@@ -201,10 +195,18 @@ class Lexicon:
             for entries in self.specials.values()
             for sp in entries
         }
-        self._gender_lookup = {t: v for v, ts in self.gender_terms.items() for t in ts}
-        self._emotion_lookup = {t: v for v, ts in self.emotion_terms.items() for t in ts}
-        self._level_lookup = {t: v for v, ts in self.level_terms.items() for t in ts}
-        self._trait_lookup = {t: f for f, ts in self.trait_terms.items() for t in ts}
+        self._term_lookup = {
+            table: {p: v for v, ps in values.items() for p in ps}
+            for table, values in self.terms.items()
+        }
+
+    def phrase(self, table: str, value: str) -> str:
+        """The phrase ``render`` uses for a term-table value."""
+        return self.terms[table][value][0]
+
+    def lookup(self, table: str, phrase: str) -> str | None:
+        """The term-table value a phrase names, or None."""
+        return self._term_lookup[table].get(phrase)
 
     def verb_for(self, action: Action, rng: random.Random) -> str:
         phrases = self.verbs[action]
@@ -259,9 +261,6 @@ def simplify(instruction: Instruction, seed: int = 0) -> SimplifiedInstruction:
     styles = [
         s.style for _, s in instruction.edits if isinstance(s, SpeechSignature)
     ]
-    for a, b in itertools.combinations(styles, 2):
-        if a == b:
-            raise CannotDistinguish("two speech sources share all five attributes")
     fields = minimal_distinguishing_fields(styles) if styles else ()
 
     edits = []
@@ -275,14 +274,10 @@ def simplify(instruction: Instruction, seed: int = 0) -> SimplifiedInstruction:
 
 def _speech_phrase(desc: SpeechDescriptor, lex: Lexicon) -> str:
     attrs = dict(desc.attrs)
-    pre = []
-    if "emotion" in attrs:
-        pre.append(lex.emotion_terms[attrs["emotion"]][0])
-    if "gender" in attrs:
-        pre.append(lex.gender_terms[attrs["gender"]][0])
+    pre = [lex.phrase(f, attrs[f]) for f in ("emotion", "gender") if f in attrs]
     head = "the " + " ".join(pre + [lex.speaker_terms[0]])
     post = [
-        f"{lex.level_terms[attrs[f]][0]} {lex.trait_terms[f][0]}"
+        f"{lex.phrase('level', attrs[f])} {lex.phrase('trait', f)}"
         for f in ("pitch", "tempo", "volume")
         if f in attrs
     ]
@@ -332,7 +327,8 @@ def render(simplified: SimplifiedInstruction, template: TemplateId,
         body = clauses[0]
     else:
         body = ", ".join(clauses[:-1]) + ", and " + clauses[-1]
-    text = _TEMPLATE_PREFIX[template] + body + _TEMPLATE_SUFFIX[template]
+    opening, closing = _TEMPLATE_FORMS[template]
+    text = opening + body + closing
     return Prompt(text, Provenance.TEMPLATE, template)
 
 
@@ -345,18 +341,11 @@ def special_generic(actions, comp, seed: int = 0) -> Prompt | None:
     with probability 0.5 when it is available.
     """
     actions = tuple(actions)
-    speech = actions[:comp.n_speech]
-    audio = actions[comp.n_speech:]
-    s_act = speech[0] if speech and all(a is speech[0] for a in speech) else None
-    a_act = audio[0] if audio and all(a is audio[0] for a in audio) else None
-    if speech and s_act is None:
+    groups = [g for g in (actions[:comp.n_speech], actions[comp.n_speech:]) if g]
+    group_acts = [uniform(g) for g in groups]
+    if None in group_acts:
         return None
-    if audio and a_act is None:
-        return None
-    if s_act is None:
-        s_act = a_act
-    if a_act is None:
-        a_act = s_act
+    s_act, a_act = group_acts[0], group_acts[-1]
     if s_act is a_act and s_act in (Action.KEEP, Action.REMOVE):
         return None  # identity or silence; nothing to phrase
     entries = default_lexicon().special_entries(s_act, a_act)
@@ -388,9 +377,9 @@ def parse(text: str, labels) -> SimplifiedInstruction:
 
     folded = text.casefold()
     body = norm
-    for prefix in ("please ", "i want to ", "can you "):
-        if body.startswith(prefix):
-            body = body[len(prefix):]
+    for opening, _ in _TEMPLATE_FORMS.values():
+        if body.startswith(opening.casefold()):
+            body = body[len(opening):]
             break
     body = body.rstrip(".?!").strip()
     if not body:
@@ -459,14 +448,18 @@ def _parse_descriptor(text: str, labels, lex: Lexicon,
 
     head, _, tail = core.partition(" characterized by ")
     head_words = head.split()
-    speechy = any(
-        w in lex.speaker_terms or w in lex._gender_lookup
-        or w in lex._emotion_lookup
-        for w in head_words
-    )
-    if speechy:
+    if any(w in lex.speaker_terms or _head_attr(w, lex) for w in head_words):
         return _parse_speech(head_words, tail, lex, span)
     raise UnknownDescriptor(f"unknown source description {text!r}", span=span)
+
+
+def _head_attr(word: str, lex: Lexicon) -> tuple[str, str] | None:
+    """The (field, value) a style word before the speaker noun names."""
+    for f in ("gender", "emotion"):
+        value = lex.lookup(f, word)
+        if value is not None:
+            return f, value
+    return None
 
 
 def _parse_speech(head_words, tail, lex: Lexicon, span) -> SpeechDescriptor:
@@ -474,12 +467,10 @@ def _parse_speech(head_words, tail, lex: Lexicon, span) -> SpeechDescriptor:
     for word in head_words:
         if word in lex.speaker_terms:
             continue
-        if word in lex._gender_lookup:
-            _put_attr(attrs, "gender", lex._gender_lookup[word], span)
-        elif word in lex._emotion_lookup:
-            _put_attr(attrs, "emotion", lex._emotion_lookup[word], span)
-        else:
+        attr = _head_attr(word, lex)
+        if attr is None:
             raise UnknownDescriptor(f"unknown style word {word!r}", span=span)
+        _put_attr(attrs, *attr, span)
     if tail:
         parts = [p for piece in tail.split(", ") for p in piece.split(" and ") if p]
         for part in parts:
@@ -491,8 +482,8 @@ def _parse_speech(head_words, tail, lex: Lexicon, span) -> SpeechDescriptor:
             if len(tokens) < 2:
                 raise UnknownDescriptor(f"unreadable trait {part!r}", span=span)
             level_word, trait_word = tokens[0], " ".join(tokens[1:])
-            level = lex._level_lookup.get(level_word)
-            trait = lex._trait_lookup.get(trait_word)
+            level = lex.lookup("level", level_word)
+            trait = lex.lookup("trait", trait_word)
             if level is None or trait is None:
                 raise UnknownDescriptor(f"unreadable trait {part!r}", span=span)
             _put_attr(attrs, trait, level, span)

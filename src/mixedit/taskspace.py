@@ -84,7 +84,8 @@ _S_UP_PAIRS = {(_UP, _KEEP), (_KEEP, _DOWN), (_UP, _DOWN)}
 _S_DOWN_PAIRS = {(_DOWN, _KEEP), (_KEEP, _UP), (_DOWN, _UP)}
 
 
-def _uniform(actions) -> Action | None:
+def uniform(actions) -> Action | None:
+    """The action every entry of a non-empty group shares, or None."""
     first = actions[0]
     return first if all(a is first for a in actions) else None
 
@@ -108,7 +109,7 @@ def classify(actions, comp: Composition) -> Task:
     ns = comp.n_speech
     speech, audio = actions[:ns], actions[ns:]
 
-    uni = _uniform(actions)
+    uni = uniform(actions)
     if uni in (_UP, _DOWN):
         return Task.OVC
 
@@ -117,7 +118,7 @@ def classify(actions, comp: Composition) -> Task:
             return Task.SE
         if all(a is _REMOVE for a in speech) and all(a is _KEEP for a in audio):
             return Task.SR
-        pair = (_uniform(speech), _uniform(audio))
+        pair = (uniform(speech), uniform(audio))
         if pair in _S_UP_PAIRS:
             return Task.S_UP
         if pair in _S_DOWN_PAIRS:

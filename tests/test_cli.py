@@ -8,6 +8,7 @@ import pytest
 from mixedit.cli import main
 from mixedit.dataset import build_demo_catalog, read_wav, write_wav
 from mixedit.dsp import Clip
+from mixedit.editor import load_net
 
 RATE = 16000
 
@@ -342,6 +343,22 @@ def test_train_toy_cli(tmp_path, capsys):
     assert len(curve) == 11
 
 
+def test_train_toy_config_sets_every_net_field(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "channels": 8, "kernel": 8, "blocks": 1, "embed_dim": 4, "hidden": 5,
+        "mask_max": 3.0, "n_masks": 2, "examples": 1, "steps": 1,
+        "samples": 400,
+    }))
+    out_dir = tmp_path / "run"
+    assert main(["train-toy", "--config", str(config),
+                 "--out-dir", str(out_dir)]) == 0
+    capsys.readouterr()
+    net = load_net(out_dir / "net.mxn")
+    assert (net.config.hidden, net.config.mask_max) == (5, 3.0)
+    assert net.params["block0.film.f1.w"].shape == (5, 4)
+
+
 def test_film_editor_cli_prompt_path(tmp_path, capsys):
     # Tiny aligned catalog (equal-length clips) so unmodified catalog
     # files can be summed into the mixture directly.
@@ -408,7 +425,12 @@ def test_train_toy_bad_net_config_exits_1(tmp_path, capsys, bad):
     assert "BadNetConfig" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text", ['{"steps": 1,', "[1, 2]"])
+@pytest.mark.parametrize("text", ['{"steps": 1,', "[1, 2]",
+                                  '{"steps": "a"}', '{"lr": "x"}',
+                                  '{"stpes": 1}', '{"pit": 1}',
+                                  '{"channels": 8.0}', '{"seed": null}',
+                                  '{"seed": -1}', '{"steps": 0}',
+                                  '{"examples": 0}'])
 def test_train_toy_bad_config_file_exits_1(tmp_path, capsys, text):
     config = tmp_path / "config.json"
     config.write_text(text)

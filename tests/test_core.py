@@ -64,6 +64,20 @@ def test_parse_action_symbols_and_aliases():
         parse_action("x")
 
 
+@pytest.mark.parametrize("token,action", [
+    ("0", Action.REMOVE), ("1", Action.KEEP),
+    ("↑", Action.VOLUME_UP), ("↓", Action.VOLUME_DOWN),
+    ("r", Action.REMOVE), ("k", Action.KEEP),
+    ("u", Action.VOLUME_UP), ("d", Action.VOLUME_DOWN),
+    ("remove", Action.REMOVE), ("keep", Action.KEEP),
+    ("up", Action.VOLUME_UP), ("down", Action.VOLUME_DOWN),
+])
+def test_parse_action_every_token_and_its_upper_case(token, action):
+    assert parse_action(token) is action
+    assert parse_action(token.upper()) is action
+    assert parse_action(f" {token} ") is action
+
+
 def test_duplicate_signature_rejected():
     a = spk()
     with pytest.raises(DuplicateSignature) as exc:

@@ -1,5 +1,9 @@
 """Reference editors: oracle, ideal masks, embedding, FiLM mask network."""
 
+import json
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -562,3 +566,23 @@ def test_load_net_malformed_raises_bad_container(tmp_path, edit):
     path.write_bytes(data)
     with pytest.raises(BadContainer):
         load_net(path)
+
+
+def test_load_net_rejects_oversized_config_before_allocating(tmp_path):
+    from mixedit.editor.serialize import BadContainer
+    path = tmp_path / "net.mxn"
+    save_net(path, FilmMaskNet.init(TOY, seed=0))
+    data = path.read_bytes()
+    (config_len,) = struct.unpack_from("<I", data, 8)
+    config = json.loads(data[12:12 + config_len])
+    blob = json.dumps({**config, "channels": 2048}).encode("utf-8")
+    path.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob
+                     + data[12 + config_len:])
+    tracemalloc.start()
+    try:
+        with pytest.raises(BadContainer):
+            load_net(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20

@@ -4,6 +4,7 @@ import pytest
 
 from mixedit.core import (
     Action,
+    Instruction,
     AudioDescriptor,
     AudioSignature,
     GroupDescriptor,
@@ -127,6 +128,12 @@ def test_minimal_distinguishing_fields():
         minimal_distinguishing_fields([s1, s1])
 
 
+def test_simplify_rejects_unvalidated_equal_styles():
+    twin = Instruction(((R, SPK1), (K, SPK1), (K, AUD1)))
+    with pytest.raises(CannotDistinguish):
+        simplify(twin, seed=0)
+
+
 def test_simplify_true_minimality_property():
     # dropping any retained attribute breaks distinguishability, unless
     # the subset is a singleton
@@ -206,6 +213,16 @@ def test_special_generic_empty_group_collapses_to_everything():
     assert "Make everything louder." in texts
 
 
+def test_special_generic_audio_only_mixture():
+    comp = Composition(0, 2)
+    entries = default_lexicon().special_entries(U, U)
+    texts = {special_generic([U, U], comp, seed=s).text for s in range(40)}
+    assert texts == {sp.text for sp in entries}
+    assert special_generic([R, K], comp, seed=0) is None
+    assert special_generic([U, D], comp, seed=0) is None
+    assert special_generic([R, R], comp, seed=0) is None
+
+
 # ---------------- parse ----------------
 
 def test_parse_template_round_trip_exhaustive_sample():
@@ -225,6 +242,17 @@ def test_parse_template_round_trip_exhaustive_sample():
                         p = render(simp, template, seed=seed + 11)
                         back = parse(p.text, LABELS)
                         assert back.as_set() == simp.as_set(), p.text
+
+
+@pytest.mark.parametrize("template", list(TemplateId))
+def test_parse_accepts_upper_case_template_opening(template):
+    simp = simplify(instr([R, K, U, K]), seed=0)
+    text = render(simp, template, seed=3).text
+    opening = {TemplateId.PLEASE: "Please ", TemplateId.I_WANT_TO: "I want to ",
+               TemplateId.CAN_YOU: "Can you "}[template]
+    assert text.startswith(opening)
+    shouted = opening.upper() + text[len(opening):]
+    assert parse(shouted, LABELS).as_set() == simp.as_set()
 
 
 def test_parse_special_prompts():
