@@ -11,8 +11,6 @@ from __future__ import annotations
 import json
 import os
 import random
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -67,6 +65,11 @@ def rephrase(prompt: Prompt, config: RephraseConfig) -> list[Prompt]:
     """Request rephrased variants of a prompt from the configured service."""
     if not config.endpoint:
         raise Disabled("no rephrase endpoint configured")
+    # Imported here: urllib.request pulls in http.client, ssl and email,
+    # which every other user of the dataset package would pay for.
+    import urllib.error
+    import urllib.request
+
     payload = json.dumps({
         "prompt": prompt.text,
         "n": config.n,

@@ -40,14 +40,13 @@ class Clip:
     rate: int
 
     def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=np.float64)
+        arr = np.array(self.samples, dtype=np.float64)
         if arr.ndim != 1:
             raise ValueError("clips are mono: expected a 1-D sample array")
         if self.rate <= 0:
             raise ValueError("sample rate must be positive")
         if arr.size and not np.all(np.isfinite(arr)):
             raise ValueError("clip contains non-finite samples")
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
 

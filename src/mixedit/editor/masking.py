@@ -9,6 +9,7 @@ and reduces every source at once, as far as their supports allow.
 from __future__ import annotations
 
 import hashlib
+import weakref
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -20,7 +21,7 @@ from ..core import (
     SimplifiedInstruction,
     SpeechDescriptor,
 )
-from ..dsp import Clip, istft, mel_project, stft
+from ..dsp import Clip, Spectrogram, istft, mel_project, stft
 from ..errors import MixeditError
 from ..mixer import target_mixture
 
@@ -47,18 +48,34 @@ class EditingMask:
     m_max: float = DEFAULT_MASK_MAX
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
+        vals = np.array(self.values, dtype=np.float64)
         if not np.all(np.isfinite(vals)):
             raise ValueError("mask contains non-finite entries")
         if vals.size and (vals.min() < 0.0 or vals.max() > self.m_max):
             raise ValueError(f"mask entries must lie in [0, {self.m_max}]")
-        vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
     @property
     def shape(self):
         return self.values.shape
+
+
+# Spectrogram of each live clip; an entry goes when its clip is collected.
+_SPECTRA: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _spectrum(clip: Clip) -> Spectrogram:
+    """``stft(clip)``, computed once per clip: ``ideal_mask`` and
+    ``mask_edit`` analyse the same mixture. Clips are immutable and hash
+    by identity, so a cached entry stays valid; its frames are read-only
+    because every caller shares them."""
+    spec = _SPECTRA.get(clip)
+    if spec is None:
+        spec = stft(clip)
+        spec.frames.setflags(write=False)
+        _SPECTRA[clip] = spec
+    return spec
 
 
 def oracle_edit(scaled_sources, actions) -> Clip:
@@ -79,8 +96,8 @@ def ideal_mask(mixture: Clip, target: Clip, kind: MaskKind = MaskKind.PSM,
     """
     if len(mixture) != len(target) or mixture.rate != target.rate:
         raise DimMismatch("mixture and target must be aligned")
-    x = stft(mixture).frames
-    y = stft(target).frames
+    x = _spectrum(mixture).frames
+    y = _spectrum(target).frames
     if kind is MaskKind.IRM:
         raw = np.abs(y) / np.maximum(np.abs(x), MASK_EPS)
     else:
@@ -90,7 +107,7 @@ def ideal_mask(mixture: Clip, target: Clip, kind: MaskKind = MaskKind.PSM,
 
 def mask_edit(mixture: Clip, mask: EditingMask) -> Clip:
     """Apply an editing mask to the mixture spectrogram and resynthesize."""
-    spec = stft(mixture)
+    spec = _spectrum(mixture)
     if mask.values.shape != spec.frames.shape:
         raise DimMismatch(
             f"mask shape {mask.values.shape} does not match "

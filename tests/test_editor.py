@@ -1,8 +1,10 @@
 """Reference editors: oracle, ideal masks, embedding, FiLM mask network."""
 
+import gc
 import json
 import struct
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -37,6 +39,7 @@ from mixedit.editor import (
     save_net,
     train_toy,
 )
+from mixedit.editor import masking
 from mixedit.editor.film import latent_frames, snr_loss_and_grad
 from mixedit.editor.masking import DimMismatch
 from mixedit.errors import MixeditError
@@ -154,6 +157,41 @@ def test_psm_mask_linearity_on_disjoint_sources():
     m_dn = ideal_mask(x, oracle_edit(srcs, [K, D]), MaskKind.PSM).values
     m_both = ideal_mask(x, oracle_edit(srcs, [U, D]), MaskKind.PSM).values
     assert np.allclose((m_up * m_dn)[strong], m_both[strong], atol=1e-4)
+
+
+def test_irm_and_psm_edits_of_one_pair_take_two_stfts(monkeypatch):
+    calls = []
+    real_stft = masking.stft
+
+    def counting_stft(clip, *args, **kwargs):
+        calls.append(clip)
+        return real_stft(clip, *args, **kwargs)
+
+    monkeypatch.setattr(masking, "stft", counting_stft)
+    s1, s2 = tone(440), tone(2093)
+    x, y = mix([s1, s2]), oracle_edit([s1, s2], [K, D])
+    for kind in (MaskKind.IRM, MaskKind.PSM):
+        mask_edit(x, ideal_mask(x, y, kind))
+    assert len(calls) == 2
+    assert calls[0] is x and calls[1] is y
+
+
+def test_spectrum_memo_drops_collected_clips():
+    before = len(masking._SPECTRA)
+    clip = tone(440)
+    masking._spectrum(clip)
+    ref = weakref.ref(clip)
+    assert ref() in masking._SPECTRA
+    del clip
+    gc.collect()
+    assert ref() is None
+    assert len(masking._SPECTRA) == before
+
+
+def test_spectrum_memo_frames_are_read_only():
+    spec = masking._spectrum(tone(440))
+    with pytest.raises(ValueError):
+        spec.frames[0, 0] = 1.0
 
 
 # ---------------- instruction embedding ----------------
@@ -318,6 +356,18 @@ def test_multimask_sum_equals_combined_mask_path():
     for kk in range(k):
         y_full[kk:kk + (cache["L"] - 1) * s + 1:s] += contrib[kk]
     assert np.allclose(y_full[:len(x)], cache["y"], atol=1e-9)
+
+
+def test_film_edit_float32_matches_float64_forward():
+    net = FilmMaskNet.init(MaskNetConfig(), seed=2)
+    x = Clip(np.random.default_rng(3).standard_normal(5 * RATE) * 0.1, RATE)
+    z = unit_vec(net.config.embed_dim, seed=4)
+    cache = net.forward(x.samples, z)
+    assert cache["y"].dtype == np.float64
+    est, mask = net.edit(x, z)
+    assert est.samples.dtype == np.float64
+    assert mask.values.dtype == np.float64
+    assert snr(est, cache["y"]).value >= 100.0
 
 
 def test_pit_loss_invariant_to_reference_order():

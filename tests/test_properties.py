@@ -16,6 +16,7 @@ from mixedit.core import (
     TrivialSilence,
     validate_instruction,
 )
+from mixedit.dataset.catalog import _DEMO_LABELS
 from mixedit.dataset.manifest import ManifestRecord, SourceRef
 from mixedit.dsp import Clip, condition
 from mixedit.editor import FilmMaskNet, MaskNetConfig, load_net, save_net
@@ -23,6 +24,7 @@ from mixedit.editor.serialize import BadContainer
 from mixedit.errors import MixeditError
 from mixedit.metrics import si_sdr, snr
 from mixedit.mixer import MixturePair, weighted_sum
+from mixedit.prompt import _TEMPLATE_FORMS, ParseError, default_lexicon, parse
 from mixedit.taskspace import Composition, Task, TrivialEdit, classify
 
 actions_list = st.lists(st.sampled_from(list(Action)), min_size=2, max_size=6)
@@ -173,3 +175,32 @@ def test_checkpoint_prefixes_and_byte_flips_fail_typed(data):
             assert not truncate, "a truncated checkpoint must not load"
         except BadContainer:
             pass
+
+
+def _prompt_tokens() -> list[str]:
+    """Words and phrases the prompt grammar reacts to, plus glue."""
+    lex = default_lexicon()
+    tokens = [opening.strip() for opening, _ in _TEMPLATE_FORMS.values()]
+    tokens += [p for phrases in lex.verbs.values() for p in phrases]
+    tokens += [p for table in lex.terms.values()
+               for phrases in table.values() for p in phrases]
+    tokens += list(lex.speaker_terms) + list(lex.sound_terms)
+    tokens += [s.text for group in lex.specials.values() for s in group]
+    tokens += list(_DEMO_LABELS)
+    tokens += ["the", "a", "an", "and", "with", "by", "characterized by",
+               ",", ".", "?", "!", "", " "]
+    return tokens
+
+
+prompt_texts = st.lists(st.sampled_from(_prompt_tokens()), max_size=14).flatmap(
+    lambda words: st.sampled_from([" ".join(words), ", ".join(words),
+                                   "".join(words)]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.text(), prompt_texts))
+def test_any_prompt_parses_or_raises_parse_error(text):
+    try:
+        parse(text, _DEMO_LABELS)
+    except ParseError:
+        pass
