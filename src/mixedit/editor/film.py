@@ -205,11 +205,13 @@ class FilmMaskNet:
         """Edit a clip under conditioning z; returns the output and the
         combined latent editing mask. Computes in float32, about 135 dB
         SNR from the float64 forward on a 5-s clip; the returned clip and
-        mask are float64."""
+        mask are float64. The mask is summed and clamped in float64: a
+        float32 ``mask_max`` such as 1.1 rounds up past the float64 bound."""
         cache = self.forward(clip.samples, z, dtype=np.float32)
         max_gain = self.config.mask_max * self.config.n_masks
+        combined = cache["masks"].sum(axis=0, dtype=np.float64)
         return (Clip(cache["y"], clip.rate),
-                EditingMask(np.clip(cache["masks"].sum(axis=0), 0.0, max_gain),
+                EditingMask(np.clip(combined, 0.0, max_gain, out=combined),
                             max_gain))
 
     def separate(self, clip: Clip, z: np.ndarray) -> list[Clip]:

@@ -370,6 +370,20 @@ def test_film_edit_float32_matches_float64_forward():
     assert snr(est, cache["y"]).value >= 100.0
 
 
+@pytest.mark.parametrize("mask_max,n_masks", [(1.1, 1), (2.2, 2), (0.1, 1)])
+def test_film_edit_saturated_mask_within_bound(mask_max, n_masks):
+    # float32(mask_max) exceeds mask_max for these values; every bin of
+    # the head saturates, so the combined mask reaches its bound.
+    cfg = MaskNetConfig(channels=8, kernel=16, blocks=2, embed_dim=8,
+                        n_masks=n_masks, mask_max=mask_max)
+    net = FilmMaskNet.init(cfg, seed=1)
+    net.params["head.b"] = np.full_like(net.params["head.b"], 10.0)
+    est, mask = net.edit(tone(440, n=4000), unit_vec(8, seed=2))
+    assert mask.m_max == mask_max * n_masks
+    assert np.all(mask.values == mask.m_max)
+    assert np.all(np.isfinite(est.samples))
+
+
 def test_pit_loss_invariant_to_reference_order():
     cfg = MaskNetConfig(channels=8, kernel=16, blocks=2, embed_dim=8, n_masks=2)
     net = FilmMaskNet.init(cfg, seed=1)
