@@ -1,8 +1,10 @@
 """Batch command-line surface: tasks, generate, edit, eval, train-toy.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or prompt-parse error.
-Every subcommand takes --seed and is byte-deterministic for a fixed seed;
---json switches the human-readable output to machine-readable JSON.
+Every subcommand is byte-deterministic for fixed inputs: demo-catalog,
+generate, edit and train-toy take --seed, while tasks and eval draw
+nothing at random and take none. On tasks and eval, --json switches the
+human-readable output to machine-readable JSON.
 """
 
 from __future__ import annotations

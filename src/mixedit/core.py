@@ -10,6 +10,7 @@ ordering, so instruction sets are reproducible across runs.
 from __future__ import annotations
 
 import itertools
+import typing
 from dataclasses import dataclass
 from enum import Enum
 
@@ -38,18 +39,6 @@ class Emotion(str, Enum):
     SAD = "sad"
     SURPRISED = "surprised"
     NEUTRAL = "neutral"
-
-
-# Canonical attribute order; rendering and subset selection both rely on it.
-STYLE_FIELDS = ("gender", "pitch", "tempo", "volume", "emotion")
-
-_STYLE_ENUMS = {
-    "gender": Gender,
-    "pitch": Level,
-    "tempo": Level,
-    "volume": Level,
-    "emotion": Emotion,
-}
 
 
 @dataclass(frozen=True, order=True)
@@ -82,8 +71,15 @@ class StyleVector:
             yield cls(*combo)
 
 
+# Each style field's enum, in canonical attribute order (the field order
+# of ``StyleVector``); rendering and subset selection both rely on it.
+_STYLE_ENUMS = typing.get_type_hints(StyleVector)
+STYLE_FIELDS = tuple(_STYLE_ENUMS)
+
+
 def normalize_label(text: str) -> str:
-    """Case-normalize a class label and collapse internal whitespace."""
+    """Lower-case text and collapse its whitespace: the one normaliser for
+    class labels and prompt text alike."""
     return " ".join(text.strip().lower().split())
 
 

@@ -27,7 +27,6 @@ from .rephrase import (
     BadRephraseConfig,
     Disabled,
     MalformedResponse,
-    MockRephraser,
     NetworkError,
     RephraseConfig,
     rephrase,
@@ -40,7 +39,7 @@ __all__ = [
     "build_demo_catalog", "ingest", "partition",
     "BadManifestLine", "ExhaustedRetries", "ManifestRecord", "SCHEMA_VERSION",
     "generate_manifest", "load_manifest", "write_manifest",
-    "BadRephraseConfig", "Disabled", "MalformedResponse", "MockRephraser",
+    "BadRephraseConfig", "Disabled", "MalformedResponse",
     "NetworkError", "RephraseConfig", "rephrase",
     "BadWavFile", "SynthesisSummary", "read_wav", "synthesize", "write_wav",
 ]

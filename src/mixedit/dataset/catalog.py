@@ -145,8 +145,14 @@ def ingest(root, metadata=None) -> Catalog:
         rel = row.get("path")
         if not rel:
             raise BadMetadataRow(row_no, "missing path")
-        path = (root / rel).resolve()
-        if not path.exists():
+        if not isinstance(rel, str):
+            raise BadMetadataRow(row_no, f"path must be a string, got {rel!r}")
+        try:
+            path = (root / rel).resolve()
+            found = path.exists()
+        except (OSError, ValueError) as err:  # a NUL byte, an overlong name
+            raise BadMetadataRow(row_no, f"bad path {rel!r}: {err}") from err
+        if not found:
             raise MissingFile(f"metadata row {row_no}: no such file {path}")
         if kind == "speech":
             try:

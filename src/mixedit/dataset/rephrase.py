@@ -2,21 +2,19 @@
 
 The service itself (an LLM) is out of scope; this module only speaks the
 wire format: POST {"prompt", "n", "wrapper"} and read back
-{"rephrasings": [...]}. A deterministic mock ships for tests and offline
-runs. The API key is read from the environment and never logged.
+{"rephrasings": [...]}. The API key is read from the environment and
+never logged.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import random
 from dataclasses import dataclass
 from pathlib import Path
 
 from ..errors import MixeditError
-from ..prompt import Prompt, Provenance, default_lexicon
-from ..seeding import derive_seed
+from ..prompt import Prompt, Provenance
 
 DEFAULT_WRAPPER = (
     "This prompt is an instruction to a sound editing system. As a human "
@@ -103,34 +101,3 @@ def rephrase(prompt: Prompt, config: RephraseConfig) -> list[Prompt]:
         out.append(Prompt(text, Provenance.EXTERNAL_REPHRASE))
     return out
 
-
-class MockRephraser:
-    """Offline stand-in: verb-synonym swaps plus sentence-form jitter.
-
-    Deterministic per seed and guaranteed to return n distinct non-empty
-    variants (the original text is always the first).
-    """
-
-    def __init__(self, seed: int = 0):
-        self.seed = seed
-
-    def __call__(self, prompt: Prompt, n: int = 5) -> list[Prompt]:
-        rng = random.Random(derive_seed(self.seed, prompt.text))
-        variants = [prompt.text]
-        attempts = 0
-        while len(variants) < n and attempts < 50 * n:
-            attempts += 1
-            text = prompt.text
-            for phrases in default_lexicon().verbs.values():
-                present = [p for p in phrases if p in text.lower()]
-                for p in present:
-                    alt = phrases[rng.randrange(len(phrases))]
-                    idx = text.lower().find(p)
-                    text = text[:idx] + alt + text[idx + len(p):]
-            if rng.random() < 0.3 and text.endswith("."):
-                text = "Could you " + text[0].lower() + text[1:-1] + "?"
-            if text not in variants:
-                variants.append(text)
-        while len(variants) < n:  # pathological lexicon: pad with tags
-            variants.append(f"{prompt.text[:-1]} (variant {len(variants)}).")
-        return [Prompt(v, Provenance.EXTERNAL_REPHRASE) for v in variants[:n]]

@@ -35,7 +35,9 @@ def read_wav(path) -> Clip:
     """
     try:
         rate, data = wavfile.read(path)
-    except (OSError, ValueError, struct.error) as err:
+    except (OSError, ValueError, struct.error,
+            # scipy's reader also raises these on some corrupt headers.
+            UnboundLocalError, ZeroDivisionError, TypeError) as err:
         raise BadWavFile(f"cannot read {path}: {err}") from err
     data = np.asarray(data)
     if data.ndim == 2:

@@ -58,9 +58,14 @@ class Clip:
         return len(self.samples) / self.rate
 
 
+def as_samples(x: Clip | np.ndarray) -> np.ndarray:
+    """A clip's samples, or an array-like as float64."""
+    return x.samples if isinstance(x, Clip) else np.asarray(x, dtype=np.float64)
+
+
 def mean_square(clip: Clip | np.ndarray) -> float:
     """Mean-square energy over the whole buffer, padding included."""
-    x = clip.samples if isinstance(clip, Clip) else np.asarray(clip)
+    x = as_samples(clip)
     if x.size == 0:
         return 0.0
     return float(np.mean(np.square(x)))
@@ -237,10 +242,7 @@ def stft(clip: Clip, window: int = DEFAULT_WINDOW, hop: int = DEFAULT_HOP) -> Sp
     _check_window(window, hop)
     x = clip.samples
     n = len(x)
-    if n <= window:
-        n_frames = 1
-    else:
-        n_frames = math.ceil((n - window) / hop) + 1
+    n_frames = max(1, math.ceil((n - window) / hop) + 1)
     padded_len = (n_frames - 1) * hop + window
     if padded_len > n:
         x = np.concatenate([x, np.zeros(padded_len - n)])

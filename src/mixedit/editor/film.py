@@ -214,12 +214,6 @@ class FilmMaskNet:
                 EditingMask(np.clip(combined, 0.0, max_gain, out=combined),
                             max_gain))
 
-    def separate(self, clip: Clip, z: np.ndarray) -> list[Clip]:
-        """Per-mask outputs (multi-mask nets); their sum is the edit."""
-        cache = self.forward(clip.samples, z)
-        return [Clip(cache["per_source"][m], clip.rate)
-                for m in range(self.config.n_masks)]
-
     # ---------------- backward ----------------
 
     def _mlp_backward(self, name: str, z: np.ndarray, hidden: np.ndarray,

@@ -163,14 +163,11 @@ def embed_instruction(simplified: SimplifiedInstruction,
 
 
 def _as_grid(mask: EditingMask, rate: int | None, n_mels: int | None) -> np.ndarray:
-    values = mask.values
-    if values.ndim == 3:  # mask stacks export as their combined gain
-        values = values.sum(axis=0)
     if n_mels is None:
-        return values
+        return mask.values
     if rate is None:
         raise ValueError("Mel projection needs the sample rate")
-    return mel_project(values, rate, n_mels)
+    return mel_project(mask.values, rate, n_mels)
 
 
 def export_mask_csv(mask: EditingMask, path, rate: int | None = None,

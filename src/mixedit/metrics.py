@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import Clip
+from .dsp import as_samples
 from .errors import MixeditError
 
 EPS = 1e-30
@@ -42,14 +42,9 @@ class MetricValue:
         return self.value
 
 
-def _data(x) -> np.ndarray:
-    arr = x.samples if isinstance(x, Clip) else np.asarray(x, dtype=np.float64)
-    return arr
-
-
 def snr(est, ref) -> MetricValue:
     """10*log10(||ref||^2 / ||ref - est||^2), clamped at +300 dB."""
-    est, ref = _data(est), _data(ref)
+    est, ref = as_samples(est), as_samples(ref)
     if est.shape != ref.shape:
         raise CountMismatch(f"length mismatch: {est.shape} vs {ref.shape}")
     ref_e = float(np.sum(ref * ref))
@@ -77,7 +72,7 @@ def si_sdr(est, ref) -> MetricValue:
     reference, and the projection-to-residual ratio is reported with a
     symmetric +-300 dB clamp.
     """
-    est, ref = _data(est), _data(ref)
+    est, ref = as_samples(est), as_samples(ref)
     if est.shape != ref.shape:
         raise CountMismatch(f"length mismatch: {est.shape} vs {ref.shape}")
     est = est - est.mean()
@@ -106,8 +101,8 @@ def pit_snr(est_sources, ref_sources) -> tuple[tuple[int, ...], MetricValue]:
     ref_sources[i] and perm maximizes the mean per-source SNR. Brute
     force over N! permutations, N <= 8.
     """
-    ests = [_data(e) for e in est_sources]
-    refs = [_data(r) for r in ref_sources]
+    ests = [as_samples(e) for e in est_sources]
+    refs = [as_samples(r) for r in ref_sources]
     if len(ests) != len(refs):
         raise CountMismatch(f"{len(ests)} estimates vs {len(refs)} references")
     n = len(refs)

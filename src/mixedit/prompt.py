@@ -107,9 +107,13 @@ class SpecialPrompt:
 
 _SCOPES = {s.value: s for s in GroupScope}
 
+# Style fields phrased before the speaker noun ("the happy female
+# speaker"); the other fields follow as level-trait pairs.
+_HEAD_FIELDS = ("emotion", "gender")
+
 # Term tables of the lexicon file (``<name>_terms``), each mapping a value
 # (an attribute value, or a field name for "trait") to its phrases.
-_TERM_TABLES = ("gender", "emotion", "level", "trait")
+_TERM_TABLES = _HEAD_FIELDS + ("level", "trait")
 
 
 @dataclass
@@ -179,7 +183,7 @@ class Lexicon:
                     raise ValueError(f"phrase {p!r} serves two actions")
                 seen[p] = action
         texts = [sp.text for entries in self.specials.values() for sp in entries]
-        if len(set(t.casefold() for t in texts)) != len(texts):
+        if len(set(map(normalize_label, texts))) != len(texts):
             raise ValueError("special prompt texts must be globally unique")
         for key, entries in self.specials.items():
             if len(entries) != 5:
@@ -191,7 +195,7 @@ class Lexicon:
             key=lambda pa: -len(pa[0]),
         ))
         self._special_lookup = {
-            _normalize_text(sp.text): sp
+            normalize_label(sp.text): sp
             for entries in self.specials.values()
             for sp in entries
         }
@@ -274,12 +278,12 @@ def simplify(instruction: Instruction, seed: int = 0) -> SimplifiedInstruction:
 
 def _speech_phrase(desc: SpeechDescriptor, lex: Lexicon) -> str:
     attrs = dict(desc.attrs)
-    pre = [lex.phrase(f, attrs[f]) for f in ("emotion", "gender") if f in attrs]
+    pre = [lex.phrase(f, attrs[f]) for f in _HEAD_FIELDS if f in attrs]
     head = "the " + " ".join(pre + [lex.speaker_terms[0]])
     post = [
         f"{lex.phrase('level', attrs[f])} {lex.phrase('trait', f)}"
-        for f in ("pitch", "tempo", "volume")
-        if f in attrs
+        for f in STYLE_FIELDS
+        if f in attrs and f not in _HEAD_FIELDS
     ]
     if not post:
         return head
@@ -356,10 +360,6 @@ def special_generic(actions, comp, seed: int = 0) -> Prompt | None:
     return Prompt(chosen.text, Provenance.SPECIAL_GENERIC)
 
 
-def _normalize_text(text: str) -> str:
-    return " ".join(text.casefold().split())
-
-
 def parse(text: str, labels) -> SimplifiedInstruction:
     """Invert ``render``: map a template or special generic prompt back to
     its simplified instruction.
@@ -370,15 +370,15 @@ def parse(text: str, labels) -> SimplifiedInstruction:
     """
     lex = default_lexicon()
     labels = {normalize_label(l) for l in labels}
-    norm = _normalize_text(text)
+    norm = normalize_label(text)
     special = lex._special_lookup.get(norm)
     if special is not None:
         return SimplifiedInstruction(special.edits)
 
-    folded = text.casefold()
+    lowered = text.lower()
     body = norm
     for opening, _ in _TEMPLATE_FORMS.values():
-        if body.startswith(opening.casefold()):
+        if body.startswith(opening.lower()):
             body = body[len(opening):]
             break
     body = body.rstrip(".?!").strip()
@@ -400,7 +400,7 @@ def parse(text: str, labels) -> SimplifiedInstruction:
     edits = []
     seen: set[Descriptor] = set()
     for clause in clauses:
-        start = folded.find(clause[:40])
+        start = lowered.find(clause[:40])
         span = (start, start + len(clause)) if start >= 0 else None
         matched = _match_verb(clause, lex)
         if matched is None:
@@ -455,7 +455,7 @@ def _parse_descriptor(text: str, labels, lex: Lexicon,
 
 def _head_attr(word: str, lex: Lexicon) -> tuple[str, str] | None:
     """The (field, value) a style word before the speaker noun names."""
-    for f in ("gender", "emotion"):
+    for f in _HEAD_FIELDS:
         value = lex.lookup(f, word)
         if value is not None:
             return f, value

@@ -462,6 +462,21 @@ def test_generate_bad_metadata_exits_1(tmp_path, capsys, blob):
     assert "error: BadMetadataRow" in capsys.readouterr().err
 
 
+def test_generate_corrupt_wav_header_exits_1_with_summary(tmp_path, capsys):
+    root = tmp_path / "catalog"
+    build_demo_catalog(root, seed=0)
+    wav = root / "audio_000.wav"
+    blob = bytearray(wav.read_bytes())
+    blob[23] ^= 1  # 257 channels: scipy's block_align // channels is 0
+    wav.write_bytes(bytes(blob))
+    assert main(["generate", "--catalog", str(root), "--out",
+                 str(tmp_path / "data"), "--count", "8"]) == 1
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["total"] == 8 and summary["succeeded"] == 7
+    [failure] = summary["failures"]
+    assert failure["error"].startswith("BadWavFile")
+
+
 def test_eval_non_utf8_manifest_exits_1(tmp_path, capsys):
     est, ref, inp = tmp_path / "est", tmp_path / "ref", tmp_path / "inp"
     for d in (est, ref, inp):

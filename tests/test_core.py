@@ -1,5 +1,6 @@
 """Domain type behavior: actions, signatures, instruction validation."""
 
+import dataclasses
 import itertools
 import math
 
@@ -12,6 +13,7 @@ from mixedit.core import (
     Emotion,
     Gender,
     Level,
+    STYLE_FIELDS,
     SpeechDescriptor,
     SpeechSignature,
     StyleVector,
@@ -138,6 +140,10 @@ def test_normalize_label():
     assert normalize_label("  Playing   Cello ") == "playing cello"
     with pytest.raises(ValueError):
         AudioSignature("   ")
+
+
+def test_style_fields_follow_style_vector_field_order():
+    assert STYLE_FIELDS == tuple(f.name for f in dataclasses.fields(StyleVector))
 
 
 def test_speech_descriptor_validation():

@@ -15,7 +15,6 @@ from mixedit.dataset import (
     EmptyCatalog,
     MalformedResponse,
     MissingFile,
-    MockRephraser,
     NetworkError,
     RephraseConfig,
     TooFewEntities,
@@ -123,6 +122,17 @@ def test_ingest_rejects_missing_style(tmp_path):
     ])
     with pytest.raises(BadMetadataRow):
         ingest(root)
+
+
+@pytest.mark.parametrize("path", [5, ["x"], "a\x00.wav"])
+def test_ingest_rejects_bad_path_with_row_number(tmp_path, path):
+    root = _row_catalog(tmp_path, [
+        {"id": "a1", "type": "audio", "label": "dog"},
+        {"id": "a2", "type": "audio", "label": "cat", "path": path},
+    ])
+    with pytest.raises(BadMetadataRow) as exc:
+        ingest(root)
+    assert exc.value.row == 2
 
 
 def test_ingest_missing_file(tmp_path):
@@ -418,16 +428,6 @@ def test_rephrase_network_error():
 
 def test_import_does_not_load_urllib_request(import_leaves_out):
     import_leaves_out("import mixedit.dataset", "urllib.request")
-
-
-def test_mock_rephraser_distinct_variants():
-    mock = MockRephraser(seed=1)
-    out = mock(Prompt("Please remove the dog barking sound.",
-                      Provenance.TEMPLATE), n=5)
-    texts = [p.text for p in out]
-    assert len(texts) == 5
-    assert len(set(texts)) == 5
-    assert all(t.strip() for t in texts)
 
 
 # ---------------- ignored columns, typed manifest lines ----------------

@@ -244,6 +244,10 @@ def test_mean_square():
     assert mean_square(np.zeros(5)) == 0.0
 
 
+def test_mean_square_of_int16_array_does_not_wrap():
+    assert mean_square(np.array([30000, 30000], np.int16)) == 9e8
+
+
 def test_spectrogram_validation():
     with pytest.raises(ValueError):
         Spectrogram(np.zeros((10, 4), dtype=complex), 512, 128, 16000, 1000)

@@ -345,8 +345,8 @@ def test_multimask_sum_equals_combined_mask_path():
     net = FilmMaskNet.init(cfg, seed=1)
     x, z, _ = toy_data()
     cache = net.forward(x, z)
-    parts = net.separate(Clip(x, RATE), z)
-    summed = parts[0].samples + parts[1].samples
+    parts = cache["per_source"]
+    summed = parts[0] + parts[1]
     assert np.allclose(summed, cache["y"], atol=1e-12)
     # decoding the summed mask directly gives the same waveform (linear decoder)
     combined = (cache["masks"].sum(axis=0)) * cache["h_x"]

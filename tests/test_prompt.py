@@ -9,6 +9,7 @@ from mixedit.core import (
     AudioSignature,
     GroupDescriptor,
     GroupScope,
+    SimplifiedInstruction,
     SpeechDescriptor,
     SpeechSignature,
     StyleVector,
@@ -69,6 +70,19 @@ def test_lexicon_rejects_ambiguous_phrases(tmp_path):
     doc = json.loads(
         resources.files("mixedit.data").joinpath("lexicon.json").read_text())
     doc["verbs"]["keep"] = list(doc["verbs"]["keep"]) + ["remove"]
+    bad = tmp_path / "lexicon.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(ValueError):
+        Lexicon.load(bad)
+
+
+def test_lexicon_rejects_special_prompts_differing_in_whitespace(tmp_path):
+    import json
+    from importlib import resources
+    doc = json.loads(
+        resources.files("mixedit.data").joinpath("lexicon.json").read_text())
+    entries = doc["special_prompts"]["keep|remove"]
+    entries[1]["text"] = entries[0]["text"].replace(" ", "  ", 1)
     bad = tmp_path / "lexicon.json"
     bad.write_text(json.dumps(doc))
     with pytest.raises(ValueError):
@@ -253,6 +267,18 @@ def test_parse_accepts_upper_case_template_opening(template):
     assert text.startswith(opening)
     shouted = opening.upper() + text[len(opening):]
     assert parse(shouted, LABELS).as_set() == simp.as_set()
+
+
+@pytest.mark.parametrize("label", ["Straße noise", "οδός"])
+@pytest.mark.parametrize("template", list(TemplateId))
+def test_parse_round_trip_label_whose_casefold_differs(label, template):
+    # casefold() turns "ß" into "ss" and a final "ς" into "σ"; labels keep them.
+    simp = SimplifiedInstruction((
+        (R, AudioDescriptor(label)),
+        (U, SpeechDescriptor((("gender", "male"),))),
+    ))
+    text = render(simp, template, seed=1).text
+    assert parse(text, [label]).as_set() == simp.as_set(), text
 
 
 def test_parse_special_prompts():

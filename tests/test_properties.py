@@ -10,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixedit.core import (
+    STYLE_FIELDS,
     Action,
     AudioSignature,
     TrivialIdentity,
     TrivialSilence,
     validate_instruction,
 )
+from mixedit.dataset import BadWavFile, ingest, read_wav, write_wav
 from mixedit.dataset.catalog import _DEMO_LABELS
 from mixedit.dataset.manifest import ManifestRecord, SourceRef
 from mixedit.dsp import Clip, condition
@@ -174,6 +176,55 @@ def test_checkpoint_prefixes_and_byte_flips_fail_typed(data):
             load_net(path)
             assert not truncate, "a truncated checkpoint must not load"
         except BadContainer:
+            pass
+
+
+@functools.cache
+def _small_wav(pcm16: bool) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "clip.wav"
+        write_wav(path, Clip(np.linspace(-0.5, 0.5, 64), 16000), pcm16)
+        return path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_wav_prefixes_and_header_bit_flips_load_or_raise_bad_wav(data):
+    good = _small_wav(data.draw(st.booleans(), label="pcm16"))
+    if data.draw(st.booleans(), label="truncate"):
+        blob = good[:data.draw(st.integers(0, len(good)), label="cut")]
+    else:
+        pos = data.draw(st.integers(0, 79), label="pos")
+        bit = data.draw(st.integers(0, 7), label="bit")
+        blob = good[:pos] + bytes([good[pos] ^ 1 << bit]) + good[pos + 1:]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "clip.wav"
+        path.write_bytes(blob)
+        try:
+            read_wav(path)
+        except BadWavFile:
+            pass
+
+
+row_values = json_values | st.sampled_from(
+    ["a.wav", "speech", "audio", "dog", "female", "low", "neutral"])
+metadata_rows = st.lists(
+    st.dictionaries(st.sampled_from(
+        ["id", "type", "path", "label", "speaker", *STYLE_FIELDS]),
+        row_values, max_size=9),
+    max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(metadata_rows)
+def test_any_metadata_rows_ingest_or_raise_typed(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "a.wav").write_bytes(b"")
+        (root / "metadata.json").write_text(json.dumps(rows), "utf-8")
+        try:
+            ingest(root)
+        except MixeditError:
             pass
 
 
