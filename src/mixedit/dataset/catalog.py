@@ -149,7 +149,7 @@ def ingest(root, metadata=None) -> Catalog:
             raise BadMetadataRow(row_no, f"path must be a string, got {rel!r}")
         try:
             path = (root / rel).resolve()
-            found = path.exists()
+            found = path.is_file()
         except (OSError, ValueError) as err:  # a NUL byte, an overlong name
             raise BadMetadataRow(row_no, f"bad path {rel!r}: {err}") from err
         if not found:

@@ -86,9 +86,9 @@ def rephrase(prompt: Prompt, config: RephraseConfig) -> list[Prompt]:
         raise NetworkError(f"rephrase request failed: {err}") from err
     try:
         doc = json.loads(body)
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:  # also bad UTF-8, deep nesting
         raise MalformedResponse("response is not JSON") from err
-    texts = doc.get("rephrasings")
+    texts = doc.get("rephrasings") if isinstance(doc, dict) else None
     if not isinstance(texts, list) or not texts:
         raise MalformedResponse("response lacks a rephrasings list")
     out = []

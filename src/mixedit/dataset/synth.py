@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.io import wavfile
 
 from ..dsp import Clip, DEFAULT_DURATION_S, DEFAULT_RATE, condition, resample
 from ..errors import MixeditError
@@ -22,47 +21,125 @@ from ..mixer import MixturePair, apply_gains, assign_gains
 from ..seeding import derive_seed
 from .manifest import ManifestRecord, write_manifest
 
+_PCM, _FLOAT, _EXTENSIBLE = 1, 3, 0xFFFE
+# WAVE_FORMAT_EXTENSIBLE sub-format GUID after its leading format tag.
+_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+# (format tag, bits per sample) -> (dtype of a stored sample, offset, scale):
+# a sample reads as (stored - offset) * scale. 24-bit samples are widened
+# into the top three bytes of an int32 first.
+_SAMPLE_FORMATS = {
+    (_PCM, 8): ("u1", 128.0, 2.0 ** -7),
+    (_PCM, 16): ("<i2", 0.0, 2.0 ** -15),
+    (_PCM, 24): ("<i4", 0.0, 2.0 ** -31),
+    (_PCM, 32): ("<i4", 0.0, 2.0 ** -31),
+    (_FLOAT, 32): ("<f4", 0.0, 1.0),
+    (_FLOAT, 64): ("<f8", 0.0, 1.0),
+}
+
 
 class BadWavFile(MixeditError):
     """A WAV file that cannot be read, or holds no valid clip."""
 
 
-def read_wav(path) -> Clip:
-    """Load a WAV file as float64 in [-1, 1]; multichannel is downmixed.
+def _wav_format(body: memoryview) -> tuple[int, int, int, int]:
+    """(format tag, channels, rate, bits per sample) of a 'fmt ' chunk."""
+    if len(body) < 16:
+        raise BadWavFile("short fmt chunk")
+    tag, channels, rate, _, block_align, bits = struct.unpack_from(
+        "<HHIIHH", body)
+    if tag == _EXTENSIBLE:
+        if len(body) < 40 or body[28:40] != _GUID_TAIL:
+            raise BadWavFile("bad WAVE_FORMAT_EXTENSIBLE fmt chunk")
+        tag = struct.unpack_from("<I", body, 24)[0]
+    if (tag, bits) not in _SAMPLE_FORMATS:
+        raise BadWavFile(f"unsupported format {tag:#x} at {bits} bits")
+    if channels == 0 or block_align != channels * bits // 8:
+        raise BadWavFile(f"{channels} channels in {block_align}-byte frames "
+                         f"of {bits}-bit samples")
+    return tag, channels, rate, bits
 
-    Raises BadWavFile for a missing, non-WAV or corrupt file, and for one
+
+def _wav_data(blob: memoryview):
+    """The fmt chunk's fields and the data chunk's body of a RIFF/WAVE
+    file. Each chunk body is sliced from ``blob``, so one that claims more
+    bytes than the file holds is cut at its end."""
+    if len(blob) < 12 or blob[:4] != b"RIFF" or blob[8:12] != b"WAVE":
+        raise BadWavFile("not a RIFF/WAVE file")
+    fmt, pos = None, 12
+    while pos + 8 <= len(blob):
+        chunk_id, size = struct.unpack_from("<4sI", blob, pos)
+        body = blob[pos + 8:pos + 8 + size]
+        if chunk_id == b"fmt ":
+            fmt = _wav_format(body)
+        elif chunk_id == b"data":
+            if fmt is None:
+                raise BadWavFile("data chunk before fmt chunk")
+            return fmt, body
+        pos += 8 + size + (size & 1)
+    raise BadWavFile("no data chunk")
+
+
+def read_wav(path) -> Clip:
+    """Load a WAV file as float64 in [-1, 1]; multichannel is averaged.
+
+    Reads RIFF/WAVE files of unsigned 8-bit, signed 16-, 24- or 32-bit
+    PCM, or 32- or 64-bit IEEE float samples, in a plain or a
+    WAVE_FORMAT_EXTENSIBLE fmt chunk, skipping unknown chunks. A data
+    chunk that claims more bytes than the file holds is cut to its whole
+    frames. Raises BadWavFile for a missing, non-WAV or corrupt file, for
+    any other format (RF64, RIFX, compressed, 64-bit PCM), and for a clip
     whose samples are not finite or whose rate is not positive.
     """
     try:
-        rate, data = wavfile.read(path)
-    except (OSError, ValueError, struct.error,
-            # scipy's reader also raises these on some corrupt headers.
-            UnboundLocalError, ZeroDivisionError, TypeError) as err:
+        (tag, channels, rate, bits), body = _wav_data(
+            memoryview(Path(path).read_bytes()))
+    except (OSError, ValueError, BadWavFile) as err:
+        # ValueError comes from a path with a NUL byte, not from the parse.
         raise BadWavFile(f"cannot read {path}: {err}") from err
-    data = np.asarray(data)
-    if data.ndim == 2:
-        data = data.mean(axis=1)
-    if data.dtype == np.int16:
-        samples = data / 32768.0
-    elif data.dtype == np.int32:
-        samples = data / 2147483648.0
-    elif data.dtype == np.uint8:
-        samples = (data.astype(np.float64) - 128.0) / 128.0
-    else:
-        samples = data.astype(np.float64)
+    dtype, offset, scale = _SAMPLE_FORMATS[tag, bits]
+    width = bits // 8
+    count = len(body) // (channels * width) * channels
+    data = np.frombuffer(body, np.uint8, count * width)
+    if width == 3:
+        wide = np.zeros((count, 4), np.uint8)
+        wide[:, 1:] = data.reshape(count, 3)
+        data = wide.reshape(-1)
+    samples = data.view(dtype).astype(np.float64)
+    if offset:
+        samples -= offset
+    if scale != 1.0:
+        samples *= scale
+    if channels > 1:
+        samples = samples.reshape(-1, channels).mean(axis=1)
     try:
-        return Clip(samples, int(rate))
+        return Clip(samples, rate)
     except ValueError as err:
         raise BadWavFile(f"{path}: {err}") from err
 
 
 def write_wav(path, clip: Clip, pcm16: bool = False):
-    """IEEE float32 WAV by default; 16-bit PCM with ``pcm16``."""
+    """IEEE float32 WAV by default; 16-bit PCM with ``pcm16``.
+
+    Byte for byte the layout of scipy.io.wavfile.write, so output trees
+    keep their digests: a float file's fmt chunk ends in a zero cbSize
+    and is followed by a fact chunk.
+    """
     if pcm16:
-        clipped = np.clip(clip.samples, -1.0, 1.0)
-        wavfile.write(path, clip.rate, (clipped * 32767.0).astype(np.int16))
+        data = (np.clip(clip.samples, -1.0, 1.0) * 32767.0).astype("<i2")
+        fmt_tail, fact = b"", b""
     else:
-        wavfile.write(path, clip.rate, clip.samples.astype(np.float32))
+        data = clip.samples.astype("<f4")
+        fmt_tail = b"\x00\x00"
+        fact = b"fact" + struct.pack("<II", 4, len(data))
+    width = data.itemsize
+    fmt = struct.pack("<HHIIHH", _PCM if pcm16 else _FLOAT, 1, clip.rate,
+                      clip.rate * width, width, 8 * width) + fmt_tail
+    header = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt + fact
+              + b"data" + struct.pack("<I", data.nbytes))
+    with open(path, "wb") as fh:
+        fh.write(b"RIFF" + struct.pack("<I", len(header) + data.nbytes)
+                 + header)
+        fh.write(data.tobytes())
 
 
 @dataclass

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -400,8 +401,10 @@ def parse(text: str, labels) -> SimplifiedInstruction:
     edits = []
     seen: set[Descriptor] = set()
     for clause in clauses:
-        start = lowered.find(clause[:40])
-        span = (start, start + len(clause)) if start >= 0 else None
+        # The clause comes from whitespace-collapsed text: let any run of
+        # whitespace in the original stand for each space.
+        found = re.search(r"\s+".join(map(re.escape, clause.split())), lowered)
+        span = found.span() if found else None
         matched = _match_verb(clause, lex)
         if matched is None:
             head = clause.split(" the ")[0]

@@ -1,10 +1,14 @@
 """Command-line surface: round trips, exit codes, JSON outputs."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mixedit
 from mixedit.cli import main
 from mixedit.dataset import build_demo_catalog, read_wav, write_wav
 from mixedit.dsp import Clip
@@ -467,7 +471,7 @@ def test_generate_corrupt_wav_header_exits_1_with_summary(tmp_path, capsys):
     build_demo_catalog(root, seed=0)
     wav = root / "audio_000.wav"
     blob = bytearray(wav.read_bytes())
-    blob[23] ^= 1  # 257 channels: scipy's block_align // channels is 0
+    blob[23] ^= 1  # 257 channels in a 4-byte frame
     wav.write_bytes(bytes(blob))
     assert main(["generate", "--catalog", str(root), "--out",
                  str(tmp_path / "data"), "--count", "8"]) == 1
@@ -475,6 +479,35 @@ def test_generate_corrupt_wav_header_exits_1_with_summary(tmp_path, capsys):
     assert summary["total"] == 8 and summary["succeeded"] == 7
     [failure] = summary["failures"]
     assert failure["error"].startswith("BadWavFile")
+
+
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy or a submodule now fails
+sys.path.insert(0, sys.argv[1])
+from mixedit.cli import main
+out = sys.argv[2]
+mix = f"{out}/data/000000_input.wav"
+for argv in (
+    ["demo-catalog", "--out", f"{out}/catalog"],
+    ["generate", "--catalog", f"{out}/catalog", "--out", f"{out}/data",
+     "--count", "2", "--pcm16"],
+    ["edit", "--mixture", mix, "--sources", mix, "--actions", "d",
+     "--editor", "psm", "--out", f"{out}/edited.wav"],
+):
+    code = main(argv)
+    if code:
+        sys.exit(f"{argv[0]} exited {code}")
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    src = str(Path(mixedit.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, src,
+                          str(tmp_path)], capture_output=True, text=True,
+                         timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "edited.wav").is_file()
 
 
 def test_eval_non_utf8_manifest_exits_1(tmp_path, capsys):

@@ -1,16 +1,21 @@
 """Catalog ingestion, splits, manifests, synthesis, and the rephrase client."""
 
 import json
+import struct
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from scipy.io import wavfile
 
 from mixedit.core import Action, AudioSignature, SpeechSignature
 from mixedit.dataset import (
     BadManifestLine,
     BadMetadataRow,
+    BadWavFile,
     Disabled,
     EmptyCatalog,
     MalformedResponse,
@@ -65,12 +70,134 @@ def test_wav_pcm16(tmp_path):
     assert np.abs(back.samples - clip.samples).max() < 1e-3
 
 
-def test_wav_downmix(tmp_path):
-    from scipy.io import wavfile
-    stereo = np.stack([np.ones(100), -np.ones(100)], axis=1).astype(np.float32)
-    path = tmp_path / "st.wav"
-    wavfile.write(path, RATE, stereo)
-    assert np.allclose(read_wav(path).samples, 0.0)
+_RAMP = np.arange(100)
+
+
+@pytest.mark.parametrize("left, right, mono", [
+    (np.ones(100, np.float32), -np.ones(100, np.float32),
+     np.zeros(100, np.float32)),
+    # equal channels, and their mono twin
+    ((_RAMP * 300 - 15000).astype(np.int16),) * 3,
+    ((_RAMP * 2 + 28).astype(np.uint8),) * 3,
+], ids=["float32", "pcm16", "u8"])
+def test_wav_downmix(tmp_path, left, right, mono):
+    """A multichannel file reads as the channel average, at full scale."""
+    stereo_path, mono_path = tmp_path / "st.wav", tmp_path / "mono.wav"
+    wavfile.write(stereo_path, RATE, np.stack([left, right], axis=1))
+    wavfile.write(mono_path, RATE, mono)
+    assert np.array_equal(read_wav(stereo_path).samples,
+                          read_wav(mono_path).samples)
+
+
+_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+
+def _chunk(chunk_id: bytes, body: bytes) -> bytes:
+    return chunk_id + struct.pack("<I", len(body)) + body + b"\0" * (len(body) % 2)
+
+
+def _wav_blob(tag, channels, bits, payload, extensible=False, extra=b""):
+    """A RIFF/WAVE file; ``extra`` chunks sit between fmt and data."""
+    block = channels * bits // 8
+    fmt = struct.pack("<HHIIHH", 0xFFFE if extensible else tag, channels,
+                      RATE, RATE * block, block, bits)
+    if extensible:  # cbSize, valid bits, channel mask, sub-format GUID
+        fmt += struct.pack("<HHII", 22, bits, 0, tag) + _GUID_TAIL
+    body = b"WAVE" + _chunk(b"fmt ", fmt) + extra + _chunk(b"data", payload)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def _rf64_blob(payload):
+    """A 16-bit mono RF64 file: sizes live in a ds64 chunk."""
+    fmt = struct.pack("<HHIIHH", 1, 1, RATE, 2 * RATE, 2, 16)
+    rest = _chunk(b"fmt ", fmt) + b"data" + b"\xff" * 4 + payload
+    ds64 = struct.pack("<QQQI", 4 + 36 + len(rest), len(payload),
+                       len(payload) // 2, 0)
+    return b"RF64" + b"\xff" * 4 + b"WAVE" + _chunk(b"ds64", ds64) + rest
+
+
+def _payload(tag, bits, count) -> bytes:
+    rng = np.random.default_rng(0)
+    if tag == 3:
+        return (rng.standard_normal(count) * 0.3).astype(f"<f{bits // 8}").tobytes()
+    return rng.integers(0, 256, count * bits // 8, dtype=np.uint8).tobytes()
+
+
+def _scipy_reference(path) -> np.ndarray:
+    """scipy's reading of a file, converted the way read_wav documents."""
+    _, data = wavfile.read(path)
+    samples = data.astype(np.float64)
+    if data.dtype == np.uint8:
+        samples = (samples - 128.0) / 128.0
+    elif data.dtype.kind == "i":  # scipy left-justifies 24-bit in int32
+        samples = samples / -float(np.iinfo(data.dtype).min)
+    return samples.mean(axis=1) if samples.ndim == 2 else samples
+
+
+_FORMATS = [(1, 8), (1, 16), (1, 24), (1, 32), (3, 32), (3, 64)]
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("extensible", [False, True])
+@pytest.mark.parametrize("tag, bits", _FORMATS)
+def test_read_wav_matches_scipy(tmp_path, tag, bits, extensible, channels):
+    """Every supported format reads as scipy's samples, scaled to [-1, 1];
+    an odd-sized unknown chunk and its pad byte are skipped."""
+    path = tmp_path / "x.wav"
+    path.write_bytes(_wav_blob(tag, channels, bits,
+                               _payload(tag, bits, 101 * channels),
+                               extensible, extra=_chunk(b"zzzz", b"odd")))
+    clip = read_wav(path)
+    assert clip.rate == RATE and len(clip) == 101
+    assert np.array_equal(clip.samples, _scipy_reference(path))
+
+
+@pytest.mark.parametrize("tag, bits", _FORMATS)
+def test_read_wav_cuts_an_overlong_data_chunk_to_whole_frames(tmp_path, tag, bits):
+    full = _wav_blob(tag, 2, bits, _payload(tag, bits, 2 * 50))
+    path = tmp_path / "x.wav"
+    path.write_bytes(full)
+    whole = read_wav(path).samples
+    path.write_bytes(full[:-(2 * bits // 8 * 20 + 1)])  # 20.5 frames cut off
+    assert np.array_equal(read_wav(path).samples, whole[:29])
+
+
+@pytest.mark.parametrize("blob", [
+    _wav_blob(1, 1, 64, bytes(64)),  # 64-bit integer PCM
+    _wav_blob(6, 1, 8, bytes(64)),  # A-law
+    _wav_blob(1, 1, 12, bytes(64)),  # 12-bit PCM
+    _wav_blob(1, 0, 16, bytes(64)),  # no channels
+    _wav_blob(3, 1, 16, bytes(64)),  # 16-bit float
+    _rf64_blob(bytes(64)),
+    b"RIFX" + _wav_blob(1, 1, 16, bytes(64))[4:],
+    _wav_blob(1, 1, 16, bytes(64))[:36],  # fmt only
+    b"RIFF\x04\x00\x00\x00WAVE" + _chunk(b"data", bytes(64)),  # no fmt
+], ids=["pcm64", "alaw", "pcm12", "mono0", "float16", "rf64", "rifx",
+        "no-data", "no-fmt"])
+def test_read_wav_rejects_unsupported_files(tmp_path, blob):
+    path = tmp_path / "x.wav"
+    path.write_bytes(blob)
+    with pytest.raises(BadWavFile):
+        read_wav(path)
+
+
+@pytest.mark.parametrize("name", ["missing.wav", ".", "a\x00.wav"])
+def test_read_wav_rejects_unreadable_paths(tmp_path, name):
+    with pytest.raises(BadWavFile):
+        read_wav(tmp_path / name)
+
+
+@pytest.mark.parametrize("pcm16", [False, True])
+def test_write_wav_matches_scipy_bytes(tmp_path, pcm16):
+    clip = Clip(np.random.default_rng(1).standard_normal(1001) * 0.6, RATE)
+    ours, ref = tmp_path / "ours.wav", tmp_path / "ref.wav"
+    write_wav(ours, clip, pcm16=pcm16)
+    if pcm16:
+        data = (np.clip(clip.samples, -1.0, 1.0) * 32767.0).astype(np.int16)
+    else:
+        data = clip.samples.astype(np.float32)
+    wavfile.write(ref, RATE, data)
+    assert ours.read_bytes() == ref.read_bytes()
 
 
 # ---------------- ingestion ----------------
@@ -141,6 +268,15 @@ def test_ingest_missing_file(tmp_path):
     ]))
     with pytest.raises(MissingFile):
         ingest(tmp_path)
+
+
+def test_ingest_rejects_a_directory_as_a_clip(tmp_path):
+    root = _row_catalog(tmp_path, [
+        {"id": "a1", "type": "audio", "label": "dog"},
+        {"id": "a2", "type": "audio", "label": "cat", "path": "."},
+    ])
+    with pytest.raises(MissingFile, match="metadata row 2"):
+        ingest(root)
 
 
 def test_ingest_empty_catalog(tmp_path):
@@ -338,7 +474,6 @@ def _garbage_wav(path):
 
 
 def _nan_wav(path):
-    from scipy.io import wavfile
     wavfile.write(path, RATE, np.array([0.0, np.nan, 0.5], dtype=np.float32))
 
 
@@ -371,13 +506,14 @@ def test_rephrase_disabled_without_endpoint():
 
 
 class _Handler(BaseHTTPRequestHandler):
-    payload: dict = {}
+    payload: dict | bytes = {}  # bytes go out as they are
     last_request: dict = {}
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
         type(self).last_request = json.loads(self.rfile.read(length))
-        body = json.dumps(type(self).payload).encode()
+        payload = type(self).payload
+        body = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -416,6 +552,32 @@ def test_rephrase_malformed_response(http_endpoint):
     with pytest.raises(MalformedResponse):
         rephrase(Prompt("Please remove the dog sound.", Provenance.TEMPLATE),
                  RephraseConfig(endpoint=http_endpoint))
+
+
+json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+rephrase_bodies = st.one_of(
+    st.binary(),
+    json_scalars.map(json.dumps),
+    st.lists(json_scalars).map(json.dumps),
+    st.dictionaries(st.sampled_from(["rephrasings", "x"]),
+                    json_scalars | st.lists(json_scalars)).map(json.dumps),
+).map(lambda body: body if isinstance(body, bytes) else body.encode())
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(b'["x"]')
+@example(b"[" * 100_000)
+@given(rephrase_bodies)
+def test_any_rephrase_response_yields_prompts_or_raises_malformed(
+        http_endpoint, body):
+    _Handler.payload = body
+    try:
+        out = rephrase(Prompt("Please remove the dog sound.", Provenance.TEMPLATE),
+                       RephraseConfig(endpoint=http_endpoint))
+    except MalformedResponse:
+        return
+    assert out and all(p.provenance is Provenance.EXTERNAL_REPHRASE for p in out)
 
 
 def test_rephrase_network_error():

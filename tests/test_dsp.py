@@ -132,8 +132,8 @@ def test_resample_near_coprime_rates_keep_the_plan_small():
     assert not any(taps.flags.writeable for _, _, taps in groups)
 
 
-def test_import_does_not_load_scipy_signal(import_leaves_out):
-    import_leaves_out("import mixedit", "scipy.signal")
+def test_import_does_not_load_scipy(import_leaves_out):
+    import_leaves_out("import mixedit.cli", "scipy")
 
 
 def test_condition_pads_short_clips_with_trailing_zeros():

@@ -2,6 +2,7 @@
 
 import functools
 import json
+import struct
 import tempfile
 from pathlib import Path
 
@@ -206,6 +207,68 @@ def test_wav_prefixes_and_header_bit_flips_load_or_raise_bad_wav(data):
             pass
 
 
+u32 = st.integers(0, 2 ** 32 - 1)
+_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+
+def _usually(common: list, rare: list):
+    """One of ``common`` four times as often as each of ``rare``."""
+    return st.sampled_from(common * 4 + rare)
+
+
+@st.composite
+def fmt_bodies(draw):
+    """A 'fmt ' chunk body, mostly of valid field values, sometimes of edge
+    values or any bytes at all; extensible or not."""
+    if draw(_usually([False], [True])):
+        return draw(st.binary(max_size=40))
+    tag = draw(_usually([1, 3, 0xFFFE], [6, 0x55]))
+    sub = draw(_usually([1, 3], [6])) if tag == 0xFFFE else tag
+    channels = draw(_usually([1, 2, 3], [0, 300]))
+    bits = draw(_usually([32, 64] if sub == 3 else [8, 16, 24, 32], [0, 12, 64]))
+    align = draw(_usually([channels * bits // 8 % 2 ** 16], [0, 4]))
+    rate = draw(_usually([16000], [0, 2 ** 32 - 1]))
+    body = struct.pack("<HHIIHH", tag, channels, rate, rate * align % 2 ** 32,
+                       align, bits)
+    if tag == 0xFFFE or draw(st.booleans()):  # cbSize onwards
+        body += struct.pack("<HHII", 22, bits, 0, sub)
+        body += draw(_usually([_GUID_TAIL], [b"", bytes(12)]))
+    return body
+
+
+@st.composite
+def riff_files(draw):
+    """A fmt and a data chunk, sometimes with other chunks, out of order,
+    or with one chunk declaring a wrong size."""
+    chunks = [(b"fmt ", draw(fmt_bodies())),
+              (b"data", draw(st.binary(max_size=64)))]
+    chunks += draw(st.lists(st.tuples(
+        st.sampled_from([b"fact", b"LIST", b"fmt ", b"data"])
+        | st.binary(min_size=4, max_size=4),
+        st.binary(max_size=16)), max_size=2))
+    if draw(_usually([False], [True])):
+        chunks = draw(st.permutations(chunks))
+    liar = draw(_usually([None], list(range(len(chunks)))))
+    blob = b"WAVE"
+    for i, (chunk_id, body) in enumerate(chunks):
+        size = draw(u32) if i == liar else len(body)
+        blob += chunk_id + struct.pack("<I", size) + body + b"\0" * (len(body) % 2)
+    head = draw(_usually([b"RIFF"], [b"RF64", b"RIFX"]))
+    return head + struct.pack("<I", draw(u32)) + blob
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.binary() | riff_files())
+def test_any_bytes_load_as_wav_or_raise_bad_wav(blob):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "clip.wav"
+        path.write_bytes(blob)
+        try:
+            read_wav(path)
+        except BadWavFile:
+            pass
+
+
 row_values = json_values | st.sampled_from(
     ["a.wav", "speech", "audio", "dog", "female", "low", "neutral"])
 metadata_rows = st.lists(
@@ -253,5 +316,5 @@ prompt_texts = st.lists(st.sampled_from(_prompt_tokens()), max_size=14).flatmap(
 def test_any_prompt_parses_or_raises_parse_error(text):
     try:
         parse(text, _DEMO_LABELS)
-    except ParseError:
-        pass
+    except ParseError as err:
+        assert err.span is not None
