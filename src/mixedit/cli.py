@@ -35,7 +35,7 @@ from .editor import (
     save_net,
     train_toy,
 )
-from .errors import MixeditError
+from .errors import MixeditError, read_json_config
 from .metrics import snr, snri
 from .mixer import mix, target_mixture
 from .prompt import ParseError, Prompt, Provenance, expand, parse, simplify
@@ -51,6 +51,13 @@ def _parse_composition(text: str) -> Composition:
         raise argparse.ArgumentTypeError(
             f"composition must look like '2,2', got {text!r}"
         )
+
+
+def _parse_actions(text: str):
+    try:
+        return parse_action_vector(text)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err))
 
 
 class BadConfigFile(MixeditError):
@@ -187,9 +194,13 @@ def cmd_edit(args) -> int:
     catalog = ds.ingest(args.catalog) if args.catalog else None
 
     if args.actions:
-        actions = parse_action_vector(args.actions)
+        actions = args.actions
         if sources and len(actions) != len(sources):
             print("error: one action per source required", file=sys.stderr)
+            return 2
+        if catalog and len(sources) == 1:
+            print("error: an instruction needs at least two sources",
+                  file=sys.stderr)
             return 2
         simplified = None
         if catalog and sources:
@@ -392,33 +403,14 @@ _TOY_DEFAULTS = {
 }
 
 
-def _has_default_type(value, default) -> bool:
-    """JSON type check: a bool only for a bool, any number for a float, an
-    integer for an integer, and an integer or null for a null default."""
-    if isinstance(default, bool) or isinstance(value, bool):
-        return type(value) is type(default)
-    if isinstance(default, float):
-        return isinstance(value, (int, float))
-    return isinstance(value, int) or (value is None and default is None)
-
-
 def _read_toy_config(path, seed: int) -> tuple[dict, dict]:
     """The config file as written and the full settings it stands for;
     raises BadConfigFile for an unknown key, a value of the wrong type, a
     negative seed, or no examples or steps."""
-    try:
-        config = json.loads(Path(path).read_text("utf-8"))
-    except (OSError, ValueError) as err:  # unreadable, bad UTF-8 or JSON
-        raise BadConfigFile(f"{path}: {err}") from err
-    if not isinstance(config, dict):
-        raise BadConfigFile(f"{path}: expected a JSON object")
     settings = {f.name: f.default for f in dataclasses.fields(MaskNetConfig)}
     settings.update(_TOY_DEFAULTS, seed=seed)
-    for key, value in config.items():
-        if key not in settings:
-            raise BadConfigFile(f"{path}: unknown key {key!r}")
-        if not _has_default_type(value, settings[key]):
-            raise BadConfigFile(f"{path}: {key} has the wrong type: {value!r}")
+    config = read_json_config(path, settings, BadConfigFile,
+                              nullable={"hidden": 0})
     settings.update(config)
     if settings["seed"] < 0 or settings["examples"] < 1 or settings["steps"] < 1:
         raise BadConfigFile(f"{path}: need seed >= 0, examples >= 1, steps >= 1")
@@ -505,7 +497,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mixture", required=True)
     p.add_argument("--sources", nargs="+", default=None)
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--actions", help="action vector like '1,0,u,d'")
+    group.add_argument("--actions", type=_parse_actions,
+                       help="action vector like '1,0,u,d'")
     group.add_argument("--prompt", help="natural-language instruction")
     p.add_argument("--catalog", default=None)
     p.add_argument("--editor", default="oracle",

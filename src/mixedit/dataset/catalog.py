@@ -100,7 +100,7 @@ def _read_rows(metadata_path: Path) -> list[dict]:
             with open(metadata_path, newline="", encoding="utf-8") as fh:
                 return [dict(row) for row in csv.DictReader(fh)]
         doc = json.loads(metadata_path.read_text("utf-8"))
-    except (ValueError, csv.Error) as err:  # bad JSON, UTF-8 or CSV
+    except (OSError, ValueError, csv.Error) as err:  # unreadable or malformed
         raise BadMetadataRow(0, f"unreadable metadata: {err}") from err
     if not isinstance(doc, list) or not all(isinstance(r, dict) for r in doc):
         raise BadMetadataRow(0, "metadata JSON must be a list of rows")
@@ -130,7 +130,7 @@ def ingest(root, metadata=None) -> Catalog:
     """
     root = Path(root)
     metadata_path = Path(metadata) if metadata else root / "metadata.json"
-    if not metadata_path.exists():
+    if not metadata_path.is_file():
         raise MissingFile(f"metadata file not found: {metadata_path}")
     entries: list[CatalogEntry] = []
     skipped: list[str] = []

@@ -248,8 +248,8 @@ def load_manifest(path) -> list[ManifestRecord]:
     records = []
     try:
         lines = Path(path).read_text("utf-8").splitlines()
-    except UnicodeDecodeError as err:
-        raise BadManifestLine(f"{path}: not UTF-8 text: {err}") from err
+    except (OSError, UnicodeDecodeError) as err:  # unreadable, not UTF-8
+        raise BadManifestLine(f"{path}: {err}") from err
     for line_no, line in enumerate(lines, start=1):
         if line.strip():
             try:

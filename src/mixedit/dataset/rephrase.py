@@ -8,12 +8,12 @@ never logged.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
-from dataclasses import dataclass
-from pathlib import Path
+from urllib.parse import urlsplit
 
-from ..errors import MixeditError
+from ..errors import MixeditError, read_json_config
 from ..prompt import Prompt, Provenance
 
 DEFAULT_WRAPPER = (
@@ -40,7 +40,7 @@ class BadRephraseConfig(MixeditError):
     pass
 
 
-@dataclass
+@dataclasses.dataclass
 class RephraseConfig:
     endpoint: str | None = None
     n: int = 5
@@ -51,12 +51,33 @@ class RephraseConfig:
 
     @classmethod
     def from_file(cls, path) -> "RephraseConfig":
+        """Read a config; a key that is not a field, a value of the wrong
+        JSON type, an endpoint that is not an http(s) URL, a timeout
+        outside (0, 86400] seconds or a wrapper that ``format(n=...)``
+        rejects raises BadRephraseConfig."""
+        defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+        config = cls(**read_json_config(path, defaults, BadRephraseConfig,
+                                        nullable={"endpoint": ""}))
+        if config.endpoint is not None:
+            try:
+                url = urlsplit(config.endpoint)
+                ok = url.scheme in ("http", "https") and bool(url.hostname)
+            except ValueError:  # a malformed IPv6 host
+                ok = False
+            if not ok:
+                raise BadRephraseConfig(
+                    f"{path}: endpoint must be an http(s) URL, "
+                    f"got {config.endpoint!r}")
+        if not 0 < config.timeout_s <= 86400:  # NaN fails too
+            raise BadRephraseConfig(
+                f"{path}: timeout_s must be in (0, 86400] seconds, "
+                f"got {config.timeout_s!r}")
         try:
-            return cls(**json.loads(Path(path).read_text("utf-8")))
-        except (OSError, ValueError, TypeError) as err:
-            # ValueError covers bad JSON or UTF-8; TypeError covers a
-            # document that is not an object and unknown keys.
-            raise BadRephraseConfig(f"{path}: {err}") from err
+            config.wrapper.format(n=config.n)
+        except (LookupError, ValueError, AttributeError, TypeError) as err:
+            raise BadRephraseConfig(
+                f"{path}: wrapper does not format with n: {err!r}") from err
+        return config
 
 
 def rephrase(prompt: Prompt, config: RephraseConfig) -> list[Prompt]:
@@ -65,6 +86,7 @@ def rephrase(prompt: Prompt, config: RephraseConfig) -> list[Prompt]:
         raise Disabled("no rephrase endpoint configured")
     # Imported here: urllib.request pulls in http.client, ssl and email,
     # which every other user of the dataset package would pay for.
+    import http.client
     import urllib.error
     import urllib.request
 
@@ -82,7 +104,8 @@ def rephrase(prompt: Prompt, config: RephraseConfig) -> list[Prompt]:
     try:
         with urllib.request.urlopen(request, timeout=config.timeout_s) as resp:
             body = resp.read()
-    except (urllib.error.URLError, TimeoutError, OSError) as err:
+    except (urllib.error.URLError, TimeoutError, OSError,
+            http.client.HTTPException) as err:  # also a garbled reply
         raise NetworkError(f"rephrase request failed: {err}") from err
     try:
         doc = json.loads(body)

@@ -71,32 +71,6 @@ def mean_square(clip: Clip | np.ndarray) -> float:
     return float(np.mean(np.square(x)))
 
 
-def _design_resample_filter(src: int, tgt: int, up: int) -> tuple[np.ndarray, int]:
-    """Kaiser-windowed sinc lowpass for polyphase resampling.
-
-    Cutoff sits at 0.475 * min(rates); the stopband edge is the lower
-    Nyquist (0.5 * min); length follows the Kaiser estimate for 72 dB
-    so the alias band is at least 60 dB down, with 64 taps per phase
-    as a floor. Half-length is a multiple of `down` so the group delay
-    lands on the output grid exactly.
-    """
-    down = src * up // tgt
-    fs_filter = src * up
-    fmin = min(src, tgt)
-    cutoff = 0.475 * fmin
-    transition = 2.0 * (0.5 * fmin - cutoff)
-    atten = 72.0
-    beta = 0.1102 * (atten - 8.7)
-    n_est = math.ceil((atten - 7.95) / (2.285 * 2 * math.pi * transition / fs_filter))
-    n_est = max(n_est, 64 * up)
-    half = down * math.ceil(n_est / (2 * down))
-    taps = 2 * half + 1
-    n = np.arange(taps) - half
-    c = 2.0 * cutoff / fs_filter  # cutoff as a fraction of Nyquist
-    h = c * np.sinc(c * n) * np.kaiser(taps, beta)
-    return h, half
-
-
 # Outputs per tap-matrix column group: wide enough for BLAS to pay off,
 # narrow enough that each group's input window stays close to the filter
 # span instead of growing with the whole resampling period.
@@ -106,6 +80,16 @@ _GROUP = 64
 @lru_cache(maxsize=32)
 def _resample_plan(src: int, tgt: int) -> tuple[int, int, tuple]:
     """Tap matrices for resampling ``src`` -> ``tgt``, built once per pair.
+
+    The filter is a Kaiser-windowed sinc lowpass at ``src * up`` Hz,
+    scaled by ``up``. Cutoff sits at 0.475 * min(rates); the stopband
+    edge is the lower Nyquist (0.5 * min); length follows the Kaiser
+    estimate for 72 dB so the alias band is at least 60 dB down, with 64
+    taps per phase as a floor. Half-length ``half`` is a multiple of
+    ``down`` so the group delay lands on the output grid exactly. The
+    filter is evaluated only at the plan's taps, never as the dense
+    ``2 * half + 1``-tap array, which for a near-coprime pair is larger
+    than the plan itself.
 
     Outputs come in blocks of ``period`` samples (a multiple of ``up``);
     each block's input window sits ``advance`` samples after the last
@@ -122,22 +106,35 @@ def _resample_plan(src: int, tgt: int) -> tuple[int, int, tuple]:
     """
     g = math.gcd(src, tgt)
     up, down = tgt // g, src // g
-    h, half = _design_resample_filter(src, tgt, up)
-    h = h * up
+    fs_filter = src * up
+    fmin = min(src, tgt)
+    cutoff = 0.475 * fmin
+    transition = 2.0 * (0.5 * fmin - cutoff)
+    atten = 72.0
+    beta = 0.1102 * (atten - 8.7)
+    n_est = math.ceil((atten - 7.95) / (2.285 * 2 * math.pi * transition / fs_filter))
+    n_est = max(n_est, 64 * up)
+    half = down * math.ceil(n_est / (2 * down))
+    c = 2.0 * cutoff / fs_filter  # cutoff as a fraction of Nyquist
     k = max(1, _GROUP // up)  # whole periods per block
     period, advance = k * up, k * down
     n_groups = -(-period // _GROUP)
     edges = [round(i * period / n_groups) for i in range(n_groups + 1)]
     groups = []
     for p0, p1 in zip(edges, edges[1:]):
-        # Output j (j * down / up in input samples) reads inputs i through
-        # tap half + j * down - i * up, for taps 0 .. 2 * half.
+        # Output j (j * down / up in input samples) reads input i through
+        # the filter at offset n = j * down - i * up, for |n| <= half.
         lo = -((half - p0 * down) // up)
         hi = (half + (p1 - 1) * down) // up
-        tap = (half + np.arange(p0, p1) * down
-               - np.arange(lo, hi + 1)[:, None] * up)
-        inside = (tap >= 0) & (tap < len(h))
-        taps = np.where(inside, h[np.where(inside, tap, 0)], 0.0)
+        n = np.arange(p0, p1) * down - np.arange(lo, hi + 1)[:, None] * up
+        inside = np.abs(n) <= half
+        m = n[inside]
+        # The window and sinc as np.kaiser and np.sinc compute them, in
+        # their order, so each tap equals a dense np.kaiser design's bit
+        # for bit.
+        window = np.i0(beta * np.sqrt(1 - (m / float(half)) ** 2.0)) / np.i0(beta)
+        taps = np.zeros(n.shape)
+        taps[inside] = c * np.sinc(c * m) * window * up
         taps.setflags(write=False)
         groups.append((p0, lo, taps))
     return period, advance, tuple(groups)
@@ -148,10 +145,11 @@ def resample(clip: Clip, target_rate: int) -> Clip:
 
     Computed as block polyphase matrix products: one ``(n_blocks, W) @
     (W, B)`` product per tap group over a strided window view of the
-    zero-padded input, with the tap matrices cached per rate pair (see
-    ``_resample_plan``). Agrees with a per-sample polyphase filter
-    (``scipy.signal.upfirdn`` with the same taps) to within
-    ``1e-12 * max(1, max|x|)``; only the summation order differs.
+    zero-padded input, with the tap matrices cached per rate pair and the
+    filter evaluated only at their taps (see ``_resample_plan``). Agrees
+    with a per-sample polyphase filter (``scipy.signal.upfirdn`` with the
+    same taps) to within ``1e-12 * max(1, max|x|)``; only the summation
+    order differs.
 
     Output length is round(len * target / source). Same-rate input is
     returned unchanged.

@@ -52,8 +52,12 @@ def save_net(path, net: FilmMaskNet):
 
 def load_net(path) -> FilmMaskNet:
     """Read a container; any malformed content, including a tensor whose
-    name or shape does not fit the config, raises BadContainer."""
-    data = Path(path).read_bytes()
+    name or shape does not fit the config, raises BadContainer; so does
+    a path that cannot be read."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as err:  # missing, a directory, no permission
+        raise BadContainer(f"{path}: {err}") from err
     view = memoryview(data)
     if bytes(view[:4]) != MAGIC:
         raise BadContainer("not a mask-network container")

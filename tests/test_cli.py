@@ -38,6 +38,16 @@ def tone_setup(tmp_path):
     return tmp_path, paths, s1, s2
 
 
+@pytest.fixture()
+def tone_catalog(tone_setup):
+    """``tone_setup`` with a metadata file naming both tones as audio."""
+    (tone_setup[0] / "metadata.json").write_text(json.dumps([
+        {"id": "a", "path": "s1.wav", "type": "audio", "label": "low tone"},
+        {"id": "b", "path": "s2.wav", "type": "audio", "label": "high tone"},
+    ]))
+    return tone_setup
+
+
 def test_tasks_table(capsys):
     assert main(["tasks", "--composition", "2,2", "--table"]) == 0
     out = capsys.readouterr().out
@@ -444,7 +454,12 @@ def test_train_toy_bad_config_file_exits_1(tmp_path, capsys, text):
 
 
 @pytest.mark.parametrize("text", ['{"endpoint":', '{"endpointz": null}',
-                                  "[1, 2]"])
+                                  "[1, 2]", '{"endpoint": "not a url"}',
+                                  '{"endpoint": "ftp://127.0.0.1/x"}',
+                                  '{"endpoint": 5}', '{"wrapper": "{foo}"}',
+                                  '{"wrapper": "{"}', '{"timeout_s": "x"}',
+                                  '{"timeout_s": -1}',
+                                  '{"max_concurrency": "a"}'])
 def test_generate_bad_rephrase_config_exits_1(catalog_dir, tmp_path, capsys,
                                               text):
     config = tmp_path / "rephrase.json"
@@ -464,6 +479,46 @@ def test_generate_bad_metadata_exits_1(tmp_path, capsys, blob):
     assert main(["generate", "--catalog", str(root), "--out",
                  str(tmp_path / "data"), "--count", "2"]) == 1
     assert "error: BadMetadataRow" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("command,error", [
+    ("generate", "MissingFile"), ("eval", "BadManifestLine"),
+    ("edit", "BadContainer"),
+])
+def test_unreadable_input_path_exits_1(tone_catalog, capsys, command, error,
+                                       kind):
+    tmp_path, paths, _, _ = tone_catalog
+    path = tmp_path / "input"
+    if kind == "directory":
+        path.mkdir()
+    argv = {
+        "generate": ["generate", "--catalog", str(tmp_path), "--metadata",
+                     str(path), "--out", str(tmp_path / "data"),
+                     "--count", "2"],
+        "eval": ["eval", "--est", str(tmp_path), "--ref", str(tmp_path),
+                 "--input", str(tmp_path), "--per-task", str(path)],
+        "edit": ["edit", "--mixture", paths["mix"], "--sources", paths["s1"],
+                 paths["s2"], "--actions", "1,0", "--catalog", str(tmp_path),
+                 "--editor", "film", "--model", str(path)],
+    }[command]
+    assert main(argv) == 1
+    assert f"error: {error}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sources,actions", [(["s1", "s2"], "1,x"),
+                                             (["s1"], "1")])
+def test_edit_bad_actions_exit_2(tone_catalog, capsys, sources, actions):
+    tmp_path, paths, _, _ = tone_catalog
+    argv = ["edit", "--mixture", paths["s1"], "--actions", actions,
+            "--sources", *(paths[s] for s in sources),
+            "--catalog", str(tmp_path), "--out", str(tmp_path / "out.wav")]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the option itself
+        code = exc.code
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_generate_corrupt_wav_header_exits_1_with_summary(tmp_path, capsys):

@@ -137,6 +137,8 @@ def _scipy_reference(path) -> np.ndarray:
 _FORMATS = [(1, 8), (1, 16), (1, 24), (1, 32), (3, 32), (3, 64)]
 
 
+# scipy warns about the unknown chunk each file carries on purpose.
+@pytest.mark.filterwarnings("ignore::scipy.io.wavfile.WavFileWarning")
 @pytest.mark.parametrize("channels", [1, 3])
 @pytest.mark.parametrize("extensible", [False, True])
 @pytest.mark.parametrize("tag, bits", _FORMATS)

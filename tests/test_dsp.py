@@ -1,6 +1,7 @@
 """Waveform primitives: resampling, conditioning, STFT, Mel projection."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from mixedit.dsp import (
     Clip,
     EmptyClip,
     Spectrogram,
-    _design_resample_filter,
     _resample_plan,
     condition,
     istft,
@@ -89,25 +89,45 @@ def test_resample_stopband_attenuation():
     assert 20 * np.log10(residual / ref) < -60.0
 
 
-def _polyphase_reference(x, src, tgt):
-    """The same Kaiser-sinc filter applied one output sample at a time."""
+def _dense_filter(src, tgt):
+    """The resampling lowpass designed the dense way, with np.kaiser and
+    np.sinc over all 2 * half + 1 taps at src * up Hz, scaled by up.
+    Returns (h, half, up, down); tap t sits at filter offset t - half."""
     g = math.gcd(src, tgt)
     up, down = tgt // g, src // g
-    h, half = _design_resample_filter(src, tgt, up)
+    fs_filter = src * up
+    fmin = min(src, tgt)
+    cutoff = 0.475 * fmin
+    beta = 0.1102 * (72.0 - 8.7)
+    n_est = math.ceil((72.0 - 7.95) / (
+        2.285 * 2 * math.pi * 2.0 * (0.5 * fmin - cutoff) / fs_filter))
+    half = down * math.ceil(max(n_est, 64 * up) / (2 * down))
+    taps = 2 * half + 1
+    c = 2.0 * cutoff / fs_filter
+    h = c * np.sinc(c * (np.arange(taps) - half)) * np.kaiser(taps, beta)
+    return h * up, half, up, down
+
+
+def _polyphase_reference(x, src, tgt):
+    """The same Kaiser-sinc filter applied one output sample at a time."""
+    h, half, up, down = _dense_filter(src, tgt)
     out_len = round(len(x) * tgt / src)
     pad = math.ceil((half + 1) / up) + math.ceil(down * out_len / up)
-    full = upfirdn(h * up, np.concatenate([x, np.zeros(pad)]), up=up, down=down)
+    full = upfirdn(h, np.concatenate([x, np.zeros(pad)]), up=up, down=down)
     return full[half // down:half // down + out_len]
 
 
-@pytest.mark.parametrize("src,tgt", [
+_RATE_PAIRS = [
     (8000, 16000), (11025, 16000), (22050, 16000), (24000, 16000),
     (32000, 16000), (44100, 16000), (48000, 16000), (96000, 16000),
     (16000, 8000),
-])
+]
+
+
+@pytest.mark.parametrize("src,tgt", _RATE_PAIRS)
 def test_resample_matches_polyphase_reference(src, tgt):
-    up = tgt // math.gcd(src, tgt)
-    span = len(_design_resample_filter(src, tgt, up)[0]) // up
+    h, _, up, _ = _dense_filter(src, tgt)
+    span = len(h) // up
     _, advance, _ = _resample_plan(src, tgt)
     rng = np.random.default_rng(src)
     # One sample, shorter than the filter span, a whole number of blocks
@@ -121,12 +141,46 @@ def test_resample_matches_polyphase_reference(src, tgt):
             assert np.abs(out - ref).max() <= 1e-12 * max(1.0, np.abs(x).max())
 
 
+@pytest.mark.parametrize("src,tgt", _RATE_PAIRS + [(16001, 16000),
+                                                   (44099, 16000)])
+def test_plan_taps_equal_the_dense_filter_gathered(src, tgt):
+    with np.errstate(all="raise"):
+        _resample_plan.cache_clear()
+        period, advance, groups = _resample_plan(src, tgt)
+        h, half, up, down = _dense_filter(src, tgt)
+    assert advance * up == period * down
+    for p0, lo, taps in groups:
+        j = np.arange(p0, p0 + taps.shape[1])
+        n = j * down - np.arange(lo, lo + len(taps))[:, None] * up
+        inside = np.abs(n) <= half
+        want = np.where(inside, h[np.where(inside, n + half, 0)], 0.0)
+        assert np.array_equal(taps, want)
+        # The window holds every input each output reaches: the inputs i
+        # with |j * down - i * up| <= half.
+        reach = (j * down + half) // up - -(-(j * down - half) // up) + 1
+        assert np.array_equal(inside.sum(axis=0), reach)
+
+
+def test_plan_build_memory_follows_the_plan_not_the_filter():
+    _resample_plan.cache_clear()
+    tracemalloc.start()
+    try:
+        with np.errstate(all="raise"):
+            _, _, groups = _resample_plan(44099, 16000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        _resample_plan.cache_clear()
+    plan_bytes = sum(taps.nbytes for _, _, taps in groups)
+    assert peak <= 1.5 * plan_bytes
+
+
 def test_resample_near_coprime_rates_keep_the_plan_small():
     x = np.random.default_rng(0).standard_normal(2000)
     out = resample(Clip(x, 16001), 16000).samples
     ref = _polyphase_reference(x, 16001, 16000)
     assert np.abs(out - ref).max() <= 1e-12 * np.abs(x).max()
-    h, _ = _design_resample_filter(16001, 16000, 16000)
+    h, _, _, _ = _dense_filter(16001, 16000)
     _, _, groups = _resample_plan(16001, 16000)
     assert sum(taps.size for _, _, taps in groups) <= 4 * len(h)
     assert not any(taps.flags.writeable for _, _, taps in groups)

@@ -1,15 +1,20 @@
 """Property-based checks of the library invariants."""
 
+import csv
+import dataclasses
 import functools
+import io
 import json
 import struct
 import tempfile
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mixedit.cli import BadConfigFile, _read_toy_config
 from mixedit.core import (
     STYLE_FIELDS,
     Action,
@@ -18,7 +23,14 @@ from mixedit.core import (
     TrivialSilence,
     validate_instruction,
 )
-from mixedit.dataset import BadWavFile, ingest, read_wav, write_wav
+from mixedit.dataset import (
+    BadRephraseConfig,
+    BadWavFile,
+    RephraseConfig,
+    ingest,
+    read_wav,
+    write_wav,
+)
 from mixedit.dataset.catalog import _DEMO_LABELS
 from mixedit.dataset.manifest import ManifestRecord, SourceRef
 from mixedit.dsp import Clip, condition
@@ -289,6 +301,87 @@ def test_any_metadata_rows_ingest_or_raise_typed(rows):
             ingest(root)
         except MixeditError:
             pass
+
+
+csv_cells = row_values.map(lambda v: v if isinstance(v, str) else json.dumps(v))
+
+
+@st.composite
+def metadata_csvs(draw):
+    """A header of metadata columns and rows of any width beneath it."""
+    header = draw(st.lists(st.sampled_from(
+        ["id", "type", "path", "label", "speaker", *STYLE_FIELDS]), max_size=9))
+    rows = draw(st.lists(st.lists(csv_cells, max_size=len(header) + 1),
+                         max_size=4))
+    text = io.StringIO()
+    csv.writer(text).writerows([header, *rows])
+    return text.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text() | metadata_csvs())
+def test_any_metadata_csv_ingests_or_raises_typed(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "a.wav").write_bytes(b"")
+        (root / "metadata.csv").write_text(text, "utf-8")
+        try:
+            ingest(root, metadata=root / "metadata.csv")
+        except MixeditError:
+            pass
+
+
+def _config_objects(keys: list[str], values):
+    return st.dictionaries(st.sampled_from(keys + ["extra"]), values,
+                           max_size=len(keys) + 1)
+
+
+_TOY_KEYS = [f.name for f in dataclasses.fields(MaskNetConfig)] + [
+    "examples", "samples", "steps", "lr", "lr_decay", "pit", "seed"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_config_objects(_TOY_KEYS, json_values | st.integers(-2, 64)))
+def test_any_toy_config_reaches_the_net_config_or_raises_typed(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(doc), "utf-8")
+        try:
+            _, settings = _read_toy_config(path, seed=0)
+        except BadConfigFile:
+            return
+    try:  # the net config checks sizes itself; no training here
+        MaskNetConfig(**{f.name: settings[f.name]
+                         for f in dataclasses.fields(MaskNetConfig)})
+    except MixeditError:
+        pass
+
+
+_REPHRASE_VALUES = json_values | st.sampled_from([
+    "http://127.0.0.1:1/rephrase", "https://[::1]:1/", "http://[::1", "x:",
+    "not a url", "{n}", "{n:d} times", "{n!r}", "{", "{0}", "{n.x}", "{n[0]}",
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_config_objects([f.name for f in dataclasses.fields(RephraseConfig)],
+                       _REPHRASE_VALUES))
+def test_any_rephrase_config_loads_or_raises_typed(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rephrase.json"
+        path.write_text(json.dumps(doc), "utf-8")
+        try:
+            config = RephraseConfig.from_file(path)
+        except BadRephraseConfig:
+            return
+    # A loaded config builds its request: the wrapper formats, the types
+    # hold and the endpoint is an http(s) URL or absent.
+    config.wrapper.format(n=config.n)
+    assert type(config.n) is int and type(config.max_concurrency) is int
+    assert isinstance(config.api_key_env, str)
+    assert 0 < config.timeout_s <= 86400
+    assert config.endpoint is None or urlsplit(
+        config.endpoint).scheme in ("http", "https")
 
 
 def _prompt_tokens() -> list[str]:
