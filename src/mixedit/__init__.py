@@ -12,7 +12,6 @@ from .core import (
     SimplifiedInstruction,
     SpeechSignature,
     StyleVector,
-    alpha,
     validate_instruction,
 )
 from .dsp import Clip, condition, resample
@@ -26,7 +25,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Action", "AudioSignature", "Instruction", "SimplifiedInstruction",
-    "SpeechSignature", "StyleVector", "alpha", "validate_instruction",
+    "SpeechSignature", "StyleVector", "validate_instruction",
     "Clip", "condition", "resample",
     "MixeditError",
     "pit_snr", "si_sdr", "snr", "snri",

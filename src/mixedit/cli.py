@@ -1,6 +1,7 @@
 """Batch command-line surface: tasks, generate, edit, eval, train-toy.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or prompt-parse error.
+Commands raise; only ``main`` turns an exception into an exit code.
 Every subcommand is byte-deterministic for fixed inputs: demo-catalog,
 generate, edit and train-toy take --seed, while tasks and eval draw
 nothing at random and take none. On tasks and eval, --json switches the
@@ -19,7 +20,6 @@ import numpy as np
 
 from . import dataset as ds
 from .core import parse_action_vector, validate_instruction
-from .dsp import Clip
 from .editor import (
     FilmMaskNet,
     MaskKind,
@@ -31,7 +31,6 @@ from .editor import (
     ideal_mask,
     load_net,
     mask_edit,
-    oracle_edit,
     save_net,
     train_toy,
 )
@@ -64,6 +63,10 @@ class BadConfigFile(MixeditError):
     pass
 
 
+class UsageError(MixeditError):
+    """Options that do not fit together; ``main`` exits 2."""
+
+
 def _echo_config(args, keys) -> dict:
     return {k: getattr(args, k) for k in keys if hasattr(args, k)}
 
@@ -74,19 +77,18 @@ def cmd_tasks(args) -> int:
     comp = args.composition
     table = count_table(comp)
     total = sum(table.values())
-    config = {"composition": f"{comp.n_speech},{comp.n_audio}"}
+    edits = {
+        t: ["".join(a.symbol for a in v) for v in enumerate_edits(t, comp)]
+        for t in defined_tasks(comp)
+    } if args.enumerate else {}
     if args.json:
         doc = {
-            "config": config,
+            "config": {"composition": f"{comp.n_speech},{comp.n_audio}"},
             "counts": {t.value: n for t, n in table.items()},
             "total": total,
         }
         if args.enumerate:
-            doc["edits"] = {
-                t.value: ["".join(a.symbol for a in v)
-                          for v in enumerate_edits(t, comp)]
-                for t in defined_tasks(comp)
-            }
+            doc["edits"] = {t.value: vecs for t, vecs in edits.items()}
         print(json.dumps(doc, indent=2, sort_keys=True))
         return 0
     print(f"# composition: {comp.n_speech} speech + {comp.n_audio} audio")
@@ -96,11 +98,8 @@ def cmd_tasks(args) -> int:
         shown = str(count) if count else "n/a"
         print(f"{task.symbol:8s} {shown:>6s}")
     print(f"{'total':8s} {total:>6d}")
-    if args.enumerate:
-        for task in defined_tasks(comp):
-            vecs = ["".join(a.symbol for a in v)
-                    for v in enumerate_edits(task, comp)]
-            print(f"{task.symbol}: {' '.join(vecs)}")
+    for task, vecs in edits.items():
+        print(f"{task.symbol}: {' '.join(vecs)}")
     return 0
 
 
@@ -170,10 +169,6 @@ def _rephrase_records(records, config) -> int:
 
 # ---------------- edit ----------------
 
-def _load_sources(paths):
-    return [ds.read_wav(p) for p in paths]
-
-
 def _signatures_from_catalog(paths, catalog):
     sigs = []
     by_path = {str(e.path): e for e in catalog.entries}
@@ -188,67 +183,56 @@ def _signatures_from_catalog(paths, catalog):
     return sigs
 
 
-def cmd_edit(args) -> int:
-    mixture = ds.read_wav(args.mixture)
-    sources = _load_sources(args.sources) if args.sources else []
-    catalog = ds.ingest(args.catalog) if args.catalog else None
-
+def _instruction(args, sources, catalog):
+    """The edit's actions and its simplified instruction; the latter is
+    None for --actions without both --catalog and --sources."""
     if args.actions:
         actions = args.actions
         if sources and len(actions) != len(sources):
-            print("error: one action per source required", file=sys.stderr)
-            return 2
-        if catalog and len(sources) == 1:
-            print("error: an instruction needs at least two sources",
-                  file=sys.stderr)
-            return 2
-        simplified = None
-        if catalog and sources:
-            sigs = _signatures_from_catalog(args.sources, catalog)
-            instruction = validate_instruction(list(zip(actions, sigs)))
-            simplified = simplify(instruction, seed=args.seed)
-    else:
-        if catalog is None:
-            print("error: --prompt needs --catalog for the label set",
-                  file=sys.stderr)
-            return 2
-        simplified = parse(args.prompt, catalog.labels)
-        if not sources:
-            print("error: --prompt editing needs --sources to resolve "
-                  "targets", file=sys.stderr)
-            return 2
+            raise UsageError("one action per source required")
+        if not (catalog and sources):
+            return actions, None
+        if len(sources) == 1:
+            raise UsageError("an instruction needs at least two sources")
         sigs = _signatures_from_catalog(args.sources, catalog)
-        actions = expand(simplified, sigs)
+        instruction = validate_instruction(list(zip(actions, sigs)))
+        return actions, simplify(instruction, seed=args.seed)
+    if catalog is None:
+        raise UsageError("--prompt needs --catalog for the label set")
+    simplified = parse(args.prompt, catalog.labels)
+    if not sources:
+        raise UsageError("--prompt editing needs --sources to resolve targets")
+    sigs = _signatures_from_catalog(args.sources, catalog)
+    return expand(simplified, sigs), simplified
+
+
+def cmd_edit(args) -> int:
+    mixture = ds.read_wav(args.mixture)
+    sources = [ds.read_wav(p) for p in args.sources or ()]
+    catalog = ds.ingest(args.catalog) if args.catalog else None
+    actions, simplified = _instruction(args, sources, catalog)
 
     if sources:
         total = mix(sources)
         if len(total) != len(mixture) or not np.allclose(
                 total.samples, mixture.samples, atol=1e-6):
-            print("error: sources do not sum to the mixture", file=sys.stderr)
-            return 2
+            raise UsageError("sources do not sum to the mixture")
+    elif args.editor != "film":
+        raise UsageError(f"--editor {args.editor} needs --sources")
 
-    target = target_mixture(sources, actions) if sources else None
+    # The oracle editor's output is the target itself.
+    target = edited = target_mixture(sources, actions) if sources else None
     mask = None
-    if args.editor == "oracle":
-        if not sources:
-            print("error: the oracle editor needs --sources", file=sys.stderr)
-            return 2
-        edited = oracle_edit(sources, actions)
-    elif args.editor in ("psm", "irm"):
-        if target is None:
-            print("error: mask editors need --sources", file=sys.stderr)
-            return 2
+    if args.editor in ("psm", "irm"):
         kind = MaskKind.PSM if args.editor == "psm" else MaskKind.IRM
         mask = ideal_mask(mixture, target, kind)
         edited = mask_edit(mixture, mask)
-    else:  # film
+    elif args.editor == "film":
         if not args.model:
-            print("error: --editor film needs --model", file=sys.stderr)
-            return 2
+            raise UsageError("--editor film needs --model")
         if simplified is None:
-            print("error: --editor film needs --prompt, or --actions with "
-                  "--catalog", file=sys.stderr)
-            return 2
+            raise UsageError("--editor film needs --prompt, or --actions "
+                             "with --catalog")
         net = load_net(args.model)
         z = embed_instruction(simplified, dim=net.config.embed_dim)
         edited, mask = net.edit(mixture, z)
@@ -317,27 +301,20 @@ def cmd_eval(args) -> int:
                                    Path(args.input))
     names = sorted(p.name for p in est_dir.glob("*.wav"))
     if not names:
-        print(f"error: no WAV files in {est_dir}", file=sys.stderr)
-        return 2
+        raise UsageError(f"no WAV files in {est_dir}")
     task_of = {}
     if args.per_task:
         for record in ds.load_manifest(args.per_task):
             task_of[f"{record.record_id:06d}.wav"] = record.task
     entries = []
     for name in names:
-        ref_path = ref_dir / name
-        input_path = input_dir / name
-        if not ref_path.exists() or not input_path.exists():
-            print(f"error: missing pair for {name}", file=sys.stderr)
-            return 1
         est = ds.read_wav(est_dir / name)
-        ref = ds.read_wav(ref_path)
-        unprocessed = ds.read_wav(input_path)
+        ref = ds.read_wav(ref_dir / name)
+        unprocessed = ds.read_wav(input_dir / name)
         if not est.rate == ref.rate == unprocessed.rate:
-            print(f"error: sample rates differ for {name}: est {est.rate}, "
-                  f"ref {ref.rate}, input {unprocessed.rate} Hz",
-                  file=sys.stderr)
-            return 1
+            raise MixeditError(
+                f"sample rates differ for {name}: est {est.rate}, "
+                f"ref {ref.rate}, input {unprocessed.rate} Hz")
         value = snri(unprocessed, est, ref)
         entries.append({
             "name": name,
@@ -466,8 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tasks", help="show the editing-task table")
     p.add_argument("--composition", type=_parse_composition, default="2,2",
                    help="speech,audio source counts (default 2,2)")
-    p.add_argument("--table", action="store_true", dest="table",
-                   help="print the per-task count table (default)")
     p.add_argument("--enumerate", action="store_true",
                    help="also list every edit vector per task")
     p.add_argument("--json", action="store_true")
@@ -531,15 +506,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; the only place a failure becomes an exit code."""
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as err:
         span = f" at {err.span}" if err.span else ""
         print(f"prompt error: {err}{span}", file=sys.stderr)
         return 2
-    except MixeditError as err:
+    except UsageError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
+    except (MixeditError, OSError) as err:  # OSError: an unwritable output
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
 

@@ -110,13 +110,6 @@ class AudioSignature:
 Signature = SpeechSignature | AudioSignature
 
 
-def signature_key(sig: Signature) -> tuple:
-    """Total order over mixed signature lists (speech first, then audio)."""
-    if isinstance(sig, SpeechSignature):
-        return (0, sig.style.values())
-    return (1, sig.label)
-
-
 class Action(Enum):
     """The four editing actions and their scaling factors."""
 
@@ -157,11 +150,6 @@ _ACTION_TOKENS = {
     token: action for value, action in ACTION_BY_VALUE.items()
     for token in (_SYMBOL[action], value, value[0])
 }
-
-
-def alpha(action: Action) -> float:
-    """Scaling factor of an action; exact member of {0, 1, 2, 0.5}."""
-    return _ALPHA[action]
 
 
 def parse_action(token: str) -> Action:
@@ -264,12 +252,6 @@ class SpeechDescriptor:
             (f, getattr(style, f).value) for f in STYLE_FIELDS if f in fields
         )
         return cls(chosen)
-
-    def get(self, field: str) -> str | None:
-        for f, v in self.attrs:
-            if f == field:
-                return v
-        return None
 
     def matches(self, style: StyleVector) -> bool:
         return all(getattr(style, f).value == v for f, v in self.attrs)

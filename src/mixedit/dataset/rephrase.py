@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import string
 from urllib.parse import urlsplit
 
 from ..errors import MixeditError, read_json_config
@@ -53,8 +54,8 @@ class RephraseConfig:
     def from_file(cls, path) -> "RephraseConfig":
         """Read a config; a key that is not a field, a value of the wrong
         JSON type, an endpoint that is not an http(s) URL, a timeout
-        outside (0, 86400] seconds or a wrapper that ``format(n=...)``
-        rejects raises BadRephraseConfig."""
+        outside (0, 86400] seconds or a wrapper with a field other than a
+        bare ``{n}`` raises BadRephraseConfig."""
         defaults = {f.name: f.default for f in dataclasses.fields(cls)}
         config = cls(**read_json_config(path, defaults, BadRephraseConfig,
                                         nullable={"endpoint": ""}))
@@ -72,11 +73,17 @@ class RephraseConfig:
             raise BadRephraseConfig(
                 f"{path}: timeout_s must be in (0, 86400] seconds, "
                 f"got {config.timeout_s!r}")
+        # A format spec such as {n:>100000000} would allocate without bound.
         try:
-            config.wrapper.format(n=config.n)
-        except (LookupError, ValueError, AttributeError, TypeError) as err:
+            fields = [(name, spec, conversion) for _, name, spec, conversion
+                      in string.Formatter().parse(config.wrapper)
+                      if name is not None]
+        except ValueError as err:  # an unmatched brace
+            raise BadRephraseConfig(f"{path}: bad wrapper: {err}") from err
+        if any(field != ("n", "", None) for field in fields):
             raise BadRephraseConfig(
-                f"{path}: wrapper does not format with n: {err!r}") from err
+                f"{path}: wrapper fields must be a bare {{n}}, "
+                f"got {config.wrapper!r}")
         return config
 
 

@@ -91,7 +91,6 @@ class Provenance(Enum):
 class Prompt:
     text: str
     provenance: Provenance
-    template: TemplateId | None = None
 
     def __post_init__(self):
         if not self.text.strip():
@@ -334,7 +333,7 @@ def render(simplified: SimplifiedInstruction, template: TemplateId,
         body = ", ".join(clauses[:-1]) + ", and " + clauses[-1]
     opening, closing = _TEMPLATE_FORMS[template]
     text = opening + body + closing
-    return Prompt(text, Provenance.TEMPLATE, template)
+    return Prompt(text, Provenance.TEMPLATE)
 
 
 def special_generic(actions, comp, seed: int = 0) -> Prompt | None:

@@ -65,6 +65,10 @@ class TrivialEdit(MixeditError):
     pass
 
 
+class TooManySources(MixeditError):
+    pass
+
+
 class UndefinedTask(MixeditError):
     def __init__(self, task: Task, comp: Composition):
         super().__init__(
@@ -74,6 +78,9 @@ class UndefinedTask(MixeditError):
         self.task = task
         self.comp = comp
 
+
+# _edit_map classifies all 4^N vectors, so each source costs ~4x more time.
+MAX_ENUMERATED_SOURCES = 10
 
 _UP, _DOWN, _KEEP, _REMOVE = (
     Action.VOLUME_UP, Action.VOLUME_DOWN, Action.KEEP, Action.REMOVE
@@ -150,7 +157,12 @@ def classify(actions, comp: Composition) -> Task:
 
 @lru_cache(maxsize=64)
 def _edit_map(comp: Composition) -> dict[Task, tuple[tuple[Action, ...], ...]]:
-    """All nontrivial vectors for a composition, grouped by task."""
+    """All nontrivial vectors for a composition, grouped by task; raises
+    TooManySources beyond MAX_ENUMERATED_SOURCES."""
+    if comp.total > MAX_ENUMERATED_SOURCES:
+        raise TooManySources(
+            f"{comp.total} sources: enumerating 4^{comp.total} edits is capped "
+            f"at {MAX_ENUMERATED_SOURCES} sources")
     grouped: dict[Task, list] = {t: [] for t in Task}
     for vec in itertools.product(tuple(Action), repeat=comp.total):
         try:

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +50,7 @@ def tone_catalog(tone_setup):
 
 
 def test_tasks_table(capsys):
-    assert main(["tasks", "--composition", "2,2", "--table"]) == 0
+    assert main(["tasks", "--composition", "2,2"]) == 0
     out = capsys.readouterr().out
     assert "254" in out
     lines = [l for l in out.splitlines() if l and not l.startswith("#")]
@@ -71,6 +72,13 @@ def test_tasks_degenerate_composition(capsys):
     assert main(["tasks", "--composition", "1,1", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["total"] == 14
+
+
+def test_tasks_too_many_sources_exits_1_at_once(capsys):
+    start = time.perf_counter()
+    assert main(["tasks", "--composition", "6,5"]) == 1
+    assert time.perf_counter() - start < 0.5
+    assert "error: TooManySources" in capsys.readouterr().err
 
 
 def test_tasks_usage_error():
@@ -457,7 +465,10 @@ def test_train_toy_bad_config_file_exits_1(tmp_path, capsys, text):
                                   "[1, 2]", '{"endpoint": "not a url"}',
                                   '{"endpoint": "ftp://127.0.0.1/x"}',
                                   '{"endpoint": 5}', '{"wrapper": "{foo}"}',
-                                  '{"wrapper": "{"}', '{"timeout_s": "x"}',
+                                  '{"wrapper": "{"}',
+                                  '{"wrapper": "{n:>100000000}"}',
+                                  '{"wrapper": "{n!r}"}',
+                                  '{"wrapper": "{n.real}"}', '{"timeout_s": "x"}',
                                   '{"timeout_s": -1}',
                                   '{"max_concurrency": "a"}'])
 def test_generate_bad_rephrase_config_exits_1(catalog_dir, tmp_path, capsys,
@@ -503,6 +514,33 @@ def test_unreadable_input_path_exits_1(tone_catalog, capsys, command, error,
                  "--editor", "film", "--model", str(path)],
     }[command]
     assert main(argv) == 1
+    assert f"error: {error}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,option", [
+    ("edit", "--out"), ("edit", "--dump-mask"), ("edit", "--metrics-out"),
+    ("generate", "--out"), ("train-toy", "--out-dir"), ("demo-catalog", "--out"),
+])
+def test_unwritable_output_exits_1(tone_setup, catalog_dir, capsys, command,
+                                   option):
+    tmp_path, paths, _, _ = tone_setup
+    if command == "edit":  # a directory that does not exist
+        path, error = tmp_path / "missing" / "out", "FileNotFoundError"
+    else:  # a path under a regular file
+        path, error = Path(paths["s1"]) / "out", "NotADirectoryError"
+    config = tmp_path / "toy.json"
+    config.write_text(json.dumps({"channels": 4, "blocks": 1, "embed_dim": 4,
+                                  "examples": 1, "steps": 1, "samples": 400}))
+    argv = {  # the option under test comes last, so it wins over an --out
+        "edit": ["edit", "--mixture", paths["mix"], "--sources", paths["s1"],
+                 paths["s2"], "--actions", "1,0", "--editor", "psm",
+                 "--out", str(tmp_path / "edited.wav")],
+        "generate": ["generate", "--catalog", str(catalog_dir),
+                     "--count", "1"],
+        "train-toy": ["train-toy", "--config", str(config)],
+        "demo-catalog": ["demo-catalog"],
+    }[command]
+    assert main([*argv, option, str(path)]) == 1
     assert f"error: {error}" in capsys.readouterr().err
 
 
