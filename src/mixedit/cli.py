@@ -237,7 +237,6 @@ def cmd_edit(args) -> int:
         z = embed_instruction(simplified, dim=net.config.embed_dim)
         edited, mask = net.edit(mixture, z)
 
-    ds.write_wav(args.out, edited, pcm16=args.pcm16)
     metrics = {"editor": args.editor, "output": str(args.out),
                "seed": args.seed}
     if target is not None:
@@ -264,6 +263,8 @@ def cmd_edit(args) -> int:
     if args.metrics_out:
         Path(args.metrics_out).write_text(
             json.dumps(metrics, indent=2, sort_keys=True) + "\n", "utf-8")
+    # Last, so that a failed side file leaves no edited WAV behind.
+    ds.write_wav(args.out, edited, pcm16=args.pcm16)
     print(json.dumps(metrics, indent=2, sort_keys=True))
     return 0
 
@@ -404,6 +405,8 @@ def cmd_train_toy(args) -> int:
                              seed, t=settings["samples"])
     if net_config.n_masks == 1:
         examples = [TrainExample(e.x, e.z, e.y) for e in examples]
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     result = train_toy(
         net, examples,
         steps=settings["steps"],
@@ -411,8 +414,6 @@ def cmd_train_toy(args) -> int:
         lr_decay=settings["lr_decay"],
         use_pit=settings["pit"],
     )
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     save_net(out_dir / "net.mxn", result.net)
     curve = out_dir / "loss_curve.csv"
     with open(curve, "w", encoding="utf-8") as fh:

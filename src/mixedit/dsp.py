@@ -19,8 +19,8 @@ from .seeding import derive_seed
 
 DEFAULT_RATE = 16000
 DEFAULT_DURATION_S = 5.0
-DEFAULT_WINDOW = 512
-DEFAULT_HOP = 128
+WINDOW = 512
+HOP = 128
 
 
 class EmptyClip(MixeditError):
@@ -29,6 +29,10 @@ class EmptyClip(MixeditError):
 
 class BadWindowConfig(MixeditError):
     pass
+
+
+class UnsupportedRate(MixeditError):
+    """A rate pair whose resampling plan is over ``_MAX_PLAN_TAPS``."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,6 +79,10 @@ def mean_square(clip: Clip | np.ndarray) -> float:
 # narrow enough that each group's input window stays close to the filter
 # span instead of growing with the whole resampling period.
 _GROUP = 64
+# Taps one resampling plan may hold (64 MiB of float64). A WAV header can
+# carry any rate, and a near-coprime pair's plan grows with the source
+# rate: 16001 Hz needs 2.45M taps, 999983 Hz 153M.
+_MAX_PLAN_TAPS = 2 ** 23
 
 
 @lru_cache(maxsize=32)
@@ -102,7 +110,9 @@ def _resample_plan(src: int, tgt: int) -> tuple[int, int, tuple]:
     into groups, so each window spans the filter plus about
     ``_GROUP * down / up`` inputs; for a near-coprime pair such as
     16001 -> 16000 the plan then holds under 4x the filter's taps
-    instead of a dense ``up * down`` matrix.
+    instead of a dense ``up * down`` matrix. A plan over
+    ``_MAX_PLAN_TAPS`` taps raises ``UnsupportedRate`` before any is
+    built.
     """
     g = math.gcd(src, tgt)
     up, down = tgt // g, src // g
@@ -120,12 +130,19 @@ def _resample_plan(src: int, tgt: int) -> tuple[int, int, tuple]:
     period, advance = k * up, k * down
     n_groups = -(-period // _GROUP)
     edges = [round(i * period / n_groups) for i in range(n_groups + 1)]
+    # Output j (j * down / up in input samples) reads input i through the
+    # filter at offset n = j * down - i * up, for |n| <= half: group
+    # outputs p0 .. p1 - 1 read inputs lo .. hi.
+    spans = [(p0, p1, -((half - p0 * down) // up),
+              (half + (p1 - 1) * down) // up)
+             for p0, p1 in zip(edges, edges[1:])]
+    size = sum((hi - lo + 1) * (p1 - p0) for p0, p1, lo, hi in spans)
+    if size > _MAX_PLAN_TAPS:
+        raise UnsupportedRate(
+            f"resampling {src} Hz to {tgt} Hz needs {size} filter taps, "
+            f"over the limit of {_MAX_PLAN_TAPS}")
     groups = []
-    for p0, p1 in zip(edges, edges[1:]):
-        # Output j (j * down / up in input samples) reads input i through
-        # the filter at offset n = j * down - i * up, for |n| <= half.
-        lo = -((half - p0 * down) // up)
-        hi = (half + (p1 - 1) * down) // up
+    for p0, p1, lo, hi in spans:
         n = np.arange(p0, p1) * down - np.arange(lo, hi + 1)[:, None] * up
         inside = np.abs(n) <= half
         m = n[inside]
@@ -192,61 +209,22 @@ def condition(clip: Clip, duration_s: float = DEFAULT_DURATION_S,
     return Clip(np.concatenate([clip.samples, np.zeros(target - n)]), clip.rate)
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrogram:
-    """Complex STFT frames, frequency bins by time frames."""
-
-    frames: np.ndarray  # (window//2 + 1, n_frames)
-    window: int
-    hop: int
-    rate: int
-    n_samples: int
-
-    def __post_init__(self):
-        if self.frames.shape[0] != self.window // 2 + 1:
-            raise ValueError("bin count must be window//2 + 1")
-        if self.frames.shape[1] < 1:
-            raise ValueError("need at least one frame")
-
-    @property
-    def n_bins(self) -> int:
-        return self.frames.shape[0]
-
-    @property
-    def n_frames(self) -> int:
-        return self.frames.shape[1]
-
-    def magnitudes(self) -> np.ndarray:
-        return np.abs(self.frames)
+# Periodic Hann; shifted squared copies sum to a constant for hop <= window/2.
+_HANN = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(WINDOW) / WINDOW)
+_HANN.setflags(write=False)
 
 
-def _check_window(window: int, hop: int):
-    if window <= 0 or hop <= 0:
-        raise BadWindowConfig("window and hop must be positive")
-    if window % hop != 0 or window // hop < 2:
-        raise BadWindowConfig(
-            f"hop {hop} must divide window {window} at least twice over "
-            "for the overlap-add scheme"
-        )
-
-
-def _hann(window: int) -> np.ndarray:
-    # Periodic Hann; shifted squared copies sum to a constant for hop <= window/2.
-    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(window) / window)
-
-
-def stft(clip: Clip, window: int = DEFAULT_WINDOW, hop: int = DEFAULT_HOP) -> Spectrogram:
-    """Hann-analysis STFT. The signal end is zero-padded to a whole frame."""
-    _check_window(window, hop)
-    x = clip.samples
-    n = len(x)
-    n_frames = max(1, math.ceil((n - window) / hop) + 1)
-    padded_len = (n_frames - 1) * hop + window
-    if padded_len > n:
-        x = np.concatenate([x, np.zeros(padded_len - n)])
-    frames = np.lib.stride_tricks.sliding_window_view(x, window)[::hop]
-    spec = np.fft.rfft(frames * _hann(window), axis=1).T
-    return Spectrogram(np.ascontiguousarray(spec), window, hop, clip.rate, n)
+def stft(clip: Clip) -> np.ndarray:
+    """Hann-analysis STFT of the clip centred in ``WINDOW // 2`` zeros at
+    each end: frame f is centred on sample ``f * HOP``. Returns the
+    ``(WINDOW // 2 + 1, ceil(len / HOP) + 1)`` complex matrix, frequency
+    bins by time frames."""
+    n = len(clip)
+    n_frames = -(-n // HOP) + 1
+    x = np.zeros((n_frames - 1) * HOP + WINDOW)
+    x[WINDOW // 2:WINDOW // 2 + n] = clip.samples
+    frames = np.lib.stride_tricks.sliding_window_view(x, WINDOW)[::HOP]
+    return np.ascontiguousarray(np.fft.rfft(frames * _HANN, axis=1).T)
 
 
 def overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
@@ -268,19 +246,16 @@ def overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
     return out
 
 
-def istft(spec: Spectrogram) -> Clip:
-    """Weighted overlap-add inverse; exact on the interior for any
-    hop that divides the window."""
-    w = _hann(spec.window)
-    frames_t = np.fft.irfft(spec.frames.T, n=spec.window, axis=1)
-    frames_t *= w
-    num = overlap_add(frames_t, spec.hop)
-    den = overlap_add(np.broadcast_to(w * w, frames_t.shape), spec.hop)
-    y = num / np.maximum(den, 1e-12)
-    y = y[:spec.n_samples]
-    if len(y) < spec.n_samples:
-        y = np.concatenate([y, np.zeros(spec.n_samples - len(y))])
-    return Clip(y, spec.rate)
+def istft(frames: np.ndarray, n_samples: int) -> np.ndarray:
+    """Weighted overlap-add inverse of ``stft`` for a clip of
+    ``n_samples``: exact at every sample, since the centring leaves each
+    one under a squared-window sum of at least 1.25."""
+    frames_t = np.fft.irfft(frames.T, n=WINDOW, axis=1)
+    frames_t *= _HANN
+    keep = slice(WINDOW // 2, WINDOW // 2 + n_samples)
+    num = overlap_add(frames_t, HOP)[keep]
+    den = overlap_add(np.broadcast_to(_HANN * _HANN, frames_t.shape), HOP)[keep]
+    return num / den
 
 
 def hz_to_mel(f):

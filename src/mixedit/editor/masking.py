@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -21,7 +21,7 @@ from ..core import (
     SimplifiedInstruction,
     SpeechDescriptor,
 )
-from ..dsp import Clip, Spectrogram, istft, mel_project, stft
+from ..dsp import Clip, istft, mel_project, stft
 from ..errors import MixeditError
 from ..mixer import target_mixture
 
@@ -61,21 +61,21 @@ class EditingMask:
         return self.values.shape
 
 
-# Spectrogram of each live clip; an entry goes when its clip is collected.
+# STFT frames of each live clip; an entry goes when its clip is collected.
 _SPECTRA: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _spectrum(clip: Clip) -> Spectrogram:
+def _spectrum(clip: Clip) -> np.ndarray:
     """``stft(clip)``, computed once per clip: ``ideal_mask`` and
     ``mask_edit`` analyse the same mixture. Clips are immutable and hash
     by identity, so a cached entry stays valid; its frames are read-only
     because every caller shares them."""
-    spec = _SPECTRA.get(clip)
-    if spec is None:
-        spec = stft(clip)
-        spec.frames.setflags(write=False)
-        _SPECTRA[clip] = spec
-    return spec
+    frames = _SPECTRA.get(clip)
+    if frames is None:
+        frames = stft(clip)
+        frames.setflags(write=False)
+        _SPECTRA[clip] = frames
+    return frames
 
 
 def oracle_edit(scaled_sources, actions) -> Clip:
@@ -96,8 +96,8 @@ def ideal_mask(mixture: Clip, target: Clip, kind: MaskKind = MaskKind.PSM,
     """
     if len(mixture) != len(target) or mixture.rate != target.rate:
         raise DimMismatch("mixture and target must be aligned")
-    x = _spectrum(mixture).frames
-    y = _spectrum(target).frames
+    x = _spectrum(mixture)
+    y = _spectrum(target)
     if kind is MaskKind.IRM:
         raw = np.abs(y) / np.maximum(np.abs(x), MASK_EPS)
     else:
@@ -107,13 +107,13 @@ def ideal_mask(mixture: Clip, target: Clip, kind: MaskKind = MaskKind.PSM,
 
 def mask_edit(mixture: Clip, mask: EditingMask) -> Clip:
     """Apply an editing mask to the mixture spectrogram and resynthesize."""
-    spec = _spectrum(mixture)
-    if mask.values.shape != spec.frames.shape:
+    frames = _spectrum(mixture)
+    if mask.values.shape != frames.shape:
         raise DimMismatch(
             f"mask shape {mask.values.shape} does not match "
-            f"spectrogram {spec.frames.shape}"
+            f"spectrogram {frames.shape}"
         )
-    return istft(replace(spec, frames=mask.values * spec.frames))
+    return Clip(istft(mask.values * frames, len(mixture)), mixture.rate)
 
 
 def _edit_tokens(action, desc):

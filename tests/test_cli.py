@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import mixedit
+from mixedit import cli
 from mixedit.cli import main
 from mixedit.dataset import build_demo_catalog, read_wav, write_wav
 from mixedit.dsp import Clip
@@ -521,8 +522,8 @@ def test_unreadable_input_path_exits_1(tone_catalog, capsys, command, error,
     ("edit", "--out"), ("edit", "--dump-mask"), ("edit", "--metrics-out"),
     ("generate", "--out"), ("train-toy", "--out-dir"), ("demo-catalog", "--out"),
 ])
-def test_unwritable_output_exits_1(tone_setup, catalog_dir, capsys, command,
-                                   option):
+def test_unwritable_output_exits_1(tone_setup, catalog_dir, capsys,
+                                   monkeypatch, command, option):
     tmp_path, paths, _, _ = tone_setup
     if command == "edit":  # a directory that does not exist
         path, error = tmp_path / "missing" / "out", "FileNotFoundError"
@@ -540,8 +541,14 @@ def test_unwritable_output_exits_1(tone_setup, catalog_dir, capsys, command,
         "train-toy": ["train-toy", "--config", str(config)],
         "demo-catalog": ["demo-catalog"],
     }[command]
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before checking --out-dir")
+
+    monkeypatch.setattr(cli, "train_toy", no_training)
     assert main([*argv, option, str(path)]) == 1
     assert f"error: {error}" in capsys.readouterr().err
+    if command == "edit" and option != "--out":
+        assert not (tmp_path / "edited.wav").exists()
 
 
 @pytest.mark.parametrize("sources,actions", [(["s1", "s2"], "1,x"),

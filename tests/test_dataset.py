@@ -499,6 +499,25 @@ def test_synthesize_keeps_a_bad_source_to_its_record(demo, tmp_path, make_bad):
         assert (out / f"{record.record_id:06d}_input.wav").exists()
 
 
+def test_synthesize_keeps_an_unsupported_rate_to_its_record(demo, tmp_path):
+    # A 2**31 - 1 Hz header: resampling it to 16 kHz would need ~3e11
+    # filter taps. Below 67,109 samples the output would be empty and no
+    # plan would be built.
+    records = generate_manifest(demo, partition(demo, seed=0), count=3,
+                                comp=Composition(2, 2), seed=7)
+    fmt = struct.pack("<HHIIHH", 1, 1, 2 ** 31 - 1, 0, 2, 16)
+    payload = np.full(67109, 1000, "<i2").tobytes()
+    body = b"WAVE" + _chunk(b"fmt ", fmt) + _chunk(b"data", payload)
+    bad = tmp_path / "fast.wav"
+    bad.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    records[1].sources[0].path = str(bad)
+    out = tmp_path / "out"
+    summary = synthesize(records, out, workers=1)
+    assert summary.succeeded == 2
+    assert [r for r, _ in summary.failures] == [records[1].record_id]
+    assert summary.failures[0][1].startswith("UnsupportedRate")
+
+
 # ---------------- rephrase client ----------------
 
 def test_rephrase_disabled_without_endpoint():

@@ -19,7 +19,16 @@ from mixedit.core import (
     StyleVector,
     validate_instruction,
 )
-from mixedit.dsp import Clip
+from mixedit.dataset import (
+    build_demo_catalog,
+    generate_manifest,
+    ingest,
+    load_manifest,
+    partition,
+    read_wav,
+    synthesize,
+)
+from mixedit.dsp import HOP, WINDOW, Clip, stft
 from mixedit.editor import (
     BadNetConfig,
     Diverged,
@@ -43,7 +52,7 @@ from mixedit.editor import masking
 from mixedit.editor.film import latent_frames, snr_loss_and_grad
 from mixedit.editor.masking import DimMismatch
 from mixedit.errors import MixeditError
-from mixedit.metrics import ZeroReference, edit_loss, snr
+from mixedit.metrics import ZeroReference, edit_loss, snr, snri
 from mixedit.mixer import mix, target_mixture
 from mixedit.prompt import simplify
 from mixedit.taskspace import Composition, defined_tasks, enumerate_edits
@@ -93,7 +102,7 @@ def test_ideal_mask_identity_target():
     x = tone(440)
     for kind in MaskKind:
         m = ideal_mask(x, x, kind).values
-        spec_mag = np.abs(__import__("mixedit.dsp", fromlist=["stft"]).stft(x).frames)
+        spec_mag = np.abs(stft(x))
         strong = spec_mag > 1e-3
         assert np.allclose(m[strong], 1.0, atol=1e-6)
 
@@ -104,7 +113,7 @@ def test_ideal_mask_zero_and_double_target():
     assert np.all(ideal_mask(x, zero, MaskKind.PSM).values == 0.0)
     doubled = Clip(2.0 * x.samples, RATE)
     m = ideal_mask(x, doubled, MaskKind.PSM).values
-    spec_mag = np.abs(__import__("mixedit.dsp", fromlist=["stft"]).stft(x).frames)
+    spec_mag = np.abs(stft(x))
     strong = spec_mag > 1e-3
     assert np.allclose(m[strong], 2.0, atol=1e-6)
 
@@ -117,12 +126,12 @@ def test_ideal_mask_clamps_to_range():
 
 def test_mask_edit_unity_and_half():
     x = Clip(np.random.default_rng(0).standard_normal(32000), RATE)
-    spec = __import__("mixedit.dsp", fromlist=["stft"]).stft(x)
-    ones = EditingMask(np.ones(spec.frames.shape))
+    shape = stft(x).shape
+    ones = EditingMask(np.ones(shape))
     out = mask_edit(x, ones)
     interior = slice(512, -512)
     assert np.abs(out.samples[interior] - x.samples[interior]).max() < 1e-6
-    half = EditingMask(np.full(spec.frames.shape, 0.5))
+    half = EditingMask(np.full(shape, 0.5))
     out = mask_edit(x, half)
     assert np.abs(out.samples[interior] - 0.5 * x.samples[interior]).max() < 1e-6
 
@@ -147,12 +156,17 @@ def test_psm_two_tone_extraction():
 def test_psm_mask_linearity_on_disjoint_sources():
     # With disjoint supports, the mask of a combined edit matches the
     # product of the single-edit masks bin by bin (inside the clamp).
+    # Only frames whose window lies wholly inside the clip count: the
+    # others straddle the tones' hard onset or offset.
     s1, s2 = tone(440, 80000), tone(2093, 80000)
     srcs = [s1, s2]
     x = mix(srcs)
-    stft = __import__("mixedit.dsp", fromlist=["stft"]).stft
-    mag = np.abs(stft(x).frames)
+    mag = np.abs(stft(x))
     strong = mag > 0.01 * mag.max()  # leakage-dominated bins excluded
+    first = WINDOW // 2 // HOP
+    last = (len(x) - WINDOW // 2) // HOP
+    strong[:, :first] = False
+    strong[:, last + 1:] = False
     m_up = ideal_mask(x, oracle_edit(srcs, [U, K]), MaskKind.PSM).values
     m_dn = ideal_mask(x, oracle_edit(srcs, [K, D]), MaskKind.PSM).values
     m_both = ideal_mask(x, oracle_edit(srcs, [U, D]), MaskKind.PSM).values
@@ -177,6 +191,7 @@ def test_irm_and_psm_edits_of_one_pair_take_two_stfts(monkeypatch):
 
 
 def test_spectrum_memo_drops_collected_clips():
+    gc.collect()  # clips that earlier tests left to the collector
     before = len(masking._SPECTRA)
     clip = tone(440)
     masking._spectrum(clip)
@@ -189,9 +204,26 @@ def test_spectrum_memo_drops_collected_clips():
 
 
 def test_spectrum_memo_frames_are_read_only():
-    spec = masking._spectrum(tone(440))
+    frames = masking._spectrum(tone(440))
     with pytest.raises(ValueError):
-        spec.frames[0, 0] = 1.0
+        frames[0, 0] = 1.0
+
+
+def test_ideal_masks_gain_on_every_record_of_a_synthesized_tree(
+        tmp_path_factory):
+    root = tmp_path_factory.mktemp("catalog")
+    build_demo_catalog(root, seed=0)
+    catalog = ingest(root)
+    records = generate_manifest(catalog, partition(catalog, seed=5),
+                                count=12, comp=Composition(2, 2), seed=5)
+    tree = tmp_path_factory.mktemp("tree")
+    assert synthesize(records, tree).ok
+    for record in load_manifest(tree / "manifest.jsonl"):
+        x = read_wav(tree / record.outputs["input"])
+        y = read_wav(tree / record.outputs["target"])
+        for kind in MaskKind:
+            gain = snri(x, mask_edit(x, ideal_mask(x, y, kind)), y)
+            assert gain.value > 0.0, (record.record_id, kind, gain.value)
 
 
 # ---------------- instruction embedding ----------------
