@@ -154,8 +154,7 @@ def _rephrase_records(records, config) -> int:
         except (ds.Disabled, ds.NetworkError, ds.MalformedResponse):
             return record, None
 
-    workers = max(1, config.max_concurrency)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=config.max_concurrency) as pool:
         results = list(pool.map(one, eligible))
     fallbacks = 0
     for record, text in results:
@@ -403,7 +402,7 @@ def cmd_train_toy(args) -> int:
     net = FilmMaskNet.init(net_config, seed=seed)
     examples = _toy_examples(settings["examples"], net_config.embed_dim,
                              seed, t=settings["samples"])
-    if net_config.n_masks == 1:
+    if not (settings["pit"] and net_config.n_masks > 1):
         examples = [TrainExample(e.x, e.z, e.y) for e in examples]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -412,7 +411,6 @@ def cmd_train_toy(args) -> int:
         steps=settings["steps"],
         lr=settings["lr"],
         lr_decay=settings["lr_decay"],
-        use_pit=settings["pit"],
     )
     save_net(out_dir / "net.mxn", result.net)
     curve = out_dir / "loss_curve.csv"

@@ -101,6 +101,12 @@ class SourceRef:
     gain: float | None = None  # filled during synthesis
 
 
+# Fields that callers format or compare by type; json.loads gives exactly
+# these types (a bool is not an int here).
+_FIELD_TYPES = {"record_id": int, "seed": int, "n_speech": int, "n_audio": int,
+                "task": str, "prompt": str, "actions": list}
+
+
 @dataclass
 class ManifestRecord:
     record_id: int
@@ -130,7 +136,15 @@ class ManifestRecord:
                     f"unsupported manifest schema {doc.get('schema')}"
                 )
             doc["sources"] = [SourceRef(**s) for s in doc["sources"]]
-            return cls(**doc)
+            record = cls(**doc)
+            for name, kind in _FIELD_TYPES.items():
+                value = getattr(record, name)
+                if type(value) is not kind:
+                    raise BadManifestLine(
+                        f"{name} must be {kind.__name__}, got {value!r}")
+            record.action_vector()
+            record.signatures()
+            return record
         except (ValueError, KeyError, TypeError, AttributeError,
                 RecursionError) as err:
             raise BadManifestLine(f"{type(err).__name__}: {err}") from err

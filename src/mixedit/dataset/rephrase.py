@@ -48,14 +48,15 @@ class RephraseConfig:
     timeout_s: float = 10.0
     wrapper: str = DEFAULT_WRAPPER
     api_key_env: str = "MIXEDIT_REPHRASE_API_KEY"
-    max_concurrency: int = 4  # honored by batch callers
+    max_concurrency: int = 4  # threads a batch caller may start, 1..32
 
     @classmethod
     def from_file(cls, path) -> "RephraseConfig":
         """Read a config; a key that is not a field, a value of the wrong
         JSON type, an endpoint that is not an http(s) URL, a timeout
-        outside (0, 86400] seconds or a wrapper with a field other than a
-        bare ``{n}`` raises BadRephraseConfig."""
+        outside (0, 86400] seconds, a ``max_concurrency`` outside 1..32
+        or a wrapper with a field other than a bare ``{n}`` raises
+        BadRephraseConfig."""
         defaults = {f.name: f.default for f in dataclasses.fields(cls)}
         config = cls(**read_json_config(path, defaults, BadRephraseConfig,
                                         nullable={"endpoint": ""}))
@@ -73,6 +74,12 @@ class RephraseConfig:
             raise BadRephraseConfig(
                 f"{path}: timeout_s must be in (0, 86400] seconds, "
                 f"got {config.timeout_s!r}")
+        # Batch callers start up to this many threads at once; 32 is the
+        # stdlib's own default cap for a thread pool.
+        if not 1 <= config.max_concurrency <= 32:
+            raise BadRephraseConfig(
+                f"{path}: max_concurrency must be in 1..32, "
+                f"got {config.max_concurrency!r}")
         # A format spec such as {n:>100000000} would allocate without bound.
         try:
             fields = [(name, spec, conversion) for _, name, spec, conversion

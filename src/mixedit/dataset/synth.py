@@ -8,6 +8,7 @@ worker or eight produces bit-identical output trees.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -218,6 +219,9 @@ def synthesize(records, out_dir, workers: int = 1,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     jobs = [(record, str(out), pcm16) for record in records]
+    # The pool starts every worker up front, so ask for no more than
+    # there are jobs and CPUs.
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers <= 1:
         results = [_synthesize_worker(job) for job in jobs]
     else:

@@ -142,7 +142,9 @@ class FilmMaskNet:
 
     def forward(self, x: np.ndarray, z: np.ndarray, dtype=np.float64) -> dict:
         """Run the net in ``dtype``; returns a cache consumed by
-        ``backward``, which needs the float64 default."""
+        ``backward``, which needs the float64 default. The cache holds
+        only what ``backward`` reads: the ReLU and clamp gates follow from
+        each block's ``h_out`` and from ``masks``."""
         cfg = self.config
         p = {key: val.astype(dtype, copy=False)
              for key, val in self.params.items()}
@@ -160,8 +162,7 @@ class FilmMaskNet:
         frames = np.lib.stride_tricks.sliding_window_view(x, k)[::s]
         h_x = p["enc.w"] @ frames.T  # (C, L)
 
-        cache = {"x": x, "z": z, "frames": frames, "h_x": h_x, "blocks": [],
-                 "L": n_frames}
+        cache = {"z": z, "frames": frames, "h_x": h_x, "blocks": []}
         h = h_x
         for i in range(cfg.blocks):
             a_f, gamma = self._mlp(p, f"block{i}.film.f", z)
@@ -173,32 +174,29 @@ class FilmMaskNet:
             h_tilde = padded[:, d:d + n_frames]
             np.multiply(gamma[:, None], h, out=h_tilde)
             h_tilde += beta[:, None]
-            pre = p[f"block{i}.conv.b"][:, None] + sum(
+            h_out = p[f"block{i}.conv.b"][:, None] + sum(
                 p[f"block{i}.conv.w"][:, :, j] @ padded[:, j * d:j * d + n_frames]
                 for j in range(3)
             )
-            h_out = np.maximum(pre, 0.0)
+            np.maximum(h_out, 0.0, out=h_out)
             cache["blocks"].append({
                 "h_in": h, "a_f": a_f, "gamma": gamma, "a_g": a_g,
                 "beta": beta, "padded": padded, "h_tilde": h_tilde,
-                "pre": pre, "h_out": h_out, "dilation": d,
+                "h_out": h_out,
             })
             h = h_out
 
-        m_pre = (p["head.w"] @ h + p["head.b"][:, None]).reshape(
+        masks = (p["head.w"] @ h + p["head.b"][:, None]).reshape(
             cfg.n_masks, cfg.channels, n_frames
         )
-        masks = np.clip(m_pre, 0.0, cfg.mask_max)
-        prods = masks * h_x[None, :, :]
+        np.clip(masks, 0.0, cfg.mask_max, out=masks)
         per_source = np.zeros((cfg.n_masks, n), dtype=dtype)
         for m in range(cfg.n_masks):
-            contrib = p["dec.w"].T @ prods[m]  # (K, L)
+            contrib = p["dec.w"].T @ (masks[m] * h_x)  # (K, L)
             y_full = overlap_add(contrib.T, s)  # <= n samples; tail stays 0
             per_source[m, :len(y_full)] = y_full
-        cache.update({
-            "h_last": h, "m_pre": m_pre, "masks": masks, "prods": prods,
-            "per_source": per_source, "y": per_source.sum(axis=0),
-        })
+        cache.update({"masks": masks, "per_source": per_source,
+                      "y": per_source.sum(axis=0)})
         return cache
 
     def edit(self, clip: Clip, z: np.ndarray) -> tuple[Clip, EditingMask]:
@@ -235,10 +233,10 @@ class FilmMaskNet:
         margins around the output gradient let tap j gather from the
         mirrored window at column (2-j)*d."""
         w = self.params[f"block{i}.conv.w"]
-        d, n = blk["dilation"], blk["pre"].shape[1]
+        d, n = 2 ** i, blk["h_out"].shape[1]
         grad_padded = np.zeros_like(blk["padded"])
         grad_pre = grad_padded[:, d:d + n]
-        np.multiply(grad_out, blk["pre"] > 0.0, out=grad_pre)
+        np.multiply(grad_out, blk["h_out"] > 0.0, out=grad_pre)
         grads[f"block{i}.conv.b"] += grad_pre.sum(axis=1)
         for j in range(3):
             grads[f"block{i}.conv.w"][:, :, j] += (
@@ -255,27 +253,27 @@ class FilmMaskNet:
         cfg = self.config
         p = self.params
         k, s = cfg.kernel, cfg.stride
-        n_frames = cache["L"]
+        masks, h_x = cache["masks"], cache["h_x"]
         grads = {key: np.zeros_like(val) for key, val in p.items()}
         grad_z = np.zeros(cfg.embed_dim)
 
-        grad_masks = np.zeros_like(cache["masks"])
-        grad_hx = np.zeros_like(cache["h_x"])
+        grad_masks = np.zeros_like(masks)
+        grad_hx = np.zeros_like(h_x)
         for m in range(cfg.n_masks):
             # The decoder's adjoint frames the gradient like the encoder;
             # a contiguous copy keeps the products below on BLAS.
             grad_contrib = np.ascontiguousarray(
                 np.lib.stride_tricks.sliding_window_view(
                     grad_sources[m], k)[::s].T)  # (K, L)
-            grads["dec.w"] += cache["prods"][m] @ grad_contrib.T
+            grads["dec.w"] += (masks[m] * h_x) @ grad_contrib.T
             grad_prod = p["dec.w"] @ grad_contrib
-            grad_masks[m] = grad_prod * cache["h_x"]
-            grad_hx += grad_prod * cache["masks"][m]
+            grad_masks[m] = grad_prod * h_x
+            grad_hx += grad_prod * masks[m]
 
-        on = (cache["m_pre"] > 0.0) & (cache["m_pre"] < cfg.mask_max)
+        on = (masks > 0.0) & (masks < cfg.mask_max)
         grad_mpre = (grad_masks * on).reshape(cfg.n_masks * cfg.channels,
-                                              n_frames)
-        grads["head.w"] += grad_mpre @ cache["h_last"].T
+                                              h_x.shape[1])
+        grads["head.w"] += grad_mpre @ cache["blocks"][-1]["h_out"].T
         grads["head.b"] += grad_mpre.sum(axis=1)
         grad_h = p["head.w"].T @ grad_mpre
 
@@ -311,8 +309,8 @@ def _snr_and_grad(est: np.ndarray, ref: np.ndarray):
 
 @dataclass(frozen=True)
 class TrainExample:
-    """One training tuple; refs are the per-source targets for the
-    multi-mask objective."""
+    """One training tuple; refs, when given, are the per-source targets
+    of the permutation-invariant term."""
 
     x: np.ndarray
     z: np.ndarray
@@ -320,10 +318,9 @@ class TrainExample:
     refs: tuple[np.ndarray, ...] | None = None
 
 
-def snr_loss_and_grad(net: FilmMaskNet, x, z, y,
-                      refs=None, use_pit: bool = False):
-    """Loss = -SNR(edit, target); with ``use_pit`` and per-source refs the
-    permutation-invariant per-source term is added. Returns
+def snr_loss_and_grad(net: FilmMaskNet, x, z, y, refs=None):
+    """Loss = -SNR(edit, target); given per-source ``refs``, one per mask,
+    the permutation-invariant per-source term is added. Returns
     (loss, grads dict including "z")."""
     cache = net.forward(np.asarray(x, dtype=np.float64),
                         np.asarray(z, dtype=np.float64))
@@ -334,8 +331,8 @@ def snr_loss_and_grad(net: FilmMaskNet, x, z, y,
     mix_snr, mix_grad = _snr_and_grad(cache["y"], y)
     loss = -mix_snr
     grad_sources = np.tile(-mix_grad, (n_masks, 1))
-    if use_pit:
-        if refs is None or len(refs) != n_masks:
+    if refs is not None:
+        if len(refs) != n_masks:
             raise ShapeMismatch("PIT needs one reference per mask")
         refs = [np.asarray(r, dtype=np.float64) for r in refs]
         ests = [cache["per_source"][m] for m in range(n_masks)]
@@ -357,7 +354,7 @@ class TrainResult:
 
 
 def train_toy(net: FilmMaskNet, examples, steps: int = 200, lr: float = 1e-3,
-              lr_decay: float = 1.0, use_pit: bool = False) -> TrainResult:
+              lr_decay: float = 1.0) -> TrainResult:
     """Plain full-batch gradient descent on the editing objective.
 
     The dB-scale loss has gradient norm growing as the error shrinks, so
@@ -375,10 +372,8 @@ def train_toy(net: FilmMaskNet, examples, steps: int = 200, lr: float = 1e-3,
         total = 0.0
         acc: dict[str, np.ndarray] | None = None
         for ex in examples:
-            loss, grads = snr_loss_and_grad(
-                trained, ex.x, ex.z, ex.y,
-                refs=ex.refs, use_pit=use_pit and ex.refs is not None,
-            )
+            loss, grads = snr_loss_and_grad(trained, ex.x, ex.z, ex.y,
+                                            refs=ex.refs)
             total += loss
             if acc is None:
                 acc = {k: v for k, v in grads.items() if k != "z"}

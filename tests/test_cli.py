@@ -471,7 +471,9 @@ def test_train_toy_bad_config_file_exits_1(tmp_path, capsys, text):
                                   '{"wrapper": "{n!r}"}',
                                   '{"wrapper": "{n.real}"}', '{"timeout_s": "x"}',
                                   '{"timeout_s": -1}',
-                                  '{"max_concurrency": "a"}'])
+                                  '{"max_concurrency": "a"}',
+                                  '{"max_concurrency": 0}',
+                                  '{"max_concurrency": 100000}'])
 def test_generate_bad_rephrase_config_exits_1(catalog_dir, tmp_path, capsys,
                                               text):
     config = tmp_path / "rephrase.json"
@@ -619,4 +621,17 @@ def test_eval_non_utf8_manifest_exits_1(tmp_path, capsys):
     manifest.write_bytes(b"\xff\xfe")
     assert main(["eval", "--est", str(est), "--ref", str(ref),
                  "--input", str(inp), "--per-task", str(manifest)]) == 1
+    assert "error: BadManifestLine" in capsys.readouterr().err
+
+
+def test_eval_mistyped_manifest_field_exits_1(catalog_dir, tmp_path, capsys):
+    data = tmp_path / "data"
+    assert main(["generate", "--catalog", str(catalog_dir), "--out", str(data),
+                 "--count", "1"]) == 0
+    record = json.loads((data / "manifest.jsonl").read_text())
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text(json.dumps({**record, "record_id": "x"}) + "\n")
+    inp = data / record["outputs"]["input"]
+    assert main(["eval", "--est", str(inp.parent), "--ref", str(inp.parent),
+                 "--input", str(inp.parent), "--per-task", str(manifest)]) == 1
     assert "error: BadManifestLine" in capsys.readouterr().err

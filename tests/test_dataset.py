@@ -34,6 +34,7 @@ from mixedit.dataset import (
     write_manifest,
     write_wav,
 )
+from mixedit.dataset import synth
 from mixedit.dataset.catalog import _allocate
 from mixedit.dataset.manifest import ManifestRecord, simplified_from_json
 from mixedit.dsp import Clip
@@ -422,6 +423,35 @@ def test_synthesize_worker_counts_agree(demo, tmp_path):
     s2 = synthesize(records2, out2, workers=2)
     assert s1.ok and s2.ok
     assert _tree_digest(out1) == _tree_digest(out2)
+
+
+@pytest.mark.parametrize("workers,count,expected", [(10000, 3, 3),
+                                                     (10000, 8, 4), (2, 8, 2)])
+def test_synthesize_asks_for_no_more_workers_than_jobs_and_cpus(
+        demo, tmp_path, monkeypatch, workers, count, expected):
+    # The pool forks every worker up front; a recorder stands in for it so
+    # no process starts.
+    asked = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(synth, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(synth.os, "cpu_count", lambda: 4)
+    records = generate_manifest(demo, partition(demo, seed=0), count=count,
+                                comp=Composition(1, 1), seed=5)
+    assert synthesize(records, tmp_path, workers=workers).ok
+    assert asked == [expected]
 
 
 def test_synthesized_mixture_replays_from_record(demo, tmp_path):

@@ -382,11 +382,11 @@ def test_multimask_sum_equals_combined_mask_path():
     assert np.allclose(summed, cache["y"], atol=1e-12)
     # decoding the summed mask directly gives the same waveform (linear decoder)
     combined = (cache["masks"].sum(axis=0)) * cache["h_x"]
-    k, s = cfg.kernel, cfg.stride
-    y_full = np.zeros((cache["L"] - 1) * s + k)
+    k, s, n_frames = cfg.kernel, cfg.stride, cache["h_x"].shape[1]
+    y_full = np.zeros((n_frames - 1) * s + k)
     contrib = net.params["dec.w"].T @ combined
     for kk in range(k):
-        y_full[kk:kk + (cache["L"] - 1) * s + 1:s] += contrib[kk]
+        y_full[kk:kk + (n_frames - 1) * s + 1:s] += contrib[kk]
     assert np.allclose(y_full[:len(x)], cache["y"], atol=1e-9)
 
 
@@ -416,6 +416,33 @@ def test_film_edit_saturated_mask_within_bound(mask_max, n_masks):
     assert np.all(np.isfinite(est.samples))
 
 
+def test_saturated_mask_head_gets_zero_gradient():
+    # Every bin sits at the clamp, where the subgradient is taken as zero.
+    cfg = MaskNetConfig(channels=8, kernel=16, blocks=2, embed_dim=8, n_masks=2)
+    net = FilmMaskNet.init(cfg, seed=1)
+    net.params["head.b"] = np.full_like(net.params["head.b"], 10.0)
+    x, z, y = toy_data()
+    assert np.all(net.forward(x, z)["masks"] == cfg.mask_max)
+    _, grads = snr_loss_and_grad(net, x, z, y)
+    assert np.all(grads["head.w"] == 0.0) and np.all(grads["head.b"] == 0.0)
+    assert np.any(grads["dec.w"] != 0.0)
+
+
+def test_film_edit_peak_memory():
+    # edit runs the float32 forward, whose cache keeps nothing that
+    # backward can rebuild from the rest.
+    net = FilmMaskNet.init(MaskNetConfig(), seed=2)
+    x = Clip(np.random.default_rng(3).standard_normal(5 * RATE) * 0.1, RATE)
+    z = unit_vec(net.config.embed_dim, seed=4)
+    tracemalloc.start()
+    try:
+        net.edit(x, z)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
+
+
 def test_pit_loss_invariant_to_reference_order():
     cfg = MaskNetConfig(channels=8, kernel=16, blocks=2, embed_dim=8, n_masks=2)
     net = FilmMaskNet.init(cfg, seed=1)
@@ -426,9 +453,17 @@ def test_pit_loss_invariant_to_reference_order():
     r1 = 0.4 * x + 0.05 * rng.standard_normal(t)
     r2 = 0.2 * x + 0.05 * rng.standard_normal(t)
     y = r1 + r2
-    a, _ = snr_loss_and_grad(net, x, z, y, refs=(r1, r2), use_pit=True)
-    b, _ = snr_loss_and_grad(net, x, z, y, refs=(r2, r1), use_pit=True)
+    a, _ = snr_loss_and_grad(net, x, z, y, refs=(r1, r2))
+    b, _ = snr_loss_and_grad(net, x, z, y, refs=(r2, r1))
     assert a == pytest.approx(b, abs=1e-9)
+
+
+def test_loss_without_refs_is_the_mixture_snr():
+    cfg = MaskNetConfig(channels=8, kernel=16, blocks=2, embed_dim=8, n_masks=2)
+    net = FilmMaskNet.init(cfg, seed=1)
+    x, z, y = toy_data()
+    loss, _ = snr_loss_and_grad(net, x, z, y)
+    assert loss == -snr(net.forward(x, z)["y"], y).value
 
 
 def test_train_toy_reduces_loss_and_keeps_input_frozen():
@@ -542,8 +577,9 @@ def test_film_decoder_equals_per_tap_loop_bit_for_bit():
     x = np.random.default_rng(5).standard_normal(1003) * 0.3  # ragged tail
     cache = net.forward(x, unit_vec(8, seed=6))
     for m in range(cfg.n_masks):
+        prods = cache["masks"][m] * cache["h_x"]
         assert np.array_equal(cache["per_source"][m],
-                              _decode_per_tap(net, cache["prods"][m], len(x)))
+                              _decode_per_tap(net, prods, len(x)))
 
 
 def test_film_decoder_gradient_equals_per_tap_framing_bit_for_bit():
@@ -553,13 +589,13 @@ def test_film_decoder_gradient_equals_per_tap_framing_bit_for_bit():
     x = rng.standard_normal(1003) * 0.3
     cache = net.forward(x, unit_vec(8, seed=6))
     g = rng.standard_normal((2, len(x)))
-    k, s, n_frames = cfg.kernel, cfg.stride, cache["L"]
+    k, s, n_frames = cfg.kernel, cfg.stride, cache["h_x"].shape[1]
     expected = np.zeros_like(net.params["dec.w"])
     for m in range(2):
         framed = np.empty((k, n_frames))
         for kk in range(k):
             framed[kk] = g[m][kk:kk + (n_frames - 1) * s + 1:s]
-        expected += cache["prods"][m] @ framed.T
+        expected += (cache["masks"][m] * cache["h_x"]) @ framed.T
     assert np.array_equal(net.backward(cache, g)["dec.w"], expected)
 
 
@@ -587,10 +623,10 @@ def test_dilated_conv_and_adjoint_equal_shifted_copies_bit_for_bit(cfg, n):
     rng = np.random.default_rng(8)
     cache = net.forward(rng.standard_normal(n) * 0.3, unit_vec(8, seed=6))
     for i, blk in enumerate(cache["blocks"]):
-        w, d = net.params[f"block{i}.conv.w"], blk["dilation"]
+        w, d = net.params[f"block{i}.conv.w"], 2 ** i
         pre = net.params[f"block{i}.conv.b"][:, None] + sum(
             w[:, :, j] @ _shift(blk["h_tilde"], (j - 1) * d) for j in range(3))
-        assert np.array_equal(blk["pre"], pre)
+        assert np.array_equal(blk["h_out"], np.maximum(pre, 0.0))
         grad_out = rng.standard_normal(pre.shape)
         grad_pre = grad_out * (pre > 0.0)
         grad_w = np.zeros_like(w)
@@ -614,7 +650,7 @@ def test_pit_training_loss_is_metrics_edit_loss():
     r1 = 0.4 * x + 0.05 * rng.standard_normal(800)
     r2 = 0.2 * x + 0.05 * rng.standard_normal(800)
     y = r1 + r2
-    loss, _ = snr_loss_and_grad(net, x, z, y, refs=(r1, r2), use_pit=True)
+    loss, _ = snr_loss_and_grad(net, x, z, y, refs=(r1, r2))
     cache = net.forward(x, z)
     assert loss == edit_loss(list(cache["per_source"]), [r1, r2],
                              cache["y"], y)

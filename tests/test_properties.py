@@ -156,9 +156,13 @@ def mutated_records(draw):
 @given(st.one_of(st.text(), json_values.map(json.dumps), mutated_records()))
 def test_any_manifest_line_loads_or_raises_typed(line):
     try:
-        ManifestRecord.from_json(line)
+        record = ManifestRecord.from_json(line)
     except MixeditError:
-        pass
+        return
+    # A loaded record serves what eval and the batch callers read of it.
+    f"{record.record_id:06d}"
+    record.action_vector()
+    record.signatures()
 
 
 @functools.cache
@@ -378,6 +382,7 @@ def test_any_rephrase_config_loads_or_raises_typed(doc):
     # hold and the endpoint is an http(s) URL or absent.
     config.wrapper.format(n=config.n)
     assert type(config.n) is int and type(config.max_concurrency) is int
+    assert 1 <= config.max_concurrency <= 32
     assert isinstance(config.api_key_env, str)
     assert 0 < config.timeout_s <= 86400
     assert config.endpoint is None or urlsplit(
