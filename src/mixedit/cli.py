@@ -383,7 +383,8 @@ _TOY_DEFAULTS = {
 def _read_toy_config(path, seed: int) -> tuple[dict, dict]:
     """The config file as written and the full settings it stands for;
     raises BadConfigFile for an unknown key, a value of the wrong type, a
-    negative seed, or no examples or steps."""
+    negative seed, no examples or steps, or PIT over more masks than the
+    toy set has sources."""
     settings = {f.name: f.default for f in dataclasses.fields(MaskNetConfig)}
     settings.update(_TOY_DEFAULTS, seed=seed)
     config = read_json_config(path, settings, BadConfigFile,
@@ -391,6 +392,10 @@ def _read_toy_config(path, seed: int) -> tuple[dict, dict]:
     settings.update(config)
     if settings["seed"] < 0 or settings["examples"] < 1 or settings["steps"] < 1:
         raise BadConfigFile(f"{path}: need seed >= 0, examples >= 1, steps >= 1")
+    # Each toy example mixes two tones: PIT has two references to match.
+    if settings["pit"] and settings["n_masks"] > 2:
+        raise BadConfigFile(f"{path}: pit needs n_masks <= 2, one mask per "
+                            "toy tone")
     return config, settings
 
 

@@ -109,7 +109,7 @@ def pit_snr(est_sources, ref_sources) -> tuple[tuple[int, ...], MetricValue]:
     if n == 0:
         raise CountMismatch("no sources given")
     if n > 8:
-        raise ValueError("permutation search is limited to 8 sources")
+        raise CountMismatch("permutation search is limited to 8 sources")
     # Pairwise table first; n! lookups afterwards.
     table = [[snr(ests[j], refs[i]) for j in range(n)] for i in range(n)]
     best_perm = None

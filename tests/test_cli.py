@@ -462,6 +462,19 @@ def test_train_toy_bad_config_file_exits_1(tmp_path, capsys, text):
     assert "error: BadConfigFile" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n_masks", [3, 4])
+def test_train_toy_pit_with_more_masks_than_toy_tones_exits_1(
+        tmp_path, capsys, n_masks):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"pit": True, "n_masks": n_masks,
+                                  "steps": 1, "samples": 400}))
+    out_dir = tmp_path / "run"
+    assert main(["train-toy", "--config", str(config),
+                 "--out-dir", str(out_dir)]) == 1
+    assert "error: BadConfigFile" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("text", ['{"endpoint":', '{"endpointz": null}',
                                   "[1, 2]", '{"endpoint": "not a url"}',
                                   '{"endpoint": "ftp://127.0.0.1/x"}',

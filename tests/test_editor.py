@@ -515,6 +515,92 @@ def test_train_toy_diverges_cleanly():
         train_toy(net, [TrainExample(x, z, y)], steps=5, lr=1e-3)
 
 
+def test_train_toy_stops_on_a_non_finite_gradient(monkeypatch):
+    # The loss stays finite; only the second step's gradient overflows.
+    backward = FilmMaskNet.backward
+    calls = []
+
+    def overflowing(self, cache, grad_sources):
+        grads = backward(self, cache, grad_sources)
+        calls.append(1)
+        if len(calls) == 2:
+            grads["head.b"][3] = np.inf
+        return grads
+
+    monkeypatch.setattr(FilmMaskNet, "backward", overflowing)
+    net = FilmMaskNet.init(TOY, seed=0)
+    before = {k: v.copy() for k, v in net.params.items()}
+    x, z, y = toy_data()
+    with pytest.raises(Diverged, match="gradient became non-finite at step 1"):
+        train_toy(net, [TrainExample(x, z, y)], steps=3, lr=1e-3)
+    for key, val in before.items():
+        assert np.array_equal(net.params[key], val)
+
+
+@pytest.mark.parametrize("n_masks", [1, 2])
+def test_backward_on_a_float32_cache_gives_float32_gradients(n_masks):
+    # A float64 grad_sources must not upcast the pass, whether the net's
+    # params are float64 (cast per call) or float32.
+    cfg = MaskNetConfig(channels=8, kernel=16, blocks=2, embed_dim=8,
+                        n_masks=n_masks)
+    net = FilmMaskNet.init(cfg, seed=2)
+    net32 = FilmMaskNet(cfg, {k: v.astype(np.float32)
+                              for k, v in net.params.items()})
+    x, z, _ = toy_data()
+    g = np.random.default_rng(4).standard_normal((n_masks, len(x)))
+    for cache, owner in ((net.forward(x, z, dtype=np.float32), net),
+                         (net32.forward(x, z), net32)):
+        assert cache["h_x"].dtype == np.float32
+        grads = owner.backward(cache, g)
+        assert set(grads) == set(net.params) | {"z"}
+        assert {v.dtype for v in grads.values()} == {np.dtype(np.float32)}
+        # grad_sources is cast on entry: no float64 intermediate anywhere.
+        same = owner.backward(cache, g.astype(np.float32))
+        assert all(np.array_equal(grads[k], same[k]) for k in grads)
+
+
+def test_train_toy_computes_in_float32_and_keeps_float64_masters(
+        monkeypatch):
+    backward = FilmMaskNet.backward
+    seen = []
+
+    def recording(self, cache, grad_sources):
+        seen.append(cache["h_x"].dtype)
+        return backward(self, cache, grad_sources)
+
+    monkeypatch.setattr(FilmMaskNet, "backward", recording)
+    x, z, y = toy_data()
+    net = FilmMaskNet.init(TOY, seed=0)
+    net32 = FilmMaskNet(TOY, {k: v.astype(np.float32)
+                              for k, v in net.params.items()})
+    for start in (net, net32):
+        result = train_toy(start, [TrainExample(x, z, y)], steps=2, lr=1e-3)
+        assert {v.dtype for v in result.net.params.values()} == {
+            np.dtype(np.float64)}
+    assert seen == [np.dtype(np.float32)] * 4
+
+
+def test_float32_training_tracks_float64_over_25_steps():
+    # Reference: train_toy's update with every pass in float64. Tolerance
+    # 1e-5 dB per step, at the default config on a 5-s example; the
+    # largest difference measured is 1e-6 dB. Longer runs drift apart.
+    cfg = MaskNetConfig()
+    rng = np.random.default_rng(9)
+    n, lr = 5 * RATE, 1e-3
+    s1, s2 = tone(440, n).samples, tone(1320, n, amp=0.2, phase=1.0).samples
+    x = s1 + s2 + 0.01 * rng.standard_normal(n)
+    y = 2.0 * s1
+    z = unit_vec(cfg.embed_dim, seed=1)
+    net = FilmMaskNet.init(cfg, seed=3)
+    result = train_toy(net, [TrainExample(x, z, y)], steps=25, lr=lr)
+    ref = FilmMaskNet(cfg, {k: v.copy() for k, v in net.params.items()})
+    for step, loss in enumerate(result.losses):
+        ref_loss, grads = snr_loss_and_grad(ref, x, z, y)
+        assert abs(loss - ref_loss) <= 1e-5, f"step {step}"
+        for key, val in ref.params.items():
+            val -= lr * grads[key]
+
+
 # ---------------- serialization and export ----------------
 
 def test_net_serialization_round_trip(tmp_path):
@@ -636,8 +722,9 @@ def test_dilated_conv_and_adjoint_equal_shifted_copies_bit_for_bit(cfg, n):
             grad_w[:, :, j] += grad_pre @ _shift(blk["h_tilde"], off).T
             grad_htilde += w[:, :, j].T @ _shift(grad_pre, -off)
         grads = {k: np.zeros_like(v) for k, v in net.params.items()}
-        assert np.array_equal(net._conv_backward(i, blk, grad_out, grads),
-                              grad_htilde)
+        assert np.array_equal(
+            net._conv_backward(net.params, i, blk, grad_out, grads),
+            grad_htilde)
         assert np.array_equal(grads[f"block{i}.conv.w"], grad_w)
         assert np.array_equal(grads[f"block{i}.conv.b"], grad_pre.sum(axis=1))
 

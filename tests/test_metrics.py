@@ -137,7 +137,7 @@ def test_pit_beats_identity_assignment():
 def test_pit_count_mismatch():
     with pytest.raises(CountMismatch):
         pit_snr([noise()], [noise(), noise()])
-    with pytest.raises(ValueError):
+    with pytest.raises(CountMismatch):
         pit_snr([noise(100, i) for i in range(9)],
                 [noise(100, i + 20) for i in range(9)])
 
