@@ -429,18 +429,67 @@ def test_saturated_mask_head_gets_zero_gradient():
 
 
 def test_film_edit_peak_memory():
-    # edit runs the float32 forward, whose cache keeps nothing that
-    # backward can rebuild from the rest.
-    net = FilmMaskNet.init(MaskNetConfig(), seed=2)
+    # edit runs forward without the backward cache: the blocks share one
+    # zero-margined buffer and one h_out buffer.
     x = Clip(np.random.default_rng(3).standard_normal(5 * RATE) * 0.1, RATE)
-    z = unit_vec(net.config.embed_dim, seed=4)
-    tracemalloc.start()
-    try:
-        net.edit(x, z)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 40 * 2**20
+    for n_masks, limit_mib in ((1, 24), (2, 26)):
+        net = FilmMaskNet.init(MaskNetConfig(n_masks=n_masks), seed=2)
+        z = unit_vec(net.config.embed_dim, seed=4)
+        tracemalloc.start()
+        try:
+            net.edit(x, z)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mib * 2**20, n_masks
+
+
+WIDE = MaskNetConfig(channels=8, kernel=4, blocks=6, embed_dim=8, n_masks=2)
+
+
+@pytest.mark.parametrize("cfg,n", [
+    (MaskNetConfig(), 5 * RATE),
+    (MaskNetConfig(n_masks=2), 5 * RATE),
+    (WIDE, 4000),
+    # L = 4 frames against a widest margin of 2**5 columns: the outer
+    # taps of the later blocks read nothing but the shared margins.
+    (WIDE, WIDE.kernel + 3 * WIDE.stride),
+])
+def test_film_edit_equals_cached_float32_forward_bit_for_bit(cfg, n):
+    net = FilmMaskNet.init(cfg, seed=2)
+    x = np.random.default_rng(3).standard_normal(n) * 0.1
+    z = unit_vec(cfg.embed_dim, seed=4)
+    est, mask = net.edit(Clip(x, RATE), z)
+    cache = net.forward(x, z, dtype=np.float32)
+    max_gain = cfg.mask_max * cfg.n_masks
+    expected = np.clip(cache["masks"].sum(axis=0, dtype=np.float64),
+                       0.0, max_gain)
+    assert np.array_equal(est.samples, cache["y"])
+    assert np.array_equal(mask.values, expected)
+
+
+def test_edit_and_training_run_forward_with_and_without_the_cache(
+        monkeypatch):
+    # Benchmark tracing times FilmMaskNet.forward, so edit must call it.
+    forward = FilmMaskNet.forward
+    calls = []
+
+    def spy(self, *args, **kwargs):
+        out = forward(self, *args, **kwargs)
+        calls.append((kwargs.get("keep_cache", True), set(out)))
+        return out
+
+    monkeypatch.setattr(FilmMaskNet, "forward", spy)
+    net = FilmMaskNet.init(TOY, seed=0)
+    x, z, y = toy_data()
+    net.edit(Clip(x, RATE), z)
+    assert calls == [(False, {"masks", "per_source", "y"})]
+    snr_loss_and_grad(net, x, z, y)
+    net.forward(x, z)
+    for keep, keys in calls[1:]:
+        assert keep
+        assert {"blocks", "frames", "h_x", "masks", "y"} <= keys
+    assert len(calls) == 3
 
 
 def test_pit_loss_invariant_to_reference_order():
@@ -513,6 +562,12 @@ def test_train_toy_diverges_cleanly():
     x, z, y = toy_data()
     with pytest.raises(Diverged):
         train_toy(net, [TrainExample(x, z, y)], steps=5, lr=1e-3)
+
+
+def test_train_toy_rejects_an_empty_example_list():
+    net = FilmMaskNet.init(MaskNetConfig(channels=8, blocks=1, embed_dim=4))
+    with pytest.raises(ShapeMismatch, match="at least one training example"):
+        train_toy(net, [], steps=1)
 
 
 def test_train_toy_stops_on_a_non_finite_gradient(monkeypatch):
