@@ -168,41 +168,34 @@ def _rephrase_records(records, config) -> int:
 
 # ---------------- edit ----------------
 
-def _signatures_from_catalog(paths, catalog):
-    sigs = []
-    by_path = {str(e.path): e for e in catalog.entries}
-    for p in paths:
-        resolved = str(Path(p).resolve())
-        entry = by_path.get(resolved)
-        if entry is None:
-            raise MixeditError(
-                f"source {p} not found in the catalog; signatures unknown"
-            )
-        sigs.append(entry.signature)
-    return sigs
-
-
 def _instruction(args, sources, catalog):
-    """The edit's actions and its simplified instruction; the latter is
-    None for --actions without both --catalog and --sources."""
-    if args.actions:
-        actions = args.actions
-        if sources and len(actions) != len(sources):
-            raise UsageError("one action per source required")
-        if not (catalog and sources):
-            return actions, None
-        if len(sources) == 1:
-            raise UsageError("an instruction needs at least two sources")
-        sigs = _signatures_from_catalog(args.sources, catalog)
-        instruction = validate_instruction(list(zip(actions, sigs)))
-        return actions, simplify(instruction, seed=args.seed)
-    if catalog is None:
-        raise UsageError("--prompt needs --catalog for the label set")
-    simplified = parse(args.prompt, catalog.labels)
-    if not sources:
-        raise UsageError("--prompt editing needs --sources to resolve targets")
-    sigs = _signatures_from_catalog(args.sources, catalog)
-    return expand(simplified, sigs), simplified
+    """The edit's actions and its simplified instruction, each None when
+    the options do not give it: --prompt gives actions only with
+    --sources, --actions an instruction only with --catalog and
+    --sources. A bad prompt raises before any source is looked up."""
+    actions, simplified = args.actions, None
+    if args.prompt is not None:
+        if catalog is None:
+            raise UsageError("--prompt needs --catalog for the label set")
+        simplified = parse(args.prompt, catalog.labels)
+    elif sources and len(actions) != len(sources):
+        raise UsageError("one action per source required")
+    if not (catalog and sources):
+        return actions, simplified
+    if simplified is None and len(sources) == 1:
+        raise UsageError("an instruction needs at least two sources")
+    by_path = {str(e.path): e.signature for e in catalog.entries}
+    sigs = []
+    for p in args.sources:
+        sig = by_path.get(str(Path(p).resolve()))
+        if sig is None:
+            raise MixeditError(
+                f"source {p} not found in the catalog; signatures unknown")
+        sigs.append(sig)
+    if simplified is not None:
+        return expand(simplified, sigs), simplified
+    instruction = validate_instruction(list(zip(actions, sigs)))
+    return actions, simplify(instruction, seed=args.seed)
 
 
 def cmd_edit(args) -> int:
@@ -211,30 +204,29 @@ def cmd_edit(args) -> int:
     catalog = ds.ingest(args.catalog) if args.catalog else None
     actions, simplified = _instruction(args, sources, catalog)
 
+    target = mask = None
     if sources:
         total = mix(sources)
-        if len(total) != len(mixture) or not np.allclose(
-                total.samples, mixture.samples, atol=1e-6):
+        if (total.rate != mixture.rate or len(total) != len(mixture)
+                or not np.allclose(total.samples, mixture.samples, atol=1e-6)):
             raise UsageError("sources do not sum to the mixture")
-    elif args.editor != "film":
-        raise UsageError(f"--editor {args.editor} needs --sources")
-
-    # The oracle editor's output is the target itself.
-    target = edited = target_mixture(sources, actions) if sources else None
-    mask = None
-    if args.editor in ("psm", "irm"):
-        kind = MaskKind.PSM if args.editor == "psm" else MaskKind.IRM
-        mask = ideal_mask(mixture, target, kind)
-        edited = mask_edit(mixture, mask)
-    elif args.editor == "film":
+        target = target_mixture(sources, actions)
+    if args.editor == "film":
         if not args.model:
             raise UsageError("--editor film needs --model")
         if simplified is None:
             raise UsageError("--editor film needs --prompt, or --actions "
-                             "with --catalog")
+                             "with --catalog and --sources")
         net = load_net(args.model)
         z = embed_instruction(simplified, dim=net.config.embed_dim)
         edited, mask = net.edit(mixture, z)
+    elif target is None:
+        raise UsageError(f"--editor {args.editor} needs --sources")
+    elif args.editor == "oracle":
+        edited = target
+    else:
+        mask = ideal_mask(mixture, target, MaskKind(args.editor))
+        edited = mask_edit(mixture, mask)
 
     metrics = {"editor": args.editor, "output": str(args.out),
                "seed": args.seed}
@@ -496,7 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ref", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--per-task", dest="per_task", default=None,
-                   help="manifest for per-task grouping")
+                   help="manifest for per-task grouping of estimate "
+                        "files named {record_id:06d}.wav")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_eval)
 

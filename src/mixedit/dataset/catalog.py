@@ -25,7 +25,7 @@ from ..core import (
     StyleVector,
     normalize_label,
 )
-from ..dsp import DEFAULT_RATE
+from ..dsp import DEFAULT_RATE, Clip
 from ..errors import MixeditError
 from ..seeding import derive_seed
 
@@ -73,7 +73,6 @@ class CatalogEntry:
 
 @dataclass
 class Catalog:
-    root: Path
     entries: tuple[CatalogEntry, ...]
     skipped_labels: tuple[str, ...] = ()
 
@@ -174,7 +173,7 @@ def ingest(root, metadata=None) -> Catalog:
         seen_ids.add(entry_id)
     if not entries:
         raise EmptyCatalog(f"no usable entries in {metadata_path}")
-    return Catalog(root, tuple(entries), tuple(skipped))
+    return Catalog(tuple(entries), tuple(skipped))
 
 
 @dataclass(frozen=True)
@@ -334,7 +333,6 @@ def build_demo_catalog(out_dir, seed: int = 0,
     exercises both cropping and padding.
     """
     from .synth import write_wav  # local import to avoid a cycle
-    from ..dsp import Clip
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

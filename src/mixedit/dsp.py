@@ -57,10 +57,6 @@ class Clip:
     def __len__(self) -> int:
         return len(self.samples)
 
-    @property
-    def duration(self) -> float:
-        return len(self.samples) / self.rate
-
 
 def as_samples(x: Clip | np.ndarray) -> np.ndarray:
     """A clip's samples, or an array-like as float64."""

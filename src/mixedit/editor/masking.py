@@ -87,12 +87,12 @@ def oracle_edit(scaled_sources, actions) -> Clip:
     return target_mixture(scaled_sources, actions)
 
 
-def ideal_mask(mixture: Clip, target: Clip, kind: MaskKind = MaskKind.PSM,
-               m_max: float = DEFAULT_MASK_MAX) -> EditingMask:
+def ideal_mask(mixture: Clip, target: Clip,
+               kind: MaskKind = MaskKind.PSM) -> EditingMask:
     """Oracle editing mask computed from the mixture and its target.
 
     IRM: |Y| / max(|X|, eps). PSM: Re(Y * conj(X)) / max(|X|^2, eps),
-    which accounts for phase. Both are clamped to [0, m_max].
+    which accounts for phase. Both are clamped to [0, DEFAULT_MASK_MAX].
     """
     if len(mixture) != len(target) or mixture.rate != target.rate:
         raise DimMismatch("mixture and target must be aligned")
@@ -102,7 +102,7 @@ def ideal_mask(mixture: Clip, target: Clip, kind: MaskKind = MaskKind.PSM,
         raw = np.abs(y) / np.maximum(np.abs(x), MASK_EPS)
     else:
         raw = (y * np.conj(x)).real / np.maximum(np.abs(x) ** 2, MASK_EPS)
-    return EditingMask(np.clip(raw, 0.0, m_max), m_max)
+    return EditingMask(np.clip(raw, 0.0, DEFAULT_MASK_MAX))
 
 
 def mask_edit(mixture: Clip, mask: EditingMask) -> Clip:

@@ -388,23 +388,22 @@ def parse(text: str, labels) -> SimplifiedInstruction:
     # Clause boundaries: a segment after ', ' opens a new clause only when
     # it starts with a verb phrase; anything else (e.g. the tail of an
     # attribute list) continues the previous clause.
-    segments = body.split(", ")
-    clauses: list[str] = []
-    for seg in segments:
+    clauses: list[list] = []  # [clause, verb match of its first segment]
+    for seg in body.split(", "):
         candidate = seg[4:] if seg.startswith("and ") else seg
-        if _match_verb(candidate, lex) is not None or not clauses:
-            clauses.append(candidate)
+        matched = _match_verb(candidate, lex)
+        if matched is not None or not clauses:
+            clauses.append([candidate, matched])
         else:
-            clauses[-1] += ", " + seg
+            clauses[-1][0] += ", " + seg
 
     edits = []
     seen: set[Descriptor] = set()
-    for clause in clauses:
+    for clause, matched in clauses:
         # The clause comes from whitespace-collapsed text: let any run of
         # whitespace in the original stand for each space.
         found = re.search(r"\s+".join(map(re.escape, clause.split())), lowered)
         span = found.span() if found else None
-        matched = _match_verb(clause, lex)
         if matched is None:
             head = clause.split(" the ")[0]
             raise UnknownVerb(f"no known action phrase in {head!r}", span=span)
@@ -417,8 +416,6 @@ def parse(text: str, labels) -> SimplifiedInstruction:
             )
         seen.add(desc)
         edits.append((action, desc))
-    if not edits:
-        raise EmptyInstruction("no edits found", span=(0, len(text)))
     return SimplifiedInstruction(tuple(edits))
 
 

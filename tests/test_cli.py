@@ -14,7 +14,9 @@ from mixedit import cli
 from mixedit.cli import main
 from mixedit.dataset import build_demo_catalog, read_wav, write_wav
 from mixedit.dsp import Clip
-from mixedit.editor import load_net
+from mixedit.editor import (FilmMaskNet, MaskNetConfig, embed_instruction,
+                            load_net, save_net)
+from mixedit.prompt import parse
 
 RATE = 16000
 
@@ -422,6 +424,70 @@ def test_film_editor_cli_prompt_path(tmp_path, capsys):
     assert doc["editor"] == "film"
     assert "snr_db" in doc  # an untrained toy net is scored, not judged
     assert (tmp_path / "out.wav").exists()
+
+
+@pytest.fixture()
+def toy_model(tmp_path):
+    path = tmp_path / "net.mxn"
+    save_net(path, FilmMaskNet.init(
+        MaskNetConfig(channels=8, blocks=2, embed_dim=16), seed=0))
+    return path
+
+
+def test_film_edits_from_prompt_without_sources(tone_catalog, toy_model,
+                                                capsys):
+    tmp_path, paths, _, _ = tone_catalog
+    prompt = "Please remove the high tone sound."
+    out = tmp_path / "out.wav"
+    assert main(["edit", "--mixture", paths["mix"], "--catalog", str(tmp_path),
+                 "--prompt", prompt, "--editor", "film",
+                 "--model", str(toy_model), "--out", str(out)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert not any(key.startswith("snr") for key in doc)  # no target
+
+    net = load_net(toy_model)
+    z = embed_instruction(parse(prompt, ["low tone", "high tone"]),
+                          dim=net.config.embed_dim)
+    edited, _ = net.edit(read_wav(paths["mix"]), z)
+    write_wav(tmp_path / "expected.wav", edited)
+    assert out.read_bytes() == (tmp_path / "expected.wav").read_bytes()
+
+
+def test_film_actions_without_sources_exits_2(tone_catalog, toy_model, capsys):
+    tmp_path, paths, _, _ = tone_catalog
+    assert main(["edit", "--mixture", paths["mix"], "--catalog", str(tmp_path),
+                 "--actions", "1,0", "--editor", "film",
+                 "--model", str(toy_model),
+                 "--out", str(tmp_path / "out.wav")]) == 2
+    assert "--sources" in capsys.readouterr().err
+    assert not (tmp_path / "out.wav").exists()
+
+
+@pytest.mark.parametrize("editor", ["oracle", "irm", "psm"])
+def test_reference_editor_prompt_without_sources_exits_2(tone_catalog, capsys,
+                                                         editor):
+    tmp_path, paths, _, _ = tone_catalog
+    assert main(["edit", "--mixture", paths["mix"], "--catalog", str(tmp_path),
+                 "--prompt", "Please remove the high tone sound.",
+                 "--editor", editor, "--out", str(tmp_path / "out.wav")]) == 2
+    assert f"--editor {editor} needs --sources" in capsys.readouterr().err
+    assert not (tmp_path / "out.wav").exists()
+
+
+@pytest.mark.parametrize("editor", ["oracle", "psm"])
+def test_edit_sources_at_another_rate_exit_2(tone_setup, capsys, editor):
+    tmp_path, paths, s1, s2 = tone_setup
+    slow = []
+    for name, clip in [("s1_8k", s1), ("s2_8k", s2)]:
+        write_wav(tmp_path / f"{name}.wav", Clip(clip.samples, 8000))
+        slow.append(str(tmp_path / f"{name}.wav"))
+    assert main(["edit", "--mixture", paths["mix"], "--sources", *slow,
+                 "--actions", "1,0", "--editor", editor,
+                 "--out", str(tmp_path / "out.wav"),
+                 "--metrics-out", str(tmp_path / "metrics.json")]) == 2
+    assert "sources do not sum to the mixture" in capsys.readouterr().err
+    assert not (tmp_path / "out.wav").exists()
+    assert not (tmp_path / "metrics.json").exists()
 
 
 def test_eval_rejects_mismatched_sample_rates(tmp_path, capsys):

@@ -120,7 +120,7 @@ def test_ideal_mask_zero_and_double_target():
 
 def test_ideal_mask_clamps_to_range():
     x = tone(440)
-    m = ideal_mask(x, Clip(8.0 * x.samples, RATE), MaskKind.IRM, m_max=4.0)
+    m = ideal_mask(x, Clip(8.0 * x.samples, RATE), MaskKind.IRM)
     assert m.values.max() <= 4.0
 
 
