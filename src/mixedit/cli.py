@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataset as ds
-from .core import parse_action_vector, validate_instruction
+from .core import Action, parse_action_vector, validate_instruction
 from .editor import (
     FilmMaskNet,
     MaskKind,
@@ -172,7 +172,9 @@ def _instruction(args, sources, catalog):
     """The edit's actions and its simplified instruction, each None when
     the options do not give it: --prompt gives actions only with
     --sources, --actions an instruction only with --catalog and
-    --sources. A bad prompt raises before any source is looked up."""
+    --sources. A bad prompt raises before any source is looked up. With
+    --sources, an edit that removes every source leaves a silent target
+    and nothing to score, and is refused whichever options gave it."""
     actions, simplified = args.actions, None
     if args.prompt is not None:
         if catalog is None:
@@ -180,22 +182,26 @@ def _instruction(args, sources, catalog):
         simplified = parse(args.prompt, catalog.labels)
     elif sources and len(actions) != len(sources):
         raise UsageError("one action per source required")
-    if not (catalog and sources):
-        return actions, simplified
-    if simplified is None and len(sources) == 1:
-        raise UsageError("an instruction needs at least two sources")
-    by_path = {str(e.path): e.signature for e in catalog.entries}
-    sigs = []
-    for p in args.sources:
-        sig = by_path.get(str(Path(p).resolve()))
-        if sig is None:
-            raise MixeditError(
-                f"source {p} not found in the catalog; signatures unknown")
-        sigs.append(sig)
-    if simplified is not None:
-        return expand(simplified, sigs), simplified
-    instruction = validate_instruction(list(zip(actions, sigs)))
-    return actions, simplify(instruction, seed=args.seed)
+    if catalog and sources:
+        if simplified is None and len(sources) == 1:
+            raise UsageError("an instruction needs at least two sources")
+        by_path = {str(e.path): e.signature for e in catalog.entries}
+        sigs = []
+        for p in args.sources:
+            sig = by_path.get(str(Path(p).resolve()))
+            if sig is None:
+                raise MixeditError(
+                    f"source {p} not found in the catalog; signatures unknown")
+            sigs.append(sig)
+        if simplified is not None:
+            actions = expand(simplified, sigs)
+    if sources and all(a is Action.REMOVE for a in actions):
+        raise UsageError("the edit removes every source: its target is "
+                         "silence, with nothing to score")
+    if catalog and sources and simplified is None:
+        instruction = validate_instruction(list(zip(actions, sigs)))
+        simplified = simplify(instruction, seed=args.seed)
+    return actions, simplified
 
 
 def cmd_edit(args) -> int:

@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ..dsp import Clip, DEFAULT_DURATION_S, DEFAULT_RATE, condition, resample
+from ..dsp import (Clip, DEFAULT_DURATION_S, DEFAULT_RATE, _Fresh, condition,
+                   resample)
 from ..errors import MixeditError
 from ..mixer import MixturePair, apply_gains, assign_gains
 from ..seeding import derive_seed
@@ -113,7 +114,7 @@ def read_wav(path) -> Clip:
     if channels > 1:
         samples = samples.reshape(-1, channels).mean(axis=1)
     try:
-        return Clip(samples, rate)
+        return Clip(_Fresh(samples), rate)
     except ValueError as err:
         raise BadWavFile(f"{path}: {err}") from err
 

@@ -35,16 +35,35 @@ class UnsupportedRate(MixeditError):
     """A rate pair whose resampling plan is over ``_MAX_PLAN_TAPS``."""
 
 
+class _Fresh:
+    """Wraps an array the library has just made and shares with no one,
+    so that ``Clip`` or ``EditingMask`` keeps it without a copy."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
+def _take(values) -> np.ndarray:
+    """The float64 array a clip or mask keeps: the array of a ``_Fresh``,
+    anything else copied, so that a caller's array is never aliased."""
+    if isinstance(values, _Fresh):
+        return np.asarray(values.array, dtype=np.float64)
+    return np.array(values, dtype=np.float64)
+
+
 @dataclass(frozen=True, eq=False)
 class Clip:
     """Mono waveform with its sample rate. Samples are dimensionless
-    amplitudes at nominal full scale +-1.0."""
+    amplitudes at nominal full scale +-1.0. The clip keeps a read-only
+    copy of the samples it is given."""
 
     samples: np.ndarray
     rate: int
 
     def __post_init__(self):
-        arr = np.array(self.samples, dtype=np.float64)
+        arr = _take(self.samples)
         if arr.ndim != 1:
             raise ValueError("clips are mono: expected a 1-D sample array")
         if self.rate <= 0:
@@ -186,7 +205,7 @@ def resample(clip: Clip, target_rate: int) -> Clip:
         windows = np.lib.stride_tricks.sliding_window_view(
             x[left + lo:], len(taps))[::advance][:n_blocks]
         y[:, p0:p0 + taps.shape[1]] = windows @ taps
-    return Clip(y.ravel()[:out_len], target_rate)
+    return Clip(_Fresh(y.ravel()[:out_len]), target_rate)
 
 
 def condition(clip: Clip, duration_s: float = DEFAULT_DURATION_S,
@@ -201,8 +220,10 @@ def condition(clip: Clip, duration_s: float = DEFAULT_DURATION_S,
         return clip
     if n > target:
         start = random.Random(derive_seed(seed)).randrange(n - target + 1)
+        # Copied, so that the crop does not keep the whole source alive.
         return Clip(clip.samples[start:start + target], clip.rate)
-    return Clip(np.concatenate([clip.samples, np.zeros(target - n)]), clip.rate)
+    return Clip(_Fresh(np.concatenate([clip.samples, np.zeros(target - n)])),
+                clip.rate)
 
 
 # Periodic Hann; shifted squared copies sum to a constant for hop <= window/2.
@@ -214,13 +235,19 @@ def stft(clip: Clip) -> np.ndarray:
     """Hann-analysis STFT of the clip centred in ``WINDOW // 2`` zeros at
     each end: frame f is centred on sample ``f * HOP``. Returns the
     ``(WINDOW // 2 + 1, ceil(len / HOP) + 1)`` complex matrix, frequency
-    bins by time frames."""
+    bins by time frames.
+
+    The matrix is frame-major: it is the transpose of the ``(frames,
+    bins)`` array ``rfft`` writes, so each frame's bins are contiguous
+    (Fortran order) and no copy is made. Element-wise work on it keeps
+    that layout, and ``istft`` hands its transpose to ``irfft`` as a
+    C-contiguous array."""
     n = len(clip)
     n_frames = -(-n // HOP) + 1
     x = np.zeros((n_frames - 1) * HOP + WINDOW)
     x[WINDOW // 2:WINDOW // 2 + n] = clip.samples
     frames = np.lib.stride_tricks.sliding_window_view(x, WINDOW)[::HOP]
-    return np.ascontiguousarray(np.fft.rfft(frames * _HANN, axis=1).T)
+    return np.fft.rfft(frames * _HANN, axis=1).T
 
 
 def overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
@@ -242,16 +269,26 @@ def overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=4)
+def _window_sum(n_frames: int, n_samples: int) -> np.ndarray:
+    """``istft``'s denominator: the overlap-add of the squared window over
+    ``n_frames`` frames, cropped like the clip. Built once per shape and
+    read-only, since every call of that shape shares it."""
+    den = overlap_add(np.broadcast_to(_HANN * _HANN, (n_frames, WINDOW)),
+                      HOP)[WINDOW // 2:WINDOW // 2 + n_samples]
+    den.setflags(write=False)
+    return den
+
+
 def istft(frames: np.ndarray, n_samples: int) -> np.ndarray:
     """Weighted overlap-add inverse of ``stft`` for a clip of
     ``n_samples``: exact at every sample, since the centring leaves each
     one under a squared-window sum of at least 1.25."""
     frames_t = np.fft.irfft(frames.T, n=WINDOW, axis=1)
     frames_t *= _HANN
-    keep = slice(WINDOW // 2, WINDOW // 2 + n_samples)
-    num = overlap_add(frames_t, HOP)[keep]
-    den = overlap_add(np.broadcast_to(_HANN * _HANN, frames_t.shape), HOP)[keep]
-    return num / den
+    num = overlap_add(frames_t, HOP)[WINDOW // 2:WINDOW // 2 + n_samples]
+    num /= _window_sum(len(frames_t), n_samples)
+    return num
 
 
 def hz_to_mel(f):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..dsp import Clip, overlap_add
+from ..dsp import Clip, _Fresh, overlap_add
 from ..errors import MixeditError
 from ..metrics import pit_snr, snr
 from .masking import DEFAULT_MASK_MAX, EditingMask
@@ -80,6 +80,15 @@ def latent_frames(n_samples: int, kernel: int) -> int:
     if n_samples < kernel:
         raise ShapeMismatch(f"need at least {kernel} samples")
     return (n_samples - kernel) // (kernel // 2) + 1
+
+
+def _margined(rows: int, width: int, margin: int, dtype) -> np.ndarray:
+    """A ``(rows, width + 2 * margin)`` buffer whose ``margin``-column
+    edges are zero; its interior is left for the caller to fill."""
+    buf = np.empty((rows, width + 2 * margin), dtype=dtype)
+    buf[:, :margin] = 0.0
+    buf[:, margin + width:] = 0.0
+    return buf
 
 
 def param_layout(config: MaskNetConfig) -> dict:
@@ -155,7 +164,8 @@ class FilmMaskNet:
         run: every block writes ``h_tilde`` into one zero-margined buffer
         as wide as the widest dilation needs and its ``h_out`` into one
         reused buffer, so the blocks' working set is three ``(C, L)``
-        arrays whatever their number."""
+        arrays whatever their number, and both buffers are freed before
+        the head and the decoder allocate."""
         cfg = self.config
         if dtype is None:
             dtype = self.params["enc.w"].dtype
@@ -187,7 +197,7 @@ class FilmMaskNet:
             d = 2 ** i
             if keep_cache or i == 0:
                 margin = d if keep_cache else 2 ** (cfg.blocks - 1)
-                padded = np.zeros((c, n_frames + 2 * margin), dtype=dtype)
+                padded = _margined(c, n_frames, margin, dtype)
                 h_out = np.empty((c, n_frames), dtype=dtype)
             h_tilde = padded[:, margin:margin + n_frames]
             np.multiply(gamma[:, None], h, out=h_tilde)
@@ -208,15 +218,20 @@ class FilmMaskNet:
                 })
             h = h_out
 
+        # Unless the cache holds them, the blocks' buffers are spent: free
+        # each before the head and the decoder allocate.
+        del padded, h_tilde, taps
         masks = p["head.w"] @ h
+        del h, h_out
         masks += p["head.b"][:, None]
         masks = masks.reshape(cfg.n_masks, c, n_frames)
         np.clip(masks, 0.0, cfg.mask_max, out=masks)
-        per_source = np.zeros((cfg.n_masks, n), dtype=dtype)
+        per_source = np.empty((cfg.n_masks, n), dtype=dtype)
         for m in range(cfg.n_masks):
             contrib = p["dec.w"].T @ np.multiply(masks[m], h_x, out=prod)
-            y_full = overlap_add(contrib.T, s)  # <= n samples; tail stays 0
+            y_full = overlap_add(contrib.T, s)  # <= n samples; the tail is 0
             per_source[m, :len(y_full)] = y_full
+            per_source[m, len(y_full):] = 0.0
         out = {"masks": masks, "per_source": per_source,
                "y": per_source.sum(axis=0)}
         return cache | out if keep_cache else out
@@ -234,9 +249,9 @@ class FilmMaskNet:
                            keep_cache=False)
         max_gain = self.config.mask_max * self.config.n_masks
         combined = out["masks"].sum(axis=0, dtype=np.float64)
-        return (Clip(out["y"], clip.rate),
-                EditingMask(np.clip(combined, 0.0, max_gain, out=combined),
-                            max_gain))
+        np.clip(combined, 0.0, max_gain, out=combined)
+        return (Clip(_Fresh(out["y"]), clip.rate),
+                EditingMask(_Fresh(combined), max_gain))
 
     # ---------------- backward ----------------
 
@@ -261,7 +276,7 @@ class FilmMaskNet:
         mirrored window at column (2-j)*d."""
         w = p[f"block{i}.conv.w"]
         d, n = 2 ** i, blk["h_out"].shape[1]
-        grad_padded = np.zeros_like(blk["padded"])
+        grad_padded = _margined(len(w), n, d, blk["padded"].dtype)
         grad_pre = grad_padded[:, d:d + n]
         np.multiply(grad_out, blk["h_out"] > 0.0, out=grad_pre)
         grads[f"block{i}.conv.b"] += grad_pre.sum(axis=1)

@@ -21,7 +21,7 @@ from ..core import (
     SimplifiedInstruction,
     SpeechDescriptor,
 )
-from ..dsp import Clip, istft, mel_project, stft
+from ..dsp import Clip, _Fresh, _take, istft, mel_project, stft
 from ..errors import MixeditError
 from ..mixer import target_mixture
 
@@ -42,17 +42,21 @@ class MaskKind(Enum):
 @dataclass(frozen=True, eq=False)
 class EditingMask:
     """Non-negative gain field: (bins, frames) in the STFT domain or
-    (channels, latent frames) for the mask network."""
+    (channels, latent frames) for the mask network. The mask keeps a
+    read-only copy of the values it is given."""
 
     values: np.ndarray
     m_max: float = DEFAULT_MASK_MAX
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=np.float64)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("mask contains non-finite entries")
-        if vals.size and (vals.min() < 0.0 or vals.max() > self.m_max):
-            raise ValueError(f"mask entries must lie in [0, {self.m_max}]")
+        vals = _take(self.values)
+        if vals.size:
+            # A NaN makes both extremes NaN, an infinity one of them.
+            lo, hi = vals.min(), vals.max()
+            if not (np.isfinite(lo) and np.isfinite(hi)):
+                raise ValueError("mask contains non-finite entries")
+            if lo < 0.0 or hi > self.m_max:
+                raise ValueError(f"mask entries must lie in [0, {self.m_max}]")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -98,11 +102,17 @@ def ideal_mask(mixture: Clip, target: Clip,
         raise DimMismatch("mixture and target must be aligned")
     x = _spectrum(mixture)
     y = _spectrum(target)
+    raw = np.abs(x)
     if kind is MaskKind.IRM:
-        raw = np.abs(y) / np.maximum(np.abs(x), MASK_EPS)
+        np.maximum(raw, MASK_EPS, out=raw)
+        np.divide(np.abs(y), raw, out=raw)
     else:
-        raw = (y * np.conj(x)).real / np.maximum(np.abs(x) ** 2, MASK_EPS)
-    return EditingMask(np.clip(raw, 0.0, DEFAULT_MASK_MAX))
+        np.square(raw, out=raw)
+        np.maximum(raw, MASK_EPS, out=raw)
+        cross = np.conj(x)
+        np.multiply(y, cross, out=cross)
+        np.divide(cross.real, raw, out=raw)
+    return EditingMask(_Fresh(np.clip(raw, 0.0, DEFAULT_MASK_MAX, out=raw)))
 
 
 def mask_edit(mixture: Clip, mask: EditingMask) -> Clip:
@@ -113,7 +123,8 @@ def mask_edit(mixture: Clip, mask: EditingMask) -> Clip:
             f"mask shape {mask.values.shape} does not match "
             f"spectrogram {frames.shape}"
         )
-    return Clip(istft(mask.values * frames, len(mixture)), mixture.rate)
+    return Clip(_Fresh(istft(mask.values * frames, len(mixture))),
+                mixture.rate)
 
 
 def _edit_tokens(action, desc):

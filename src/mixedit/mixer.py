@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Action, Signature, SpeechSignature, Level
-from .dsp import Clip, mean_square
+from .dsp import Clip, _Fresh, mean_square
 from .errors import MixeditError
 from .seeding import derive_seed
 
@@ -110,7 +110,7 @@ def assign_gains(sources, seed: int) -> GainAssignment:
 
 def apply_gains(sources, assignment: GainAssignment) -> list[Clip]:
     return [
-        Clip(clip.samples * g, clip.rate)
+        Clip(_Fresh(clip.samples * g), clip.rate)
         for (clip, _), g in zip(sources, assignment.gains)
     ]
 
@@ -141,7 +141,7 @@ def weighted_sum(sources, alphas) -> Clip:
     total = np.zeros(len(clips[0]))
     for a, c in zip(alphas, clips):
         total += a * c.samples
-    return Clip(total, clips[0].rate)
+    return Clip(_Fresh(total), clips[0].rate)
 
 
 def target_mixture(sources, actions) -> Clip:
@@ -181,7 +181,8 @@ class MixturePair:
         scale = 1.0
         if peak > PEAK_LIMIT:
             scale = PEAK_TARGET / peak
-            x = Clip(x.samples * scale, x.rate)
-            y = Clip(y.samples * scale, y.rate)
-            sources = tuple(Clip(s.samples * scale, s.rate) for s in sources)
+            x = Clip(_Fresh(x.samples * scale), x.rate)
+            y = Clip(_Fresh(y.samples * scale), y.rate)
+            sources = tuple(Clip(_Fresh(s.samples * scale), s.rate)
+                            for s in sources)
         return cls(x, y, sources, actions, scale)

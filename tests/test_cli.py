@@ -647,6 +647,38 @@ def test_edit_bad_actions_exit_2(tone_catalog, capsys, sources, actions):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sources,option,value,with_catalog", [
+    (["s1"], "--actions", "0", False),
+    (["s1"], "--actions", "0", True),
+    (["s1", "s2"], "--actions", "0,0", False),
+    (["s1", "s2"], "--actions", "0,0", True),
+    (["s1"], "--prompt", "Please remove the low tone sound.", True),
+    (["s1", "s2"], "--prompt",
+     "Please remove the low tone sound, and remove the high tone sound.",
+     True),
+])
+def test_edit_removing_every_source_exits_2_before_editing(
+        tone_catalog, capsys, monkeypatch, sources, option, value,
+        with_catalog):
+    tmp_path, paths, s1, s2 = tone_catalog
+    mixture = tmp_path / "mixture.wav"
+    write_wav(mixture, Clip(sum(c.samples for c in (s1, s2)[:len(sources)]),
+                            RATE))
+
+    def no_editing(*args, **kwargs):
+        raise AssertionError("an editor ran")
+
+    monkeypatch.setattr(cli, "ideal_mask", no_editing)
+    argv = ["edit", "--mixture", str(mixture), option, value, "--sources",
+            *(paths[s] for s in sources), "--editor", "psm",
+            "--out", str(tmp_path / "out.wav")]
+    if with_catalog:
+        argv += ["--catalog", str(tmp_path)]
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out.wav").exists()
+
+
 def test_generate_corrupt_wav_header_exits_1_with_summary(tmp_path, capsys):
     root = tmp_path / "catalog"
     build_demo_catalog(root, seed=0)

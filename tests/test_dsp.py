@@ -13,7 +13,9 @@ from mixedit.dsp import (
     BadWindowConfig,
     Clip,
     EmptyClip,
+    _Fresh,
     _resample_plan,
+    _window_sum,
     condition,
     istft,
     mean_square,
@@ -41,6 +43,28 @@ def test_clip_validation():
     c = Clip(np.zeros(4), 16000)
     with pytest.raises(ValueError):
         c.samples[0] = 1.0  # read-only buffer
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("fresh", [False, True])
+def test_clip_rejects_non_finite_samples(bad, fresh):
+    samples = np.zeros(8)
+    samples[5] = bad
+    with pytest.raises(ValueError):
+        Clip(_Fresh(samples) if fresh else samples, 16000)
+
+
+def test_clip_copies_a_callers_array_and_keeps_a_fresh_one():
+    samples = np.zeros(8)
+    clip = Clip(samples, 16000)
+    samples[0] = 1.0
+    assert clip.samples[0] == 0.0
+    assert not np.shares_memory(clip.samples, samples)
+    samples.setflags(write=False)
+    assert not np.shares_memory(Clip(samples, 16000).samples, samples)
+    fresh = np.zeros(8)
+    assert Clip(_Fresh(fresh), 16000).samples is fresh
+    assert not fresh.flags.writeable
 
 
 def test_resample_identity_same_rate():
@@ -343,6 +367,32 @@ def test_istft_equals_per_frame_loop_bit_for_bit(window, hop, offset):
 @pytest.mark.parametrize("n", [1, 100, 16000, 80001])
 def test_istft_equals_per_frame_loop_at_clip_lengths(n):
     _assert_istft_equals_loop(n)
+
+
+@pytest.mark.parametrize("n", [5 * 16000, WINDOW - 212, 3 * 16000 + 37])
+def test_stft_is_the_frame_major_rfft_without_a_copy(n):
+    x = np.random.default_rng(n).standard_normal(n)
+    frames = stft(Clip(x, 16000))
+    assert frames.flags.f_contiguous and frames.T.flags.c_contiguous
+    padded = np.zeros((frames.shape[1] - 1) * HOP + WINDOW)
+    padded[WINDOW // 2:WINDOW // 2 + n] = x
+    hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(WINDOW) / WINDOW)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, WINDOW)[::HOP]
+    contiguous = np.ascontiguousarray(np.fft.rfft(windows * hann, axis=1).T)
+    assert np.array_equal(frames, contiguous)
+    assert np.array_equal(istft(frames, n), istft(contiguous, n))
+
+
+def test_istft_window_sum_is_cached_read_only():
+    frames = stft(Clip(np.random.default_rng(0).standard_normal(1000), 16000))
+    first = istft(frames, 1000)
+    den = _window_sum(frames.shape[1], 1000)
+    assert den is _window_sum(frames.shape[1], 1000)
+    assert not den.flags.writeable
+    with pytest.raises(ValueError):
+        den[0] = 1.0
+    assert not np.shares_memory(first, den)
+    assert np.array_equal(istft(frames, 1000), first)
 
 
 def test_istft_single_frame_equals_loop():

@@ -28,7 +28,7 @@ from mixedit.dataset import (
     read_wav,
     synthesize,
 )
-from mixedit.dsp import HOP, WINDOW, Clip, stft
+from mixedit.dsp import HOP, WINDOW, Clip, _Fresh, overlap_add, stft
 from mixedit.editor import (
     BadNetConfig,
     Diverged,
@@ -207,6 +207,85 @@ def test_spectrum_memo_frames_are_read_only():
     frames = masking._spectrum(tone(440))
     with pytest.raises(ValueError):
         frames[0, 0] = 1.0
+
+
+# The ideal-mask editors as they ran on a C-contiguous copy of the STFT,
+# with the window sum rebuilt on every call and every mask copied.
+_HANN = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(WINDOW) / WINDOW)
+
+
+def _contiguous_stft(samples):
+    n = len(samples)
+    n_frames = -(-n // HOP) + 1
+    x = np.zeros((n_frames - 1) * HOP + WINDOW)
+    x[WINDOW // 2:WINDOW // 2 + n] = samples
+    frames = np.lib.stride_tricks.sliding_window_view(x, WINDOW)[::HOP]
+    return np.ascontiguousarray(np.fft.rfft(frames * _HANN, axis=1).T)
+
+
+def _istft_rebuilding_the_window_sum(frames, n):
+    frames_t = np.fft.irfft(frames.T, n=WINDOW, axis=1)
+    frames_t *= _HANN
+    keep = slice(WINDOW // 2, WINDOW // 2 + n)
+    num = overlap_add(frames_t, HOP)[keep]
+    den = overlap_add(np.broadcast_to(_HANN * _HANN, frames_t.shape),
+                      HOP)[keep]
+    return num / den
+
+
+def _copied_ideal_mask_and_edit(x, y, kind):
+    xf, yf = _contiguous_stft(x), _contiguous_stft(y)
+    if kind is MaskKind.IRM:
+        raw = np.abs(yf) / np.maximum(np.abs(xf), masking.MASK_EPS)
+    else:
+        raw = (yf * np.conj(xf)).real / np.maximum(np.abs(xf) ** 2,
+                                                    masking.MASK_EPS)
+    mask = np.array(np.clip(raw, 0.0, masking.DEFAULT_MASK_MAX))
+    return mask, np.array(_istft_rebuilding_the_window_sum(mask * xf, len(x)))
+
+
+# A 5-s clip, one shorter than a window, and one off the hop grid.
+_EDIT_LENGTHS = [5 * RATE, WINDOW - 212, 3 * RATE + 37]
+
+
+@pytest.mark.parametrize("kind", list(MaskKind))
+@pytest.mark.parametrize("n", _EDIT_LENGTHS)
+def test_ideal_mask_edits_equal_the_contiguous_path_bit_for_bit(kind, n):
+    rng = np.random.default_rng(n)
+    x = Clip(rng.standard_normal(n) * 0.3, RATE)
+    y = Clip(x.samples * rng.uniform(0.0, 1.5, n), RATE)
+    mask = ideal_mask(x, y, kind)
+    edited = mask_edit(x, mask)
+    expected_mask, expected_edit = _copied_ideal_mask_and_edit(
+        x.samples, y.samples, kind)
+    assert np.array_equal(mask.values, expected_mask)
+    assert np.array_equal(edited.samples, expected_edit)
+    # Once more, on the cached spectra and window sum.
+    assert np.array_equal(mask_edit(x, ideal_mask(x, y, kind)).samples,
+                          expected_edit)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-9,
+                                 masking.DEFAULT_MASK_MAX * (1 + 1e-12)])
+@pytest.mark.parametrize("fresh", [False, True])
+def test_editing_mask_rejects_non_finite_and_out_of_range(bad, fresh):
+    values = np.full((3, 4), 0.5)
+    values[1, 2] = bad
+    with pytest.raises(ValueError):
+        EditingMask(_Fresh(values) if fresh else values)
+
+
+def test_editing_mask_copies_a_callers_array_and_keeps_a_fresh_one():
+    values = np.full((3, 4), 0.5)
+    mask = EditingMask(values)
+    values[0, 0] = 1.0
+    assert mask.values[0, 0] == 0.5
+    assert not np.shares_memory(mask.values, values)
+    values.setflags(write=False)
+    assert not np.shares_memory(EditingMask(values).values, values)
+    fresh = np.full((3, 4), 0.5)
+    assert EditingMask(_Fresh(fresh)).values is fresh
+    assert not fresh.flags.writeable
 
 
 def test_ideal_masks_gain_on_every_record_of_a_synthesized_tree(
@@ -430,9 +509,10 @@ def test_saturated_mask_head_gets_zero_gradient():
 
 def test_film_edit_peak_memory():
     # edit runs forward without the backward cache: the blocks share one
-    # zero-margined buffer and one h_out buffer.
+    # zero-margined buffer and one h_out buffer, both freed before the
+    # head and the decoder allocate (10.5 and 13.0 MiB measured).
     x = Clip(np.random.default_rng(3).standard_normal(5 * RATE) * 0.1, RATE)
-    for n_masks, limit_mib in ((1, 24), (2, 26)):
+    for n_masks, limit_mib in ((1, 13), (2, 16)):
         net = FilmMaskNet.init(MaskNetConfig(n_masks=n_masks), seed=2)
         z = unit_vec(net.config.embed_dim, seed=4)
         tracemalloc.start()
@@ -466,6 +546,66 @@ def test_film_edit_equals_cached_float32_forward_bit_for_bit(cfg, n):
                        0.0, max_gain)
     assert np.array_equal(est.samples, cache["y"])
     assert np.array_equal(mask.values, expected)
+
+
+def _film_edit_with_zeroed_buffers(net, x, z):
+    """``FilmMaskNet.edit`` as it ran before: cache-less float32 forward
+    on zero-filled buffers that stay allocated to the end, then the
+    output and the combined mask copied."""
+    cfg = net.config
+    p = net._params_as(np.float32)
+    x, z = np.asarray(x, np.float32), np.asarray(z, np.float32)
+    k, s, c = cfg.kernel, cfg.stride, cfg.channels
+    n_frames = latent_frames(len(x), k)
+    frames = np.lib.stride_tricks.sliding_window_view(x, k)[::s]
+    h_x = p["enc.w"] @ frames.T
+    prod = np.empty((c, n_frames), np.float32)
+    margin = 2 ** (cfg.blocks - 1)
+    padded = np.zeros((c, n_frames + 2 * margin), np.float32)
+    h_out = np.empty((c, n_frames), np.float32)
+    h = h_x
+    for i in range(cfg.blocks):
+        _, gamma = net._mlp(p, f"block{i}.film.f", z)
+        _, beta = net._mlp(p, f"block{i}.film.g", z)
+        d = 2 ** i
+        h_tilde = padded[:, margin:margin + n_frames]
+        np.multiply(gamma[:, None], h, out=h_tilde)
+        h_tilde += beta[:, None]
+        w = p[f"block{i}.conv.w"]
+        taps = [padded[:, start:start + n_frames]
+                for start in (margin - d, margin, margin + d)]
+        np.matmul(w[:, :, 0], taps[0], out=h_out)
+        for j in (1, 2):
+            h_out += np.matmul(w[:, :, j], taps[j], out=prod)
+        h_out += p[f"block{i}.conv.b"][:, None]
+        np.maximum(h_out, 0.0, out=h_out)
+        h = h_out
+    masks = p["head.w"] @ h
+    masks += p["head.b"][:, None]
+    masks = masks.reshape(cfg.n_masks, c, n_frames)
+    np.clip(masks, 0.0, cfg.mask_max, out=masks)
+    per_source = np.zeros((cfg.n_masks, len(x)), np.float32)
+    for m in range(cfg.n_masks):
+        contrib = p["dec.w"].T @ np.multiply(masks[m], h_x, out=prod)
+        y_full = overlap_add(contrib.T, s)
+        per_source[m, :len(y_full)] = y_full
+    combined = masks.sum(axis=0, dtype=np.float64)
+    np.clip(combined, 0.0, cfg.mask_max * cfg.n_masks, out=combined)
+    return (np.array(per_source.sum(axis=0), dtype=np.float64),
+            np.array(combined))
+
+
+@pytest.mark.parametrize("cfg", [MaskNetConfig(), MaskNetConfig(n_masks=2),
+                                 WIDE])
+@pytest.mark.parametrize("n", _EDIT_LENGTHS)
+def test_film_edit_equals_the_zeroed_buffer_path_bit_for_bit(cfg, n):
+    net = FilmMaskNet.init(cfg, seed=2)
+    x = np.random.default_rng(n).standard_normal(n) * 0.1
+    z = unit_vec(cfg.embed_dim, seed=4)
+    est, mask = net.edit(Clip(x, RATE), z)
+    expected_est, expected_mask = _film_edit_with_zeroed_buffers(net, x, z)
+    assert np.array_equal(est.samples, expected_est)
+    assert np.array_equal(mask.values, expected_mask)
 
 
 def test_edit_and_training_run_forward_with_and_without_the_cache(

@@ -11,10 +11,11 @@ from pathlib import Path
 from urllib.parse import urlsplit
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mixedit.cli import BadConfigFile, _read_toy_config
+from mixedit.cli import BadConfigFile, _read_toy_config, main
 from mixedit.core import (
     STYLE_FIELDS,
     Action,
@@ -416,3 +417,120 @@ def test_any_prompt_parses_or_raises_parse_error(text):
         parse(text, _DEMO_LABELS)
     except ParseError as err:
         assert err.span is not None
+
+
+# ---------------- edit and eval end with an exit code ----------------
+
+_RATE = 16000
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """Good, corrupt and missing inputs for ``edit`` and ``eval``: two tones
+    that sum to ``mix.wav`` in a catalog labelling them, a tiny FiLM
+    checkpoint, and estimate/reference/input trees of one record."""
+    root = tmp_path_factory.mktemp("cli")
+    t = np.arange(1600) / _RATE
+    tones = {"s1": 0.4 * np.sin(2 * np.pi * 440 * t),
+             "s2": 0.3 * np.sin(2 * np.pi * 2093 * t)}
+    tones["mix"] = tones["s1"] + tones["s2"]
+    for name, wave in tones.items():
+        write_wav(root / f"{name}.wav", Clip(wave, _RATE))
+    write_wav(root / "slow.wav", Clip(tones["s1"], 8000))
+    (root / "corrupt.wav").write_bytes((root / "s1.wav").read_bytes()[:30])
+    (root / "dir.wav").mkdir()
+    (root / "metadata.json").write_text(json.dumps([
+        {"id": "a", "path": "s1.wav", "type": "audio", "label": "low tone"},
+        {"id": "b", "path": "s2.wav", "type": "audio", "label": "high tone"},
+    ]))
+    (root / "badcat").mkdir()
+    (root / "badcat" / "metadata.json").write_text('[{"id": ')
+    net = FilmMaskNet.init(MaskNetConfig(channels=4, blocks=1, embed_dim=4))
+    save_net(root / "net.mxn", net)
+    (root / "corrupt.mxn").write_bytes((root / "net.mxn").read_bytes()[:40])
+    for tree, wav in (("est", "s1"), ("ref", "s1"), ("inp", "mix"),
+                      ("badest", "corrupt"), ("slowest", "slow")):
+        (root / tree).mkdir()
+        (root / tree / "000000.wav").write_bytes(
+            (root / f"{wav}.wav").read_bytes())
+    (root / "empty").mkdir()
+    (root / "manifest.jsonl").write_text(json.dumps(_RECORD) + "\n")
+    (root / "corrupt.jsonl").write_bytes(b"\xff\xfe")
+    return root
+
+
+# Each list repeats its good entries, so that most draws get far enough to
+# edit.
+_MIXTURES = ["mix.wav"] * 4 + ["s1.wav", "slow.wav", "corrupt.wav", "dir.wav",
+                               "missing.wav"]
+_SOURCES = [["s1.wav", "s2.wav"]] * 4 + [
+    [], ["s1.wav"], ["s2.wav", "s1.wav"], ["s1.wav", "s2.wav", "s2.wav"],
+    ["s1.wav", "corrupt.wav"], ["s1.wav", "slow.wav"], ["missing.wav"]]
+_EDIT_PROMPTS = [
+    "Please remove the low tone sound.",
+    "Please keep the low tone sound, and remove the high tone sound.",
+    "Please remove the low tone sound, and remove the high tone sound.",
+    "Can you turn up the high tone sound?",
+    "Please frobnicate the tone.",
+]
+
+
+def _edit_argv(data, root: Path, out: Path) -> list[str]:
+    pick = data.draw
+    argv = ["edit", "--mixture", str(root / pick(st.sampled_from(_MIXTURES)))]
+    sources = pick(st.sampled_from(_SOURCES))
+    if sources:
+        argv += ["--sources", *(str(root / name) for name in sources)]
+    if pick(st.booleans()):
+        argv += ["--actions", pick(st.sampled_from(
+            ["0", "1", "u", "0,0", "1,0", "d,u", "1,1", "0,1,1"]))]
+    else:
+        argv += ["--prompt", pick(st.sampled_from(_EDIT_PROMPTS))]
+    catalog = pick(st.sampled_from([".", ".", ".", None, "badcat", "missing"]))
+    if catalog:
+        argv += ["--catalog", str(root / catalog)]
+    argv += ["--editor", pick(st.sampled_from(["oracle", "psm", "irm",
+                                                "film"]))]
+    model = pick(st.sampled_from(["net.mxn", "net.mxn", None, "corrupt.mxn",
+                                  "missing.mxn"]))
+    if model:
+        argv += ["--model", str(root / model)]
+    # A side file goes next to the output or into a missing directory.
+    for option, name in (("--metrics-out", "metrics.json"),
+                         ("--dump-mask", "mask")):
+        if pick(st.booleans()):
+            where = pick(st.sampled_from([out.parent, out.parent / "missing"]))
+            argv += [option, str(where / name)]
+    if pick(st.booleans()):
+        argv.append("--pcm16")
+    return argv + ["--seed", str(pick(st.integers(0, 3))), "--out", str(out)]
+
+
+def _eval_argv(data, root: Path) -> list[str]:
+    pick = data.draw
+    trees = st.sampled_from(["est", "ref", "inp", "badest", "slowest",
+                             "empty", "missing"])
+    argv = ["eval", "--est", str(root / pick(trees)),
+            "--ref", str(root / pick(trees)),
+            "--input", str(root / pick(trees))]
+    if pick(st.booleans()):
+        argv += ["--per-task", str(root / pick(st.sampled_from(
+            ["manifest.jsonl", "corrupt.jsonl", "missing.jsonl"])))]
+    if pick(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_edit_and_eval_exit_0_1_or_2_and_fail_without_output(cli_inputs,
+                                                              data):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "edited.wav"
+        argv = (_edit_argv(data, cli_inputs, out) if data.draw(
+            st.booleans(), label="edit") else _eval_argv(data, cli_inputs))
+        code = main(argv)
+        assert code in (0, 1, 2)
+        if argv[0] == "edit":
+            assert out.exists() == (code == 0)
