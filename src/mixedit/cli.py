@@ -171,10 +171,12 @@ def _rephrase_records(records, config) -> int:
 def _instruction(args, sources, catalog):
     """The edit's actions and its simplified instruction, each None when
     the options do not give it: --prompt gives actions only with
-    --sources, --actions an instruction only with --catalog and
-    --sources. A bad prompt raises before any source is looked up. With
-    --sources, an edit that removes every source leaves a silent target
-    and nothing to score, and is refused whichever options gave it."""
+    --sources, and --actions gives an instruction only to --editor film,
+    with --catalog and --sources. A bad prompt raises before any source
+    is looked up, and an instruction film cannot take raises before the
+    net is loaded. With --sources, an edit that removes every source
+    leaves a silent target and nothing to score, and is refused whichever
+    options gave it."""
     actions, simplified = args.actions, None
     if args.prompt is not None:
         if catalog is None:
@@ -182,9 +184,9 @@ def _instruction(args, sources, catalog):
         simplified = parse(args.prompt, catalog.labels)
     elif sources and len(actions) != len(sources):
         raise UsageError("one action per source required")
-    if catalog and sources:
-        if simplified is None and len(sources) == 1:
-            raise UsageError("an instruction needs at least two sources")
+    from_actions = (args.editor == "film" and simplified is None
+                    and catalog is not None and bool(sources))
+    if from_actions or (simplified is not None and sources):
         by_path = {str(e.path): e.signature for e in catalog.entries}
         sigs = []
         for p in args.sources:
@@ -198,8 +200,12 @@ def _instruction(args, sources, catalog):
     if sources and all(a is Action.REMOVE for a in actions):
         raise UsageError("the edit removes every source: its target is "
                          "silence, with nothing to score")
-    if catalog and sources and simplified is None:
-        instruction = validate_instruction(list(zip(actions, sigs)))
+    if from_actions:
+        try:
+            instruction = validate_instruction(list(zip(actions, sigs)))
+        except (ValueError, MixeditError) as err:
+            raise UsageError(f"--editor film cannot edit with these "
+                             f"actions: {err}") from err
         simplified = simplify(instruction, seed=args.seed)
     return actions, simplified
 
@@ -509,8 +515,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command; the only place a failure becomes an exit code."""
-    args = build_parser().parse_args(argv)
+    """Run one command; the only place a failure becomes an exit code.
+    Argparse's status is returned, not raised: 2 for argv it rejects, 0
+    after --help."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as stop:
+        return stop.code
     try:
         return args.func(args)
     except ParseError as err:

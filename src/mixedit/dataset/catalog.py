@@ -264,12 +264,12 @@ def _demo_speech(style: StyleVector, rng: np.ndarray, duration: float,
     f0 = _F0[style.pitch.value] * (1.0 if style.gender.value == "male" else 1.35)
     f0 *= 1.0 + 0.02 * rng.standard_normal()
     vib_depth = 0.004 * (1 + list(type(style.emotion)).index(style.emotion))
-    vib = 1.0 + vib_depth * np.sin(2 * np.pi * 5.3 * t)
+    vib = np.cumsum(1.0 + vib_depth * np.sin(2 * np.pi * 5.3 * t))
     wave = np.zeros(n)
     tilt = 1.4 if style.gender.value == "female" else 0.9
     for k, gain in enumerate([1.0, 0.6 * tilt, 0.35, 0.2 * tilt], start=1):
         phase = rng.uniform(0, 2 * np.pi)
-        wave += gain * np.sin(2 * np.pi * k * f0 * np.cumsum(vib) / rate + phase)
+        wave += gain * np.sin(2 * np.pi * k * f0 * vib / rate + phase)
     am = 0.55 + 0.45 * np.clip(np.sin(2 * np.pi * _AM[style.tempo.value] * t), 0, 1)
     wave *= am
     return _AMP[style.volume.value] * wave / np.max(np.abs(wave))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -164,19 +165,80 @@ class SynthesisSummary:
         }
 
 
-def _load_source(ref, seed: int, index: int) -> Clip:
-    clip = read_wav(ref.path)
-    if clip.rate != DEFAULT_RATE:
-        clip = resample(clip, DEFAULT_RATE)
-    return condition(clip, DEFAULT_DURATION_S,
-                     seed=derive_seed(seed, "condition", index))
+# Bytes of 16-kHz source clips one run of records may hold at once for
+# later records: about 100 five-second clips.
+_HOLD_BYTES = 64 * 2 ** 20
 
 
-def synthesize_record(record: ManifestRecord, out_dir: str,
-                      pcm16: bool = False) -> ManifestRecord:
-    """Materialize one record: load, condition, scale, mix, write."""
+class _SourceClips:
+    """The 16-kHz clip of each source path a run of records uses, read and
+    resampled once and shared, read-only, by every record that uses it.
+
+    Uses are counted from the records up front, and a clip is dropped
+    after its last use. The clips held at once stay within
+    ``_HOLD_BYTES``: when a new clip would pass it, the held or new clip
+    whose next use is farthest away is let go, and is loaded again when
+    that use comes. A path that fails to load is never held, so every
+    record that uses it raises its own error.
+    """
+
+    def __init__(self, records):
+        # Source path -> positions of its uses in record order.
+        self._uses: dict[str, deque[int]] = {}
+        for position, ref in enumerate(
+                ref for record in records for ref in record.sources):
+            self._uses.setdefault(ref.path, deque()).append(position)
+        self._held: dict[str, Clip] = {}
+        self.held_bytes = 0
+        self._end = 0  # position after the last finished record's uses
+
+    def take(self, path: str) -> Clip:
+        """The clip for the next use of ``path``; uses come in record order."""
+        uses = self._uses[path]
+        uses.popleft()
+        clip = self._held.get(path)
+        if clip is None:
+            clip = read_wav(path)
+            if clip.rate != DEFAULT_RATE:
+                clip = resample(clip, DEFAULT_RATE)
+            if uses:
+                self._hold(path, clip)
+        elif not uses:
+            self._release(path)
+        return clip
+
+    def finish(self, record: ManifestRecord):
+        """Give up the uses ``record`` did not take, as when it failed part
+        way, and drop each clip that has no use left."""
+        self._end += len(record.sources)
+        for ref in record.sources:
+            uses = self._uses[ref.path]
+            while uses and uses[0] < self._end:
+                uses.popleft()
+            if not uses and ref.path in self._held:
+                self._release(ref.path)
+
+    def _hold(self, path: str, clip: Clip):
+        size = clip.samples.nbytes
+        while self.held_bytes + size > _HOLD_BYTES:
+            farthest = max([*self._held, path], key=lambda p: self._uses[p][0])
+            if farthest == path:
+                return
+            self._release(farthest)
+        self._held[path] = clip
+        self.held_bytes += size
+
+    def _release(self, path: str):
+        self.held_bytes -= self._held.pop(path).samples.nbytes
+
+
+def synthesize_record(record: ManifestRecord, sources: _SourceClips,
+                      out_dir: str, pcm16: bool) -> ManifestRecord:
+    """Materialize one record: load, condition, scale, mix, write. Each
+    source clip comes from ``sources``; conditioning is the record's own."""
     out = Path(out_dir)
-    clips = [_load_source(ref, record.seed, i)
+    clips = [condition(sources.take(ref.path), DEFAULT_DURATION_S,
+                       seed=derive_seed(record.seed, "condition", i))
              for i, ref in enumerate(record.sources)]
     pairs = list(zip(clips, record.signatures()))
     assignment = assign_gains(pairs, derive_seed(record.seed, "gains"))
@@ -201,12 +263,20 @@ def synthesize_record(record: ManifestRecord, out_dir: str,
     return record
 
 
-def _synthesize_worker(args):
-    record, out_dir, pcm16 = args
-    try:
-        return synthesize_record(record, out_dir, pcm16), None
-    except MixeditError as err:
-        return record, f"{type(err).__name__}: {err}"
+def _synthesize_shard(job) -> list[tuple[ManifestRecord, str | None]]:
+    """(record, error or None) for each record of a contiguous run, in
+    order; the run shares one set of source clips."""
+    records, out_dir, pcm16 = job
+    sources = _SourceClips(records)
+    results = []
+    for record in records:
+        try:
+            results.append(
+                (synthesize_record(record, sources, out_dir, pcm16), None))
+        except MixeditError as err:
+            results.append((record, f"{type(err).__name__}: {err}"))
+        sources.finish(record)
+    return results
 
 
 def synthesize(records, out_dir, workers: int = 1,
@@ -216,18 +286,28 @@ def synthesize(records, out_dir, workers: int = 1,
     Writes per-record WAVs, prompt text, and record JSON, then the full
     manifest (with gains filled) and a summary JSON. Per-record failures
     are collected in the summary instead of aborting the batch.
+
+    The records are split into ``min(workers, records, CPUs)`` contiguous
+    runs, one per worker process; a single run stays in this process.
+    Within a run, each source file is read and resampled to 16 kHz once,
+    and held for the run's later records at most until its last use,
+    within a fixed byte budget. Output, manifest and summary keep record
+    order, and the tree does not depend on the worker count.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    jobs = [(record, str(out), pcm16) for record in records]
     # The pool starts every worker up front, so ask for no more than
-    # there are jobs and CPUs.
-    workers = min(workers, len(jobs), os.cpu_count() or 1)
-    if workers <= 1:
-        results = [_synthesize_worker(job) for job in jobs]
+    # there are records and CPUs.
+    shards = min(workers, len(records), os.cpu_count() or 1)
+    if shards <= 1:
+        results = _synthesize_shard((records, str(out), pcm16))
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_synthesize_worker, jobs))
+        bounds = [len(records) * i // shards for i in range(shards + 1)]
+        jobs = [(records[a:b], str(out), pcm16)
+                for a, b in zip(bounds, bounds[1:])]
+        with ProcessPoolExecutor(max_workers=shards) as pool:
+            results = [r for shard in pool.map(_synthesize_shard, jobs)
+                       for r in shard]
 
     summary = SynthesisSummary(total=len(records), succeeded=0)
     done = []

@@ -84,10 +84,14 @@ def test_tasks_too_many_sources_exits_1_at_once(capsys):
     assert "error: TooManySources" in capsys.readouterr().err
 
 
-def test_tasks_usage_error():
-    with pytest.raises(SystemExit) as exc:
-        main(["tasks", "--composition", "abc"])
-    assert exc.value.code == 2
+def test_tasks_usage_error(capsys):
+    assert main(["tasks", "--composition", "abc"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    assert main(["edit", "--help"]) == 0
+    assert "--mixture" in capsys.readouterr().out
 
 
 def test_edit_oracle_extraction(tone_setup, capsys):
@@ -632,19 +636,57 @@ def test_unwritable_output_exits_1(tone_setup, catalog_dir, capsys,
         assert not (tmp_path / "edited.wav").exists()
 
 
-@pytest.mark.parametrize("sources,actions", [(["s1", "s2"], "1,x"),
-                                             (["s1"], "1")])
+@pytest.mark.parametrize("sources,actions", [(["s1", "s2"], "1,x")])
 def test_edit_bad_actions_exit_2(tone_catalog, capsys, sources, actions):
     tmp_path, paths, _, _ = tone_catalog
     argv = ["edit", "--mixture", paths["s1"], "--actions", actions,
             "--sources", *(paths[s] for s in sources),
             "--catalog", str(tmp_path), "--out", str(tmp_path / "out.wav")]
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # argparse rejects the option itself
-        code = exc.code
-    assert code == 2
+    assert main(argv) == 2  # argparse rejects the option itself
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("editor", ["oracle", "irm", "psm"])
+@pytest.mark.parametrize("sources,actions", [
+    (["s1"], "1"), (["s1"], "u"), (["s1", "s2"], "1,1"), (["s1", "s2"], "d,0")])
+def test_actions_edit_ends_the_same_with_or_without_catalog(
+        tone_catalog, capsys, editor, sources, actions):
+    # Only the FiLM editor reads an instruction, so only it turns
+    # --actions into one against the catalog's signatures.
+    tmp_path, paths, s1, s2 = tone_catalog
+    mixture = tmp_path / "mixture.wav"
+    write_wav(mixture, Clip(sum(c.samples for c in (s1, s2)[:len(sources)]),
+                            RATE))
+    runs = []
+    for catalog in ([], ["--catalog", str(tmp_path)]):
+        out = tmp_path / f"out{len(runs)}.wav"
+        code = main(["edit", "--mixture", str(mixture), "--actions", actions,
+                     "--sources", *(paths[s] for s in sources),
+                     "--editor", editor, "--out", str(out), *catalog])
+        doc = json.loads(capsys.readouterr().out)
+        del doc["output"]
+        runs.append((code, doc, out.read_bytes()))
+    assert runs[0][0] == 0
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("sources,actions", [
+    (["s1"], "1"), (["s1"], "u"), (["s1", "s2"], "1,1"), (["s1", "s1"], "1,0")])
+def test_film_refuses_an_invalid_instruction_before_loading_the_net(
+        tone_catalog, toy_model, capsys, monkeypatch, sources, actions):
+    tmp_path, paths, _, _ = tone_catalog
+
+    def no_loading(*args, **kwargs):
+        raise AssertionError("the net was loaded")
+
+    monkeypatch.setattr(cli, "load_net", no_loading)
+    out = tmp_path / "out.wav"
+    assert main(["edit", "--mixture", paths["mix"], "--actions", actions,
+                 "--sources", *(paths[s] for s in sources),
+                 "--catalog", str(tmp_path), "--editor", "film",
+                 "--model", str(toy_model), "--out", str(out)]) == 2
+    assert "error: --editor film cannot edit" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("sources,option,value,with_catalog", [

@@ -1,9 +1,13 @@
 """Catalog ingestion, splits, manifests, synthesis, and the rephrase client."""
 
+import hashlib
 import json
+import multiprocessing
+import os
 import struct
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -49,6 +53,20 @@ RATE = 16000
 def demo(tmp_path_factory):
     root = tmp_path_factory.mktemp("catalog")
     build_demo_catalog(root, seed=0)
+    return ingest(root)
+
+
+@pytest.fixture(scope="module")
+def resampled(tmp_path_factory):
+    """Speech at 48 kHz and audio at 44.1 kHz in one catalog, so every
+    source is resampled."""
+    root = tmp_path_factory.mktemp("resampled")
+    rows = []
+    for rate, kind in ((48000, "speech"), (44100, "audio")):
+        meta = build_demo_catalog(root / kind, seed=0, rate=rate)
+        rows += [dict(row, path=f"{kind}/{row['path']}")
+                 for row in json.loads(meta.read_text()) if row["type"] == kind]
+    (root / "metadata.json").write_text(json.dumps(rows))
     return ingest(root)
 
 
@@ -220,6 +238,18 @@ def test_ingest_demo_catalog(demo):
     assert len(demo.labels) == 16
     styles = [e.signature.style for e in demo.speech]
     assert len(set(styles)) == len(styles)
+
+
+@pytest.mark.parametrize("rate,digest", [
+    (16000, "f7154abb164e6b662df0ef1006f4bbd97f4ef6845756b159687f086915f56204"),
+    (48000, "78e81ef2de3bcb5c63417cf73f7156ee0245be4314233fecb4284e32534def34"),
+])
+def test_demo_catalog_bytes_are_pinned(tmp_path, rate, digest):
+    build_demo_catalog(tmp_path, seed=0, rate=rate)
+    h = hashlib.sha256()
+    for path in sorted(tmp_path.iterdir()):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert h.hexdigest() == digest
 
 
 def test_ingest_rejects_multi_label(tmp_path):
@@ -403,7 +433,6 @@ def test_manifest_round_trips_through_jsonl(demo, tmp_path):
 # ---------------- synthesis ----------------
 
 def _tree_digest(root):
-    import hashlib
     digest = hashlib.blake2b(digest_size=16)
     for path in sorted(p for p in root.rglob("*") if p.is_file()):
         digest.update(path.name.encode())
@@ -411,18 +440,166 @@ def _tree_digest(root):
     return digest.hexdigest()
 
 
-def test_synthesize_worker_counts_agree(demo, tmp_path):
-    splits = partition(demo, seed=0)
-    records = generate_manifest(demo, splits, count=8,
-                                comp=Composition(2, 2), seed=5)
-    out1 = tmp_path / "w1"
-    out2 = tmp_path / "w2"
-    s1 = synthesize(records, out1, workers=1)
-    records2 = generate_manifest(demo, splits, count=8,
-                                 comp=Composition(2, 2), seed=5)
-    s2 = synthesize(records2, out2, workers=2)
-    assert s1.ok and s2.ok
-    assert _tree_digest(out1) == _tree_digest(out2)
+def test_synthesize_worker_counts_agree(demo, resampled, tmp_path,
+                                        monkeypatch):
+    monkeypatch.setattr(synth.os, "cpu_count", lambda: 2)
+    for name, catalog in (("demo", demo), ("resampled", resampled)):
+        splits = partition(catalog, seed=0)
+        records = generate_manifest(catalog, splits, count=8,
+                                    comp=Composition(2, 2), seed=5)
+        out1 = tmp_path / name / "w1"
+        out2 = tmp_path / name / "w2"
+        s1 = synthesize(records, out1, workers=1)
+        records2 = generate_manifest(catalog, splits, count=8,
+                                     comp=Composition(2, 2), seed=5)
+        s2 = synthesize(records2, out2, workers=2)
+        assert s1.ok and s2.ok
+        assert _tree_digest(out1) == _tree_digest(out2)
+
+
+def _spy(monkeypatch, log, name):
+    """Replace ``synth.<name>`` with a wrapper that appends "<pid> <name>
+    <path, or clip length>" to ``log``; forked workers inherit it."""
+    original = getattr(synth, name)
+
+    def spy(arg, *rest):
+        shown = len(arg) if isinstance(arg, Clip) else arg
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {name} {shown}\n")
+        return original(arg, *rest)
+
+    monkeypatch.setattr(synth, name, spy)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_synthesize_reads_and_resamples_each_source_once_per_worker(
+        resampled, tmp_path, monkeypatch, workers):
+    if workers > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("the spies reach worker processes only through fork")
+    log = tmp_path / "calls.txt"
+    _spy(monkeypatch, log, "read_wav")
+    _spy(monkeypatch, log, "resample")
+    monkeypatch.setattr(synth.os, "cpu_count", lambda: 2)
+    records = generate_manifest(resampled, partition(resampled, seed=0),
+                                count=8, comp=Composition(2, 2), seed=5)
+    # synthesize gives each worker a contiguous half.
+    shards = [records] if workers == 1 else [records[:4], records[4:]]
+    wanted = sorted(sorted({ref.path for r in shard for ref in r.sources})
+                    for shard in shards)
+    assert sum(len(r.sources) for r in records) > sum(map(len, wanted))
+    assert synthesize(records, tmp_path / "out", workers=workers).ok
+
+    reads, resamples = {}, {}
+    for line in log.read_text().splitlines():
+        pid, name, arg = line.split(" ", 2)
+        if name == "read_wav":
+            reads.setdefault(pid, []).append(arg)
+        else:
+            resamples[pid] = resamples.get(pid, 0) + 1
+    assert sorted(sorted(paths) for paths in reads.values()) == wanted
+    assert resamples == {pid: len(paths) for pid, paths in reads.items()}
+
+
+def test_synthesize_fails_exactly_the_records_that_share_a_bad_source(
+        demo, tmp_path):
+    records = generate_manifest(demo, partition(demo, seed=0), count=4,
+                                comp=Composition(2, 2), seed=7)
+    bad = tmp_path / "bad.wav"
+    _garbage_wav(bad)
+    records[0].sources[2].path = records[2].sources[0].path = str(bad)
+    summary = synthesize(records, tmp_path / "out", workers=1)
+    assert [r for r, _ in summary.failures] == [records[0].record_id,
+                                                records[2].record_id]
+    assert all(e.startswith("BadWavFile") for _, e in summary.failures)
+    assert summary.succeeded == 2
+
+
+def _recorded_holders(monkeypatch):
+    """Every clip holder a synthesize call makes, kept for inspection."""
+    holders = []
+
+    class Recorded(synth._SourceClips):
+        def __init__(self, records):
+            super().__init__(records)
+            holders.append(self)
+
+    monkeypatch.setattr(synth, "_SourceClips", Recorded)
+    return holders
+
+
+def test_synthesize_holds_no_clip_after_the_call(demo, tmp_path, monkeypatch):
+    holders = _recorded_holders(monkeypatch)
+    records = generate_manifest(demo, partition(demo, seed=0), count=4,
+                                comp=Composition(2, 2), seed=7)
+    # Record 1 fails at its first source, before it takes its last one,
+    # whose clip record 0 has loaded and left held for it.
+    bad = tmp_path / "bad.wav"
+    _garbage_wav(bad)
+    records[1].sources[0].path = str(bad)
+    records[1].sources[3].path = records[0].sources[3].path
+    summary = synthesize(records, tmp_path / "out", workers=1)
+    assert [r for r, _ in summary.failures] == [records[1].record_id]
+    [holder] = holders
+    assert holder._held == {} and holder.held_bytes == 0
+    assert not any(holder._uses.values())
+
+
+@pytest.mark.parametrize("uses,reads", [
+    # C comes when A and B are held and is needed after both: it is not
+    # held, and is read again for its second use.
+    ("AB CA BC", "ABCC"),
+    # C is needed before A: A is let go, and read again for its last use.
+    ("AB CB CA", "ABCA"),
+])
+def test_source_clips_let_go_of_the_clip_needed_last(monkeypatch, uses,
+                                                     reads):
+    # Three equal clips, room for two; each word is one record's sources.
+    clip = Clip(np.ones(RATE), RATE)
+    monkeypatch.setattr(synth, "_HOLD_BYTES", 2 * clip.samples.nbytes)
+    read = []
+    monkeypatch.setattr(synth, "read_wav",
+                        lambda path: read.append(path) or clip)
+    records = [SimpleNamespace(sources=[SimpleNamespace(path=p) for p in w])
+               for w in uses.split()]
+    sources = synth._SourceClips(records)
+    for record in records:
+        for ref in record.sources:
+            assert sources.take(ref.path) is clip
+        sources.finish(record)
+    assert "".join(read) == reads
+    assert sources.held_bytes == 0
+
+
+@pytest.mark.parametrize("budget", [0, 1_500_000])
+def test_synthesize_keeps_held_clips_within_the_budget(
+        demo, tmp_path, monkeypatch, budget):
+    records = generate_manifest(demo, partition(demo, seed=0), count=12,
+                                comp=Composition(2, 2), seed=9)
+    assert synthesize(records, tmp_path / "reference", workers=1).ok
+
+    monkeypatch.setattr(synth, "_HOLD_BYTES", budget)
+    held, reads = [], []
+    take, read = synth._SourceClips.take, synth.read_wav
+
+    def checked_take(self, path):
+        clip = take(self, path)
+        held.append(self.held_bytes)
+        return clip
+
+    monkeypatch.setattr(synth._SourceClips, "take", checked_take)
+    monkeypatch.setattr(synth, "read_wav",
+                        lambda path: reads.append(path) or read(path))
+    records = generate_manifest(demo, partition(demo, seed=0), count=12,
+                                comp=Composition(2, 2), seed=9)
+    assert synthesize(records, tmp_path / "budgeted", workers=1).ok
+    assert max(held) <= budget
+    uses = sum(len(r.sources) for r in records)
+    if budget:  # some clips are held, and some let go and read again
+        assert len(set(reads)) < len(reads) < uses
+    else:
+        assert len(reads) == uses
+    assert _tree_digest(tmp_path / "budgeted") == _tree_digest(
+        tmp_path / "reference")
 
 
 @pytest.mark.parametrize("workers,count,expected", [(10000, 3, 3),

@@ -483,7 +483,7 @@ def _edit_argv(data, root: Path, out: Path) -> list[str]:
         argv += ["--sources", *(str(root / name) for name in sources)]
     if pick(st.booleans()):
         argv += ["--actions", pick(st.sampled_from(
-            ["0", "1", "u", "0,0", "1,0", "d,u", "1,1", "0,1,1"]))]
+            ["0", "1", "u", "0,0", "1,0", "d,u", "1,1", "0,1,1", "1,x"]))]
     else:
         argv += ["--prompt", pick(st.sampled_from(_EDIT_PROMPTS))]
     catalog = pick(st.sampled_from([".", ".", ".", None, "badcat", "missing"]))
@@ -521,6 +521,16 @@ def _eval_argv(data, root: Path) -> list[str]:
     return argv
 
 
+# Ways argparse refuses an argv before any command runs: an unknown
+# option, the first (required) option missing, a value of the wrong type
+# (or, for eval, which takes no --seed, another unknown option).
+_REJECTIONS = [
+    lambda argv: argv + ["--frobnicate"],
+    lambda argv: argv[:1] + argv[3:],
+    lambda argv: argv + ["--seed", "x"],
+]
+
+
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
@@ -530,7 +540,13 @@ def test_edit_and_eval_exit_0_1_or_2_and_fail_without_output(cli_inputs,
         out = Path(tmp) / "edited.wav"
         argv = (_edit_argv(data, cli_inputs, out) if data.draw(
             st.booleans(), label="edit") else _eval_argv(data, cli_inputs))
+        reject = data.draw(st.sampled_from([None] * 4 + _REJECTIONS),
+                           label="rejection")
+        if reject:
+            argv = reject(argv)
         code = main(argv)
         assert code in (0, 1, 2)
+        if reject:
+            assert code == 2
         if argv[0] == "edit":
             assert out.exists() == (code == 0)
