@@ -27,10 +27,6 @@ class EmptyClip(MixeditError):
     pass
 
 
-class BadWindowConfig(MixeditError):
-    pass
-
-
 class UnsupportedRate(MixeditError):
     """A rate pair whose resampling plan is over ``_MAX_PLAN_TAPS``."""
 
@@ -261,7 +257,7 @@ def overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
     """
     n_frames, width = frames.shape
     if width % hop != 0:
-        raise BadWindowConfig(f"hop {hop} must divide frame width {width}")
+        raise ValueError(f"hop {hop} must divide frame width {width}")
     out = np.zeros((n_frames - 1) * hop + width)
     for start in range(width - hop, -1, -hop):
         block = out[start:start + n_frames * hop].reshape(n_frames, hop)

@@ -151,21 +151,32 @@ class FilmMaskNet:
         hidden = np.tanh(p[f"{name}1.w"] @ z + p[f"{name}1.b"])
         return hidden, p[f"{name}2.w"] @ hidden + p[f"{name}2.b"]
 
+    @staticmethod
+    def _modulate(gamma: np.ndarray, beta: np.ndarray, h: np.ndarray,
+                  out: np.ndarray) -> None:
+        """FiLM, gamma * h + beta broadcast along time, into ``out``.
+        ``backward`` rebuilds each block's ``h_tilde`` with it, so the
+        rebuilt values equal the ones ``forward`` convolved bit for bit."""
+        np.multiply(gamma[:, None], h, out=out)
+        out += beta[:, None]
+
     def forward(self, x: np.ndarray, z: np.ndarray, dtype=None, *,
                 keep_cache: bool = True) -> dict:
         """Run the net in ``dtype``, by default the dtype of its own
         params; returns a cache consumed by ``backward``, which runs in
         the cache's dtype. The cache holds only what ``backward`` reads:
-        the ReLU and clamp gates follow from each block's ``h_out`` and
-        from ``masks``.
+        each block's input, perceptron activations and ``h_out``, from
+        which ``backward`` rebuilds the modulated input and the ReLU
+        gates, and ``masks`` for the clamp gates.
 
-        With ``keep_cache=False`` (inference) only ``masks``,
-        ``per_source`` and ``y`` come back, bit-identical to the cached
-        run: every block writes ``h_tilde`` into one zero-margined buffer
-        as wide as the widest dilation needs and its ``h_out`` into one
-        reused buffer, so the blocks' working set is three ``(C, L)``
-        arrays whatever their number, and both buffers are freed before
-        the head and the decoder allocate."""
+        Every block writes its modulated input ``h_tilde`` into one
+        zero-margined buffer, with margins as wide as the last block's
+        dilation, and its ``h_out`` into a fresh array. With
+        ``keep_cache=False`` (inference) only ``masks``, ``per_source``
+        and ``y`` come back, bit-identical to the cached run: each
+        block's input is dropped once modulated, so the blocks' working
+        set is three ``(C, L)`` arrays whatever their number, and the
+        buffer is freed before the head and the decoder allocate."""
         cfg = self.config
         if dtype is None:
             dtype = self.params["enc.w"].dtype
@@ -186,43 +197,35 @@ class FilmMaskNet:
 
         cache = {"z": z, "frames": frames, "h_x": h_x, "blocks": []}
         prod = np.empty((c, n_frames), dtype=dtype)  # one tap's product
+        # h_tilde sits between zero margins of at least d columns, so tap
+        # j of a conv with dilation d reads the window shifted (j-1)*d.
+        margin = 2 ** (cfg.blocks - 1)
+        padded = _margined(c, n_frames, margin, dtype)
+        h_tilde = padded[:, margin:margin + n_frames]
         h = h_x
         for i in range(cfg.blocks):
             a_f, gamma = self._mlp(p, f"block{i}.film.f", z)
             a_g, beta = self._mlp(p, f"block{i}.film.g", z)
-            # h_tilde sits between zero margins of at least d columns, so
-            # tap j of the dilated conv reads the window shifted (j-1)*d.
-            # Without the cache, the first block's buffers serve every
-            # block, with margins as wide as the last block's dilation.
-            d = 2 ** i
-            if keep_cache or i == 0:
-                margin = d if keep_cache else 2 ** (cfg.blocks - 1)
-                padded = _margined(c, n_frames, margin, dtype)
-                h_out = np.empty((c, n_frames), dtype=dtype)
-            h_tilde = padded[:, margin:margin + n_frames]
-            np.multiply(gamma[:, None], h, out=h_tilde)
-            h_tilde += beta[:, None]
-            w = p[f"block{i}.conv.w"]
-            taps = [padded[:, start:start + n_frames]
-                    for start in (margin - d, margin, margin + d)]
-            np.matmul(w[:, :, 0], taps[0], out=h_out)
-            for j in (1, 2):
-                h_out += np.matmul(w[:, :, j], taps[j], out=prod)
-            h_out += p[f"block{i}.conv.b"][:, None]
-            np.maximum(h_out, 0.0, out=h_out)
+            self._modulate(gamma, beta, h, h_tilde)
             if keep_cache:
-                cache["blocks"].append({
-                    "h_in": h, "a_f": a_f, "gamma": gamma, "a_g": a_g,
-                    "beta": beta, "padded": padded, "h_tilde": h_tilde,
-                    "h_out": h_out,
-                })
-            h = h_out
+                cache["blocks"].append({"h_in": h, "a_f": a_f, "gamma": gamma,
+                                        "a_g": a_g, "beta": beta})
+            del h  # without the cache, freed before the next h allocates
+            d, w = 2 ** i, p[f"block{i}.conv.w"]
+            left = margin - d
+            h = w[:, :, 0] @ padded[:, left:left + n_frames]
+            for j in (1, 2):
+                start = left + j * d
+                h += np.matmul(w[:, :, j], padded[:, start:start + n_frames],
+                               out=prod)
+            h += p[f"block{i}.conv.b"][:, None]
+            np.maximum(h, 0.0, out=h)
+            if keep_cache:
+                cache["blocks"][-1]["h_out"] = h
 
-        # Unless the cache holds them, the blocks' buffers are spent: free
-        # each before the head and the decoder allocate.
-        del padded, h_tilde, taps
+        del padded, h_tilde  # spent: freed before the head allocates
         masks = p["head.w"] @ h
-        del h, h_out
+        del h  # without the cache, freed before the decoder allocates
         masks += p["head.b"][:, None]
         masks = masks.reshape(cfg.n_masks, c, n_frames)
         np.clip(masks, 0.0, cfg.mask_max, out=masks)
@@ -243,8 +246,8 @@ class FilmMaskNet:
         mask are float64. The mask is summed and clamped in float64: a
         float32 ``mask_max`` such as 1.1 rounds up past the float64 bound.
         Runs ``forward`` without the backward cache: bit-identical to the
-        cached float32 run, at less than half its peak memory (about 15
-        MiB against 36 MiB at the default config on a 5-s clip)."""
+        cached float32 run, at about 11 MiB of peak memory against 20 MiB
+        at the default config on a 5-s clip."""
         out = self.forward(clip.samples, z, dtype=np.float32,
                            keep_cache=False)
         max_gain = self.config.mask_max * self.config.n_masks
@@ -268,23 +271,36 @@ class FilmMaskNet:
         return p[f"{name}1.w"].T @ g_pre
 
     @staticmethod
-    def _conv_backward(p: dict, i: int, blk: dict, grad_out: np.ndarray,
+    def _conv_backward(p: dict, i: int, h_out: np.ndarray,
+                       padded: np.ndarray, grad_padded: np.ndarray,
+                       grad_h: np.ndarray, prod: np.ndarray,
                        grads: dict) -> np.ndarray:
-        """Adjoint of block i's ReLU dilated conv: accumulates the conv
-        gradients into ``grads`` and returns d(loss)/d(h_tilde). Zero
-        margins around the output gradient let tap j gather from the
-        mirrored window at column (2-j)*d."""
+        """Adjoint of block i's ReLU dilated conv, in caller-owned buffers.
+
+        ``padded`` holds the block's ``h_tilde`` between zero margins at
+        least ``2**i`` columns wide; ``grad_padded`` has its shape and zero
+        margins, and its interior is overwritten with the ReLU-gated
+        gradient, so tap j gathers from the mirrored window shifted
+        (1-j)*d. Accumulates the conv gradients into ``grads``, then
+        overwrites ``grad_h`` (d(loss)/d(h_out)) with d(loss)/d(h_tilde),
+        summing the taps in ``prod``, and returns it."""
         w = p[f"block{i}.conv.w"]
-        d, n = 2 ** i, blk["h_out"].shape[1]
-        grad_padded = _margined(len(w), n, d, blk["padded"].dtype)
-        grad_pre = grad_padded[:, d:d + n]
-        np.multiply(grad_out, blk["h_out"] > 0.0, out=grad_pre)
+        d, n = 2 ** i, h_out.shape[1]
+        margin = (padded.shape[1] - n) // 2
+        grad_pre = grad_padded[:, margin:margin + n]
+        np.multiply(grad_h, h_out > 0.0, out=grad_pre)
         grads[f"block{i}.conv.b"] += grad_pre.sum(axis=1)
         for j in range(3):
+            start = margin + (j - 1) * d
             grads[f"block{i}.conv.w"][:, :, j] += (
-                grad_pre @ blk["padded"][:, j * d:j * d + n].T)
-        return sum(w[:, :, j].T @ grad_padded[:, (2 - j) * d:(2 - j) * d + n]
-                   for j in range(3))
+                grad_pre @ padded[:, start:start + n].T)
+        start = margin + d
+        np.matmul(w[:, :, 0].T, grad_padded[:, start:start + n], out=grad_h)
+        for j in (1, 2):
+            start = margin + (1 - j) * d
+            grad_h += np.matmul(w[:, :, j].T, grad_padded[:, start:start + n],
+                                out=prod)
+        return grad_h
 
     def backward(self, cache: dict, grad_sources: np.ndarray) -> dict:
         """Gradients of a scalar loss given d(loss)/d(per-source output).
@@ -293,16 +309,26 @@ class FilmMaskNet:
         the params and grad_sources are cast to it, so a float32 cache
         gives float32 gradients. Returns a dict keyed like ``params``
         plus "z".
+
+        The decoder and head adjoints write into one ``(C, L)`` scratch
+        and the mask gradient's own array. The blocks then share two
+        zero-margined buffers, allocated once the mask gradient is
+        freed: each block rebuilds its ``h_tilde`` into the first from
+        the cached input, gamma and beta with ``forward``'s
+        ``_modulate``, gates the gradient into the second, and
+        overwrites the incoming gradient's array with the next one.
         """
         cfg = self.config
-        k, s = cfg.kernel, cfg.stride
+        k, s, c = cfg.kernel, cfg.stride, cfg.channels
         masks, h_x = cache["masks"], cache["h_x"]
+        n_frames = h_x.shape[1]
         p = self._params_as(h_x.dtype)
         grad_sources = np.asarray(grad_sources, dtype=h_x.dtype)
         grads = {key: np.zeros_like(val) for key, val in p.items()}
         grad_z = np.zeros(cfg.embed_dim, dtype=h_x.dtype)
 
-        grad_masks = np.zeros_like(masks)
+        prod = np.empty_like(h_x)  # scratch for one (C, L) product
+        grad_masks = np.empty_like(masks)
         grad_hx = np.zeros_like(h_x)
         for m in range(cfg.n_masks):
             # The decoder's adjoint frames the gradient like the encoder;
@@ -310,24 +336,31 @@ class FilmMaskNet:
             grad_contrib = np.ascontiguousarray(
                 np.lib.stride_tricks.sliding_window_view(
                     grad_sources[m], k)[::s].T)  # (K, L)
-            grads["dec.w"] += (masks[m] * h_x) @ grad_contrib.T
-            grad_prod = p["dec.w"] @ grad_contrib
-            grad_masks[m] = grad_prod * h_x
-            grad_hx += grad_prod * masks[m]
+            grads["dec.w"] += (np.multiply(masks[m], h_x, out=prod)
+                               @ grad_contrib.T)
+            grad_prod = np.matmul(p["dec.w"], grad_contrib, out=prod)
+            np.multiply(grad_prod, h_x, out=grad_masks[m])
+            grad_hx += np.multiply(grad_prod, masks[m], out=grad_prod)
 
-        on = (masks > 0.0) & (masks < cfg.mask_max)
-        grad_mpre = (grad_masks * on).reshape(cfg.n_masks * cfg.channels,
-                                              h_x.shape[1])
+        grad_masks *= (masks > 0.0) & (masks < cfg.mask_max)
+        grad_mpre = grad_masks.reshape(cfg.n_masks * c, n_frames)
         grads["head.w"] += grad_mpre @ cache["blocks"][-1]["h_out"].T
         grads["head.b"] += grad_mpre.sum(axis=1)
         grad_h = p["head.w"].T @ grad_mpre
+        del grad_masks, grad_mpre
 
+        margin = 2 ** (cfg.blocks - 1)
+        padded = _margined(c, n_frames, margin, h_x.dtype)
+        grad_padded = _margined(c, n_frames, margin, h_x.dtype)
+        h_tilde = padded[:, margin:margin + n_frames]
         for i in reversed(range(cfg.blocks)):
             blk = cache["blocks"][i]
-            grad_htilde = self._conv_backward(p, i, blk, grad_h, grads)
-            grad_gamma = (grad_htilde * blk["h_in"]).sum(axis=1)
+            self._modulate(blk["gamma"], blk["beta"], blk["h_in"], h_tilde)
+            grad_htilde = self._conv_backward(p, i, blk["h_out"], padded,
+                                              grad_padded, grad_h, prod, grads)
+            grad_gamma = np.multiply(grad_htilde, blk["h_in"],
+                                     out=prod).sum(axis=1)
             grad_beta = grad_htilde.sum(axis=1)
-            # grad_htilde is spent: its buffer becomes the next grad_h.
             grad_h = np.multiply(grad_htilde, blk["gamma"][:, None],
                                  out=grad_htilde)
 

@@ -266,14 +266,19 @@ def test_acceptance_6_film_network_correctness():
             count += 1
     assert worst <= 1e-3, f"6: worst gradient error {worst:.2e}"
 
-    # time-broadcast invariance holds exactly
+    # time-broadcast invariance holds exactly: each block's output is its
+    # dilated conv over gamma * h_in + beta, zero outside the clip
     cache = net.forward(x, z)
-    for blk in cache["blocks"]:
+    for i, blk in enumerate(cache["blocks"]):
         assert blk["gamma"].shape == (8,) and blk["beta"].shape == (8,)
-        assert np.array_equal(
-            blk["h_tilde"],
-            blk["gamma"][:, None] * blk["h_in"] + blk["beta"][:, None],
-        ), "6: FiLM broadcast is not time-invariant"
+        h_tilde = blk["gamma"][:, None] * blk["h_in"] + blk["beta"][:, None]
+        d, n = 2 ** i, h_tilde.shape[1]
+        framed = np.pad(h_tilde, ((0, 0), (d, d)))
+        w = net.params[f"block{i}.conv.w"]
+        pre = net.params[f"block{i}.conv.b"][:, None] + sum(
+            w[:, :, j] @ framed[:, j * d:j * d + n] for j in range(3))
+        assert np.array_equal(blk["h_out"], np.maximum(pre, 0.0)), (
+            "6: FiLM broadcast is not time-invariant")
 
     # single-example overfit: pinned budget of 2000 decayed-lr steps
     t_axis = np.arange(4000) / RATE

@@ -10,7 +10,6 @@ from scipy.signal import upfirdn
 from mixedit.dsp import (
     HOP,
     WINDOW,
-    BadWindowConfig,
     Clip,
     EmptyClip,
     _Fresh,
@@ -346,7 +345,7 @@ def test_overlap_add_equals_per_frame_loop_bit_for_bit(ratio, n_frames):
 
 
 def test_overlap_add_rejects_hop_not_dividing_width():
-    with pytest.raises(BadWindowConfig):
+    with pytest.raises(ValueError, match="must divide"):
         overlap_add(np.ones((3, 10)), 4)
 
 

@@ -364,6 +364,27 @@ def toy_data(t=1600, seed=0):
     return x, z, y
 
 
+def _shift(m, off):
+    """Columns shifted so out[:, l] = m[:, l + off], zero-filled."""
+    if off == 0:
+        return m
+    out = np.zeros_like(m)
+    if off > 0:
+        out[:, :-off] = m[:, off:]
+    else:
+        out[:, -off:] = m[:, :off]
+    return out
+
+
+def _block_conv(net, i, h_tilde):
+    """Block i's ReLU dilated conv over ``h_tilde`` from shifted copies,
+    zero outside the clip."""
+    w, d = net.params[f"block{i}.conv.w"], 2 ** i
+    pre = net.params[f"block{i}.conv.b"][:, None] + sum(
+        w[:, :, j] @ _shift(h_tilde, (j - 1) * d) for j in range(3))
+    return np.maximum(pre, 0.0)
+
+
 def test_latent_frame_count():
     assert latent_frames(80000, 16) == 9999
     assert latent_frames(1600, 16) == 199
@@ -383,11 +404,11 @@ def test_film_broadcast_is_time_invariant():
     net = FilmMaskNet.init(TOY, seed=0)
     x, z, _ = toy_data()
     cache = net.forward(x, z)
-    for blk in cache["blocks"]:
+    for i, blk in enumerate(cache["blocks"]):
         assert blk["gamma"].shape == (8,)
         assert blk["beta"].shape == (8,)
-        expected = blk["gamma"][:, None] * blk["h_in"] + blk["beta"][:, None]
-        assert np.array_equal(blk["h_tilde"], expected)
+        h_tilde = blk["gamma"][:, None] * blk["h_in"] + blk["beta"][:, None]
+        assert np.array_equal(blk["h_out"], _block_conv(net, i, h_tilde))
 
 
 def test_film_identity_modulation_matches_unconditioned():
@@ -404,8 +425,8 @@ def test_film_identity_modulation_matches_unconditioned():
     out2, _ = net.edit(Clip(x, RATE), unit_vec(8, seed=9))
     assert np.array_equal(out1.samples, out2.samples)
     cache = net.forward(x, z)
-    for blk in cache["blocks"]:
-        assert np.array_equal(blk["h_tilde"], blk["h_in"])
+    for i, blk in enumerate(cache["blocks"]):
+        assert np.array_equal(blk["h_out"], _block_conv(net, i, blk["h_in"]))
 
 
 def test_shape_mismatch_errors():
@@ -509,8 +530,9 @@ def test_saturated_mask_head_gets_zero_gradient():
 
 def test_film_edit_peak_memory():
     # edit runs forward without the backward cache: the blocks share one
-    # zero-margined buffer and one h_out buffer, both freed before the
-    # head and the decoder allocate (10.5 and 13.0 MiB measured).
+    # zero-margined buffer, freed before the head allocates, and each
+    # block's input is freed before its h_out allocates (10.5 and 13.0
+    # MiB measured).
     x = Clip(np.random.default_rng(3).standard_normal(5 * RATE) * 0.1, RATE)
     for n_masks, limit_mib in ((1, 13), (2, 16)):
         net = FilmMaskNet.init(MaskNetConfig(n_masks=n_masks), seed=2)
@@ -518,6 +540,26 @@ def test_film_edit_peak_memory():
         tracemalloc.start()
         try:
             net.edit(x, z)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mib * 2**20, n_masks
+
+
+def test_film_training_step_peak_memory():
+    # The cache keeps one h_out per block, not each block's h_tilde;
+    # forward and backward each work in one set of zero-margined buffers
+    # (31.0 and 34.7 MiB measured, against 48.0 and 57.2 MiB when every
+    # block kept its own margined h_tilde).
+    x = np.random.default_rng(3).standard_normal(5 * RATE) * 0.1
+    y = 0.5 * x
+    for n_masks, limit_mib in ((1, 34), (2, 39)):
+        net = FilmMaskNet.init(MaskNetConfig(n_masks=n_masks), seed=2)
+        net = FilmMaskNet(net.config, net._params_as(np.float32))
+        z = unit_vec(net.config.embed_dim, seed=4)
+        tracemalloc.start()
+        try:
+            snr_loss_and_grad(net, x, z, y)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -606,6 +648,91 @@ def test_film_edit_equals_the_zeroed_buffer_path_bit_for_bit(cfg, n):
     expected_est, expected_mask = _film_edit_with_zeroed_buffers(net, x, z)
     assert np.array_equal(est.samples, expected_est)
     assert np.array_equal(mask.values, expected_mask)
+
+
+def _backward_with_cached_htilde(net, cache, grad_sources):
+    """``FilmMaskNet.backward`` as it ran when the cache held each block's
+    ``h_tilde`` in its own buffer with zero margins of its dilation d:
+    those buffers are rebuilt here with forward's ops. Every block
+    allocates a fresh margined gradient buffer and sums the three adjoint
+    products into a new array."""
+    cfg = net.config
+    k, s, c = cfg.kernel, cfg.stride, cfg.channels
+    masks, h_x = cache["masks"], cache["h_x"]
+    p = net._params_as(h_x.dtype)
+    grad_sources = np.asarray(grad_sources, dtype=h_x.dtype)
+    grads = {key: np.zeros_like(val) for key, val in p.items()}
+    grad_z = np.zeros(cfg.embed_dim, dtype=h_x.dtype)
+    n = h_x.shape[1]
+
+    grad_masks = np.zeros_like(masks)
+    grad_hx = np.zeros_like(h_x)
+    for m in range(cfg.n_masks):
+        grad_contrib = np.ascontiguousarray(
+            np.lib.stride_tricks.sliding_window_view(
+                grad_sources[m], k)[::s].T)
+        grads["dec.w"] += (masks[m] * h_x) @ grad_contrib.T
+        grad_prod = p["dec.w"] @ grad_contrib
+        grad_masks[m] = grad_prod * h_x
+        grad_hx += grad_prod * masks[m]
+
+    on = (masks > 0.0) & (masks < cfg.mask_max)
+    grad_mpre = (grad_masks * on).reshape(cfg.n_masks * c, n)
+    grads["head.w"] += grad_mpre @ cache["blocks"][-1]["h_out"].T
+    grads["head.b"] += grad_mpre.sum(axis=1)
+    grad_h = p["head.w"].T @ grad_mpre
+
+    for i in reversed(range(cfg.blocks)):
+        blk, d, w = cache["blocks"][i], 2 ** i, p[f"block{i}.conv.w"]
+        padded = np.zeros((c, n + 2 * d), h_x.dtype)
+        h_tilde = padded[:, d:d + n]
+        np.multiply(blk["gamma"][:, None], blk["h_in"], out=h_tilde)
+        h_tilde += blk["beta"][:, None]
+        grad_padded = np.zeros((c, n + 2 * d), h_x.dtype)
+        grad_pre = grad_padded[:, d:d + n]
+        np.multiply(grad_h, blk["h_out"] > 0.0, out=grad_pre)
+        grads[f"block{i}.conv.b"] += grad_pre.sum(axis=1)
+        for j in range(3):
+            grads[f"block{i}.conv.w"][:, :, j] += (
+                grad_pre @ padded[:, j * d:j * d + n].T)
+        grad_htilde = sum(
+            w[:, :, j].T @ grad_padded[:, (2 - j) * d:(2 - j) * d + n]
+            for j in range(3))
+        grad_gamma = (grad_htilde * blk["h_in"]).sum(axis=1)
+        grad_beta = grad_htilde.sum(axis=1)
+        grad_h = np.multiply(grad_htilde, blk["gamma"][:, None],
+                             out=grad_htilde)
+        grad_z += net._mlp_backward(p, f"block{i}.film.f", cache["z"],
+                                    blk["a_f"], grad_gamma, grads)
+        grad_z += net._mlp_backward(p, f"block{i}.film.g", cache["z"],
+                                    blk["a_g"], grad_beta, grads)
+
+    grad_hx += grad_h
+    grads["enc.w"] += grad_hx @ cache["frames"]
+    grads["z"] = grad_z
+    return grads
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("cfg,n", [
+    (MaskNetConfig(), 5 * RATE),
+    (MaskNetConfig(n_masks=2), 5 * RATE),
+    (WIDE, 4000),
+    (MaskNetConfig(channels=8, kernel=4, blocks=7, embed_dim=8), 97),
+])
+def test_backward_equals_the_cached_htilde_path_bit_for_bit(cfg, n, dtype):
+    net = FilmMaskNet.init(cfg, seed=2)
+    net = FilmMaskNet(cfg, net._params_as(dtype))
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) * 0.1
+    g = rng.standard_normal((cfg.n_masks, n))
+    cache = net.forward(x, unit_vec(cfg.embed_dim, seed=4))
+    grads = net.backward(cache, g)
+    expected = _backward_with_cached_htilde(net, cache, g)
+    assert set(grads) == set(expected)
+    for key, val in expected.items():
+        assert grads[key].dtype == val.dtype == dtype, key
+        assert np.array_equal(grads[key], val), key
 
 
 def test_edit_and_training_run_forward_with_and_without_the_cache(
@@ -880,18 +1007,6 @@ def test_film_decoder_gradient_equals_per_tap_framing_bit_for_bit():
     assert np.array_equal(net.backward(cache, g)["dec.w"], expected)
 
 
-def _shift(m, off):
-    """Columns shifted so out[:, l] = m[:, l + off], zero-filled."""
-    if off == 0:
-        return m
-    out = np.zeros_like(m)
-    if off > 0:
-        out[:, :-off] = m[:, off:]
-    else:
-        out[:, -off:] = m[:, :off]
-    return out
-
-
 @pytest.mark.parametrize("cfg, n", [
     (MaskNetConfig(channels=8, kernel=12, blocks=3, embed_dim=8), 1003),
     # 47 latent frames: the taps of dilation 32 reach past both ends, and
@@ -903,25 +1018,35 @@ def test_dilated_conv_and_adjoint_equal_shifted_copies_bit_for_bit(cfg, n):
     net = FilmMaskNet.init(cfg, seed=4)
     rng = np.random.default_rng(8)
     cache = net.forward(rng.standard_normal(n) * 0.3, unit_vec(8, seed=6))
+    n_frames, margin = cache["h_x"].shape[1], 2 ** (cfg.blocks - 1)
     for i, blk in enumerate(cache["blocks"]):
         w, d = net.params[f"block{i}.conv.w"], 2 ** i
-        pre = net.params[f"block{i}.conv.b"][:, None] + sum(
-            w[:, :, j] @ _shift(blk["h_tilde"], (j - 1) * d) for j in range(3))
-        assert np.array_equal(blk["h_out"], np.maximum(pre, 0.0))
-        grad_out = rng.standard_normal(pre.shape)
-        grad_pre = grad_out * (pre > 0.0)
+        h_tilde = blk["gamma"][:, None] * blk["h_in"] + blk["beta"][:, None]
+        assert np.array_equal(blk["h_out"], _block_conv(net, i, h_tilde))
+        grad_out = rng.standard_normal(h_tilde.shape)
+        grad_pre = grad_out * (blk["h_out"] > 0.0)
         grad_w = np.zeros_like(w)
-        grad_htilde = np.zeros_like(blk["h_tilde"])
+        grad_htilde = np.zeros_like(h_tilde)
         for j in range(3):
             off = (j - 1) * d
-            grad_w[:, :, j] += grad_pre @ _shift(blk["h_tilde"], off).T
+            grad_w[:, :, j] += grad_pre @ _shift(h_tilde, off).T
             grad_htilde += w[:, :, j].T @ _shift(grad_pre, -off)
+        # The buffers backward passes: h_tilde and a gradient buffer with
+        # zero margins of the widest dilation, interiors left as garbage.
+        padded = np.zeros((cfg.channels, n_frames + 2 * margin))
+        padded[:, margin:margin + n_frames] = h_tilde
+        grad_padded = np.zeros_like(padded)
+        grad_padded[:, margin:margin + n_frames] = np.nan
+        grad_h = grad_out.copy()
+        prod = np.full_like(grad_h, np.nan)
         grads = {k: np.zeros_like(v) for k, v in net.params.items()}
-        assert np.array_equal(
-            net._conv_backward(net.params, i, blk, grad_out, grads),
-            grad_htilde)
+        got = net._conv_backward(net.params, i, blk["h_out"], padded,
+                                 grad_padded, grad_h, prod, grads)
+        assert got is grad_h
+        assert np.array_equal(got, grad_htilde)
         assert np.array_equal(grads[f"block{i}.conv.w"], grad_w)
         assert np.array_equal(grads[f"block{i}.conv.b"], grad_pre.sum(axis=1))
+
 
 def test_pit_training_loss_is_metrics_edit_loss():
     cfg = MaskNetConfig(channels=8, kernel=16, blocks=2, embed_dim=8, n_masks=2)
