@@ -96,9 +96,9 @@ class Catalog:
 def _read_rows(metadata_path: Path) -> list[dict]:
     try:
         if metadata_path.suffix.lower() == ".csv":
-            with open(metadata_path, newline="", encoding="utf-8") as fh:
+            with open(metadata_path, newline="", encoding="utf-8-sig") as fh:
                 return [dict(row) for row in csv.DictReader(fh)]
-        doc = json.loads(metadata_path.read_text("utf-8"))
+        doc = json.loads(metadata_path.read_text("utf-8-sig"))
     except (OSError, ValueError, csv.Error) as err:  # unreadable or malformed
         raise BadMetadataRow(0, f"unreadable metadata: {err}") from err
     if not isinstance(doc, list) or not all(isinstance(r, dict) for r in doc):
@@ -122,10 +122,11 @@ def ingest(root, metadata=None) -> Catalog:
     """Build a validated catalog from a metadata file.
 
     ``metadata`` defaults to <root>/metadata.json; a .csv file with the
-    same columns works too. Malformed rows raise BadMetadataRow;
-    blocklisted labels are skipped and reported on the catalog. Other
-    columns (such as ``duration`` or ``split``) are ignored: ``partition``
-    alone assigns splits.
+    same columns works too, and either may start with a UTF-8 byte-order
+    mark, as an Excel "CSV UTF-8" export does. Malformed rows raise
+    BadMetadataRow; blocklisted labels are skipped and reported on the
+    catalog. Other columns (such as ``duration`` or ``split``) are
+    ignored: ``partition`` alone assigns splits.
     """
     root = Path(root)
     metadata_path = Path(metadata) if metadata else root / "metadata.json"

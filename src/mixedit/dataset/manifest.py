@@ -261,7 +261,8 @@ def write_manifest(records, path):
 def load_manifest(path) -> list[ManifestRecord]:
     records = []
     try:
-        lines = Path(path).read_text("utf-8").splitlines()
+        # utf-8-sig skips a leading byte-order mark.
+        lines = Path(path).read_text("utf-8-sig").splitlines()
     except (OSError, UnicodeDecodeError) as err:  # unreadable, not UTF-8
         raise BadManifestLine(f"{path}: {err}") from err
     for line_no, line in enumerate(lines, start=1):

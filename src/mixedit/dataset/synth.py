@@ -252,9 +252,7 @@ def synthesize_record(record: ManifestRecord, sources: _SourceClips,
     write_wav(out / target_name, pair.target, pcm16)
     (out / f"{stem}_prompt.txt").write_text(record.prompt + "\n", "utf-8")
 
-    for ref, snr_db, gain in zip(record.sources, assignment.snrs_db,
-                                 assignment.gains):
-        ref.snr_db = snr_db
+    for ref, gain in zip(record.sources, assignment.gains):
         ref.gain = gain
     record.scale = pair.scale
     record.outputs = {"input": input_name, "target": target_name,

@@ -24,7 +24,7 @@ import numpy as np
 from ..dsp import Clip, _Fresh, overlap_add
 from ..errors import MixeditError
 from ..metrics import pit_snr, snr
-from .masking import DEFAULT_MASK_MAX, EditingMask
+from .masking import DEFAULT_EMBED_DIM, DEFAULT_MASK_MAX, EditingMask
 
 _LN10 = math.log(10.0)
 
@@ -46,7 +46,7 @@ class MaskNetConfig:
     channels: int = 64        # latent width C
     kernel: int = 16          # encoder/decoder kernel; stride is kernel // 2
     blocks: int = 4           # editing blocks, dilation 2**i
-    embed_dim: int = 32       # conditioning vector size D
+    embed_dim: int = DEFAULT_EMBED_DIM  # conditioning vector size D
     hidden: int | None = None  # FiLM perceptron hidden width, default C
     mask_max: float = DEFAULT_MASK_MAX
     n_masks: int = 1          # >1 adds a per-source mask stack
@@ -160,11 +160,11 @@ class FilmMaskNet:
         np.multiply(gamma[:, None], h, out=out)
         out += beta[:, None]
 
-    def forward(self, x: np.ndarray, z: np.ndarray, dtype=None, *,
+    def forward(self, x: np.ndarray, z: np.ndarray, *,
                 keep_cache: bool = True) -> dict:
-        """Run the net in ``dtype``, by default the dtype of its own
-        params; returns a cache consumed by ``backward``, which runs in
-        the cache's dtype. The cache holds only what ``backward`` reads:
+        """Run the net in the dtype of its own params, to which ``x`` and
+        ``z`` are cast; returns a cache consumed by this net's
+        ``backward``. The cache holds only what ``backward`` reads:
         each block's input, perceptron activations and ``h_out``, from
         which ``backward`` rebuilds the modulated input and the ReLU
         gates, and ``masks`` for the clamp gates.
@@ -177,10 +177,8 @@ class FilmMaskNet:
         block's input is dropped once modulated, so the blocks' working
         set is three ``(C, L)`` arrays whatever their number, and the
         buffer is freed before the head and the decoder allocate."""
-        cfg = self.config
-        if dtype is None:
-            dtype = self.params["enc.w"].dtype
-        p = self._params_as(dtype)
+        cfg, p = self.config, self.params
+        dtype = p["enc.w"].dtype
         x = np.asarray(x, dtype=dtype)
         z = np.asarray(z, dtype=dtype)
         if x.ndim != 1:
@@ -241,15 +239,17 @@ class FilmMaskNet:
 
     def edit(self, clip: Clip, z: np.ndarray) -> tuple[Clip, EditingMask]:
         """Edit a clip under conditioning z; returns the output and the
-        combined latent editing mask. Computes in float32, about 135 dB
-        SNR from the float64 forward on a 5-s clip; the returned clip and
-        mask are float64. The mask is summed and clamped in float64: a
-        float32 ``mask_max`` such as 1.1 rounds up past the float64 bound.
-        Runs ``forward`` without the backward cache: bit-identical to the
-        cached float32 run, at about 11 MiB of peak memory against 20 MiB
-        at the default config on a 5-s clip."""
-        out = self.forward(clip.samples, z, dtype=np.float32,
-                           keep_cache=False)
+        combined latent editing mask. Runs ``forward`` on the float32
+        copy of the net that a ``train_toy`` step makes (no copy if the
+        params are float32 already), about 135 dB SNR from the float64
+        forward on a 5-s clip; the returned clip and mask are float64.
+        The mask is summed and clamped in float64: a float32 ``mask_max``
+        such as 1.1 rounds up past the float64 bound. The forward runs
+        without the backward cache: bit-identical to the copy's cached
+        run, at about 10.5 MiB of peak numpy memory against 19 MiB at
+        the default config on a 5-s clip."""
+        net32 = FilmMaskNet(self.config, self._params_as(np.float32))
+        out = net32.forward(clip.samples, z, keep_cache=False)
         max_gain = self.config.mask_max * self.config.n_masks
         combined = out["masks"].sum(axis=0, dtype=np.float64)
         np.clip(combined, 0.0, max_gain, out=combined)
@@ -305,10 +305,10 @@ class FilmMaskNet:
     def backward(self, cache: dict, grad_sources: np.ndarray) -> dict:
         """Gradients of a scalar loss given d(loss)/d(per-source output).
 
-        grad_sources has shape (n_masks, T). Runs in the cache's dtype:
-        the params and grad_sources are cast to it, so a float32 cache
-        gives float32 gradients. Returns a dict keyed like ``params``
-        plus "z".
+        grad_sources has shape (n_masks, T), and ``cache`` comes from this
+        net's ``forward``. Runs in the dtype of the params, as ``forward``
+        does: grad_sources is cast to it, so a float32 net gives float32
+        gradients. Returns a dict keyed like ``params`` plus "z".
 
         The decoder and head adjoints write into one ``(C, L)`` scratch
         and the mask gradient's own array. The blocks then share two
@@ -322,7 +322,7 @@ class FilmMaskNet:
         k, s, c = cfg.kernel, cfg.stride, cfg.channels
         masks, h_x = cache["masks"], cache["h_x"]
         n_frames = h_x.shape[1]
-        p = self._params_as(h_x.dtype)
+        p = self.params
         grad_sources = np.asarray(grad_sources, dtype=h_x.dtype)
         grads = {key: np.zeros_like(val) for key, val in p.items()}
         grad_z = np.zeros(cfg.embed_dim, dtype=h_x.dtype)

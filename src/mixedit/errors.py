@@ -30,9 +30,10 @@ def read_json_config(path, defaults: dict, error: type[MixeditError],
     and whose values must have their default's JSON type. A key whose
     default is null takes null or the type of its example in
     ``nullable``. Anything else, or an unreadable file, raises ``error``.
+    A leading UTF-8 byte-order mark is skipped.
     """
     try:
-        doc = json.loads(Path(path).read_text("utf-8"))
+        doc = json.loads(Path(path).read_text("utf-8-sig"))
     except (OSError, ValueError, RecursionError) as err:
         # ValueError covers bad UTF-8 and bad JSON.
         raise error(f"{path}: {err}") from err

@@ -12,7 +12,8 @@ import pytest
 import mixedit
 from mixedit import cli
 from mixedit.cli import main
-from mixedit.dataset import build_demo_catalog, read_wav, write_wav
+from mixedit.dataset import (RephraseConfig, build_demo_catalog, read_wav,
+                             write_wav)
 from mixedit.dsp import Clip
 from mixedit.editor import (FilmMaskNet, MaskNetConfig, embed_instruction,
                             load_net, save_net)
@@ -530,6 +531,22 @@ def test_train_toy_bad_config_file_exits_1(tmp_path, capsys, text):
     assert main(["train-toy", "--config", str(config),
                  "--out-dir", str(tmp_path / "run")]) == 1
     assert "error: BadConfigFile" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bom", [False, True])
+@pytest.mark.parametrize("read,doc", [
+    (lambda path: cli._read_toy_config(path, seed=0),
+     {"channels": 8, "steps": 3, "lr": 0.01, "hidden": None}),
+    (RephraseConfig.from_file,
+     {"endpoint": "http://127.0.0.1:9/x", "n": 2, "timeout_s": 1.5}),
+], ids=["toy", "rephrase"])
+def test_json_config_with_or_without_a_bom(tmp_path, read, doc, bom):
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps(doc), "utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc), "utf-8-sig" if bom else "utf-8")
+    assert config.read_bytes().startswith(b"\xef\xbb\xbf") == bom
+    assert read(config) == read(plain)
 
 
 @pytest.mark.parametrize("n_masks", [3, 4])

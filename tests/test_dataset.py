@@ -1,5 +1,6 @@
 """Catalog ingestion, splits, manifests, synthesis, and the rephrase client."""
 
+import csv
 import hashlib
 import json
 import multiprocessing
@@ -50,10 +51,15 @@ RATE = 16000
 
 
 @pytest.fixture(scope="module")
-def demo(tmp_path_factory):
+def demo_root(tmp_path_factory):
     root = tmp_path_factory.mktemp("catalog")
     build_demo_catalog(root, seed=0)
-    return ingest(root)
+    return root
+
+
+@pytest.fixture(scope="module")
+def demo(demo_root):
+    return ingest(demo_root)
 
 
 @pytest.fixture(scope="module")
@@ -329,6 +335,27 @@ def test_ingest_csv(tmp_path):
     assert catalog.labels == {"dog"}
 
 
+@pytest.mark.parametrize("bom", [False, True])
+@pytest.mark.parametrize("suffix", [".json", ".csv"])
+def test_ingest_reads_metadata_with_or_without_a_bom(
+        demo_root, demo, tmp_path, suffix, bom):
+    # An Excel "CSV UTF-8" export starts with a UTF-8 byte-order mark.
+    rows = json.loads((demo_root / "metadata.json").read_text())
+    for row in rows:
+        row["path"] = str(demo_root / row["path"])
+    metadata = tmp_path / f"metadata{suffix}"
+    encoding = "utf-8-sig" if bom else "utf-8"
+    if suffix == ".json":
+        metadata.write_text(json.dumps(rows), encoding)
+    else:
+        with open(metadata, "w", newline="", encoding=encoding) as fh:
+            writer = csv.DictWriter(fh, sorted(set().union(*rows)))
+            writer.writeheader()
+            writer.writerows(rows)
+    assert metadata.read_bytes().startswith(b"\xef\xbb\xbf") == bom
+    assert ingest(tmp_path, metadata=metadata) == demo
+
+
 # ---------------- partitioning ----------------
 
 def test_allocate_reference_counts():
@@ -426,6 +453,18 @@ def test_manifest_round_trips_through_jsonl(demo, tmp_path):
                                 comp=Composition(2, 1), seed=3)
     path = tmp_path / "manifest.jsonl"
     write_manifest(records, path)
+    loaded = load_manifest(path)
+    assert [r.to_json() for r in loaded] == [r.to_json() for r in records]
+
+
+@pytest.mark.parametrize("bom", [False, True])
+def test_load_manifest_with_or_without_a_bom(demo, tmp_path, bom):
+    records = generate_manifest(demo, partition(demo, seed=0), count=3,
+                                comp=Composition(2, 1), seed=3)
+    path = tmp_path / "manifest.jsonl"
+    write_manifest(records, path)
+    if bom:
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
     loaded = load_manifest(path)
     assert [r.to_json() for r in loaded] == [r.to_json() for r in records]
 
@@ -635,10 +674,16 @@ def test_synthesized_mixture_replays_from_record(demo, tmp_path):
     splits = partition(demo, seed=0)
     records = generate_manifest(demo, splits, count=3,
                                 comp=Composition(2, 2), seed=6)
+    planned = [[ref.snr_db for ref in r.sources] for r in records]
     out = tmp_path / "out"
     summary = synthesize(records, out, workers=1)
     assert summary.ok
-    for record in load_manifest(out / "manifest.jsonl"):
+    for record, snrs_db in zip(load_manifest(out / "manifest.jsonl"),
+                               planned, strict=True):
+        # The reference source plays at 0 dB with unit gain.
+        ref_idx = snrs_db.index(0.0)
+        assert record.sources[ref_idx].gain == 1.0
+        energies = []
         x = read_wav(out / record.outputs["input"])
         y = read_wav(out / record.outputs["target"])
         total = np.zeros(len(x))
@@ -653,10 +698,14 @@ def test_synthesized_mixture_replays_from_record(demo, tmp_path):
             conditioned = condition(clip, 5.0,
                                     seed=derive_seed(record.seed, "condition", idx))
             scaled = conditioned.samples * ref.gain * record.scale
+            energies.append(np.mean(scaled ** 2))
             total += scaled
             target += action.alpha * scaled
         assert np.abs(total - x.samples).max() < 1e-6
         assert np.abs(target - y.samples).max() < 1e-6
+        for energy, snr_db in zip(energies, snrs_db, strict=True):
+            realized = 10 * np.log10(energy / energies[ref_idx])
+            assert abs(realized - snr_db) <= 1e-9
         prompt_text = (out / record.outputs["prompt"]).read_text().strip()
         assert prompt_text == record.prompt
 

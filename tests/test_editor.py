@@ -582,7 +582,7 @@ def test_film_edit_equals_cached_float32_forward_bit_for_bit(cfg, n):
     x = np.random.default_rng(3).standard_normal(n) * 0.1
     z = unit_vec(cfg.embed_dim, seed=4)
     est, mask = net.edit(Clip(x, RATE), z)
-    cache = net.forward(x, z, dtype=np.float32)
+    cache = FilmMaskNet(cfg, net._params_as(np.float32)).forward(x, z)
     max_gain = cfg.mask_max * cfg.n_masks
     expected = np.clip(cache["masks"].sum(axis=0, dtype=np.float64),
                        0.0, max_gain)
@@ -861,24 +861,21 @@ def test_train_toy_stops_on_a_non_finite_gradient(monkeypatch):
 
 @pytest.mark.parametrize("n_masks", [1, 2])
 def test_backward_on_a_float32_cache_gives_float32_gradients(n_masks):
-    # A float64 grad_sources must not upcast the pass, whether the net's
-    # params are float64 (cast per call) or float32.
+    # A float64 grad_sources must not upcast a float32 net's pass.
     cfg = MaskNetConfig(channels=8, kernel=16, blocks=2, embed_dim=8,
                         n_masks=n_masks)
     net = FilmMaskNet.init(cfg, seed=2)
-    net32 = FilmMaskNet(cfg, {k: v.astype(np.float32)
-                              for k, v in net.params.items()})
+    net32 = FilmMaskNet(cfg, net._params_as(np.float32))
     x, z, _ = toy_data()
     g = np.random.default_rng(4).standard_normal((n_masks, len(x)))
-    for cache, owner in ((net.forward(x, z, dtype=np.float32), net),
-                         (net32.forward(x, z), net32)):
-        assert cache["h_x"].dtype == np.float32
-        grads = owner.backward(cache, g)
-        assert set(grads) == set(net.params) | {"z"}
-        assert {v.dtype for v in grads.values()} == {np.dtype(np.float32)}
-        # grad_sources is cast on entry: no float64 intermediate anywhere.
-        same = owner.backward(cache, g.astype(np.float32))
-        assert all(np.array_equal(grads[k], same[k]) for k in grads)
+    cache = net32.forward(x, z)
+    assert cache["h_x"].dtype == np.float32
+    grads = net32.backward(cache, g)
+    assert set(grads) == set(net.params) | {"z"}
+    assert {v.dtype for v in grads.values()} == {np.dtype(np.float32)}
+    # grad_sources is cast on entry: no float64 intermediate anywhere.
+    same = net32.backward(cache, g.astype(np.float32))
+    assert all(np.array_equal(grads[k], same[k]) for k in grads)
 
 
 def test_train_toy_computes_in_float32_and_keeps_float64_masters(
@@ -937,6 +934,22 @@ def test_net_serialization_round_trip(tmp_path):
     x, z, _ = toy_data()
     a, _ = FilmMaskNet(cfg, {k: v.astype(np.float64) for k, v in loaded.params.items()}).edit(Clip(x, RATE), z)
     assert np.all(np.isfinite(a.samples))
+
+
+@pytest.mark.parametrize("cfg", [MaskNetConfig(), WIDE])
+def test_film_edit_reads_only_the_float32_params(tmp_path, cfg):
+    # edit runs on the float32 copy, so that copy, and the float32
+    # checkpoint of the net, edit bit for bit as the net does.
+    net = FilmMaskNet.init(cfg, seed=2)
+    save_net(tmp_path / "net.mxn", net)
+    x = Clip(np.random.default_rng(3).standard_normal(4000) * 0.1, RATE)
+    z = unit_vec(cfg.embed_dim, seed=4)
+    est, mask = net.edit(x, z)
+    for other in (FilmMaskNet(cfg, net._params_as(np.float32)),
+                  load_net(tmp_path / "net.mxn")):
+        other_est, other_mask = other.edit(x, z)
+        assert np.array_equal(other_est.samples, est.samples)
+        assert np.array_equal(other_mask.values, mask.values)
 
 
 def test_bad_container_rejected(tmp_path):
