@@ -1,14 +1,18 @@
 """Manifest records: JSON-serializable descriptions of generated mixtures.
 
 A record carries everything needed to re-synthesize its mixture pair
-bit-identically: source references, drawn SNRs, the action vector, the
-simplified instruction, the prompt, and the per-record seed. The manifest
-is line-delimited JSON, one record per line, schema-versioned.
+bit-identically: source references with their levels, the action vector,
+the simplified instruction, the prompt, and the per-record seed. Each
+source's ``snr_db`` is drawn at planning, with the reference source (the
+first speech source, or the first source) pinned at 0 dB, and synthesis
+plays it as given, relative to the reference source's conditioned energy.
+The manifest is line-delimited JSON, one record per line, schema-versioned.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -105,6 +109,33 @@ class SourceRef:
 # these types (a bool is not an int here).
 _FIELD_TYPES = {"record_id": int, "seed": int, "n_speech": int, "n_audio": int,
                 "task": str, "prompt": str, "actions": list}
+_SOURCE_FIELD_TYPES = {"id": str, "path": str, "signature": dict}
+
+
+def _check_types(obj, types: dict, where: str = ""):
+    for name, kind in types.items():
+        value = getattr(obj, name)
+        if type(value) is not kind:
+            raise BadManifestLine(
+                f"{where}{name} must be {kind.__name__}, got {value!r}")
+
+
+def _is_finite_number(value) -> bool:
+    """A JSON number that is finite; a bool is not a number here."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _check_source(ref: SourceRef):
+    _check_types(ref, _SOURCE_FIELD_TYPES, "source ")
+    if not _is_finite_number(ref.snr_db):
+        raise BadManifestLine(
+            f"source snr_db must be a finite number, got {ref.snr_db!r}")
+    if ref.gain is not None and not _is_finite_number(ref.gain):
+        raise BadManifestLine(
+            f"source gain must be null or a finite number, got {ref.gain!r}")
 
 
 @dataclass
@@ -137,11 +168,11 @@ class ManifestRecord:
                 )
             doc["sources"] = [SourceRef(**s) for s in doc["sources"]]
             record = cls(**doc)
-            for name, kind in _FIELD_TYPES.items():
-                value = getattr(record, name)
-                if type(value) is not kind:
-                    raise BadManifestLine(
-                        f"{name} must be {kind.__name__}, got {value!r}")
+            _check_types(record, _FIELD_TYPES)
+            if not record.sources:
+                raise BadManifestLine("a record needs at least one source")
+            for ref in record.sources:
+                _check_source(ref)
             record.action_vector()
             record.signatures()
             return record
@@ -227,8 +258,7 @@ def generate_manifest(catalog: Catalog, splits: SplitAssignment, count: int,
             prompt = render(simp, template,
                             seed=derive_seed(rec_seed, "render"))
             simp_doc = simplified_to_json(simp)
-        snrs, _ref = draw_assigned_snrs(signatures,
-                                        derive_seed(rec_seed, "gains"))
+        snrs = draw_assigned_snrs(signatures, derive_seed(rec_seed, "gains"))
         sources = [
             SourceRef(e.id, str(e.path), signature_to_json(e.signature),
                       snr_db=snrs[i])

@@ -1,8 +1,9 @@
 """Batch synthesis of (input, target, prompt) triples plus WAV file I/O.
 
-Synthesis is a pure function of (manifest record, source files): every
-random draw is keyed off the record's own seed, so running with one
-worker or eight produces bit-identical output trees.
+Synthesis is a pure function of (manifest record, source files): each
+source plays at the record's planned ``snr_db``, and the one random draw,
+each source's crop, is keyed off the record's own seed, so running with
+one worker or eight produces bit-identical output trees.
 """
 
 from __future__ import annotations
@@ -235,15 +236,15 @@ class _SourceClips:
 def synthesize_record(record: ManifestRecord, sources: _SourceClips,
                       out_dir: str, pcm16: bool) -> ManifestRecord:
     """Materialize one record: load, condition, scale, mix, write. Each
-    source clip comes from ``sources``; conditioning is the record's own."""
+    source clip comes from ``sources``; conditioning is the record's own,
+    and each source plays at its planned ``snr_db``."""
     out = Path(out_dir)
     clips = [condition(sources.take(ref.path), DEFAULT_DURATION_S,
                        seed=derive_seed(record.seed, "condition", i))
              for i, ref in enumerate(record.sources)]
-    pairs = list(zip(clips, record.signatures()))
-    assignment = assign_gains(pairs, derive_seed(record.seed, "gains"))
-    scaled = apply_gains(pairs, assignment)
-    pair = MixturePair.build(scaled, record.action_vector())
+    gains = assign_gains(clips, record.signatures(),
+                         [ref.snr_db for ref in record.sources])
+    pair = MixturePair.build(apply_gains(clips, gains), record.action_vector())
 
     stem = f"{record.record_id:06d}"
     input_name = f"{stem}_input.wav"
@@ -252,7 +253,7 @@ def synthesize_record(record: ManifestRecord, sources: _SourceClips,
     write_wav(out / target_name, pair.target, pcm16)
     (out / f"{stem}_prompt.txt").write_text(record.prompt + "\n", "utf-8")
 
-    for ref, gain in zip(record.sources, assignment.gains):
+    for ref, gain in zip(record.sources, gains):
         ref.gain = gain
     record.scale = pair.scale
     record.outputs = {"input": input_name, "target": target_name,

@@ -2,10 +2,13 @@
 
 The input mixture is the plain sum of the scaled sources; the target
 mixture is the sum of the same sources rescaled by their action factors.
-Per-source levels are set against a 0 dB reference (the first speech
-source, or the first source if there is no speech): audio sources draw
-uniformly from [-3, 3] dB, speech sources from a range selected by their
-volume attribute (low [-3, -2], normal [-1, 1], high [2, 3]).
+Planning draws each source's level against a 0 dB reference (the first
+speech source, or the first source if there is no speech): audio sources
+draw uniformly from [-3, 3] dB, speech sources from a range selected by
+their volume attribute (low [-3, -2], normal [-1, 1], high [2, 3]).
+Synthesis plays each planned level as given: a source's gain puts its
+conditioned energy at its SNR relative to the reference source's
+conditioned energy.
 """
 
 from __future__ import annotations
@@ -40,13 +43,8 @@ class LengthMismatch(MixeditError):
     pass
 
 
-@dataclass(frozen=True)
-class GainAssignment:
-    """Per-source linear gains realizing the drawn SNRs exactly."""
-
-    gains: tuple[float, ...]
-    snrs_db: tuple[float, ...]
-    reference_index: int
+class BadLevel(MixeditError):
+    """A planned SNR whose gain is not a finite positive number."""
 
 
 def snr_range_for(sig: Signature) -> tuple[float, float]:
@@ -55,18 +53,24 @@ def snr_range_for(sig: Signature) -> tuple[float, float]:
     return AUDIO_SNR_RANGE
 
 
-def draw_assigned_snrs(signatures, seed: int) -> tuple[tuple[float, ...], int]:
+def reference_index(signatures) -> int:
+    """The source every level is set against: the first speech source,
+    or source 0 if there is no speech."""
+    return next(
+        (i for i, s in enumerate(signatures) if isinstance(s, SpeechSignature)),
+        0,
+    )
+
+
+def draw_assigned_snrs(signatures, seed: int) -> tuple[float, ...]:
     """Draw the per-source SNR targets without touching any audio.
 
     Each source gets its own substream keyed by (seed, signature), so the
     draw does not depend on list iteration order. The reference source is
-    pinned to 0 dB. Returns (snrs, reference_index).
+    pinned to 0 dB.
     """
     signatures = list(signatures)
-    ref = next(
-        (i for i, s in enumerate(signatures) if isinstance(s, SpeechSignature)),
-        0,
-    )
+    ref = reference_index(signatures)
     snrs = []
     for i, sig in enumerate(signatures):
         if i == ref:
@@ -75,7 +79,7 @@ def draw_assigned_snrs(signatures, seed: int) -> tuple[tuple[float, ...], int]:
         lo, hi = snr_range_for(sig)
         rng = random.Random(derive_seed(seed, sig.canonical()))
         snrs.append(rng.uniform(lo, hi))
-    return tuple(snrs), ref
+    return tuple(snrs)
 
 
 def gain_for(energy: float, ref_energy: float, snr_db: float) -> float:
@@ -83,36 +87,41 @@ def gain_for(energy: float, ref_energy: float, snr_db: float) -> float:
     return math.sqrt(10.0 ** (snr_db / 10.0) * ref_energy / energy)
 
 
-def assign_gains(sources, seed: int) -> GainAssignment:
-    """Assign linear gains so each source hits its drawn SNR exactly.
+def assign_gains(clips, signatures, snrs_db) -> tuple[float, ...]:
+    """Linear gains that play each source at its planned SNR exactly.
 
-    ``sources`` is a sequence of (Clip, Signature) pairs, conditioned to
-    equal length. SNR is measured as mean-square energy ratio against the
-    reference source over the full clip, padding included.
+    ``clips`` are the conditioned sources, of equal length, with their
+    ``signatures`` and planned ``snrs_db``. Source i's gain puts its
+    mean-square energy over the full clip, padding included, at
+    ``snrs_db[i]`` relative to the reference source's conditioned energy,
+    so a reference planned at 0 dB keeps unit gain. Raises BadLevel for a
+    level whose gain is not finite and positive.
     """
-    sources = list(sources)
-    if not sources:
+    clips = list(clips)
+    if not clips:
         raise ValueError("need at least one source")
-    lengths = {len(c) for c, _ in sources}
-    if len(lengths) > 1:
+    if len({len(c) for c in clips}) > 1:
         raise LengthMismatch("sources must be conditioned to equal length")
-    energies = [mean_square(c) for c, _ in sources]
+    energies = [mean_square(c) for c in clips]
     for i, e in enumerate(energies):
         if e == 0.0:
             raise SilentSource(f"source {i} has zero energy")
-    snrs, ref = draw_assigned_snrs([s for _, s in sources], seed)
-    gains = [
-        1.0 if i == ref else gain_for(energies[i], energies[ref], target_db)
-        for i, target_db in enumerate(snrs)
-    ]
-    return GainAssignment(tuple(gains), snrs, ref)
+    ref_energy = energies[reference_index(signatures)]
+    gains = []
+    for i, (energy, snr_db) in enumerate(zip(energies, snrs_db, strict=True)):
+        try:
+            gain = gain_for(energy, ref_energy, snr_db)
+        except OverflowError:
+            gain = math.inf
+        if not 0.0 < gain < math.inf:
+            raise BadLevel(f"source {i} at {snr_db!r} dB needs gain {gain!r}")
+        gains.append(gain)
+    return tuple(gains)
 
 
-def apply_gains(sources, assignment: GainAssignment) -> list[Clip]:
-    return [
-        Clip(_Fresh(clip.samples * g), clip.rate)
-        for (clip, _), g in zip(sources, assignment.gains)
-    ]
+def apply_gains(clips, gains) -> list[Clip]:
+    return [Clip(_Fresh(clip.samples * g), clip.rate)
+            for clip, g in zip(clips, gains, strict=True)]
 
 
 def _check_aligned(clips):

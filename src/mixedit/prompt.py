@@ -67,6 +67,10 @@ class EmptyInstruction(ParseError):
     pass
 
 
+class BadLexicon(MixeditError, ValueError):
+    """A lexicon file that cannot be read, or whose content is malformed."""
+
+
 class TemplateId(Enum):
     PLEASE = "please"
     I_WANT_TO = "i_want_to"
@@ -116,6 +120,25 @@ _HEAD_FIELDS = ("emotion", "gender")
 _TERM_TABLES = _HEAD_FIELDS + ("level", "trait")
 
 
+def _phrases(value) -> tuple[str, ...]:
+    """A lexicon phrase list: a non-empty JSON list of strings."""
+    if not (isinstance(value, list) and value
+            and all(isinstance(p, str) for p in value)):
+        raise TypeError(f"expected a non-empty list of strings, got {value!r}")
+    return tuple(value)
+
+
+def _special_prompt(entry) -> SpecialPrompt:
+    """A special prompt entry: its text and its [action, scope] pairs."""
+    text, edits = entry["text"], entry["edits"]
+    if not (isinstance(text, str) and isinstance(edits, list) and all(
+            isinstance(e, list) and len(e) == 2 for e in edits)):
+        raise TypeError(f"malformed special prompt {entry!r}")
+    return SpecialPrompt(text, tuple(
+        (ACTION_BY_VALUE[a], GroupDescriptor(_SCOPES[scope]))
+        for a, scope in edits))
+
+
 @dataclass
 class Lexicon:
     """Phrase inventory for rendering and parsing prompts.
@@ -137,36 +160,39 @@ class Lexicon:
 
     @classmethod
     def load(cls, path: str | Path | None = None) -> "Lexicon":
-        if path is None:
-            raw = resources.files("mixedit.data").joinpath("lexicon.json").read_text("utf-8")
-        else:
-            raw = Path(path).read_text("utf-8")
-        doc = json.loads(raw)
-        verbs = {
-            ACTION_BY_VALUE[key]: tuple(phrases)
-            for key, phrases in doc["verbs"].items()
-        }
-        specials = {}
-        for key, entries in doc["special_prompts"].items():
-            parsed = []
-            for entry in entries:
-                edits = tuple(
-                    (ACTION_BY_VALUE[a], GroupDescriptor(_SCOPES[scope]))
-                    for a, scope in entry["edits"]
-                )
-                parsed.append(SpecialPrompt(entry["text"], edits))
-            specials[key] = tuple(parsed)
-        lex = cls(
-            version=doc["version"],
-            verbs=verbs,
-            terms={
-                table: {k: tuple(v) for k, v in doc[f"{table}_terms"].items()}
-                for table in _TERM_TABLES
-            },
-            speaker_terms=tuple(doc["speaker_terms"]),
-            sound_terms=tuple(doc["sound_terms"]),
-            specials=specials,
-        )
+        """The shipped lexicon, or the one in ``path``. Raises BadLexicon
+        for a file that cannot be read, is not JSON, lacks a key or holds
+        a wrongly shaped entry, and for a lexicon that fails validation.
+        A leading UTF-8 byte-order mark is skipped."""
+        try:
+            if path is None:
+                raw = resources.files("mixedit.data").joinpath(
+                    "lexicon.json").read_text("utf-8")
+            else:
+                raw = Path(path).read_text("utf-8-sig")
+            doc = json.loads(raw)
+            if type(doc["version"]) is not int:
+                raise TypeError(f"version must be int, got {doc['version']!r}")
+            lex = cls(
+                version=doc["version"],
+                verbs={ACTION_BY_VALUE[key]: _phrases(phrases)
+                       for key, phrases in doc["verbs"].items()},
+                terms={
+                    table: {k: _phrases(v)
+                            for k, v in doc[f"{table}_terms"].items()}
+                    for table in _TERM_TABLES
+                },
+                speaker_terms=_phrases(doc["speaker_terms"]),
+                sound_terms=_phrases(doc["sound_terms"]),
+                specials={key: tuple(map(_special_prompt, entries))
+                          for key, entries in doc["special_prompts"].items()},
+            )
+        except (OSError, ValueError, KeyError, TypeError, AttributeError,
+                RecursionError) as err:
+            # ValueError covers bad UTF-8 and bad JSON.
+            raise BadLexicon(
+                f"{path or 'lexicon.json'}: {type(err).__name__}: {err}"
+            ) from err
         lex._validate()
         lex._build_lookups()
         return lex
@@ -175,19 +201,19 @@ class Lexicon:
         for action in Action:
             phrases = self.verbs.get(action, ())
             if len(phrases) < 3:
-                raise ValueError(f"need at least 3 phrases for {action.value}")
+                raise BadLexicon(f"need at least 3 phrases for {action.value}")
         seen: dict[str, Action] = {}
         for action, phrases in self.verbs.items():
             for p in phrases:
                 if p in seen:
-                    raise ValueError(f"phrase {p!r} serves two actions")
+                    raise BadLexicon(f"phrase {p!r} serves two actions")
                 seen[p] = action
         texts = [sp.text for entries in self.specials.values() for sp in entries]
         if len(set(map(normalize_label, texts))) != len(texts):
-            raise ValueError("special prompt texts must be globally unique")
+            raise BadLexicon("special prompt texts must be globally unique")
         for key, entries in self.specials.items():
             if len(entries) != 5:
-                raise ValueError(f"pattern {key!r} needs exactly 5 phrasings")
+                raise BadLexicon(f"pattern {key!r} needs exactly 5 phrasings")
 
     def _build_lookups(self):
         self._verb_lookup = tuple(sorted(

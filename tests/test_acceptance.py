@@ -42,7 +42,9 @@ from mixedit.mixer import (
     SPEECH_SNR_RANGES,
     apply_gains,
     assign_gains,
+    draw_assigned_snrs,
     mix,
+    reference_index,
     target_mixture,
 )
 from mixedit.prompt import TemplateId, parse, render, simplify
@@ -95,35 +97,36 @@ def test_acceptance_2_mixing_accuracy():
     labels = ["dog", "rain", "engine", "piano"]
     checked = 0
     for case in range(1000):
-        sources = []
+        clips, signatures = [], []
         for i in range(2):
             style = StyleVector.from_strings(
                 "female" if i == 0 else "male", "normal", "normal",
                 volumes[case % 3], "neutral")
-            clip = Clip(rng.standard_normal(16000) *
-                        float(rng.uniform(0.05, 0.5)), RATE)
-            sources.append((clip, SpeechSignature(style)))
+            clips.append(Clip(rng.standard_normal(16000) *
+                              float(rng.uniform(0.05, 0.5)), RATE))
+            signatures.append(SpeechSignature(style))
         for i in range(2):
-            clip = Clip(rng.standard_normal(16000) *
-                        float(rng.uniform(0.05, 0.5)), RATE)
-            sources.append((clip, AudioSignature(labels[(case + i) % 4])))
-        assignment = assign_gains(sources, seed=case)
-        scaled = apply_gains(sources, assignment)
-        ref_energy = float(np.mean(scaled[assignment.reference_index].samples ** 2))
+            clips.append(Clip(rng.standard_normal(16000) *
+                              float(rng.uniform(0.05, 0.5)), RATE))
+            signatures.append(AudioSignature(labels[(case + i) % 4]))
+        snrs = draw_assigned_snrs(signatures, seed=case)
+        scaled = apply_gains(clips, assign_gains(clips, signatures, snrs))
+        ref = reference_index(signatures)
+        ref_energy = float(np.mean(scaled[ref].samples ** 2))
         for i, clip in enumerate(scaled):
             achieved = 10.0 * math.log10(
                 float(np.mean(clip.samples ** 2)) / ref_energy)
-            assert abs(achieved - assignment.snrs_db[i]) < 1e-9, \
-                f"2: SNR error {abs(achieved - assignment.snrs_db[i]):.2e} dB"
+            assert abs(achieved - snrs[i]) < 1e-9, \
+                f"2: SNR error {abs(achieved - snrs[i]):.2e} dB"
             checked += 1
-        for i, (_, sig) in enumerate(sources):
-            if i == assignment.reference_index:
+        for i, sig in enumerate(signatures):
+            if i == ref:
                 continue
             if isinstance(sig, SpeechSignature):
                 lo, hi = SPEECH_SNR_RANGES[sig.style.volume]
             else:
                 lo, hi = AUDIO_SNR_RANGE
-            assert lo <= assignment.snrs_db[i] <= hi, "2: SNR out of range"
+            assert lo <= snrs[i] <= hi, "2: SNR out of range"
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0, f"2: runtime {elapsed:.1f}s exceeds 10s"
     _report(f"2 mixing accuracy ({checked} SNRs within 1e-9 dB, "

@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.io import wavfile
 
+from mixedit import mixer
 from mixedit.core import Action, AudioSignature, SpeechSignature
 from mixedit.dataset import (
     BadManifestLine,
@@ -674,12 +675,19 @@ def test_synthesized_mixture_replays_from_record(demo, tmp_path):
     splits = partition(demo, seed=0)
     records = generate_manifest(demo, splits, count=3,
                                 comp=Composition(2, 2), seed=6)
+    # Synthesis plays a record's levels as given, edited ones included,
+    # in or out of the ranges planning draws from.
+    for record, snr_db in ((0, 2.5), (2, -11.25)):
+        sources = records[record].sources
+        reference = [ref.snr_db for ref in sources].index(0.0)
+        sources[(reference + 1) % len(sources)].snr_db = snr_db
     planned = [[ref.snr_db for ref in r.sources] for r in records]
     out = tmp_path / "out"
     summary = synthesize(records, out, workers=1)
     assert summary.ok
     for record, snrs_db in zip(load_manifest(out / "manifest.jsonl"),
                                planned, strict=True):
+        assert [ref.snr_db for ref in record.sources] == snrs_db
         # The reference source plays at 0 dB with unit gain.
         ref_idx = snrs_db.index(0.0)
         assert record.sources[ref_idx].gain == 1.0
@@ -708,6 +716,27 @@ def test_synthesized_mixture_replays_from_record(demo, tmp_path):
             assert abs(realized - snr_db) <= 1e-9
         prompt_text = (out / record.outputs["prompt"]).read_text().strip()
         assert prompt_text == record.prompt
+
+
+def test_synthesize_draws_no_levels(demo, tmp_path, monkeypatch):
+    records = generate_manifest(demo, partition(demo, seed=0), count=2,
+                                comp=Composition(2, 2), seed=6)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("synthesis drew a level")
+
+    monkeypatch.setattr(mixer, "draw_assigned_snrs", no_draw)
+    assert synthesize(records, tmp_path / "out", workers=1).ok
+
+
+def test_synthesize_keeps_an_unplayable_level_to_its_record(demo, tmp_path):
+    records = generate_manifest(demo, partition(demo, seed=0), count=3,
+                                comp=Composition(2, 2), seed=7)
+    records[1].sources[2].snr_db = 1e6  # 10 ** 1e5 overflows
+    summary = synthesize(records, tmp_path / "out", workers=1)
+    assert summary.succeeded == 2
+    assert [r for r, _ in summary.failures] == [records[1].record_id]
+    assert summary.failures[0][1].startswith("BadLevel")
 
 
 def test_synthesize_collects_silent_source_failures(demo, tmp_path):
@@ -893,6 +922,45 @@ def test_ingest_ignores_duration_and_split_columns(tmp_path):
 def test_manifest_line_errors_are_typed(line):
     with pytest.raises(BadManifestLine):
         ManifestRecord.from_json(line)
+
+
+_GOOD_SOURCE = {"id": "a", "path": "a.wav",
+                "signature": {"kind": "audio", "label": "dog"},
+                "snr_db": 0.0, "gain": None}
+
+
+def _line_with_source(**fields) -> str:
+    doc = {"schema": 1, "record_id": 0, "seed": 1, "n_speech": 0,
+           "n_audio": 1, "sources": [{**_GOOD_SOURCE, **fields}],
+           "actions": ["up"], "task": "T1", "simplified": [], "prompt": "p",
+           "prompt_provenance": "template"}
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("fields", [
+    {"id": 3}, {"path": 5}, {"path": ["a"]}, {"path": None},
+    {"signature": "audio:dog"}, {"signature": ["audio", "dog"]},
+    {"snr_db": "x"}, {"snr_db": True}, {"snr_db": None},
+    {"snr_db": float("nan")}, {"snr_db": float("inf")}, {"snr_db": 10 ** 400},
+    {"gain": "1"}, {"gain": False}, {"gain": float("-inf")},
+])
+def test_manifest_source_fields_are_typed(fields):
+    with pytest.raises(BadManifestLine, match="source"):
+        ManifestRecord.from_json(_line_with_source(**fields))
+
+
+def test_manifest_record_needs_a_source():
+    doc = json.loads(_line_with_source())
+    doc["sources"] = []
+    with pytest.raises(BadManifestLine, match="at least one source"):
+        ManifestRecord.from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("fields", [
+    {}, {"snr_db": -3}, {"snr_db": 1e6}, {"gain": 0.5}, {"gain": 2}])
+def test_manifest_source_fields_of_the_right_type_load(fields):
+    record = ManifestRecord.from_json(_line_with_source(**fields))
+    assert vars(record.sources[0]) == {**_GOOD_SOURCE, **fields}
 
 
 def test_load_manifest_names_the_bad_line(demo, tmp_path):

@@ -9,14 +9,16 @@ from mixedit.metrics import snr
 from mixedit.mixer import (
     AUDIO_SNR_RANGE,
     SPEECH_SNR_RANGES,
-    GainAssignment,
+    BadLevel,
     LengthMismatch,
     MixturePair,
     SilentSource,
     apply_gains,
     assign_gains,
+    draw_assigned_snrs,
     gain_for,
     mix,
+    reference_index,
     target_mixture,
     weighted_sum,
 )
@@ -43,71 +45,98 @@ def test_assign_gains_achieves_requested_snr():
     rng = np.random.default_rng(1)
     labels = ["dog", "rain", "car horn"]
     for case in range(200):
-        sources = [(noise_clip(seed=100 + case * 7 + i,
-                               scale=float(rng.uniform(0.1, 3.0))),
-                    AudioSignature(labels[i]) if i else spk())
-                   for i in range(3)]
-        assignment = assign_gains(sources, seed=case)
-        scaled = apply_gains(sources, assignment)
-        ref = scaled[assignment.reference_index]
-        for i, clip in enumerate(scaled):
+        clips = [noise_clip(seed=100 + case * 7 + i,
+                            scale=float(rng.uniform(0.1, 3.0)))
+                 for i in range(3)]
+        sigs = [AudioSignature(labels[i]) if i else spk() for i in range(3)]
+        snrs = draw_assigned_snrs(sigs, seed=case)
+        scaled = apply_gains(clips, assign_gains(clips, sigs, snrs))
+        ref = scaled[reference_index(sigs)]
+        for clip, snr_db in zip(scaled, snrs, strict=True):
             achieved = 10 * np.log10(mean_square(clip) / mean_square(ref))
-            assert abs(achieved - assignment.snrs_db[i]) < 1e-9
+            assert abs(achieved - snr_db) < 1e-9
+
+
+def test_assign_gains_plays_any_planned_level():
+    """Levels off the drawn ranges, the reference's own included, are
+    played relative to the reference's conditioned energy."""
+    clips = [noise_clip(seed=26, scale=0.3), noise_clip(seed=27, scale=2.0),
+             noise_clip(seed=28)]
+    sigs = [AudioSignature("dog"), spk(), AudioSignature("rain")]
+    energies = [mean_square(c) for c in clips]
+    for snrs in ([2.5, 0.0, -40.0], [12.0, -7.5, 0.0], [0.0, 0.0, 0.0]):
+        gains = assign_gains(clips, sigs, snrs)
+        for clip, gain, snr_db in zip(clips, gains, snrs, strict=True):
+            achieved = 10 * np.log10(mean_square(clip) * gain ** 2
+                                     / energies[1])
+            assert abs(achieved - snr_db) < 1e-9
+    assert assign_gains(clips, sigs, [1.0, 0.0, -1.0])[1] == 1.0
+
+
+@pytest.mark.parametrize("snr_db", [1e6, -1e6, float("inf"), float("-inf"),
+                                    float("nan")])
+def test_assign_gains_rejects_a_level_without_a_finite_positive_gain(snr_db):
+    clips = [noise_clip(seed=29), noise_clip(seed=30)]
+    sigs = [spk(), AudioSignature("dog")]
+    with pytest.raises(BadLevel):
+        assign_gains(clips, sigs, [0.0, snr_db])
 
 
 def test_assign_gains_snr_ranges():
-    sources = [
-        (noise_clip(seed=1), spk(volume="normal")),      # reference, 0 dB
-        (noise_clip(seed=2), spk(volume="low", gender="male")),
-        (noise_clip(seed=3), AudioSignature("dog")),
+    sigs = [
+        spk(volume="normal"),                # reference, 0 dB
+        spk(volume="low", gender="male"),
+        AudioSignature("dog"),
     ]
+    assert reference_index(sigs) == 0
     for seed in range(300):
-        a = assign_gains(sources, seed)
-        assert a.reference_index == 0
-        assert a.snrs_db[0] == 0.0
-        lo, hi = SPEECH_SNR_RANGES[sources[1][1].style.volume]
-        assert lo <= a.snrs_db[1] <= hi
+        snrs = draw_assigned_snrs(sigs, seed)
+        assert snrs[0] == 0.0
+        lo, hi = SPEECH_SNR_RANGES[sigs[1].style.volume]
+        assert lo <= snrs[1] <= hi
         lo, hi = AUDIO_SNR_RANGE
-        assert lo <= a.snrs_db[2] <= hi
+        assert lo <= snrs[2] <= hi
 
 
 def test_assign_gains_reference_is_first_speech():
-    sources = [
-        (noise_clip(seed=4), AudioSignature("dog")),
-        (noise_clip(seed=5), spk()),
-    ]
-    a = assign_gains(sources, seed=0)
-    assert a.reference_index == 1
-    audio_only = [(noise_clip(seed=6), AudioSignature("dog")),
-                  (noise_clip(seed=7), AudioSignature("rain"))]
-    assert assign_gains(audio_only, seed=0).reference_index == 0
+    sigs = [AudioSignature("dog"), spk()]
+    assert reference_index(sigs) == 1
+    assert draw_assigned_snrs(sigs, seed=0)[1] == 0.0
+    clips = [noise_clip(seed=4), noise_clip(seed=5, scale=3.0)]
+    assert assign_gains(clips, sigs, [-2.0, 0.0])[1] == 1.0
+    audio_only = [AudioSignature("dog"), AudioSignature("rain")]
+    assert reference_index(audio_only) == 0
+    assert draw_assigned_snrs(audio_only, seed=0)[0] == 0.0
 
 
 def test_assign_gains_order_independent_draws():
-    base = [
-        (noise_clip(seed=8), spk()),
-        (noise_clip(seed=9), AudioSignature("dog")),
-        (noise_clip(seed=10), AudioSignature("rain")),
-    ]
+    base = [spk(), AudioSignature("dog"), AudioSignature("rain")]
     swapped = [base[0], base[2], base[1]]
-    a = assign_gains(base, seed=5)
-    b = assign_gains(swapped, seed=5)
-    by_sig_a = dict(zip(["spk", "dog", "rain"], a.snrs_db))
-    by_sig_b = dict(zip(["spk", "rain", "dog"], b.snrs_db))
+    a = draw_assigned_snrs(base, seed=5)
+    b = draw_assigned_snrs(swapped, seed=5)
+    by_sig_a = dict(zip(["spk", "dog", "rain"], a))
+    by_sig_b = dict(zip(["spk", "rain", "dog"], b))
     assert by_sig_a == by_sig_b
+    # The gains follow the levels, not the order of the sources.
+    clips = [noise_clip(seed=8), noise_clip(seed=9), noise_clip(seed=10)]
+    gains_a = assign_gains(clips, base, a)
+    gains_b = assign_gains([clips[0], clips[2], clips[1]], swapped, b)
+    assert gains_a == (gains_b[0], gains_b[2], gains_b[1])
 
 
 def test_assign_gains_deterministic():
-    sources = [(noise_clip(seed=11), spk()), (noise_clip(seed=12), AudioSignature("dog"))]
-    assert assign_gains(sources, seed=3) == assign_gains(sources, seed=3)
-    assert assign_gains(sources, seed=3) != assign_gains(sources, seed=4)
+    sigs = [spk(), AudioSignature("dog")]
+    assert draw_assigned_snrs(sigs, seed=3) == draw_assigned_snrs(sigs, seed=3)
+    assert draw_assigned_snrs(sigs, seed=3) != draw_assigned_snrs(sigs, seed=4)
+    clips = [noise_clip(seed=11), noise_clip(seed=12)]
+    snrs = draw_assigned_snrs(sigs, seed=3)
+    assert assign_gains(clips, sigs, snrs) == assign_gains(clips, sigs, snrs)
 
 
 def test_assign_gains_silent_source():
-    sources = [(noise_clip(seed=13), spk()),
-               (Clip(np.zeros(8000), 16000), AudioSignature("dog"))]
+    clips = [noise_clip(seed=13), Clip(np.zeros(8000), 16000)]
     with pytest.raises(SilentSource):
-        assign_gains(sources, seed=0)
+        assign_gains(clips, [spk(), AudioSignature("dog")], [0.0, 1.0])
 
 
 def test_mix_cancellation_and_identity():
@@ -173,9 +202,3 @@ def test_mixture_pair_no_rescale_when_in_range():
     pair = MixturePair.build(srcs, [K, R])
     assert pair.scale == 1.0
     assert np.array_equal(pair.input.samples, mix(srcs).samples)
-
-
-def test_gain_assignment_is_value_type():
-    a = GainAssignment((1.0, 0.5), (0.0, -2.0), 0)
-    b = GainAssignment((1.0, 0.5), (0.0, -2.0), 0)
-    assert a == b

@@ -16,6 +16,7 @@ from mixedit.core import (
     validate_instruction,
 )
 from mixedit.prompt import (
+    BadLexicon,
     CannotDistinguish,
     ConflictingEdits,
     EmptyInstruction,
@@ -86,6 +87,72 @@ def test_lexicon_rejects_special_prompts_differing_in_whitespace(tmp_path):
     bad = tmp_path / "lexicon.json"
     bad.write_text(json.dumps(doc))
     with pytest.raises(ValueError):
+        Lexicon.load(bad)
+
+
+def _packaged_lexicon() -> dict:
+    import json
+    from importlib import resources
+    return json.loads(
+        resources.files("mixedit.data").joinpath("lexicon.json").read_text())
+
+
+_DROP = object()
+
+
+def _set(doc, path, value):
+    *head, last = path
+    for key in head:
+        doc = doc[key]
+    if value is _DROP:
+        del doc[last]
+    else:
+        doc[last] = value
+
+
+def test_lexicon_loads_with_or_without_a_bom(tmp_path):
+    import json
+    text = json.dumps(_packaged_lexicon())
+    for name, data in (("plain", text.encode()),
+                       ("bom", b"\xef\xbb\xbf" + text.encode())):
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(data)
+        assert Lexicon.load(path).verbs == default_lexicon().verbs
+
+
+@pytest.mark.parametrize("text", [
+    None, "", "{", "[]", "{}", '"text"', "\udcff", "[" * 100_000],
+    ids=["missing", "empty", "open brace", "list", "empty object", "string",
+         "not utf-8", "deep nesting"])
+def test_lexicon_rejects_an_unreadable_file(tmp_path, text):
+    path = tmp_path / "lexicon.json"
+    if text is not None:
+        path.write_text(text, "utf-8", errors="surrogateescape")
+    with pytest.raises(BadLexicon) as err:
+        Lexicon.load(path)
+    assert isinstance(err.value, ValueError)
+
+
+@pytest.mark.parametrize("path, value", [
+    (("version",), _DROP), (("version",), "1"), (("version",), True),
+    (("verbs",), _DROP), (("verbs",), []), (("verbs", "keep"), "keep"),
+    (("verbs", "keep"), [1, 2, 3]), (("verbs", "frobnicate"), ["x"]),
+    (("gender_terms",), _DROP), (("gender_terms", "female"), []),
+    (("level_terms",), ["low"]), (("speaker_terms",), "speaker"),
+    (("sound_terms",), []), (("special_prompts",), _DROP),
+    (("special_prompts", "keep|remove"), "text"),
+    (("special_prompts", "keep|remove", 0, "text"), 5),
+    (("special_prompts", "keep|remove", 0, "edits"), ["ka"]),
+    (("special_prompts", "keep|remove", 0, "edits", 0), ["keep", "nobody"]),
+    (("special_prompts", "keep|remove", 0, "edits", 0), ["keep"]),
+])
+def test_lexicon_rejects_a_wrongly_shaped_entry(tmp_path, path, value):
+    import json
+    doc = _packaged_lexicon()
+    _set(doc, path, value)
+    bad = tmp_path / "lexicon.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(BadLexicon):
         Lexicon.load(bad)
 
 

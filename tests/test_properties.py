@@ -30,6 +30,7 @@ from mixedit.dataset import (
     RephraseConfig,
     ingest,
     read_wav,
+    synthesize,
     write_wav,
 )
 from mixedit.dataset.catalog import _DEMO_LABELS
@@ -142,28 +143,68 @@ json_values = st.recursive(
 )
 
 
-@st.composite
-def mutated_records(draw):
-    doc = dict(_RECORD)
+# Values a source field is likely to be mistyped with.
+source_values = json_values | st.sampled_from(
+    [float("nan"), float("inf"), -float("inf"), 1e6, -1e6, 1e308, 10 ** 400,
+     2.5, -40, True, "x", "a.wav", ["a"], {"kind": "audio"}])
+
+
+def _mutated(draw, doc: dict, values) -> dict:
     key = draw(st.sampled_from(sorted(doc) + ["extra"]))
     if draw(st.booleans()):
         doc.pop(key, None)
     else:
-        doc[key] = draw(json_values)
+        doc[key] = draw(values)
+    return doc
+
+
+@st.composite
+def mutated_records(draw, record: dict):
+    return json.dumps(_mutated(draw, dict(record), json_values))
+
+
+@st.composite
+def mutated_sources(draw, record: dict):
+    doc = dict(record)
+    doc["sources"] = [dict(source) for source in record["sources"]]
+    i = draw(st.integers(0, len(doc["sources"]) - 1))
+    _mutated(draw, doc["sources"][i], source_values)
     return json.dumps(doc)
 
 
-@settings(max_examples=300)
-@given(st.one_of(st.text(), json_values.map(json.dumps), mutated_records()))
-def test_any_manifest_line_loads_or_raises_typed(line):
+@pytest.fixture(scope="module")
+def source_record(tmp_path_factory) -> dict:
+    """``_RECORD`` with its sources as short WAV files on disk."""
+    root = tmp_path_factory.mktemp("sources")
+    t = np.arange(1600) / 16000
+    doc = dict(_RECORD)
+    doc["sources"] = [dict(source) for source in _RECORD["sources"]]
+    for source, hz in zip(doc["sources"], (440, 2093)):
+        write_wav(root / source["path"],
+                  Clip(0.3 * np.sin(2 * np.pi * hz * t), 16000))
+        source["path"] = str(root / source["path"])
+    return doc
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_any_manifest_line_loads_or_raises_typed(source_record, data):
+    line = data.draw(st.one_of(
+        st.text(), json_values.map(json.dumps),
+        mutated_records(source_record), mutated_sources(source_record)))
     try:
         record = ManifestRecord.from_json(line)
     except MixeditError:
         return
-    # A loaded record serves what eval and the batch callers read of it.
+    # A loaded record serves what eval and the batch callers read of it,
+    # and synthesis either writes it or keeps its failure to it.
     f"{record.record_id:06d}"
     record.action_vector()
     record.signatures()
+    with tempfile.TemporaryDirectory() as tmp:
+        summary = synthesize([record], tmp)
+    assert summary.succeeded + len(summary.failures) == 1
 
 
 @functools.cache
