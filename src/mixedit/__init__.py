@@ -5,6 +5,16 @@ mixture synthesis, prompt templating and parsing, reference editors,
 and the evaluation metric suite.
 """
 
+import os
+
+# One BLAS thread per process, set before any submodule loads numpy:
+# resample's and training's matmuls reduce in an order that depends on
+# the thread count, so this makes every output a function of its inputs
+# and seed alone. A setting the user made, or numpy loaded first, wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 from .core import (
     Action,
     AudioSignature,

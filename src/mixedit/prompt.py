@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
-from pathlib import Path
 
 from .core import (
     ACTION_BY_VALUE,
@@ -120,6 +119,10 @@ _HEAD_FIELDS = ("emotion", "gender")
 _TERM_TABLES = _HEAD_FIELDS + ("level", "trait")
 
 
+# The one lexicon the prompt functions read, through ``default_lexicon``.
+_LEXICON_FILE = resources.files("mixedit.data").joinpath("lexicon.json")
+
+
 def _phrases(value) -> tuple[str, ...]:
     """A lexicon phrase list: a non-empty JSON list of strings."""
     if not (isinstance(value, list) and value
@@ -159,18 +162,13 @@ class Lexicon:
     _term_lookup: dict = field(default_factory=dict, repr=False)
 
     @classmethod
-    def load(cls, path: str | Path | None = None) -> "Lexicon":
-        """The shipped lexicon, or the one in ``path``. Raises BadLexicon
-        for a file that cannot be read, is not JSON, lacks a key or holds
-        a wrongly shaped entry, and for a lexicon that fails validation.
-        A leading UTF-8 byte-order mark is skipped."""
+    def load(cls) -> "Lexicon":
+        """The shipped lexicon, read from ``_LEXICON_FILE``. Raises
+        BadLexicon for a file that cannot be read, is not JSON, lacks a
+        key or holds a wrongly shaped entry, and for a lexicon that fails
+        validation. A leading UTF-8 byte-order mark is skipped."""
         try:
-            if path is None:
-                raw = resources.files("mixedit.data").joinpath(
-                    "lexicon.json").read_text("utf-8")
-            else:
-                raw = Path(path).read_text("utf-8-sig")
-            doc = json.loads(raw)
+            doc = json.loads(_LEXICON_FILE.read_text("utf-8-sig"))
             if type(doc["version"]) is not int:
                 raise TypeError(f"version must be int, got {doc['version']!r}")
             lex = cls(
@@ -191,8 +189,7 @@ class Lexicon:
                 RecursionError) as err:
             # ValueError covers bad UTF-8 and bad JSON.
             raise BadLexicon(
-                f"{path or 'lexicon.json'}: {type(err).__name__}: {err}"
-            ) from err
+                f"lexicon.json: {type(err).__name__}: {err}") from err
         lex._validate()
         lex._build_lookups()
         return lex

@@ -1,6 +1,8 @@
 """Command-line surface: round trips, exit codes, JSON outputs."""
 
 import json
+import os
+import shutil
 import subprocess
 import sys
 import time
@@ -780,6 +782,70 @@ def test_cli_runs_without_scipy(tmp_path):
                          timeout=300)
     assert run.returncode == 0, run.stderr
     assert (tmp_path / "edited.wav").is_file()
+
+
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+_GENERATE_AND_TRAIN = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from mixedit.cli import main
+catalog, config, out = sys.argv[2:]
+for argv in (
+    ["generate", "--catalog", catalog, "--out", f"{out}/data", "--count", "4",
+     "--seed", "7"],
+    ["train-toy", "--config", config, "--out-dir", f"{out}/net", "--seed", "3"],
+):
+    code = main(argv)
+    if code:
+        sys.exit(f"{argv[0]} exited {code}")
+"""
+
+
+def _run_with_blas(blas_env, code, *argv):
+    """Runs ``code`` in a fresh interpreter on this checkout's sources,
+    with ``blas_env`` as the only BLAS variables set."""
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    src = str(Path(mixedit.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", code, src, *argv],
+                          env=env | blas_env, capture_output=True, text=True,
+                          timeout=300)
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # Resampling and training reduce through BLAS matmuls whose order
+    # follows the thread count; the package pins one thread, so a run
+    # with the BLAS variables unset writes the bytes of a pinned run.
+    catalog = tmp_path / "catalog"
+    rows = []
+    for rate, kind in ((48000, "speech"), (44100, "audio")):
+        meta = build_demo_catalog(catalog / kind, seed=0, rate=rate)
+        rows += [dict(row, path=f"{kind}/{row['path']}")
+                 for row in json.loads(meta.read_text()) if row["type"] == kind]
+    (catalog / "metadata.json").write_text(json.dumps(rows))
+    config = tmp_path / "toy.json"
+    config.write_text(json.dumps({"steps": 2, "channels": 64,
+                                  "samples": 5 * RATE, "examples": 2}))
+    out = tmp_path / "out"  # one path for both runs: stdout names it
+    runs = {}
+    for name, env in (("unset", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+        run = _run_with_blas(env, _GENERATE_AND_TRAIN, str(catalog),
+                             str(config), str(out))
+        assert run.returncode == 0, run.stderr
+        runs[name] = (run.stdout, {str(f.relative_to(out)): f.read_bytes()
+                                   for f in out.rglob("*") if f.is_file()})
+        shutil.rmtree(out)
+    assert any(name.endswith("_input.wav") for name in runs["one"][1])
+    assert "net/net.mxn" in runs["one"][1]
+    assert runs["unset"] == runs["one"]
+
+
+def test_an_explicit_blas_thread_count_is_left_as_set():
+    code = ("import os, sys; sys.path.insert(0, sys.argv[1]); import mixedit; "
+            "print(*(os.environ[k] for k in sys.argv[2:]))")
+    run = _run_with_blas({"OPENBLAS_NUM_THREADS": "2"}, code, *_BLAS_VARS)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["2", "1", "1"]
 
 
 def test_eval_non_utf8_manifest_exits_1(tmp_path, capsys):

@@ -5,6 +5,7 @@ import json
 import struct
 import tracemalloc
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -48,7 +49,7 @@ from mixedit.editor import (
     save_net,
     train_toy,
 )
-from mixedit.editor import masking
+from mixedit.editor import film, masking
 from mixedit.editor.film import latent_frames, snr_loss_and_grad
 from mixedit.editor.masking import DimMismatch
 from mixedit.errors import MixeditError
@@ -528,13 +529,17 @@ def test_saturated_mask_head_gets_zero_gradient():
     assert np.any(grads["dec.w"] != 0.0)
 
 
-def test_film_edit_peak_memory():
+def test_film_edit_peak_memory(monkeypatch):
     # edit runs forward without the backward cache: the blocks share one
     # zero-margined buffer, freed before the head allocates, and each
     # block's input is freed before its h_out allocates (10.5 and 13.0
-    # MiB measured).
-    x = Clip(np.random.default_rng(3).standard_normal(5 * RATE) * 0.1, RATE)
-    for n_masks, limit_mib in ((1, 13), (2, 16)):
+    # MiB measured). A 60-s clip runs in 30 windows, two at a time here,
+    # and holds little more than its float64 output and combined mask
+    # (74.6 MiB measured, against 121.3 MiB for one whole-clip pass).
+    monkeypatch.setattr(film.os, "cpu_count", lambda: 2)
+    for seconds, n_masks, limit_mib in ((5, 1, 13), (5, 2, 16), (60, 1, 80)):
+        x = Clip(np.random.default_rng(3).standard_normal(seconds * RATE)
+                 * 0.1, RATE)
         net = FilmMaskNet.init(MaskNetConfig(n_masks=n_masks), seed=2)
         z = unit_vec(net.config.embed_dim, seed=4)
         tracemalloc.start()
@@ -543,7 +548,7 @@ def test_film_edit_peak_memory():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < limit_mib * 2**20, n_masks
+        assert peak < limit_mib * 2**20, (seconds, n_masks)
 
 
 def test_film_training_step_peak_memory():
@@ -569,6 +574,27 @@ def test_film_training_step_peak_memory():
 WIDE = MaskNetConfig(channels=8, kernel=4, blocks=6, embed_dim=8, n_masks=2)
 
 
+def _whole_clip_edit(net, x, z):
+    """The output and combined mask of one cached float32 forward over
+    the whole clip."""
+    cache = FilmMaskNet(net.config, net._params_as(np.float32)).forward(x, z)
+    mask = np.clip(cache["masks"].sum(axis=0, dtype=np.float64), 0.0,
+                   net.config.max_gain)
+    return cache["y"], mask
+
+
+def _assert_edits_whole_clip(net, x, z):
+    est, mask = net.edit(Clip(x, RATE), z)
+    expected_est, expected_mask = _whole_clip_edit(net, x, z)
+    assert np.array_equal(est.samples, expected_est)
+    assert np.array_equal(mask.values, expected_mask)
+    return est, mask
+
+
+def _samples_for(cfg, n_frames):
+    return cfg.kernel + (n_frames - 1) * cfg.stride
+
+
 @pytest.mark.parametrize("cfg,n", [
     (MaskNetConfig(), 5 * RATE),
     (MaskNetConfig(n_masks=2), 5 * RATE),
@@ -576,18 +602,64 @@ WIDE = MaskNetConfig(channels=8, kernel=4, blocks=6, embed_dim=8, n_masks=2)
     # L = 4 frames against a widest margin of 2**5 columns: the outer
     # taps of the later blocks read nothing but the shared margins.
     (WIDE, WIDE.kernel + 3 * WIDE.stride),
+    (MaskNetConfig(), 60 * RATE),
+    # The longest clip that is one window, and the shortest that splits.
+    (MaskNetConfig(), _samples_for(MaskNetConfig(), 1023)),
+    (MaskNetConfig(), _samples_for(MaskNetConfig(), 1024)),
 ])
 def test_film_edit_equals_cached_float32_forward_bit_for_bit(cfg, n):
     net = FilmMaskNet.init(cfg, seed=2)
     x = np.random.default_rng(3).standard_normal(n) * 0.1
+    _assert_edits_whole_clip(net, x, unit_vec(cfg.embed_dim, seed=4))
+
+
+@pytest.mark.parametrize("cfg", [MaskNetConfig(), MaskNetConfig(n_masks=2),
+                                 WIDE])
+def test_film_edit_windows_equal_the_whole_clip_at_every_offset(cfg):
+    # Clip lengths over two strides, so the clip's end and the sample
+    # edges of the windows fall at every offset of the frame grid.
+    net = FilmMaskNet.init(cfg, seed=2)
     z = unit_vec(cfg.embed_dim, seed=4)
-    est, mask = net.edit(Clip(x, RATE), z)
-    cache = FilmMaskNet(cfg, net._params_as(np.float32)).forward(x, z)
-    max_gain = cfg.mask_max * cfg.n_masks
-    expected = np.clip(cache["masks"].sum(axis=0, dtype=np.float64),
-                       0.0, max_gain)
-    assert np.array_equal(est.samples, cache["y"])
-    assert np.array_equal(mask.values, expected)
+    first = _samples_for(cfg, 3001)
+    for n in range(first, first + 2 * cfg.stride):
+        x = np.random.default_rng(n).standard_normal(n) * 0.1
+        _assert_edits_whole_clip(net, x, z)
+
+
+def test_film_edit_is_the_same_on_one_thread_or_four(monkeypatch):
+    pools = []
+
+    class Recorded(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(film, "ThreadPoolExecutor", Recorded)
+    net = FilmMaskNet.init(MaskNetConfig(n_masks=2), seed=2)
+    x = np.random.default_rng(3).standard_normal(5 * RATE) * 0.1
+    z = unit_vec(net.config.embed_dim, seed=4)
+    edits = []
+    for cpus in (1, 4):
+        monkeypatch.setattr(film.os, "cpu_count", lambda: cpus)
+        est, mask = _assert_edits_whole_clip(net, x, z)
+        edits.append((est.samples.tobytes(), mask.values.tobytes()))
+    assert pools == [1, 4]  # a 5-s clip is four windows
+    assert edits[0] == edits[1]
+
+
+@pytest.mark.parametrize("n_frames", [1, 1023, 1024, 1025, 8191, 8192, 8193,
+                                      9999, 16384, 16385, 119999])
+def test_film_windows_tile_the_clip_in_an_even_count(n_frames):
+    windows = film._windows(n_frames)
+    assert windows[0][0] == 0 and windows[-1][1] == n_frames
+    assert all(a[1] == b[0] for a, b in zip(windows, windows[1:]))
+    widths = {end - first for first, end in windows}
+    if n_frames < 1024:
+        assert windows == [(0, n_frames)]
+    else:
+        assert len(windows) % 2 == 0
+        assert max(widths) - min(widths) <= 1
+        assert 512 <= min(widths) and max(widths) <= 8192
 
 
 def _film_edit_with_zeroed_buffers(net, x, z):
@@ -750,7 +822,7 @@ def test_edit_and_training_run_forward_with_and_without_the_cache(
     net = FilmMaskNet.init(TOY, seed=0)
     x, z, y = toy_data()
     net.edit(Clip(x, RATE), z)
-    assert calls == [(False, {"masks", "per_source", "y"})]
+    assert calls == [(False, {"mask", "y"})]
     snr_loss_and_grad(net, x, z, y)
     net.forward(x, z)
     for keep, keys in calls[1:]:

@@ -15,6 +15,7 @@ from mixedit.core import (
     StyleVector,
     validate_instruction,
 )
+from mixedit import prompt as prompt_module
 from mixedit.prompt import (
     BadLexicon,
     CannotDistinguish,
@@ -65,36 +66,39 @@ def test_lexicon_loads_and_validates():
     assert all(len(v) == 5 for v in lex.specials.values())
 
 
-def test_lexicon_rejects_ambiguous_phrases(tmp_path):
-    import json
-    from importlib import resources
-    doc = json.loads(
-        resources.files("mixedit.data").joinpath("lexicon.json").read_text())
-    doc["verbs"]["keep"] = list(doc["verbs"]["keep"]) + ["remove"]
-    bad = tmp_path / "lexicon.json"
-    bad.write_text(json.dumps(doc))
-    with pytest.raises(ValueError):
-        Lexicon.load(bad)
-
-
-def test_lexicon_rejects_special_prompts_differing_in_whitespace(tmp_path):
-    import json
-    from importlib import resources
-    doc = json.loads(
-        resources.files("mixedit.data").joinpath("lexicon.json").read_text())
-    entries = doc["special_prompts"]["keep|remove"]
-    entries[1]["text"] = entries[0]["text"].replace(" ", "  ", 1)
-    bad = tmp_path / "lexicon.json"
-    bad.write_text(json.dumps(doc))
-    with pytest.raises(ValueError):
-        Lexicon.load(bad)
-
-
 def _packaged_lexicon() -> dict:
     import json
     from importlib import resources
     return json.loads(
         resources.files("mixedit.data").joinpath("lexicon.json").read_text())
+
+
+def _load_shipped(monkeypatch, path):
+    """``Lexicon.load`` with the shipped file replaced by ``path``."""
+    monkeypatch.setattr(prompt_module, "_LEXICON_FILE", path)
+    return Lexicon.load()
+
+
+def test_lexicon_rejects_ambiguous_phrases(tmp_path, monkeypatch):
+    import json
+    doc = _packaged_lexicon()
+    doc["verbs"]["keep"] = list(doc["verbs"]["keep"]) + ["remove"]
+    bad = tmp_path / "lexicon.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(ValueError):
+        _load_shipped(monkeypatch, bad)
+
+
+def test_lexicon_rejects_special_prompts_differing_in_whitespace(
+        tmp_path, monkeypatch):
+    import json
+    doc = _packaged_lexicon()
+    entries = doc["special_prompts"]["keep|remove"]
+    entries[1]["text"] = entries[0]["text"].replace(" ", "  ", 1)
+    bad = tmp_path / "lexicon.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(ValueError):
+        _load_shipped(monkeypatch, bad)
 
 
 _DROP = object()
@@ -110,26 +114,27 @@ def _set(doc, path, value):
         doc[last] = value
 
 
-def test_lexicon_loads_with_or_without_a_bom(tmp_path):
+def test_lexicon_loads_with_or_without_a_bom(tmp_path, monkeypatch):
     import json
     text = json.dumps(_packaged_lexicon())
+    expected = default_lexicon().verbs
     for name, data in (("plain", text.encode()),
                        ("bom", b"\xef\xbb\xbf" + text.encode())):
         path = tmp_path / f"{name}.json"
         path.write_bytes(data)
-        assert Lexicon.load(path).verbs == default_lexicon().verbs
+        assert _load_shipped(monkeypatch, path).verbs == expected
 
 
 @pytest.mark.parametrize("text", [
     None, "", "{", "[]", "{}", '"text"', "\udcff", "[" * 100_000],
     ids=["missing", "empty", "open brace", "list", "empty object", "string",
          "not utf-8", "deep nesting"])
-def test_lexicon_rejects_an_unreadable_file(tmp_path, text):
+def test_lexicon_rejects_an_unreadable_file(tmp_path, monkeypatch, text):
     path = tmp_path / "lexicon.json"
     if text is not None:
         path.write_text(text, "utf-8", errors="surrogateescape")
     with pytest.raises(BadLexicon) as err:
-        Lexicon.load(path)
+        _load_shipped(monkeypatch, path)
     assert isinstance(err.value, ValueError)
 
 
@@ -146,14 +151,15 @@ def test_lexicon_rejects_an_unreadable_file(tmp_path, text):
     (("special_prompts", "keep|remove", 0, "edits", 0), ["keep", "nobody"]),
     (("special_prompts", "keep|remove", 0, "edits", 0), ["keep"]),
 ])
-def test_lexicon_rejects_a_wrongly_shaped_entry(tmp_path, path, value):
+def test_lexicon_rejects_a_wrongly_shaped_entry(tmp_path, monkeypatch, path,
+                                                value):
     import json
     doc = _packaged_lexicon()
     _set(doc, path, value)
     bad = tmp_path / "lexicon.json"
     bad.write_text(json.dumps(doc))
     with pytest.raises(BadLexicon):
-        Lexicon.load(bad)
+        _load_shipped(monkeypatch, bad)
 
 
 # ---------------- simplify ----------------
