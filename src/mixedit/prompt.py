@@ -157,8 +157,10 @@ class Lexicon:
     sound_terms: tuple[str, ...]
     specials: dict[str, tuple[SpecialPrompt, ...]]
     # lookup tables built after validation
-    _verb_lookup: tuple[tuple[str, Action], ...] = field(default=(), repr=False)
+    _verb_lookup: dict = field(default_factory=dict, repr=False)
+    _verb_sizes: tuple = field(default=(), repr=False)
     _special_lookup: dict = field(default_factory=dict, repr=False)
+    _head_lookup: dict = field(default_factory=dict, repr=False)
     _term_lookup: dict = field(default_factory=dict, repr=False)
 
     @classmethod
@@ -213,27 +215,37 @@ class Lexicon:
                 raise BadLexicon(f"pattern {key!r} needs exactly 5 phrasings")
 
     def _build_lookups(self):
-        self._verb_lookup = tuple(sorted(
-            ((p, a) for a, ps in self.verbs.items() for p in ps),
-            key=lambda pa: -len(pa[0]),
-        ))
+        # The grammar ``parse`` reads: each verb phrase's action by its words,
+        # the phrase lengths longest first, each style word before the
+        # speaker noun as (field, value), and the level and trait tables.
+        self._verb_lookup = {tuple(p.split()): a
+                             for a, ps in self.verbs.items() for p in ps}
+        self._verb_sizes = tuple(sorted(set(map(len, self._verb_lookup)),
+                                        reverse=True))
         self._special_lookup = {
             normalize_label(sp.text): sp
             for entries in self.specials.values()
             for sp in entries
         }
+        self._head_lookup = {p: (f, v) for f in _HEAD_FIELDS
+                             for v, ps in self.terms[f].items() for p in ps}
         self._term_lookup = {
-            table: {p: v for v, ps in values.items() for p in ps}
-            for table, values in self.terms.items()
+            table: {p: v for v, ps in self.terms[table].items() for p in ps}
+            for table in ("level", "trait")
         }
 
     def phrase(self, table: str, value: str) -> str:
         """The phrase ``render`` uses for a term-table value."""
         return self.terms[table][value][0]
 
-    def lookup(self, table: str, phrase: str) -> str | None:
-        """The term-table value a phrase names, or None."""
-        return self._term_lookup[table].get(phrase)
+    def _verb(self, words) -> tuple[int, Action] | None:
+        """The longest verb phrase that opens ``words`` and has a word after
+        it, as (its word count, its action), or None."""
+        for size in self._verb_sizes:
+            action = self._verb_lookup.get(tuple(words[:size]))
+            if action is not None and len(words) > size:
+                return size, action
+        return None
 
     def verb_for(self, action: Action, rng: random.Random) -> str:
         phrases = self.verbs[action]
@@ -383,13 +395,22 @@ def special_generic(actions, comp, seed: int = 0) -> Prompt | None:
     return Prompt(chosen.text, Provenance.SPECIAL_GENERIC)
 
 
+# A word of a prompt, as ``str.split`` finds it; ``parse`` keeps its offsets.
+_WORD = re.compile(r"\S+")
+
+_ARTICLES = ("the", "an", "a")
+
+
 def parse(text: str, labels) -> SimplifiedInstruction:
     """Invert ``render``: map a template or special generic prompt back to
     its simplified instruction.
 
     ``labels`` is the set of class labels known to the catalog. Edits come
     back in textual order. Raises UnknownVerb, UnknownDescriptor,
-    ConflictingEdits, or EmptyInstruction, each carrying a source span.
+    ConflictingEdits, or EmptyInstruction, each carrying a span
+    ``(start, end)``: ``text[start:end]`` is the offending clause as
+    written, without its separating comma or closing punctuation.
+    EmptyInstruction's span is ``(0, len(text))``.
     """
     lex = default_lexicon()
     labels = {normalize_label(l) for l in labels}
@@ -398,128 +419,107 @@ def parse(text: str, labels) -> SimplifiedInstruction:
     if special is not None:
         return SimplifiedInstruction(special.edits)
 
-    lowered = text.lower()
-    body = norm
-    for opening, _ in _TEMPLATE_FORMS.values():
-        if body.startswith(opening.lower()):
-            body = body[len(opening):]
-            break
-    body = body.rstrip(".?!").strip()
-    if not body:
+    # The words after the template opening and before the closing
+    # punctuation: their matches in text, and the words lower-cased.
+    opening = next((len(o.split()) for o, _ in _TEMPLATE_FORMS.values()
+                    if norm.startswith(o.lower())), 0)
+    stop = len(text.rstrip().rstrip(".?!").rstrip())
+    found = list(_WORD.finditer(text, 0, stop))[opening:]
+    if not found:
         raise EmptyInstruction("no edits found", span=(0, len(text)))
+    words = text[found[0].start():stop].lower().split()
 
-    # Clause boundaries: a segment after ', ' opens a new clause only when
+    # Clause boundaries: a segment after ", " opens a new clause only when
     # it starts with a verb phrase; anything else (e.g. the tail of an
-    # attribute list) continues the previous clause.
-    clauses: list[list] = []  # [clause, verb match of its first segment]
-    for seg in body.split(", "):
-        candidate = seg[4:] if seg.startswith("and ") else seg
-        matched = _match_verb(candidate, lex)
+    # attribute list) continues the previous clause. A segment's last word
+    # keeps its comma here: a verb phrase needs a word after it.
+    cuts = [k for k, word in enumerate(words[:-1], 1) if word[-1] == ","]
+    clauses: list[list] = []  # [first word, end word, verb match]
+    for begin, end in zip([0] + cuts, cuts + [len(words)]):
+        if end - begin > 1 and words[begin] == "and":
+            begin += 1
+        matched = lex._verb(words[begin:end])
         if matched is not None or not clauses:
-            clauses.append([candidate, matched])
+            clauses.append([begin, end, matched])
         else:
-            clauses[-1][0] += ", " + seg
+            clauses[-1][1] = end
 
-    edits = []
-    seen: set[Descriptor] = set()
-    for clause, matched in clauses:
-        # The clause comes from whitespace-collapsed text: let any run of
-        # whitespace in the original stand for each space.
-        found = re.search(r"\s+".join(map(re.escape, clause.split())), lowered)
-        span = found.span() if found else None
-        if matched is None:
-            head = clause.split(" the ")[0]
-            raise UnknownVerb(f"no known action phrase in {head!r}", span=span)
-        phrase, action = matched
-        rest = clause[len(phrase):].strip()
-        desc = _parse_descriptor(rest, labels, lex, span)
-        if desc in seen:
-            raise ConflictingEdits(
-                f"descriptor mentioned twice: {rest!r}", span=span
-            )
-        seen.add(desc)
-        edits.append((action, desc))
-    return SimplifiedInstruction(tuple(edits))
-
-
-def _match_verb(clause: str, lex: Lexicon):
-    for phrase, action in lex._verb_lookup:
-        if clause.startswith(phrase + " "):
-            return phrase, action
-    return None
+    edits: dict[Descriptor, Action] = {}
+    for first, end, matched in clauses:
+        cut = int(end < len(words))  # the comma before the next clause
+        clause = words[first:end]
+        clause[-1] = clause[-1][:len(clause[-1]) - cut]
+        try:
+            if matched is None:
+                head = " ".join(clause).split(" the ")[0]
+                raise UnknownVerb(f"no known action phrase in {head!r}")
+            size, action = matched
+            rest = [w for w in clause[size:] if w]
+            desc = _parse_descriptor(rest, labels, lex)
+            if desc in edits:
+                raise ConflictingEdits(
+                    f"descriptor mentioned twice: {' '.join(rest)!r}")
+        except ParseError as err:
+            # The span ends at the clause's last word; a lone comma is none.
+            start, last = found[first].start(), found[end - 1].end() - cut
+            err.span = (start, max(start, len(text[:last].rstrip())))
+            raise
+        edits[desc] = action
+    return SimplifiedInstruction(tuple((a, d) for d, a in edits.items()))
 
 
-def _strip_article(text: str) -> str:
-    for art in ("the ", "an ", "a "):
-        if text.startswith(art):
-            return text[len(art):]
-    return text
+def _strip_article(words):
+    return words[1:] if len(words) > 1 and words[0] in _ARTICLES else words
 
 
-def _parse_descriptor(text: str, labels, lex: Lexicon,
-                      span) -> Descriptor:
-    core = _strip_article(text.strip())
+def _parse_descriptor(words, labels, lex: Lexicon) -> Descriptor:
+    core = _strip_article(words)
     if not core:
-        raise UnknownDescriptor("empty source description", span=span)
+        raise UnknownDescriptor("empty source description")
+    if " ".join(core) in labels:
+        return AudioDescriptor(" ".join(core))
+    if core[-1] in lex.sound_terms and " ".join(core[:-1]) in labels:
+        return AudioDescriptor(" ".join(core[:-1]))
 
-    if core in labels:
-        return AudioDescriptor(core)
-    words = core.split()
-    if words[-1] in lex.sound_terms and " ".join(words[:-1]) in labels:
-        return AudioDescriptor(" ".join(words[:-1]))
-
-    head, _, tail = core.partition(" characterized by ")
-    head_words = head.split()
-    if any(w in lex.speaker_terms or _head_attr(w, lex) for w in head_words):
-        return _parse_speech(head_words, tail, lex, span)
-    raise UnknownDescriptor(f"unknown source description {text!r}", span=span)
-
-
-def _head_attr(word: str, lex: Lexicon) -> tuple[str, str] | None:
-    """The (field, value) a style word before the speaker noun names."""
-    for f in _HEAD_FIELDS:
-        value = lex.lookup(f, word)
-        if value is not None:
-            return f, value
-    return None
+    # The head words end at the first "characterized by" with words on
+    # both sides; the level-trait list follows it.
+    by = next((i for i in range(1, len(core) - 2)
+               if core[i:i + 2] == ["characterized", "by"]), len(core))
+    if any(w in lex.speaker_terms or w in lex._head_lookup for w in core[:by]):
+        return _parse_speech(core[:by], core[by + 2:], lex)
+    raise UnknownDescriptor(f"unknown source description {' '.join(words)!r}")
 
 
-def _parse_speech(head_words, tail, lex: Lexicon, span) -> SpeechDescriptor:
+def _parse_speech(head, tail, lex: Lexicon) -> SpeechDescriptor:
     attrs: dict[str, str] = {}
-    for word in head_words:
+    for word in head:
         if word in lex.speaker_terms:
             continue
-        attr = _head_attr(word, lex)
-        if attr is None:
-            raise UnknownDescriptor(f"unknown style word {word!r}", span=span)
-        _put_attr(attrs, *attr, span)
-    if tail:
-        parts = [p for piece in tail.split(", ") for p in piece.split(" and ") if p]
-        for part in parts:
-            part = part.strip()
-            if part.startswith("and "):
-                part = part[4:]
-            part = _strip_article(part)
-            tokens = part.split()
-            if len(tokens) < 2:
-                raise UnknownDescriptor(f"unreadable trait {part!r}", span=span)
-            level_word, trait_word = tokens[0], " ".join(tokens[1:])
-            level = lex.lookup("level", level_word)
-            trait = lex.lookup("trait", trait_word)
-            if level is None or trait is None:
-                raise UnknownDescriptor(f"unreadable trait {part!r}", span=span)
-            _put_attr(attrs, trait, level, span)
+        if word not in lex._head_lookup:
+            raise UnknownDescriptor(f"unknown style word {word!r}")
+        _put_attr(attrs, *lex._head_lookup[word])
+    # The level-trait pairs of "a, b, and c" or "a and b".
+    parts = (p.split() for piece in " ".join(tail).split(", ")
+             for p in piece.split(" and "))
+    for part in filter(None, parts):
+        if len(part) > 1 and part[0] == "and":
+            part = part[1:]
+        part = _strip_article(part)
+        level = lex._term_lookup["level"].get(part[0])
+        trait = lex._term_lookup["trait"].get(" ".join(part[1:]))
+        if len(part) < 2 or level is None or trait is None:
+            raise UnknownDescriptor(f"unreadable trait {' '.join(part)!r}")
+        _put_attr(attrs, trait, level)
     if not attrs:
-        raise UnknownDescriptor("speaker described with no attributes", span=span)
+        raise UnknownDescriptor("speaker described with no attributes")
     ordered = tuple((f, attrs[f]) for f in STYLE_FIELDS if f in attrs)
     return SpeechDescriptor(ordered)
 
 
-def _put_attr(attrs: dict, key: str, value: str, span):
+def _put_attr(attrs: dict, key: str, value: str):
     if key in attrs and attrs[key] != value:
         raise UnknownDescriptor(
-            f"attribute {key!r} given twice with different values", span=span
-        )
+            f"attribute {key!r} given twice with different values")
     attrs[key] = value
 
 

@@ -366,9 +366,25 @@ def test_parse_special_prompts():
 def test_parse_unknown_verb_with_span():
     with pytest.raises(UnknownVerb) as exc:
         parse("Please frobnicate the dog barking sound.", LABELS)
-    assert exc.value.span is not None
-    start, end = exc.value.span
-    assert "frobnicate" in "Please frobnicate the dog barking sound."[start:end]
+    assert exc.value.span == (7, 39)  # "frobnicate the dog barking sound"
+
+
+@pytest.mark.parametrize("text, error, span, clause", [
+    # a repeated clause reports its own span, not the first one's
+    ("Please remove the sine tone, and remove the sine tone.",
+     ConflictingEdits, (33, 53), "remove the sine tone"),
+    # spans index the text as given: "İ".lower() is two code points
+    ("Please remove the İİİİ.", UnknownDescriptor, (7, 22), "remove the İİİİ"),
+    # a lone separating comma is no part of its clause
+    ("Please , remove the sine tone.", UnknownVerb, (7, 7), ""),
+    ("Please mute \t, remove the sine tone.", UnknownDescriptor, (7, 11),
+     "mute"),
+])
+def test_parse_error_span_is_the_clause_as_written(text, error, span, clause):
+    with pytest.raises(error) as exc:
+        parse(text, {"sine tone"})
+    assert exc.value.span == span
+    assert text[span[0]:span[1]] == clause
 
 
 def test_parse_unknown_descriptor():

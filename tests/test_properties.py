@@ -12,7 +12,7 @@ from urllib.parse import urlsplit
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from mixedit.cli import BadConfigFile, _read_toy_config, main
@@ -442,7 +442,7 @@ def _prompt_tokens() -> list[str]:
     tokens += [s.text for group in lex.specials.values() for s in group]
     tokens += list(_DEMO_LABELS)
     tokens += ["the", "a", "an", "and", "with", "by", "characterized by",
-               ",", ".", "?", "!", "", " "]
+               ",", ".", "?", "!", "", " ", "\t", "\n", "İ"]
     return tokens
 
 
@@ -453,11 +453,13 @@ prompt_texts = st.lists(st.sampled_from(_prompt_tokens()), max_size=14).flatmap(
 
 @settings(max_examples=500, deadline=None)
 @given(st.one_of(st.text(), prompt_texts))
+@example("Please remove the İİİİ.")  # "İ".lower() is two code points
 def test_any_prompt_parses_or_raises_parse_error(text):
     try:
         parse(text, _DEMO_LABELS)
     except ParseError as err:
-        assert err.span is not None
+        start, end = err.span
+        assert 0 <= start <= end <= len(text)
 
 
 # ---------------- edit and eval end with an exit code ----------------
