@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -387,8 +388,9 @@ _TOY_DEFAULTS = {
 def _read_toy_config(path, seed: int) -> tuple[dict, dict]:
     """The config file as written and the full settings it stands for;
     raises BadConfigFile for an unknown key, a value of the wrong type, a
-    negative seed, no examples or steps, or PIT over more masks than the
-    toy set has sources."""
+    negative seed, no examples or steps, a non-finite lr, a non-finite or
+    negative lr_decay, or PIT over more masks than the toy set has
+    sources."""
     settings = {f.name: f.default for f in dataclasses.fields(MaskNetConfig)}
     settings.update(_TOY_DEFAULTS, seed=seed)
     config = read_json_config(path, settings, BadConfigFile,
@@ -396,6 +398,10 @@ def _read_toy_config(path, seed: int) -> tuple[dict, dict]:
     settings.update(config)
     if settings["seed"] < 0 or settings["examples"] < 1 or settings["steps"] < 1:
         raise BadConfigFile(f"{path}: need seed >= 0, examples >= 1, steps >= 1")
+    lr, decay = settings["lr"], settings["lr_decay"]
+    if not (math.isfinite(lr) and math.isfinite(decay) and decay >= 0):
+        raise BadConfigFile(f"{path}: need a finite lr and a finite "
+                            "lr_decay >= 0")
     # Each toy example mixes two tones: PIT has two references to match.
     if settings["pit"] and settings["n_masks"] > 2:
         raise BadConfigFile(f"{path}: pit needs n_masks <= 2, one mask per "

@@ -19,7 +19,9 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -64,9 +66,9 @@ class MaskNetConfig:
                                    f"got {value!r}")
         if self.kernel % 2 != 0:
             raise BadNetConfig("kernel must be even so the stride is kernel/2")
-        if not self.mask_max > 0:
+        if not (self.mask_max > 0 and math.isfinite(self.mask_max)):
             raise BadNetConfig(
-                f"mask_max must be positive, got {self.mask_max!r}")
+                f"mask_max must be positive and finite, got {self.mask_max!r}")
 
     @property
     def stride(self) -> int:
@@ -104,6 +106,109 @@ def _windows(n_frames: int) -> list[tuple[int, int]]:
     count = 2 * math.ceil(n_frames / 8192)
     bounds = [n_frames * i // count for i in range(count + 1)]
     return list(zip(bounds, bounds[1:]))
+
+
+def _halves(n_frames: int) -> list[tuple[int, int]]:
+    """The latent frames, ``[first, end)``, of the column halves that the
+    training pass splits its products into; its element-wise steps split
+    the channels as many ways. A clip under 1024 frames is one part; a
+    longer one splits in two at the multiple of 64 frames nearest below
+    its middle.
+
+    As with ``_windows``, the layout depends on the clip alone and every
+    part is at least 512 frames wide, and a serial run uses it too, so
+    the thread count changes no bit. Split there, a part's products equal
+    the whole-clip product's columns bit for bit on OpenBLAS for the
+    default shapes in both dtypes; a float64 split at an odd frame does
+    not."""
+    if n_frames < 1024:
+        return [(0, n_frames)]
+    middle = n_frames // 128 * 64
+    return [(0, middle), (middle, n_frames)]
+
+
+def _other_cpus() -> list[int]:
+    """The CPUs the calling thread may run on other than the one it is on,
+    or none where the platform cannot tell."""
+    try:
+        import ctypes
+        here = ctypes.CDLL(None).sched_getcpu()
+        return sorted(os.sched_getaffinity(0) - {here})
+    except (AttributeError, OSError, TypeError):
+        return []
+
+
+@contextmanager
+def _threads(width: int):
+    """Yields ``run(*tasks)``, which calls every task and returns once all
+    are done, re-raising a task's error. With ``width`` or the CPU count
+    at 1 the tasks run in order on the calling thread. Otherwise the
+    calling thread runs the first task while a pool of up to ``width -
+    1`` threads, one per CPU at most with the caller, takes the rest;
+    the caller then runs itself, last first, every task no pool thread
+    has started. So a host that does not run the threads at once costs
+    little more than the serial run. Each pool thread is pinned to its
+    own CPU other than the caller's, where the platform allows: a 2-vCPU
+    guest kernel was seen keeping an unpinned pool thread on the
+    caller's CPU while the other CPU sat idle, for no gain at all. The
+    pool lives only as long as the ``with`` block, so a forked child
+    never inherits it, and the caller's own affinity is left alone.
+
+    A task calls nothing the benchmark tracer wraps, ``Clip`` included,
+    since the tracer's span stack assumes one thread."""
+    threads = min(width, os.cpu_count() or 1)
+    if threads == 1:
+        yield lambda *tasks: [task() for task in tasks]
+        return
+
+    def run(*tasks):
+        queued = [(pool.submit(task), task) for task in tasks[1:]]
+        tasks[0]()
+        for future, task in reversed(queued):
+            if future.cancel():  # no pool thread has started it
+                task()
+        for future, _ in queued:
+            if not future.cancelled():
+                future.result()
+
+    cpus = iter(_other_cpus())
+
+    def pin():
+        cpu = next(cpus, None)
+        if cpu is not None:
+            with suppress(OSError):  # a hint: the pool must still start
+                os.sched_setaffinity(0, {cpu})
+
+    with ThreadPoolExecutor(threads - 1, initializer=pin) as pool:
+        yield run
+
+
+def _by_columns(run, parts, step, *arrays) -> None:
+    """``step(*views)`` for each part ``[first, end)`` of ``parts``, the
+    views being that part's columns of ``arrays``; the parts go to
+    ``run`` together. A product splits this way, so that each output
+    element keeps its sum."""
+    run(*(partial(step, *(a[:, first:end] for a in arrays))
+          for first, end in parts))
+
+
+def _by_rows(run, count, step, *arrays) -> None:
+    """``step(*blocks)`` for each of ``count`` equal blocks of rows of
+    ``arrays``, which share their first axis; the blocks go to ``run``
+    together. An element-wise step splits this way, so that each block
+    is one run of memory."""
+    rows = len(arrays[0])
+    bounds = [rows * i // count for i in range(count + 1)]
+    run(*(partial(step, *(a[first:end] for a in arrays))
+          for first, end in zip(bounds, bounds[1:])))
+
+
+def _bool_scratch(buf: np.ndarray, count: int) -> list[np.ndarray]:
+    """``count`` boolean arrays shaped like the 2-D float array ``buf``,
+    laid over its bytes, for a caller done with its values."""
+    cols = buf.shape[1]
+    flat = buf.view(np.bool_)  # (rows, cols * itemsize)
+    return [flat[:, i * cols:(i + 1) * cols] for i in range(count)]
 
 
 def _margined(rows: int, width: int, margin: int, dtype) -> np.ndarray:
@@ -184,6 +289,28 @@ class FilmMaskNet:
         np.multiply(gamma[:, None], h, out=out)
         out += beta[:, None]
 
+    @staticmethod
+    def _conv(w: np.ndarray, bias: np.ndarray, tap0: np.ndarray,
+              tap1: np.ndarray, tap2: np.ndarray, out: np.ndarray,
+              prod: np.ndarray) -> None:
+        """A block's dilated conv, bias and ReLU into ``out``: tap j of
+        ``w`` reads ``tap{j}``, the block's input shifted (j-1)*d, and
+        the taps sum in order through the scratch ``prod``."""
+        np.matmul(w[:, :, 0], tap0, out=out)
+        out += np.matmul(w[:, :, 1], tap1, out=prod)
+        out += np.matmul(w[:, :, 2], tap2, out=prod)
+        out += bias[:, None]
+        np.maximum(out, 0.0, out=out)
+
+    @staticmethod
+    def _head(w: np.ndarray, bias: np.ndarray, mask_max: float,
+              h: np.ndarray, out: np.ndarray) -> None:
+        """The mask head into ``out``: ``w @ h + bias`` clamped to
+        ``[0, mask_max]``."""
+        np.matmul(w, h, out=out)
+        out += bias[:, None]
+        np.clip(out, 0.0, mask_max, out=out)
+
     def forward(self, x: np.ndarray, z: np.ndarray, *,
                 keep_cache: bool = True) -> dict:
         """Run the net in the dtype of its own params, to which ``x`` and
@@ -191,7 +318,11 @@ class FilmMaskNet:
         ``backward``. The cache holds only what ``backward`` reads:
         each block's input, perceptron activations and ``h_out``, from
         which ``backward`` rebuilds the modulated input and the ReLU
-        gates, and ``masks`` for the clamp gates.
+        gates, and ``masks`` for the clamp gates. A clip of 1024 latent
+        frames or more runs its ``(C, L)`` work in two parts (``_halves``)
+        on up to two threads, one per CPU at most; every output element
+        is computed as on one thread, so the cache does not depend on the
+        thread count.
 
         With ``keep_cache=False`` (inference) the clip runs in windows of
         latent frames (``_windows``), on up to one thread per CPU, and
@@ -222,8 +353,6 @@ class FilmMaskNet:
         mask = np.empty((cfg.channels, n_frames))
 
         def run_window(owned):
-            # Runs on a worker thread, so it calls nothing the benchmark
-            # tracer wraps: its span stack assumes a single thread.
             first, end = owned
             lo = max(first - context, 0)
             hi = min(end + context - 1, n_frames)
@@ -240,8 +369,8 @@ class FilmMaskNet:
             y[first * s:stop] = out["y"][(first - lo) * s:stop - lo * s]
 
         windows = _windows(n_frames)
-        with ThreadPoolExecutor(min(len(windows), os.cpu_count() or 1)) as pool:
-            list(pool.map(run_window, windows))  # re-raises a window's error
+        with _threads(len(windows)) as run:
+            run(*(partial(run_window, owned) for owned in windows))
         return {"y": y, "mask": mask}
 
     def _run(self, x: np.ndarray, z: np.ndarray, keep_cache: bool) -> dict:
@@ -255,14 +384,25 @@ class FilmMaskNet:
         cache each block's input is dropped once modulated, so the
         blocks' working set is three ``(C, L)`` arrays whatever their
         number, and the buffer is freed before the head and the decoder
-        allocate."""
+        allocate.
+
+        With the cache (training), the work runs on ``_threads`` in two
+        parts once ``_halves`` splits the clip: the encoder, each conv with
+        its bias and ReLU, and the head on the column halves, and each
+        modulation and the decoder's masked product on halves of the
+        rows. Every part writes its share of arrays allocated here, so
+        the pass allocates what a serial one does. The decoder's product
+        and overlap-add run whole on the calling thread. Without the cache
+        (``edit``'s windows, which have threads of their own) all of it
+        runs on the calling thread."""
         cfg, p = self.config, self.params
         dtype = p["enc.w"].dtype
         k, s, c = cfg.kernel, cfg.stride, cfg.channels
         n = len(x)
         n_frames = latent_frames(n, k)
+        parts = _halves(n_frames) if keep_cache else [(0, n_frames)]
         frames = np.lib.stride_tricks.sliding_window_view(x, k)[::s]
-        h_x = p["enc.w"] @ frames.T  # (C, L)
+        h_x = np.empty((c, n_frames), dtype=dtype)
 
         cache = {"z": z, "frames": frames, "h_x": h_x, "blocks": []}
         prod = np.empty((c, n_frames), dtype=dtype)  # one tap's product
@@ -271,39 +411,43 @@ class FilmMaskNet:
         margin = 2 ** (cfg.blocks - 1)
         padded = _margined(c, n_frames, margin, dtype)
         h_tilde = padded[:, margin:margin + n_frames]
-        h = h_x
-        for i in range(cfg.blocks):
-            a_f, gamma = self._mlp(p, f"block{i}.film.f", z)
-            a_g, beta = self._mlp(p, f"block{i}.film.g", z)
-            self._modulate(gamma, beta, h, h_tilde)
-            if keep_cache:
-                cache["blocks"].append({"h_in": h, "a_f": a_f, "gamma": gamma,
-                                        "a_g": a_g, "beta": beta})
-            del h  # without the cache, freed before the next h allocates
-            d, w = 2 ** i, p[f"block{i}.conv.w"]
-            left = margin - d
-            h = w[:, :, 0] @ padded[:, left:left + n_frames]
-            for j in (1, 2):
-                start = left + j * d
-                h += np.matmul(w[:, :, j], padded[:, start:start + n_frames],
-                               out=prod)
-            h += p[f"block{i}.conv.b"][:, None]
-            np.maximum(h, 0.0, out=h)
-            if keep_cache:
-                cache["blocks"][-1]["h_out"] = h
+        with _threads(len(parts)) as run:
+            by_columns = partial(_by_columns, run, parts)
+            by_rows = partial(_by_rows, run, len(parts))
+            by_columns(lambda f, out: np.matmul(p["enc.w"], f, out=out),
+                       frames.T, h_x)
+            h = h_x
+            for i in range(cfg.blocks):
+                a_f, gamma = self._mlp(p, f"block{i}.film.f", z)
+                a_g, beta = self._mlp(p, f"block{i}.film.g", z)
+                by_rows(self._modulate, gamma, beta, h, h_tilde)
+                if keep_cache:
+                    cache["blocks"].append({"h_in": h, "a_f": a_f,
+                                            "gamma": gamma, "a_g": a_g,
+                                            "beta": beta})
+                del h  # without the cache, freed before the next h allocates
+                d = 2 ** i
+                taps = [padded[:, start:start + n_frames]
+                        for start in (margin - d, margin, margin + d)]
+                h = np.empty((c, n_frames), dtype=dtype)
+                by_columns(partial(self._conv, p[f"block{i}.conv.w"],
+                                   p[f"block{i}.conv.b"]), *taps, h, prod)
+                if keep_cache:
+                    cache["blocks"][-1]["h_out"] = h
 
-        del padded, h_tilde  # spent: freed before the head allocates
-        masks = p["head.w"] @ h
-        del h  # without the cache, freed before the decoder allocates
-        masks += p["head.b"][:, None]
-        masks = masks.reshape(cfg.n_masks, c, n_frames)
-        np.clip(masks, 0.0, cfg.mask_max, out=masks)
-        per_source = np.empty((cfg.n_masks, n), dtype=dtype)
-        for m in range(cfg.n_masks):
-            contrib = p["dec.w"].T @ np.multiply(masks[m], h_x, out=prod)
-            y_full = overlap_add(contrib.T, s)  # <= n samples; the tail is 0
-            per_source[m, :len(y_full)] = y_full
-            per_source[m, len(y_full):] = 0.0
+            del padded, h_tilde, taps  # spent: freed before the head allocates
+            masks = np.empty((cfg.n_masks * c, n_frames), dtype=dtype)
+            by_columns(partial(self._head, p["head.w"], p["head.b"],
+                               cfg.mask_max), h, masks)
+            del h  # without the cache, freed before the decoder allocates
+            masks = masks.reshape(cfg.n_masks, c, n_frames)
+            per_source = np.empty((cfg.n_masks, n), dtype=dtype)
+            for m in range(cfg.n_masks):
+                by_rows(np.multiply, masks[m], h_x, prod)  # into prod
+                contrib = p["dec.w"].T @ prod
+                y_full = overlap_add(contrib.T, s)  # <= n samples; tail is 0
+                per_source[m, :len(y_full)] = y_full
+                per_source[m, len(y_full):] = 0.0
         out = {"masks": masks, "per_source": per_source,
                "y": per_source.sum(axis=0)}
         return cache | out if keep_cache else out
@@ -336,10 +480,50 @@ class FilmMaskNet:
         return p[f"{name}1.w"].T @ g_pre
 
     @staticmethod
+    def _film_adjoint(gamma: np.ndarray, h_in: np.ndarray,
+                      grad_htilde: np.ndarray, prod: np.ndarray,
+                      grad_gamma: np.ndarray, grad_beta: np.ndarray) -> None:
+        """Adjoint of ``_modulate``: the gamma and beta gradients, each
+        row's sum over every frame, then d(loss)/d(h_in) over
+        ``grad_htilde`` in place; ``prod`` is scratch."""
+        np.sum(np.multiply(grad_htilde, h_in, out=prod), axis=1,
+               out=grad_gamma)
+        np.sum(grad_htilde, axis=1, out=grad_beta)
+        np.multiply(grad_htilde, gamma[:, None], out=grad_htilde)
+
+    @staticmethod
+    def _decoder_adjoint(grad_prod: np.ndarray, h_x: np.ndarray,
+                         mask: np.ndarray, grad_mask: np.ndarray,
+                         grad_hx: np.ndarray) -> None:
+        """One mask's share of the masked product's adjoint: its mask
+        gradient into ``grad_mask``, and its ``h_x`` gradient added to
+        ``grad_hx`` through ``grad_prod``, which it overwrites."""
+        np.multiply(grad_prod, h_x, out=grad_mask)
+        grad_hx += np.multiply(grad_prod, mask, out=grad_prod)
+
+    @staticmethod
+    def _gate_relu(h_out: np.ndarray, grad_h: np.ndarray, gate: np.ndarray,
+                   out: np.ndarray) -> None:
+        """``grad_h * (h_out > 0)`` into ``out``, the comparison in the
+        boolean scratch ``gate``."""
+        np.greater(h_out, 0.0, out=gate)
+        np.multiply(grad_h, gate, out=out)
+
+    @staticmethod
+    def _gate_clamp(mask_max: float, mask: np.ndarray, grad: np.ndarray,
+                    above: np.ndarray, below: np.ndarray) -> None:
+        """``grad *= (mask > 0) & (mask < mask_max)``, zero where ``mask``
+        sits at a clamp, the comparisons in the boolean scratches
+        ``above`` and ``below``."""
+        np.greater(mask, 0.0, out=above)
+        np.less(mask, mask_max, out=below)
+        grad *= np.logical_and(above, below, out=above)
+
+    @staticmethod
     def _conv_backward(p: dict, i: int, h_out: np.ndarray,
                        padded: np.ndarray, grad_padded: np.ndarray,
-                       grad_h: np.ndarray, prod: np.ndarray,
-                       grads: dict) -> np.ndarray:
+                       grad_h: np.ndarray, prod: np.ndarray, grads: dict,
+                       run, split: int) -> np.ndarray:
         """Adjoint of block i's ReLU dilated conv, in caller-owned buffers.
 
         ``padded`` holds the block's ``h_tilde`` between zero margins at
@@ -348,23 +532,41 @@ class FilmMaskNet:
         gradient, so tap j gathers from the mirrored window shifted
         (1-j)*d. Accumulates the conv gradients into ``grads``, then
         overwrites ``grad_h`` (d(loss)/d(h_out)) with d(loss)/d(h_tilde),
-        summing the taps in ``prod``, and returns it."""
+        summing the taps in ``prod``, and returns it.
+
+        The gate runs on ``split`` blocks of rows. The bias and weight
+        gradients, each a sum over every frame, then run whole as one task
+        beside the three input-gradient products (``run``)."""
         w = p[f"block{i}.conv.w"]
         d, n = 2 ** i, h_out.shape[1]
         margin = (padded.shape[1] - n) // 2
         grad_pre = grad_padded[:, margin:margin + n]
-        np.multiply(grad_h, h_out > 0.0, out=grad_pre)
-        grads[f"block{i}.conv.b"] += grad_pre.sum(axis=1)
+        # prod's bytes hold the gate until the input-gradient taps need it.
+        _by_rows(run, split, FilmMaskNet._gate_relu, h_out, grad_h,
+                 *_bool_scratch(prod, 1), grad_pre)
+        grad_w = np.empty((3,) + w.shape[:2], dtype=w.dtype)
+        grad_b = np.empty(w.shape[0], dtype=w.dtype)
+
+        def weight_grads():
+            np.sum(grad_pre, axis=1, out=grad_b)
+            for j in range(3):
+                start = margin + (j - 1) * d
+                np.matmul(grad_pre, padded[:, start:start + n].T,
+                          out=grad_w[j])
+
+        def input_grads():
+            start = margin + d
+            acc = np.matmul(w[:, :, 0].T, grad_padded[:, start:start + n],
+                            out=grad_h)
+            for j in (1, 2):
+                start = margin + (1 - j) * d
+                acc += np.matmul(w[:, :, j].T,
+                                 grad_padded[:, start:start + n], out=prod)
+
+        run(weight_grads, input_grads)
+        grads[f"block{i}.conv.b"] += grad_b
         for j in range(3):
-            start = margin + (j - 1) * d
-            grads[f"block{i}.conv.w"][:, :, j] += (
-                grad_pre @ padded[:, start:start + n].T)
-        start = margin + d
-        np.matmul(w[:, :, 0].T, grad_padded[:, start:start + n], out=grad_h)
-        for j in (1, 2):
-            start = margin + (1 - j) * d
-            grad_h += np.matmul(w[:, :, j].T, grad_padded[:, start:start + n],
-                                out=prod)
+            grads[f"block{i}.conv.w"][:, :, j] += grad_w[j]
         return grad_h
 
     def backward(self, cache: dict, grad_sources: np.ndarray) -> dict:
@@ -382,6 +584,14 @@ class FilmMaskNet:
         the cached input, gamma and beta with ``forward``'s
         ``_modulate``, gates the gradient into the second, and
         overwrites the incoming gradient's array with the next one.
+
+        Like the cached ``forward``, the pass runs on ``_threads`` once
+        ``_halves`` splits the clip: the element-wise steps on two halves
+        of the rows, and the weight gradients of the decoder, the head
+        and each block, which sum over every frame, whole on one thread
+        beside the input gradients on the other. Tasks write only into
+        arrays allocated here, and every element is computed as on one
+        thread.
         """
         cfg = self.config
         k, s, c = cfg.kernel, cfg.stride, cfg.channels
@@ -391,50 +601,78 @@ class FilmMaskNet:
         grad_sources = np.asarray(grad_sources, dtype=h_x.dtype)
         grads = {key: np.zeros_like(val) for key, val in p.items()}
         grad_z = np.zeros(cfg.embed_dim, dtype=h_x.dtype)
+        # What the tasks write besides the (C, L) arrays below.
+        grad_dec_w = np.empty_like(p["dec.w"])
+        grad_head_w = np.empty_like(p["head.w"])
+        grad_head_b = np.empty_like(p["head.b"])
+        grad_gamma = np.empty(c, dtype=h_x.dtype)
+        grad_beta = np.empty(c, dtype=h_x.dtype)
 
+        split = len(_halves(n_frames))
         prod = np.empty_like(h_x)  # scratch for one (C, L) product
         grad_masks = np.empty_like(masks)
         grad_hx = np.zeros_like(h_x)
-        for m in range(cfg.n_masks):
-            # The decoder's adjoint frames the gradient like the encoder;
-            # a contiguous copy keeps the products below on BLAS.
-            grad_contrib = np.ascontiguousarray(
-                np.lib.stride_tricks.sliding_window_view(
-                    grad_sources[m], k)[::s].T)  # (K, L)
-            grads["dec.w"] += (np.multiply(masks[m], h_x, out=prod)
-                               @ grad_contrib.T)
-            grad_prod = np.matmul(p["dec.w"], grad_contrib, out=prod)
-            np.multiply(grad_prod, h_x, out=grad_masks[m])
-            grad_hx += np.multiply(grad_prod, masks[m], out=grad_prod)
+        with _threads(split) as run:
+            by_rows = partial(_by_rows, run, split)
+            for m in range(cfg.n_masks):
+                # The decoder's adjoint frames the gradient like the
+                # encoder; a contiguous copy keeps the products on BLAS.
+                grad_contrib = np.ascontiguousarray(
+                    np.lib.stride_tricks.sliding_window_view(
+                        grad_sources[m], k)[::s].T)  # (K, L)
 
-        grad_masks *= (masks > 0.0) & (masks < cfg.mask_max)
-        grad_mpre = grad_masks.reshape(cfg.n_masks * c, n_frames)
-        grads["head.w"] += grad_mpre @ cache["blocks"][-1]["h_out"].T
-        grads["head.b"] += grad_mpre.sum(axis=1)
-        grad_h = p["head.w"].T @ grad_mpre
-        del grad_masks, grad_mpre
+                def decoder_weight():
+                    # grad_masks[m] holds the decoder's input until the
+                    # adjoint below overwrites it.
+                    np.multiply(masks[m], h_x, out=grad_masks[m])
+                    np.matmul(grad_masks[m], grad_contrib.T, out=grad_dec_w)
 
-        margin = 2 ** (cfg.blocks - 1)
-        padded = _margined(c, n_frames, margin, h_x.dtype)
-        grad_padded = _margined(c, n_frames, margin, h_x.dtype)
-        h_tilde = padded[:, margin:margin + n_frames]
-        for i in reversed(range(cfg.blocks)):
-            blk = cache["blocks"][i]
-            self._modulate(blk["gamma"], blk["beta"], blk["h_in"], h_tilde)
-            grad_htilde = self._conv_backward(p, i, blk["h_out"], padded,
-                                              grad_padded, grad_h, prod, grads)
-            grad_gamma = np.multiply(grad_htilde, blk["h_in"],
-                                     out=prod).sum(axis=1)
-            grad_beta = grad_htilde.sum(axis=1)
-            grad_h = np.multiply(grad_htilde, blk["gamma"][:, None],
-                                 out=grad_htilde)
+                run(decoder_weight,
+                    partial(np.matmul, p["dec.w"], grad_contrib, out=prod))
+                grads["dec.w"] += grad_dec_w
+                by_rows(self._decoder_adjoint, prod, h_x, masks[m],
+                        grad_masks[m], grad_hx)
 
-            grad_z += self._mlp_backward(p, f"block{i}.film.f", cache["z"],
-                                         blk["a_f"], grad_gamma, grads)
-            grad_z += self._mlp_backward(p, f"block{i}.film.g", cache["z"],
-                                         blk["a_g"], grad_beta, grads)
+            for m in range(cfg.n_masks):
+                by_rows(partial(self._gate_clamp, cfg.mask_max), masks[m],
+                        grad_masks[m], *_bool_scratch(prod, 2))
+            grad_mpre = grad_masks.reshape(cfg.n_masks * c, n_frames)
+            h_last = cache["blocks"][-1]["h_out"]
 
-        grad_hx += grad_h  # the first block reads the encoded mixture
+            def head_weight():
+                np.matmul(grad_mpre, h_last.T, out=grad_head_w)
+                np.sum(grad_mpre, axis=1, out=grad_head_b)
+
+            grad_h = np.empty_like(h_x)
+            run(head_weight,
+                partial(np.matmul, p["head.w"].T, grad_mpre, out=grad_h))
+            grads["head.w"] += grad_head_w
+            grads["head.b"] += grad_head_b
+            del grad_masks, grad_mpre
+
+            margin = 2 ** (cfg.blocks - 1)
+            padded = _margined(c, n_frames, margin, h_x.dtype)
+            grad_padded = _margined(c, n_frames, margin, h_x.dtype)
+            h_tilde = padded[:, margin:margin + n_frames]
+            for i in reversed(range(cfg.blocks)):
+                blk = cache["blocks"][i]
+                by_rows(self._modulate, blk["gamma"], blk["beta"],
+                        blk["h_in"], h_tilde)
+                grad_h = self._conv_backward(
+                    p, i, blk["h_out"], padded, grad_padded, grad_h, prod,
+                    grads, run, split)
+                by_rows(self._film_adjoint, blk["gamma"], blk["h_in"], grad_h,
+                        prod, grad_gamma, grad_beta)
+
+                grad_z += self._mlp_backward(p, f"block{i}.film.f",
+                                             cache["z"], blk["a_f"],
+                                             grad_gamma, grads)
+                grad_z += self._mlp_backward(p, f"block{i}.film.g",
+                                             cache["z"], blk["a_g"],
+                                             grad_beta, grads)
+
+            # The first block reads the encoded mixture.
+            by_rows(lambda acc, g: np.add(acc, g, out=acc), grad_hx, grad_h)
         grads["enc.w"] += grad_hx @ cache["frames"]
         grads["z"] = grad_z
         return grads
@@ -508,7 +746,9 @@ def train_toy(net: FilmMaskNet, examples, steps: int = 200, lr: float = 1e-3,
     float32 on one float32 copy of the float64 master params, sums the
     gradients in float64 and updates the masters. Over 25 steps the loss
     curve stays within 1e-5 dB of all-float64 training; longer runs may
-    drift apart.
+    drift apart. Each ``forward`` and ``backward`` on a clip of 1024
+    latent frames or more runs on up to two threads; the losses and
+    params do not depend on the thread count.
 
     The input net is left untouched; a trained copy with float64 params
     is returned along with the loss curve. Raises ShapeMismatch for an

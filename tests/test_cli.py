@@ -512,7 +512,7 @@ def test_eval_rejects_mismatched_sample_rates(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("bad", [{"kernel": 15}, {"channels": 0},
-                                 {"n_masks": -1}])
+                                 {"n_masks": -1}, {"mask_max": 1e400}])
 def test_train_toy_bad_net_config_exits_1(tmp_path, capsys, bad):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"steps": 1, "samples": 400, **bad}))
@@ -526,7 +526,9 @@ def test_train_toy_bad_net_config_exits_1(tmp_path, capsys, bad):
                                   '{"stpes": 1}', '{"pit": 1}',
                                   '{"channels": 8.0}', '{"seed": null}',
                                   '{"seed": -1}', '{"steps": 0}',
-                                  '{"examples": 0}'])
+                                  '{"examples": 0}', '{"lr": 1e400}',
+                                  '{"lr": NaN}', '{"lr_decay": -1}',
+                                  '{"lr_decay": Infinity}'])
 def test_train_toy_bad_config_file_exits_1(tmp_path, capsys, text):
     config = tmp_path / "config.json"
     config.write_text(text)

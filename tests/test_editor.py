@@ -1,11 +1,20 @@
 """Reference editors: oracle, ideal masks, embedding, FiLM mask network."""
 
 import gc
+import importlib
+import importlib.util
 import json
+import math
+import os
 import struct
+import sys
+import threading
+import time
 import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -630,9 +639,9 @@ def test_film_edit_is_the_same_on_one_thread_or_four(monkeypatch):
     pools = []
 
     class Recorded(ThreadPoolExecutor):
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, **kwargs):
             pools.append(max_workers)
-            super().__init__(max_workers)
+            super().__init__(max_workers, **kwargs)
 
     monkeypatch.setattr(film, "ThreadPoolExecutor", Recorded)
     net = FilmMaskNet.init(MaskNetConfig(n_masks=2), seed=2)
@@ -643,7 +652,10 @@ def test_film_edit_is_the_same_on_one_thread_or_four(monkeypatch):
         monkeypatch.setattr(film.os, "cpu_count", lambda: cpus)
         est, mask = _assert_edits_whole_clip(net, x, z)
         edits.append((est.samples.tobytes(), mask.values.tobytes()))
-    assert pools == [1, 4]  # a 5-s clip is four windows
+    # One CPU starts no pool. On four, the calling thread runs a share
+    # itself: the edit's four windows (a 5-s clip) get three more
+    # threads, and the cached reference pass's two halves one.
+    assert pools == [3, 1]
     assert edits[0] == edits[1]
 
 
@@ -660,6 +672,170 @@ def test_film_windows_tile_the_clip_in_an_even_count(n_frames):
         assert len(windows) % 2 == 0
         assert max(widths) - min(widths) <= 1
         assert 512 <= min(widths) and max(widths) <= 8192
+
+
+@pytest.mark.parametrize("n_frames", [1, 1023, 1024, 1025, 1151, 1152, 9999,
+                                      119999])
+def test_film_halves_split_on_the_64_frame_grid(n_frames):
+    parts = film._halves(n_frames)
+    if n_frames < 1024:
+        assert parts == [(0, n_frames)]
+        return
+    (first, middle), (start, end) = parts
+    assert (first, end) == (0, n_frames) and start == middle
+    assert middle % 64 == 0 and n_frames // 2 - 64 < middle <= n_frames // 2
+    assert min(middle, n_frames - middle) >= 512
+
+
+def test_threads_run_every_task_once_and_raise_its_error(monkeypatch):
+    # More threads than cores and a short switch interval, so the caller
+    # and the pool race to start the queued tasks.
+    monkeypatch.setattr(film.os, "cpu_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with film._threads(8) as run:
+            for _ in range(200):
+                done = []
+                run(*(partial(done.append, i) for i in range(9)))
+                assert sorted(done) == list(range(9))
+            with pytest.raises(ZeroDivisionError):
+                run(lambda: None, lambda: 1 / 0, lambda: None)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two CPUs to pin a pool thread to")
+def test_threads_pin_the_pool_thread_and_leave_the_caller(monkeypatch):
+    monkeypatch.setattr(film.os, "cpu_count", lambda: 2)
+    allowed = os.sched_getaffinity(0)
+    seen = []
+
+    def report():
+        seen.append((threading.get_ident(), os.sched_getaffinity(0)))
+
+    with film._threads(2) as run:
+        for _ in range(20):
+            # The caller sleeps through its task, so the pool thread
+            # starts the report before the caller could take it back.
+            run(partial(time.sleep, 0.002), report)
+    assert os.sched_getaffinity(0) == allowed
+    pooled = [cpus for ident, cpus in seen if ident != threading.get_ident()]
+    assert pooled
+    assert all(len(cpus) == 1 and cpus <= allowed for cpus in pooled)
+
+
+def _assert_same_bits(got, expected, where="cache"):
+    if isinstance(expected, dict):
+        assert got.keys() == expected.keys(), where
+        for key in expected:
+            _assert_same_bits(got[key], expected[key], f"{where}[{key!r}]")
+    elif isinstance(expected, list):
+        assert len(got) == len(expected), where
+        for i, (a, b) in enumerate(zip(got, expected)):
+            _assert_same_bits(a, b, f"{where}[{i}]")
+    else:
+        got, expected = np.asarray(got), np.asarray(expected)
+        assert got.dtype == expected.dtype, where
+        assert got.shape == expected.shape, where
+        assert got.tobytes() == expected.tobytes(), where
+
+
+def _training_runs(cfg, n, dtype):
+    """A cached forward, its backward, and three ``train_toy`` steps on
+    two examples (with per-source refs when there are two masks)."""
+    net = FilmMaskNet.init(cfg, seed=2)
+    net = FilmMaskNet(cfg, net._params_as(dtype))
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) * 0.1
+    cache = net.forward(x, unit_vec(cfg.embed_dim, seed=4))
+    grads = net.backward(cache, rng.standard_normal((cfg.n_masks, n)))
+    examples = []
+    for seed in (5, 6):
+        sources = rng.standard_normal((2, n)) * 0.1
+        refs = tuple(sources) if cfg.n_masks == 2 else None
+        examples.append(TrainExample(sources.sum(axis=0),
+                                     unit_vec(cfg.embed_dim, seed=seed),
+                                     sources[0], refs))
+    trained = train_toy(net, examples, steps=3, lr=1e-3)
+    return cache, grads, trained.losses, trained.net.params
+
+
+@pytest.mark.parametrize("cfg,n,dtype", [
+    (MaskNetConfig(), 5 * RATE, np.float32),
+    (MaskNetConfig(n_masks=2), 5 * RATE, np.float32),
+    (WIDE, 4000, np.float32),
+    (MaskNetConfig(), 5 * RATE, np.float64),
+    # The longest clip that is one part, and the shortest that splits.
+    (MaskNetConfig(), _samples_for(MaskNetConfig(), 1023), np.float32),
+    (MaskNetConfig(), _samples_for(MaskNetConfig(), 1024), np.float32),
+])
+def test_training_pass_is_the_same_on_one_two_or_four_cpus(
+        monkeypatch, cfg, n, dtype):
+    # The reference is the pass as it ran before it had threads: one CPU,
+    # the whole clip as one part.
+    monkeypatch.setattr(film.os, "cpu_count", lambda: 1)
+    with monkeypatch.context() as whole:
+        whole.setattr(film, "_halves", lambda n_frames: [(0, n_frames)])
+        expected = _training_runs(cfg, n, dtype)
+    for cpus in (1, 2, 4):
+        monkeypatch.setattr(film.os, "cpu_count", lambda: cpus)
+        _assert_same_bits(_training_runs(cfg, n, dtype), list(expected),
+                          f"{cpus} cpus")
+
+
+def test_film_training_step_peak_memory_on_two_threads(monkeypatch):
+    monkeypatch.setattr(film.os, "cpu_count", lambda: 2)
+    test_film_training_step_peak_memory()
+
+
+TRACING = Path(__file__).resolve().parents[1] / "mixbench" / "tracing.py"
+
+
+def test_film_threads_call_no_traced_layer(monkeypatch):
+    # The benchmark tracer keeps one span stack for the process, so every
+    # call it wraps must come from the thread that called into mixedit.
+    spec = importlib.util.spec_from_file_location("mixbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    calls = []
+
+    def recorded(name, real):
+        def recorder(*args, **kwargs):
+            calls.append((name, threading.get_ident()))
+            return real(*args, **kwargs)
+        return recorder
+
+    for name, module, path in tracing.LAYERS:
+        owner = importlib.import_module(module)
+        *outer, attr = path.split(".")
+        for part in outer:
+            owner = getattr(owner, part)
+        real = vars(owner)[attr] if isinstance(owner, type) \
+            else getattr(owner, attr)
+        if isinstance(real, classmethod):
+            wrapped = classmethod(recorded(name, real.__func__))
+        else:
+            wrapped = recorded(name, real)
+        monkeypatch.setattr(owner, attr, wrapped)
+    monkeypatch.setattr(film.os, "cpu_count", lambda: 2)
+
+    import mixedit.editor as editor
+    cfg = MaskNetConfig(n_masks=2)
+    net = editor.FilmMaskNet.init(cfg, seed=2)
+    rng = np.random.default_rng(3)
+    sources = rng.standard_normal((2, 5 * RATE)) * 0.1
+    x, z = sources.sum(axis=0), unit_vec(cfg.embed_dim, seed=4)
+    net.edit(Clip(x, RATE), z)
+    film.snr_loss_and_grad(net, x, z, sources[0], refs=tuple(sources))
+    editor.train_toy(net, [editor.TrainExample(x, z, sources[0],
+                                               tuple(sources))], steps=1)
+    names = {name for name, _ in calls}
+    assert {"dsp.clip", "film.forward", "film.backward", "metrics.snr",
+            "film.train_toy"} <= names
+    assert {ident for _, ident in calls} == {threading.get_ident()}
 
 
 def _film_edit_with_zeroed_buffers(net, x, z):
@@ -1125,8 +1301,9 @@ def test_dilated_conv_and_adjoint_equal_shifted_copies_bit_for_bit(cfg, n):
         grad_h = grad_out.copy()
         prod = np.full_like(grad_h, np.nan)
         grads = {k: np.zeros_like(v) for k, v in net.params.items()}
-        got = net._conv_backward(net.params, i, blk["h_out"], padded,
-                                 grad_padded, grad_h, prod, grads)
+        with film._threads(2) as run:  # the gate on two blocks of rows
+            got = net._conv_backward(net.params, i, blk["h_out"], padded,
+                                     grad_padded, grad_h, prod, grads, run, 2)
         assert got is grad_h
         assert np.array_equal(got, grad_htilde)
         assert np.array_equal(grads[f"block{i}.conv.w"], grad_w)
@@ -1158,7 +1335,7 @@ def test_training_loss_rejects_zero_target_typed():
 @pytest.mark.parametrize("bad", [
     {"kernel": 15}, {"kernel": 0}, {"channels": 0}, {"blocks": -1},
     {"embed_dim": 0}, {"n_masks": 0}, {"hidden": 0}, {"channels": 8.0},
-    {"mask_max": 0.0}, {"mask_max": float("nan")},
+    {"mask_max": 0.0}, {"mask_max": float("nan")}, {"mask_max": math.inf},
 ])
 def test_mask_net_config_rejects_bad_values_typed(bad):
     with pytest.raises(BadNetConfig) as info:
@@ -1168,7 +1345,8 @@ def test_mask_net_config_rejects_bad_values_typed(bad):
 
 
 @pytest.mark.parametrize("edit", ["truncate", "unknown key", "bad json",
-                                  "renamed tensor", "bad shape"])
+                                  "renamed tensor", "bad shape",
+                                  "infinite mask_max"])
 def test_load_net_malformed_raises_bad_container(tmp_path, edit):
     from mixedit.editor.serialize import BadContainer
     path = tmp_path / "net.mxn"
@@ -1185,6 +1363,13 @@ def test_load_net_malformed_raises_bad_container(tmp_path, edit):
         net.params["head.b"] = np.ones(3)
         save_net(path, net)
         data = path.read_bytes()
+    elif edit == "infinite mask_max":
+        # The container an unchecked config wrote: "mask_max": Infinity.
+        net = FilmMaskNet.init(TOY, seed=0)
+        object.__setattr__(net.config, "mask_max", math.inf)
+        save_net(path, net)
+        data = path.read_bytes()
+        assert b'"mask_max": Infinity' in data
     else:
         data = data.replace(b'"blocks"', b'"blocks\x01')
     path.write_bytes(data)
