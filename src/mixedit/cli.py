@@ -301,62 +301,72 @@ def _aggregate(entries):
     }
 
 
+class UnknownRecord(MixeditError):
+    """An estimate whose name is no record of the tree's manifest."""
+
+
+def _record_clips(tree: Path, record):
+    """The input and target clips that a record's ``outputs`` names under
+    ``tree``."""
+    if record.outputs is None:
+        raise ds.BadManifestLine(f"record {record.record_id} has no outputs: "
+                                 "it was never synthesized")
+    return (ds.read_wav(tree / record.outputs["input"]),
+            ds.read_wav(tree / record.outputs["target"]))
+
+
 def cmd_eval(args) -> int:
-    est_dir, ref_dir, input_dir = (Path(args.est), Path(args.ref),
-                                   Path(args.input))
+    est_dir, tree = Path(args.est), Path(args.tree)
+    manifest = tree / "manifest.jsonl"
+    records = {f"{r.record_id:06d}.wav": r for r in ds.load_manifest(manifest)}
     names = sorted(p.name for p in est_dir.glob("*.wav"))
     if not names:
         raise UsageError(f"no WAV files in {est_dir}")
-    task_of = {}
-    if args.per_task:
-        for record in ds.load_manifest(args.per_task):
-            task_of[f"{record.record_id:06d}.wav"] = record.task
     entries = []
     for name in names:
+        record = records.get(name)
+        if record is None:
+            raise UnknownRecord(f"{est_dir / name} names no record of "
+                                f"{manifest}")
+        unprocessed, target = _record_clips(tree, record)
         est = ds.read_wav(est_dir / name)
-        ref = ds.read_wav(ref_dir / name)
-        unprocessed = ds.read_wav(input_dir / name)
-        if not est.rate == ref.rate == unprocessed.rate:
+        if not est.rate == target.rate == unprocessed.rate:
             raise MixeditError(
                 f"sample rates differ for {name}: est {est.rate}, "
-                f"ref {ref.rate}, input {unprocessed.rate} Hz")
-        value = snri(unprocessed, est, ref)
-        entries.append({
-            "name": name,
-            "snri_db": value.value,
-            "clamped": not value.finite,
-            "task": task_of.get(name),
-        })
-    report = {"overall": _aggregate(entries)}
-    if task_of:
-        by_task = {}
-        for e in entries:
-            if e["task"]:
-                by_task.setdefault(e["task"], []).append(e)
-        report["per_task"] = {
-            task: _aggregate(group) for task, group in sorted(by_task.items())
-        }
-    report["config"] = _echo_config(args, ["est", "ref", "input", "per_task"])
+                f"target {target.rate}, input {unprocessed.rate} Hz")
+        value = snri(unprocessed, est, target)
+        entries.append({"task": record.task, "snri_db": value.value,
+                        "clamped": not value.finite})
+    by_task = {}
+    for e in entries:
+        by_task.setdefault(e["task"], []).append(e)
+    report = {
+        "overall": _aggregate(entries),
+        "per_task": {task: _aggregate(group)
+                     for task, group in sorted(by_task.items())},
+        "config": _echo_config(args, ["est", "tree"]),
+    }
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
         return 0
-    def line(tag, agg):
+    for tag, agg in [("overall", report["overall"]),
+                     *report["per_task"].items()]:
         q = agg["quartiles_db"]
         print(f"{tag:8s} n={agg['count']:<5d} mean SNRi "
               f"{agg['mean_snri_db']:8.2f} dB  q25/50/75 "
               f"{q['q25']:7.2f}/{q['q50']:7.2f}/{q['q75']:7.2f}  "
               f"improved {agg['improved_fraction']:6.1%}")
-    line("overall", report["overall"])
-    for task, agg in report.get("per_task", {}).items():
-        line(task, agg)
     print(json.dumps(report["overall"], sort_keys=True), file=sys.stderr)
     return 0
 
 
 # ---------------- train-toy ----------------
 
-def _toy_examples(n_examples, embed_dim, seed, t=4000, rate=16000):
-    """Synthetic tonal editing set: disjoint tone pairs, random edits."""
+def _toy_examples(n_examples, embed_dim, seed, refs: bool, t=4000,
+                  rate=16000):
+    """Synthetic tonal editing set: disjoint tone pairs, random edits. With
+    ``refs``, each example keeps its two weighted tones as PIT references,
+    and no tone has the weight 0, whose reference would be silent."""
     rng = np.random.default_rng(derive_seed(seed, "toy-data"))
     examples = []
     t_axis = np.arange(t) / rate
@@ -366,13 +376,14 @@ def _toy_examples(n_examples, embed_dim, seed, t=4000, rate=16000):
         s1 = 0.4 * np.sin(2 * np.pi * f1 * t_axis + rng.uniform(0, 2 * np.pi))
         s2 = 0.3 * np.sin(2 * np.pi * f2 * t_axis + rng.uniform(0, 2 * np.pi))
         alphas = rng.choice([0.0, 0.5, 1.0, 2.0], size=2)
-        while alphas[0] == alphas[1] == 1.0 or alphas[0] == alphas[1] == 0.0:
+        while (alphas[0] == alphas[1] == 1.0 or alphas[0] == alphas[1] == 0.0
+               or refs and 0.0 in alphas):
             alphas = rng.choice([0.0, 0.5, 1.0, 2.0], size=2)
         z = rng.standard_normal(embed_dim)
         z /= np.linalg.norm(z)
         examples.append(TrainExample(
             s1 + s2, z, alphas[0] * s1 + alphas[1] * s2,
-            refs=(alphas[0] * s1, alphas[1] * s2),
+            refs=(alphas[0] * s1, alphas[1] * s2) if refs else None,
         ))
     return examples
 
@@ -415,10 +426,9 @@ def cmd_train_toy(args) -> int:
         f.name: settings[f.name] for f in dataclasses.fields(MaskNetConfig)})
     seed = settings["seed"]
     net = FilmMaskNet.init(net_config, seed=seed)
-    examples = _toy_examples(settings["examples"], net_config.embed_dim,
-                             seed, t=settings["samples"])
-    if not (settings["pit"] and net_config.n_masks > 1):
-        examples = [TrainExample(e.x, e.z, e.y) for e in examples]
+    examples = _toy_examples(settings["examples"], net_config.embed_dim, seed,
+                             settings["pit"] and net_config.n_masks > 1,
+                             t=settings["samples"])
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     result = train_toy(
@@ -501,13 +511,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_edit)
 
-    p = sub.add_parser("eval", help="aggregate SNRi over an output tree")
-    p.add_argument("--est", required=True)
-    p.add_argument("--ref", required=True)
-    p.add_argument("--input", required=True)
-    p.add_argument("--per-task", dest="per_task", default=None,
-                   help="manifest for per-task grouping of estimate "
-                        "files named {record_id:06d}.wav")
+    p = sub.add_parser("eval", help="aggregate SNRi over a generated tree")
+    p.add_argument("--est", required=True,
+                   help="estimates named {record_id:06d}.wav")
+    p.add_argument("--tree", required=True, help="a generate --out directory")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_eval)
 

@@ -108,7 +108,8 @@ class SourceRef:
 # Fields that callers format or compare by type; json.loads gives exactly
 # these types (a bool is not an int here).
 _FIELD_TYPES = {"record_id": int, "seed": int, "n_speech": int, "n_audio": int,
-                "task": str, "prompt": str, "actions": list}
+                "task": str, "prompt": str, "prompt_provenance": str,
+                "actions": list, "simplified": list}
 _SOURCE_FIELD_TYPES = {"id": str, "path": str, "signature": dict}
 
 
@@ -126,6 +127,22 @@ def _is_finite_number(value) -> bool:
         return type(value) in (int, float) and math.isfinite(value)
     except OverflowError:  # an int beyond the float range
         return False
+
+
+def _check_optional_fields(record: "ManifestRecord"):
+    if record.template is not None and type(record.template) is not str:
+        raise BadManifestLine(
+            f"template must be null or str, got {record.template!r}")
+    if record.scale is not None and not _is_finite_number(record.scale):
+        raise BadManifestLine(
+            f"scale must be null or a finite number, got {record.scale!r}")
+    outputs = record.outputs
+    if outputs is not None and not (
+            type(outputs) is dict
+            and all(type(outputs.get(role)) is str
+                    for role in ("input", "target", "prompt"))):
+        raise BadManifestLine(f"outputs must be null or an object of "
+                              f"input, target and prompt names, got {outputs!r}")
 
 
 def _check_source(ref: SourceRef):
@@ -162,13 +179,13 @@ class ManifestRecord:
     def from_json(cls, line: str) -> "ManifestRecord":
         try:
             doc = json.loads(line)
-            if doc.get("schema") != SCHEMA_VERSION:
-                raise BadManifestLine(
-                    f"unsupported manifest schema {doc.get('schema')}"
-                )
+            schema = doc.get("schema")
+            if type(schema) is not int or schema != SCHEMA_VERSION:
+                raise BadManifestLine(f"unsupported manifest schema {schema!r}")
             doc["sources"] = [SourceRef(**s) for s in doc["sources"]]
             record = cls(**doc)
             _check_types(record, _FIELD_TYPES)
+            _check_optional_fields(record)
             if not record.sources:
                 raise BadManifestLine("a record needs at least one source")
             for ref in record.sources:

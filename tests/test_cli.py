@@ -1,7 +1,9 @@
 """Command-line surface: round trips, exit codes, JSON outputs."""
 
+import argparse
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -15,7 +17,8 @@ import mixedit
 from mixedit import cli
 from mixedit.cli import main
 from mixedit.dataset import (RephraseConfig, build_demo_catalog, read_wav,
-                             write_wav)
+                             write_manifest, write_wav)
+from mixedit.dataset.manifest import ManifestRecord, SourceRef
 from mixedit.dsp import Clip
 from mixedit.editor import (FilmMaskNet, MaskNetConfig, embed_instruction,
                             load_net, save_net)
@@ -160,6 +163,29 @@ def test_edit_bad_prompt_exit_code(tone_setup, catalog_dir, capsys):
     assert "frobnicate" in err
 
 
+def _write_tree(tree: Path, pairs, tasks=None):
+    """A ``generate``-style tree of one record per (input, target) clip
+    pair, record i named after ``tasks[i]`` (default T1)."""
+    tree.mkdir()
+    records = []
+    for i, (unprocessed, target) in enumerate(pairs):
+        outputs = {"input": f"{i:06d}_input.wav",
+                   "target": f"{i:06d}_target.wav",
+                   "prompt": f"{i:06d}_prompt.txt"}
+        write_wav(tree / outputs["input"], unprocessed)
+        write_wav(tree / outputs["target"], target)
+        records.append(ManifestRecord(
+            record_id=i, seed=i, n_speech=0, n_audio=2,
+            sources=[SourceRef("a", "a.wav",
+                               {"kind": "audio", "label": "dog"}, 0.0),
+                     SourceRef("b", "b.wav",
+                               {"kind": "audio", "label": "cat"}, 1.5)],
+            actions=["keep", "remove"], task=tasks[i] if tasks else "T1",
+            simplified=[], prompt="p", prompt_provenance="template",
+            outputs=outputs))
+    write_manifest(records, tree / "manifest.jsonl")
+
+
 def test_generate_and_eval_round_trip(catalog_dir, tmp_path, capsys):
     out = tmp_path / "data"
     code = main([
@@ -173,35 +199,35 @@ def test_generate_and_eval_round_trip(catalog_dir, tmp_path, capsys):
     assert sum(doc["per_task"].values()) == 10
     assert (out / "manifest.jsonl").exists()
 
-    # eval with est == target: clamped SNRi everywhere, 100% improved
-    est = tmp_path / "est"
-    ref = tmp_path / "ref"
-    inp = tmp_path / "inp"
-    for d in (est, ref, inp):
+    # Only the estimates are copied; eval finds input and target through
+    # each record's outputs. est == target: clamped SNRi everywhere.
+    est, unedited = tmp_path / "est", tmp_path / "unedited"
+    for d in (est, unedited):
         d.mkdir()
     for record_path in sorted(out.glob("*_record.json")):
         record = json.loads(record_path.read_text())
-        stem = f"{record['record_id']:06d}.wav"
-        (est / stem).write_bytes((out / record["outputs"]["target"]).read_bytes())
-        (ref / stem).write_bytes((out / record["outputs"]["target"]).read_bytes())
-        (inp / stem).write_bytes((out / record["outputs"]["input"]).read_bytes())
-    code = main([
-        "eval", "--est", str(est), "--ref", str(ref), "--input", str(inp),
-        "--per-task", str(out / "manifest.jsonl"), "--json",
-    ])
-    assert code == 0
+        name = f"{record['record_id']:06d}.wav"
+        shutil.copy(out / record["outputs"]["target"], est / name)
+        shutil.copy(out / record["outputs"]["input"], unedited / name)
+    assert main(["eval", "--est", str(est), "--tree", str(out),
+                 "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["overall"]["count"] == 10
     assert report["overall"]["improved_fraction"] == 1.0
     assert report["overall"]["clamped_count"] == 10
-    assert report["per_task"]
+    assert {task: agg["count"] for task, agg in report["per_task"].items()} \
+        == doc["per_task"]
+    assert report["config"] == {"est": str(est), "tree": str(out)}
+
+    # The text report has the overall line, then one line per task.
+    assert main(["eval", "--est", str(est), "--tree", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == \
+        ["overall", *sorted(doc["per_task"])]
 
     # est == input: SNRi identically zero, no improvement
-    code = main([
-        "eval", "--est", str(inp), "--ref", str(ref), "--input", str(inp),
-        "--json",
-    ])
-    assert code == 0
+    assert main(["eval", "--est", str(unedited), "--tree", str(out),
+                 "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["overall"]["improved_fraction"] == 0.0
     assert abs(report["overall"]["mean_snri_db"]) < 1e-9
@@ -209,39 +235,81 @@ def test_generate_and_eval_round_trip(catalog_dir, tmp_path, capsys):
 
 def test_eval_quartiles_match_independent_recompute(tmp_path, capsys):
     rng = np.random.default_rng(0)
-    est, ref, inp = tmp_path / "est", tmp_path / "ref", tmp_path / "inp"
-    for d in (est, ref, inp):
-        d.mkdir()
-    snris = []
+    est = tmp_path / "est"
+    est.mkdir()
+    pairs, tasks = [], []
     from mixedit.metrics import snri as snri_fn
     for i in range(9):
         target = rng.standard_normal(4000)
         noise = rng.standard_normal(4000)
         x = target + noise
         e = target + noise * rng.uniform(0.1, 1.0)
-        write_wav(est / f"{i}.wav", Clip(e * 0.05, RATE))
-        write_wav(ref / f"{i}.wav", Clip(target * 0.05, RATE))
-        write_wav(inp / f"{i}.wav", Clip(x * 0.05, RATE))
-        snris.append(snri_fn(
-            read_wav(inp / f"{i}.wav"), read_wav(est / f"{i}.wav"),
-            read_wav(ref / f"{i}.wav")).value)
-    assert main(["eval", "--est", str(est), "--ref", str(ref),
-                 "--input", str(inp), "--json"]) == 0
+        pairs.append((Clip(x * 0.05, RATE), Clip(target * 0.05, RATE)))
+        tasks.append("T2" if i % 3 == 0 else "T1")
+        write_wav(est / f"{i:06d}.wav", Clip(e * 0.05, RATE))
+    tree = tmp_path / "tree"
+    _write_tree(tree, pairs, tasks)
+    groups = {"overall": []}
+    for i, task in enumerate(tasks):
+        value = snri_fn(read_wav(tree / f"{i:06d}_input.wav"),
+                        read_wav(est / f"{i:06d}.wav"),
+                        read_wav(tree / f"{i:06d}_target.wav")).value
+        groups["overall"].append(value)
+        groups.setdefault(task, []).append(value)
+    assert main(["eval", "--est", str(est), "--tree", str(tree),
+                 "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
-    got = report["overall"]["quartiles_db"]
-    expected = np.percentile(np.array(snris), [25, 50, 75])
-    assert got["q25"] == pytest.approx(expected[0], abs=1e-9)
-    assert got["q50"] == pytest.approx(expected[1], abs=1e-9)
-    assert got["q75"] == pytest.approx(expected[2], abs=1e-9)
+    assert sorted(report["per_task"]) == ["T1", "T2"]
+    for group, values in groups.items():
+        agg = report["per_task"].get(group, report["overall"])
+        assert agg["count"] == len(values)
+        got = agg["quartiles_db"]
+        expected = np.percentile(np.array(values), [25, 50, 75])
+        assert got["q25"] == pytest.approx(expected[0], abs=1e-9)
+        assert got["q50"] == pytest.approx(expected[1], abs=1e-9)
+        assert got["q75"] == pytest.approx(expected[2], abs=1e-9)
 
 
 def test_eval_missing_pair(tmp_path, capsys):
-    est, ref, inp = tmp_path / "est", tmp_path / "ref", tmp_path / "inp"
-    for d in (est, ref, inp):
-        d.mkdir()
-    write_wav(est / "0.wav", Clip(np.ones(100) * 0.1, RATE))
-    assert main(["eval", "--est", str(est), "--ref", str(ref),
-                 "--input", str(inp)]) == 1
+    """An estimate named after no record of the tree."""
+    x = Clip(np.ones(100) * 0.1, RATE)
+    _write_tree(tmp_path / "tree", [(x, x)])
+    est = tmp_path / "est"
+    est.mkdir()
+    write_wav(est / "000000.wav", x)
+    write_wav(est / "000001.wav", x)
+    assert main(["eval", "--est", str(est), "--tree",
+                 str(tmp_path / "tree")]) == 1
+    err = capsys.readouterr().err
+    assert "error: UnknownRecord" in err and "000001.wav" in err
+
+
+@pytest.mark.parametrize("hole", ["target file", "outputs"])
+def test_eval_record_without_its_files_exits_1(tmp_path, capsys, hole):
+    x = Clip(np.ones(100) * 0.1, RATE)
+    tree = tmp_path / "tree"
+    _write_tree(tree, [(x, x)])
+    if hole == "target file":
+        (tree / "000000_target.wav").unlink()
+    else:  # a planned manifest that was never synthesized
+        record = json.loads((tree / "manifest.jsonl").read_text())
+        (tree / "manifest.jsonl").write_text(
+            json.dumps({**record, "outputs": None}) + "\n")
+    est = tmp_path / "est"
+    est.mkdir()
+    write_wav(est / "000000.wav", x)
+    assert main(["eval", "--est", str(est), "--tree", str(tree)]) == 1
+    error = "BadWavFile" if hole == "target file" else "BadManifestLine"
+    assert f"error: {error}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", ["--ref", "--input", "--per-task"])
+def test_eval_takes_no_three_directory_options(tmp_path, capsys, option):
+    x = Clip(np.ones(100) * 0.1, RATE)
+    _write_tree(tmp_path / "tree", [(x, x)])
+    assert main(["eval", "--est", str(tmp_path / "tree"), "--tree",
+                 str(tmp_path / "tree"), option, str(tmp_path)]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_generate_deterministic_across_runs(catalog_dir, tmp_path, capsys):
@@ -498,17 +566,15 @@ def test_edit_sources_at_another_rate_exit_2(tone_setup, capsys, editor):
 
 
 def test_eval_rejects_mismatched_sample_rates(tmp_path, capsys):
-    est, ref, inp = tmp_path / "est", tmp_path / "ref", tmp_path / "inp"
-    for d in (est, ref, inp):
-        d.mkdir()
     x = np.random.default_rng(0).standard_normal(800) * 0.1
-    write_wav(est / "7.wav", Clip(x, 8000))
-    write_wav(ref / "7.wav", Clip(x, RATE))
-    write_wav(inp / "7.wav", Clip(x, RATE))
-    assert main(["eval", "--est", str(est), "--ref", str(ref),
-                 "--input", str(inp)]) == 1
+    _write_tree(tmp_path / "tree", [(Clip(x, RATE), Clip(x, RATE))])
+    est = tmp_path / "est"
+    est.mkdir()
+    write_wav(est / "000000.wav", Clip(x, 8000))
+    assert main(["eval", "--est", str(est), "--tree",
+                 str(tmp_path / "tree")]) == 1
     err = capsys.readouterr().err
-    assert "7.wav" in err and "8000" in err
+    assert "000000.wav" in err and "8000" in err and "16000" in err
 
 
 @pytest.mark.parametrize("bad", [{"kernel": 15}, {"channels": 0},
@@ -566,6 +632,16 @@ def test_train_toy_pit_with_more_masks_than_toy_tones_exits_1(
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_train_toy_pit_with_two_masks_trains(tmp_path, capsys, seed):
+    """PIT keeps each toy tone as a reference, so no tone weighs 0."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"pit": True, "n_masks": 2, "steps": 1}))
+    assert main(["train-toy", "--config", str(config), "--out-dir",
+                 str(tmp_path / "run"), "--seed", str(seed)]) == 0
+    assert (tmp_path / "run" / "net.mxn").exists()
+
+
 @pytest.mark.parametrize("text", ['{"endpoint":', '{"endpointz": null}',
                                   "[1, 2]", '{"endpoint": "not a url"}',
                                   '{"endpoint": "ftp://127.0.0.1/x"}',
@@ -614,8 +690,7 @@ def test_unreadable_input_path_exits_1(tone_catalog, capsys, command, error,
         "generate": ["generate", "--catalog", str(tmp_path), "--metadata",
                      str(path), "--out", str(tmp_path / "data"),
                      "--count", "2"],
-        "eval": ["eval", "--est", str(tmp_path), "--ref", str(tmp_path),
-                 "--input", str(tmp_path), "--per-task", str(path)],
+        "eval": ["eval", "--est", str(tmp_path), "--tree", str(path)],
         "edit": ["edit", "--mixture", paths["mix"], "--sources", paths["s1"],
                  paths["s2"], "--actions", "1,0", "--catalog", str(tmp_path),
                  "--editor", "film", "--model", str(path)],
@@ -851,14 +926,18 @@ def test_an_explicit_blas_thread_count_is_left_as_set():
 
 
 def test_eval_non_utf8_manifest_exits_1(tmp_path, capsys):
-    est, ref, inp = tmp_path / "est", tmp_path / "ref", tmp_path / "inp"
-    for d in (est, ref, inp):
-        d.mkdir()
-        write_wav(d / "000000.wav", Clip(np.full(800, 0.1), RATE))
-    manifest = tmp_path / "manifest.jsonl"
-    manifest.write_bytes(b"\xff\xfe")
-    assert main(["eval", "--est", str(est), "--ref", str(ref),
-                 "--input", str(inp), "--per-task", str(manifest)]) == 1
+    x = Clip(np.full(800, 0.1), RATE)
+    _write_tree(tmp_path / "tree", [(x, x)])
+    (tmp_path / "tree" / "manifest.jsonl").write_bytes(b"\xff\xfe")
+    assert main(["eval", "--est", str(tmp_path / "tree"), "--tree",
+                 str(tmp_path / "tree")]) == 1
+    assert "error: BadManifestLine" in capsys.readouterr().err
+
+
+def test_eval_tree_that_is_a_file_exits_1(tmp_path, capsys):
+    write_wav(tmp_path / "000000.wav", Clip(np.full(800, 0.1), RATE))
+    assert main(["eval", "--est", str(tmp_path), "--tree",
+                 str(tmp_path / "000000.wav")]) == 1
     assert "error: BadManifestLine" in capsys.readouterr().err
 
 
@@ -867,9 +946,34 @@ def test_eval_mistyped_manifest_field_exits_1(catalog_dir, tmp_path, capsys):
     assert main(["generate", "--catalog", str(catalog_dir), "--out", str(data),
                  "--count", "1"]) == 0
     record = json.loads((data / "manifest.jsonl").read_text())
-    manifest = tmp_path / "manifest.jsonl"
-    manifest.write_text(json.dumps({**record, "record_id": "x"}) + "\n")
-    inp = data / record["outputs"]["input"]
-    assert main(["eval", "--est", str(inp.parent), "--ref", str(inp.parent),
-                 "--input", str(inp.parent), "--per-task", str(manifest)]) == 1
-    assert "error: BadManifestLine" in capsys.readouterr().err
+    est = tmp_path / "est"
+    est.mkdir()
+    shutil.copy(data / record["outputs"]["target"], est / "000000.wav")
+    for field, value in [("record_id", "x"), ("outputs", {"input": 3})]:
+        (data / "manifest.jsonl").write_text(
+            json.dumps({**record, field: value}) + "\n")
+        assert main(["eval", "--est", str(est), "--tree", str(data)]) == 1
+        err = capsys.readouterr().err
+        assert "error: BadManifestLine" in err and field in err
+
+
+def test_readme_commands_use_only_options_the_parser_defines():
+    """Each ``mixedit <command>`` line of the README's shell blocks, with
+    its continuation lines, runs a command ``build_parser`` defines and
+    passes only that command's options; every command is shown."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        "utf-8")
+    blocks = [b.split("```", 1)[0] for b in readme.split("```sh\n")[1:]]
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    shown = set()
+    for line in lines:
+        words = line.split()
+        if words[:1] != ["mixedit"]:
+            continue
+        command = commands[words[1]]
+        shown.add(words[1])
+        for option in re.findall(r"(?<!\S)--[\w-]+", line):
+            assert option in command._option_string_actions, (line, option)
+    assert shown == set(commands)

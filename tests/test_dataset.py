@@ -949,6 +949,37 @@ def test_manifest_source_fields_are_typed(fields):
         ManifestRecord.from_json(_line_with_source(**fields))
 
 
+def _line_with(**fields) -> str:
+    return json.dumps({**json.loads(_line_with_source()), **fields})
+
+
+@pytest.mark.parametrize("fields", [
+    {"outputs": 5}, {"outputs": {"input": 3}}, {"outputs": []},
+    {"outputs": {"input": "a.wav", "target": "b.wav"}},
+    {"outputs": {"input": "a.wav", "target": None, "prompt": "p.txt"}},
+    {"simplified": "x"}, {"simplified": None}, {"simplified": {}},
+    {"prompt_provenance": None}, {"prompt_provenance": 1},
+    {"template": 7}, {"template": ["please"]},
+    {"scale": "big"}, {"scale": True}, {"scale": float("nan")},
+    {"scale": float("inf")}, {"scale": 10 ** 400},
+    {"schema": True}, {"schema": 1.0},
+])
+def test_manifest_record_fields_are_typed(fields):
+    with pytest.raises(BadManifestLine, match=next(iter(fields))):
+        ManifestRecord.from_json(_line_with(**fields))
+
+
+@pytest.mark.parametrize("fields", [
+    {"outputs": None},
+    {"outputs": {"input": "a.wav", "target": "b.wav", "prompt": "p.txt"}},
+    {"template": None}, {"template": "please"},
+    {"scale": None}, {"scale": 0.5}, {"scale": 1},
+])
+def test_manifest_record_fields_of_the_right_type_load(fields):
+    record = ManifestRecord.from_json(_line_with(**fields))
+    assert {name: getattr(record, name) for name in fields} == fields
+
+
 def test_manifest_record_needs_a_source():
     doc = json.loads(_line_with_source())
     doc["sources"] = []

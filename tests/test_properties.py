@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from mixedit.cli import BadConfigFile, _read_toy_config, main
+from mixedit.cli import BadConfigFile, _read_toy_config, _record_clips, main
 from mixedit.core import (
     STYLE_FIELDS,
     Action,
@@ -29,6 +29,7 @@ from mixedit.dataset import (
     BadWavFile,
     RephraseConfig,
     ingest,
+    load_manifest,
     read_wav,
     synthesize,
     write_wav,
@@ -172,6 +173,17 @@ def mutated_sources(draw, record: dict):
     return json.dumps(doc)
 
 
+@st.composite
+def records_with_outputs(draw, record: dict):
+    """``record`` with an ``outputs`` object; each name is likely one that
+    eval cannot read under a tree, or one of the record's own sources."""
+    names = st.text(max_size=8) | st.sampled_from(
+        ["", ".", "..", "a\x00b", *(s["path"] for s in record["sources"])])
+    outputs = draw(st.fixed_dictionaries(
+        {"input": names, "target": names, "prompt": names}))
+    return json.dumps({**record, "outputs": outputs})
+
+
 @pytest.fixture(scope="module")
 def source_record(tmp_path_factory) -> dict:
     """``_RECORD`` with its sources as short WAV files on disk."""
@@ -192,7 +204,8 @@ def source_record(tmp_path_factory) -> dict:
 def test_any_manifest_line_loads_or_raises_typed(source_record, data):
     line = data.draw(st.one_of(
         st.text(), json_values.map(json.dumps),
-        mutated_records(source_record), mutated_sources(source_record)))
+        mutated_records(source_record), mutated_sources(source_record),
+        records_with_outputs(source_record)))
     try:
         record = ManifestRecord.from_json(line)
     except MixeditError:
@@ -203,8 +216,16 @@ def test_any_manifest_line_loads_or_raises_typed(source_record, data):
     record.action_vector()
     record.signatures()
     with tempfile.TemporaryDirectory() as tmp:
+        if record.outputs is not None:
+            try:
+                _record_clips(Path(tmp), record)
+            except MixeditError:
+                pass
         summary = synthesize([record], tmp)
-    assert summary.succeeded + len(summary.failures) == 1
+        assert summary.succeeded + len(summary.failures) == 1
+        # eval reads back what synthesis wrote through the manifest's names.
+        for written in load_manifest(Path(tmp) / "manifest.jsonl"):
+            _record_clips(Path(tmp), written)
 
 
 @functools.cache
@@ -471,7 +492,8 @@ _RATE = 16000
 def cli_inputs(tmp_path_factory):
     """Good, corrupt and missing inputs for ``edit`` and ``eval``: two tones
     that sum to ``mix.wav`` in a catalog labelling them, a tiny FiLM
-    checkpoint, and estimate/reference/input trees of one record."""
+    checkpoint, estimate directories, and ``generate``-style trees of one
+    record: good, with a corrupt manifest, and missing the target WAV."""
     root = tmp_path_factory.mktemp("cli")
     t = np.arange(1600) / _RATE
     tones = {"s1": 0.4 * np.sin(2 * np.pi * 440 * t),
@@ -491,14 +513,23 @@ def cli_inputs(tmp_path_factory):
     net = FilmMaskNet.init(MaskNetConfig(channels=4, blocks=1, embed_dim=4))
     save_net(root / "net.mxn", net)
     (root / "corrupt.mxn").write_bytes((root / "net.mxn").read_bytes()[:40])
-    for tree, wav in (("est", "s1"), ("ref", "s1"), ("inp", "mix"),
-                      ("badest", "corrupt"), ("slowest", "slow")):
-        (root / tree).mkdir()
-        (root / tree / "000000.wav").write_bytes(
+    for est, wav in (("est", "s1"), ("inp", "mix"), ("badest", "corrupt"),
+                     ("slowest", "slow")):
+        (root / est).mkdir()
+        (root / est / "000000.wav").write_bytes(
             (root / f"{wav}.wav").read_bytes())
     (root / "empty").mkdir()
-    (root / "manifest.jsonl").write_text(json.dumps(_RECORD) + "\n")
-    (root / "corrupt.jsonl").write_bytes(b"\xff\xfe")
+    outputs = {"input": "000000_input.wav", "target": "000000_target.wav",
+               "prompt": "000000_prompt.txt"}
+    for tree in ("tree", "badtree", "holetree"):
+        (root / tree).mkdir()
+        for role, wav in (("input", "mix"), ("target", "s1")):
+            (root / tree / outputs[role]).write_bytes(
+                (root / f"{wav}.wav").read_bytes())
+        (root / tree / "manifest.jsonl").write_text(
+            json.dumps({**_RECORD, "outputs": outputs}) + "\n")
+    (root / "badtree" / "manifest.jsonl").write_bytes(b"\xff\xfe")
+    (root / "holetree" / outputs["target"]).unlink()
     return root
 
 
@@ -551,14 +582,12 @@ def _edit_argv(data, root: Path, out: Path) -> list[str]:
 
 def _eval_argv(data, root: Path) -> list[str]:
     pick = data.draw
-    trees = st.sampled_from(["est", "ref", "inp", "badest", "slowest",
-                             "empty", "missing"])
-    argv = ["eval", "--est", str(root / pick(trees)),
-            "--ref", str(root / pick(trees)),
-            "--input", str(root / pick(trees))]
-    if pick(st.booleans()):
-        argv += ["--per-task", str(root / pick(st.sampled_from(
-            ["manifest.jsonl", "corrupt.jsonl", "missing.jsonl"])))]
+    estimates = st.sampled_from(["est", "est", "inp", "badest", "slowest",
+                                 "empty", "missing", "tree"])
+    trees = st.sampled_from(["tree", "tree", "tree", "badtree", "holetree",
+                             "est", "missing", "mix.wav"])
+    argv = ["eval", "--est", str(root / pick(estimates)),
+            "--tree", str(root / pick(trees))]
     if pick(st.booleans()):
         argv.append("--json")
     return argv
