@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import math
+import shutil
 import sys
 from pathlib import Path
 
@@ -430,13 +431,23 @@ def cmd_train_toy(args) -> int:
                              settings["pit"] and net_config.n_masks > 1,
                              t=settings["samples"])
     out_dir = Path(args.out_dir)
+    # The outermost directory this run makes, removed again if training
+    # fails; the directory is made first so that an unwritable one fails
+    # before any training.
+    made = next((d for d in reversed((out_dir, *out_dir.parents))
+                 if not d.exists()), None)
     out_dir.mkdir(parents=True, exist_ok=True)
-    result = train_toy(
-        net, examples,
-        steps=settings["steps"],
-        lr=settings["lr"],
-        lr_decay=settings["lr_decay"],
-    )
+    try:
+        result = train_toy(
+            net, examples,
+            steps=settings["steps"],
+            lr=settings["lr"],
+            lr_decay=settings["lr_decay"],
+        )
+    except MixeditError:
+        if made is not None:
+            shutil.rmtree(made, ignore_errors=True)
+        raise
     save_net(out_dir / "net.mxn", result.net)
     curve = out_dir / "loss_curve.csv"
     with open(curve, "w", encoding="utf-8") as fh:

@@ -9,7 +9,6 @@ one worker or eight produces bit-identical output trees.
 from __future__ import annotations
 
 import json
-import os
 import struct
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
@@ -18,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ..dsp import (Clip, DEFAULT_DURATION_S, DEFAULT_RATE, _Fresh, condition,
-                   resample)
+from ..dsp import (Clip, DEFAULT_DURATION_S, DEFAULT_RATE, _Fresh,
+                   available_cpus, condition, resample)
 from ..errors import MixeditError
 from ..mixer import MixturePair, apply_gains, assign_gains
 from ..seeding import derive_seed
@@ -287,7 +286,8 @@ def synthesize(records, out_dir, workers: int = 1,
     are collected in the summary instead of aborting the batch.
 
     The records are split into ``min(workers, records, CPUs)`` contiguous
-    runs, one per worker process; a single run stays in this process.
+    runs, one per worker process, counting the CPUs this process may run
+    on; a single run stays in this process.
     Within a run, each source file is read and resampled to 16 kHz once,
     and held for the run's later records at most until its last use,
     within a fixed byte budget. Output, manifest and summary keep record
@@ -297,7 +297,7 @@ def synthesize(records, out_dir, workers: int = 1,
     out.mkdir(parents=True, exist_ok=True)
     # The pool starts every worker up front, so ask for no more than
     # there are records and CPUs.
-    shards = min(workers, len(records), os.cpu_count() or 1)
+    shards = min(workers, len(records), available_cpus())
     if shards <= 1:
         results = _synthesize_shard((records, str(out), pcm16))
     else:

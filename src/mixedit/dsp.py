@@ -1,4 +1,5 @@
-"""Waveform primitives: clips, resampling, crop/pad conditioning, STFT, Mel.
+"""Waveform primitives: clips, resampling, crop/pad conditioning, STFT, Mel,
+and the process's thread pool.
 
 Everything operates on mono float64 arrays. Clips are immutable after
 construction (the sample buffer is marked read-only) and safe to share
@@ -8,9 +9,14 @@ across threads and worker processes.
 from __future__ import annotations
 
 import math
+import os
 import random
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import suppress
+from contextvars import copy_context
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -222,9 +228,145 @@ def condition(clip: Clip, duration_s: float = DEFAULT_DURATION_S,
                 clip.rate)
 
 
+def available_cpus() -> int:
+    """The CPUs this process may run on: its affinity where the platform
+    reports one, else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _other_cpus() -> list[int]:
+    """The CPUs the calling thread may run on other than the one it is on,
+    or none where the platform cannot tell."""
+    try:
+        import ctypes
+        here = ctypes.CDLL(None).sched_getcpu()
+        return sorted(os.sched_getaffinity(0) - {here})
+    except (AttributeError, OSError, TypeError):
+        return []
+
+
+# The process's pool as (threads, executor), made on first use and
+# dropped in a forked child, which has none of its threads.
+_pool: tuple[int, ThreadPoolExecutor] | None = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _shared_pool(threads: int) -> ThreadPoolExecutor:
+    """The process's pool of ``threads`` threads; one of another size is
+    shut down and replaced, so that it follows ``available_cpus``."""
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] != threads:
+            if _pool is not None:
+                _pool[1].shutdown(wait=False)
+            cpus = iter(_other_cpus())
+
+            def pin():
+                cpu = next(cpus, None)
+                if cpu is not None:  # a hint: the pool must still start
+                    with suppress(OSError):
+                        os.sched_setaffinity(0, {cpu})
+
+            _pool = threads, ThreadPoolExecutor(threads, initializer=pin)
+        return _pool[1]
+
+
+def _serial(*tasks) -> None:
+    for task in tasks:
+        task()
+
+
+def _threads(width: int):
+    """``run(*tasks)``, which calls every task and returns once all are
+    done, re-raising a task's error. With ``width`` or ``available_cpus()``
+    at 1 the tasks run in order on the calling thread. Otherwise the
+    calling thread runs the first task while the process's pool takes the
+    rest; the caller then runs itself, last first, every task no pool
+    thread has started. So a host that does not run the threads at once
+    costs little more than the serial run. Each task runs in a copy of
+    the caller's context, so ``np.errstate`` reaches it.
+
+    The pool is made on first use with ``available_cpus() - 1`` threads
+    and lives as long as the process; a forked child starts without one.
+    Each pool thread is pinned to its own CPU other than the one the
+    caller was on when the pool was made, where the platform allows: a
+    2-vCPU guest kernel was seen keeping an unpinned pool thread on the
+    caller's CPU while the other CPU sat idle, for no gain at all. The
+    caller's own affinity is left alone.
+
+    A task calls numpy only: nothing the benchmark tracer wraps, ``Clip``
+    and ``EditingMask`` included, since the tracer's span stack assumes
+    one thread."""
+    if width == 1 or (cpus := available_cpus()) == 1:
+        return _serial
+    pool = _shared_pool(cpus - 1)
+
+    def run(*tasks):
+        queued = [(pool.submit(copy_context().run, task), task)
+                  for task in tasks[1:]]
+        try:
+            tasks[0]()
+            for future, task in reversed(queued):
+                if future.cancel():  # no pool thread has started it
+                    task()
+        finally:  # a started task ends before run does, even on an error
+            wait([future for future, _ in queued if not future.cancel()])
+        for future, _ in queued:
+            if not future.cancelled():
+                future.result()
+
+    return run
+
+
+def _halves(n: int, least: int, grid: int) -> list[tuple[int, int]]:
+    """The parts ``[first, end)`` that ``n`` frames split into for two
+    threads: one part below ``least`` frames, else two, split at the
+    multiple of ``grid`` frames nearest below the middle."""
+    if n < least:
+        return [(0, n)]
+    middle = n // (2 * grid) * grid
+    return [(0, middle), (middle, n)]
+
+
 # Periodic Hann; shifted squared copies sum to a constant for hop <= window/2.
 _HANN = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(WINDOW) / WINDOW)
 _HANN.setflags(write=False)
+
+
+# Below this many frames a spectrum is one part on one thread.
+_SPLIT_FRAMES = 256
+
+
+def _frame_parts(n_frames: int) -> list[tuple[int, int]]:
+    """The frames, ``[first, end)``, of the parts that the STFT path works
+    on, each on its own thread: two halves from ``_SPLIT_FRAMES`` frames
+    on, split at a multiple of 8 frames, so that each part of a
+    ``(bins, frames)`` array starts as far into a 64-byte line as the
+    whole does. The layout depends on the frame count alone, and every
+    frame's FFT and every element's operation is the same in any part, so
+    the result is the same bits on any number of threads."""
+    return _halves(n_frames, _SPLIT_FRAMES, 8)
+
+
+def _by_frames(step, n_frames: int) -> None:
+    """``step(first, end)`` for each of ``_frame_parts(n_frames)``, the
+    parts on threads together. ``step`` calls numpy only (see
+    ``_threads``)."""
+    parts = _frame_parts(n_frames)
+    _threads(len(parts))(*(partial(step, first, end)
+                           for first, end in parts))
 
 
 def stft(clip: Clip) -> np.ndarray:
@@ -237,13 +379,21 @@ def stft(clip: Clip) -> np.ndarray:
     bins)`` array ``rfft`` writes, so each frame's bins are contiguous
     (Fortran order) and no copy is made. Element-wise work on it keeps
     that layout, and ``istft`` hands its transpose to ``irfft`` as a
-    C-contiguous array."""
+    C-contiguous array. The windowing and the ``rfft`` run on the halves
+    of the frames (``_by_frames``), each writing its rows of that array."""
     n = len(clip)
     n_frames = -(-n // HOP) + 1
     x = np.zeros((n_frames - 1) * HOP + WINDOW)
     x[WINDOW // 2:WINDOW // 2 + n] = clip.samples
     frames = np.lib.stride_tricks.sliding_window_view(x, WINDOW)[::HOP]
-    return np.fft.rfft(frames * _HANN, axis=1).T
+    spectra = np.empty((n_frames, WINDOW // 2 + 1), dtype=np.complex128)
+
+    def analyse(first, end):
+        np.fft.rfft(frames[first:end] * _HANN, axis=1,
+                    out=spectra[first:end])
+
+    _by_frames(analyse, n_frames)
+    return spectra.T
 
 
 def overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
@@ -279,11 +429,20 @@ def _window_sum(n_frames: int, n_samples: int) -> np.ndarray:
 def istft(frames: np.ndarray, n_samples: int) -> np.ndarray:
     """Weighted overlap-add inverse of ``stft`` for a clip of
     ``n_samples``: exact at every sample, since the centring leaves each
-    one under a squared-window sum of at least 1.25."""
-    frames_t = np.fft.irfft(frames.T, n=WINDOW, axis=1)
-    frames_t *= _HANN
+    one under a squared-window sum of at least 1.25. The ``irfft`` and
+    the window run on the halves of the frames (``_by_frames``); the
+    overlap-add and the division by the window sum run whole."""
+    n_frames = frames.shape[1]
+    frames_t = np.empty((n_frames, WINDOW))
+
+    def synthesise(first, end):
+        part = frames_t[first:end]
+        np.fft.irfft(frames[:, first:end].T, n=WINDOW, axis=1, out=part)
+        part *= _HANN
+
+    _by_frames(synthesise, n_frames)
     num = overlap_add(frames_t, HOP)[WINDOW // 2:WINDOW // 2 + n_samples]
-    num /= _window_sum(len(frames_t), n_samples)
+    num /= _window_sum(n_frames, n_samples)
     return num
 
 

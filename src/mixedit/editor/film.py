@@ -17,15 +17,13 @@ SNR clamps are taken as zero.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from ..dsp import Clip, _Fresh, overlap_add
+from .. import dsp
+from ..dsp import Clip, _Fresh, _threads, overlap_add
 from ..errors import MixeditError
 from ..metrics import pit_snr, snr
 from .masking import DEFAULT_EMBED_DIM, DEFAULT_MASK_MAX, EditingMask
@@ -121,66 +119,7 @@ def _halves(n_frames: int) -> list[tuple[int, int]]:
     the whole-clip product's columns bit for bit on OpenBLAS for the
     default shapes in both dtypes; a float64 split at an odd frame does
     not."""
-    if n_frames < 1024:
-        return [(0, n_frames)]
-    middle = n_frames // 128 * 64
-    return [(0, middle), (middle, n_frames)]
-
-
-def _other_cpus() -> list[int]:
-    """The CPUs the calling thread may run on other than the one it is on,
-    or none where the platform cannot tell."""
-    try:
-        import ctypes
-        here = ctypes.CDLL(None).sched_getcpu()
-        return sorted(os.sched_getaffinity(0) - {here})
-    except (AttributeError, OSError, TypeError):
-        return []
-
-
-@contextmanager
-def _threads(width: int):
-    """Yields ``run(*tasks)``, which calls every task and returns once all
-    are done, re-raising a task's error. With ``width`` or the CPU count
-    at 1 the tasks run in order on the calling thread. Otherwise the
-    calling thread runs the first task while a pool of up to ``width -
-    1`` threads, one per CPU at most with the caller, takes the rest;
-    the caller then runs itself, last first, every task no pool thread
-    has started. So a host that does not run the threads at once costs
-    little more than the serial run. Each pool thread is pinned to its
-    own CPU other than the caller's, where the platform allows: a 2-vCPU
-    guest kernel was seen keeping an unpinned pool thread on the
-    caller's CPU while the other CPU sat idle, for no gain at all. The
-    pool lives only as long as the ``with`` block, so a forked child
-    never inherits it, and the caller's own affinity is left alone.
-
-    A task calls nothing the benchmark tracer wraps, ``Clip`` included,
-    since the tracer's span stack assumes one thread."""
-    threads = min(width, os.cpu_count() or 1)
-    if threads == 1:
-        yield lambda *tasks: [task() for task in tasks]
-        return
-
-    def run(*tasks):
-        queued = [(pool.submit(task), task) for task in tasks[1:]]
-        tasks[0]()
-        for future, task in reversed(queued):
-            if future.cancel():  # no pool thread has started it
-                task()
-        for future, _ in queued:
-            if not future.cancelled():
-                future.result()
-
-    cpus = iter(_other_cpus())
-
-    def pin():
-        cpu = next(cpus, None)
-        if cpu is not None:
-            with suppress(OSError):  # a hint: the pool must still start
-                os.sched_setaffinity(0, {cpu})
-
-    with ThreadPoolExecutor(threads - 1, initializer=pin) as pool:
-        yield run
+    return dsp._halves(n_frames, 1024, 64)
 
 
 def _by_columns(run, parts, step, *arrays) -> None:
@@ -369,8 +308,8 @@ class FilmMaskNet:
             y[first * s:stop] = out["y"][(first - lo) * s:stop - lo * s]
 
         windows = _windows(n_frames)
-        with _threads(len(windows)) as run:
-            run(*(partial(run_window, owned) for owned in windows))
+        _threads(len(windows))(*(partial(run_window, owned)
+                                 for owned in windows))
         return {"y": y, "mask": mask}
 
     def _run(self, x: np.ndarray, z: np.ndarray, keep_cache: bool) -> dict:
@@ -411,43 +350,43 @@ class FilmMaskNet:
         margin = 2 ** (cfg.blocks - 1)
         padded = _margined(c, n_frames, margin, dtype)
         h_tilde = padded[:, margin:margin + n_frames]
-        with _threads(len(parts)) as run:
-            by_columns = partial(_by_columns, run, parts)
-            by_rows = partial(_by_rows, run, len(parts))
-            by_columns(lambda f, out: np.matmul(p["enc.w"], f, out=out),
-                       frames.T, h_x)
-            h = h_x
-            for i in range(cfg.blocks):
-                a_f, gamma = self._mlp(p, f"block{i}.film.f", z)
-                a_g, beta = self._mlp(p, f"block{i}.film.g", z)
-                by_rows(self._modulate, gamma, beta, h, h_tilde)
-                if keep_cache:
-                    cache["blocks"].append({"h_in": h, "a_f": a_f,
-                                            "gamma": gamma, "a_g": a_g,
-                                            "beta": beta})
-                del h  # without the cache, freed before the next h allocates
-                d = 2 ** i
-                taps = [padded[:, start:start + n_frames]
-                        for start in (margin - d, margin, margin + d)]
-                h = np.empty((c, n_frames), dtype=dtype)
-                by_columns(partial(self._conv, p[f"block{i}.conv.w"],
-                                   p[f"block{i}.conv.b"]), *taps, h, prod)
-                if keep_cache:
-                    cache["blocks"][-1]["h_out"] = h
+        run = _threads(len(parts))
+        by_columns = partial(_by_columns, run, parts)
+        by_rows = partial(_by_rows, run, len(parts))
+        by_columns(lambda f, out: np.matmul(p["enc.w"], f, out=out),
+                   frames.T, h_x)
+        h = h_x
+        for i in range(cfg.blocks):
+            a_f, gamma = self._mlp(p, f"block{i}.film.f", z)
+            a_g, beta = self._mlp(p, f"block{i}.film.g", z)
+            by_rows(self._modulate, gamma, beta, h, h_tilde)
+            if keep_cache:
+                cache["blocks"].append({"h_in": h, "a_f": a_f,
+                                        "gamma": gamma, "a_g": a_g,
+                                        "beta": beta})
+            del h  # without the cache, freed before the next h allocates
+            d = 2 ** i
+            taps = [padded[:, start:start + n_frames]
+                    for start in (margin - d, margin, margin + d)]
+            h = np.empty((c, n_frames), dtype=dtype)
+            by_columns(partial(self._conv, p[f"block{i}.conv.w"],
+                               p[f"block{i}.conv.b"]), *taps, h, prod)
+            if keep_cache:
+                cache["blocks"][-1]["h_out"] = h
 
-            del padded, h_tilde, taps  # spent: freed before the head allocates
-            masks = np.empty((cfg.n_masks * c, n_frames), dtype=dtype)
-            by_columns(partial(self._head, p["head.w"], p["head.b"],
-                               cfg.mask_max), h, masks)
-            del h  # without the cache, freed before the decoder allocates
-            masks = masks.reshape(cfg.n_masks, c, n_frames)
-            per_source = np.empty((cfg.n_masks, n), dtype=dtype)
-            for m in range(cfg.n_masks):
-                by_rows(np.multiply, masks[m], h_x, prod)  # into prod
-                contrib = p["dec.w"].T @ prod
-                y_full = overlap_add(contrib.T, s)  # <= n samples; tail is 0
-                per_source[m, :len(y_full)] = y_full
-                per_source[m, len(y_full):] = 0.0
+        del padded, h_tilde, taps  # spent: freed before the head allocates
+        masks = np.empty((cfg.n_masks * c, n_frames), dtype=dtype)
+        by_columns(partial(self._head, p["head.w"], p["head.b"],
+                           cfg.mask_max), h, masks)
+        del h  # without the cache, freed before the decoder allocates
+        masks = masks.reshape(cfg.n_masks, c, n_frames)
+        per_source = np.empty((cfg.n_masks, n), dtype=dtype)
+        for m in range(cfg.n_masks):
+            by_rows(np.multiply, masks[m], h_x, prod)  # into prod
+            contrib = p["dec.w"].T @ prod
+            y_full = overlap_add(contrib.T, s)  # <= n samples; tail is 0
+            per_source[m, :len(y_full)] = y_full
+            per_source[m, len(y_full):] = 0.0
         out = {"masks": masks, "per_source": per_source,
                "y": per_source.sum(axis=0)}
         return cache | out if keep_cache else out
@@ -612,67 +551,67 @@ class FilmMaskNet:
         prod = np.empty_like(h_x)  # scratch for one (C, L) product
         grad_masks = np.empty_like(masks)
         grad_hx = np.zeros_like(h_x)
-        with _threads(split) as run:
-            by_rows = partial(_by_rows, run, split)
-            for m in range(cfg.n_masks):
-                # The decoder's adjoint frames the gradient like the
-                # encoder; a contiguous copy keeps the products on BLAS.
-                grad_contrib = np.ascontiguousarray(
-                    np.lib.stride_tricks.sliding_window_view(
-                        grad_sources[m], k)[::s].T)  # (K, L)
+        run = _threads(split)
+        by_rows = partial(_by_rows, run, split)
+        for m in range(cfg.n_masks):
+            # The decoder's adjoint frames the gradient like the
+            # encoder; a contiguous copy keeps the products on BLAS.
+            grad_contrib = np.ascontiguousarray(
+                np.lib.stride_tricks.sliding_window_view(
+                    grad_sources[m], k)[::s].T)  # (K, L)
 
-                def decoder_weight():
-                    # grad_masks[m] holds the decoder's input until the
-                    # adjoint below overwrites it.
-                    np.multiply(masks[m], h_x, out=grad_masks[m])
-                    np.matmul(grad_masks[m], grad_contrib.T, out=grad_dec_w)
+            def decoder_weight():
+                # grad_masks[m] holds the decoder's input until the
+                # adjoint below overwrites it.
+                np.multiply(masks[m], h_x, out=grad_masks[m])
+                np.matmul(grad_masks[m], grad_contrib.T, out=grad_dec_w)
 
-                run(decoder_weight,
-                    partial(np.matmul, p["dec.w"], grad_contrib, out=prod))
-                grads["dec.w"] += grad_dec_w
-                by_rows(self._decoder_adjoint, prod, h_x, masks[m],
-                        grad_masks[m], grad_hx)
+            run(decoder_weight,
+                partial(np.matmul, p["dec.w"], grad_contrib, out=prod))
+            grads["dec.w"] += grad_dec_w
+            by_rows(self._decoder_adjoint, prod, h_x, masks[m],
+                    grad_masks[m], grad_hx)
 
-            for m in range(cfg.n_masks):
-                by_rows(partial(self._gate_clamp, cfg.mask_max), masks[m],
-                        grad_masks[m], *_bool_scratch(prod, 2))
-            grad_mpre = grad_masks.reshape(cfg.n_masks * c, n_frames)
-            h_last = cache["blocks"][-1]["h_out"]
+        for m in range(cfg.n_masks):
+            by_rows(partial(self._gate_clamp, cfg.mask_max), masks[m],
+                    grad_masks[m], *_bool_scratch(prod, 2))
+        grad_mpre = grad_masks.reshape(cfg.n_masks * c, n_frames)
+        h_last = cache["blocks"][-1]["h_out"]
 
-            def head_weight():
-                np.matmul(grad_mpre, h_last.T, out=grad_head_w)
-                np.sum(grad_mpre, axis=1, out=grad_head_b)
+        def head_weight():
+            np.matmul(grad_mpre, h_last.T, out=grad_head_w)
+            np.sum(grad_mpre, axis=1, out=grad_head_b)
 
-            grad_h = np.empty_like(h_x)
-            run(head_weight,
-                partial(np.matmul, p["head.w"].T, grad_mpre, out=grad_h))
-            grads["head.w"] += grad_head_w
-            grads["head.b"] += grad_head_b
-            del grad_masks, grad_mpre
+        grad_h = np.empty_like(h_x)
+        run(head_weight,
+            partial(np.matmul, p["head.w"].T, grad_mpre, out=grad_h))
+        grads["head.w"] += grad_head_w
+        grads["head.b"] += grad_head_b
+        del grad_masks, grad_mpre
 
-            margin = 2 ** (cfg.blocks - 1)
-            padded = _margined(c, n_frames, margin, h_x.dtype)
-            grad_padded = _margined(c, n_frames, margin, h_x.dtype)
-            h_tilde = padded[:, margin:margin + n_frames]
-            for i in reversed(range(cfg.blocks)):
-                blk = cache["blocks"][i]
-                by_rows(self._modulate, blk["gamma"], blk["beta"],
-                        blk["h_in"], h_tilde)
-                grad_h = self._conv_backward(
-                    p, i, blk["h_out"], padded, grad_padded, grad_h, prod,
-                    grads, run, split)
-                by_rows(self._film_adjoint, blk["gamma"], blk["h_in"], grad_h,
-                        prod, grad_gamma, grad_beta)
+        margin = 2 ** (cfg.blocks - 1)
+        padded = _margined(c, n_frames, margin, h_x.dtype)
+        grad_padded = _margined(c, n_frames, margin, h_x.dtype)
+        h_tilde = padded[:, margin:margin + n_frames]
+        for i in reversed(range(cfg.blocks)):
+            blk = cache["blocks"][i]
+            by_rows(self._modulate, blk["gamma"], blk["beta"],
+                    blk["h_in"], h_tilde)
+            grad_h = self._conv_backward(
+                p, i, blk["h_out"], padded, grad_padded, grad_h, prod,
+                grads, run, split)
+            by_rows(self._film_adjoint, blk["gamma"], blk["h_in"], grad_h,
+                    prod, grad_gamma, grad_beta)
 
-                grad_z += self._mlp_backward(p, f"block{i}.film.f",
-                                             cache["z"], blk["a_f"],
-                                             grad_gamma, grads)
-                grad_z += self._mlp_backward(p, f"block{i}.film.g",
-                                             cache["z"], blk["a_g"],
-                                             grad_beta, grads)
+            grad_z += self._mlp_backward(p, f"block{i}.film.f",
+                                         cache["z"], blk["a_f"],
+                                         grad_gamma, grads)
+            grad_z += self._mlp_backward(p, f"block{i}.film.g",
+                                         cache["z"], blk["a_g"],
+                                         grad_beta, grads)
 
-            # The first block reads the encoded mixture.
-            by_rows(lambda acc, g: np.add(acc, g, out=acc), grad_hx, grad_h)
+        # The first block reads the encoded mixture.
+        by_rows(lambda acc, g: np.add(acc, g, out=acc), grad_hx, grad_h)
         grads["enc.w"] += grad_hx @ cache["frames"]
         grads["z"] = grad_z
         return grads
@@ -753,7 +692,9 @@ def train_toy(net: FilmMaskNet, examples, steps: int = 200, lr: float = 1e-3,
     The input net is left untouched; a trained copy with float64 params
     is returned along with the loss curve. Raises ShapeMismatch for an
     empty example list, and Diverged when the loss or the summed gradient
-    stops being finite, before that step's update.
+    stops being finite, before that step's update. The steps run under
+    ``np.errstate(all="ignore")``, pool threads included, so an overflow
+    on the way to ``Diverged`` prints no numpy warning.
     """
     if not examples:
         raise ShapeMismatch("need at least one training example")
@@ -761,23 +702,25 @@ def train_toy(net: FilmMaskNet, examples, steps: int = 200, lr: float = 1e-3,
                                        for key, val in net.params.items()})
     losses: list[float] = []
     step_lr = lr
-    for step in range(steps):
-        work = FilmMaskNet(net.config, trained._params_as(np.float32))
-        total = 0.0
-        acc = {key: np.zeros_like(val) for key, val in trained.params.items()}
-        for ex in examples:
-            loss, grads = snr_loss_and_grad(work, ex.x, ex.z, ex.y,
-                                            refs=ex.refs)
-            total += loss
-            for key in acc:
-                acc[key] += grads[key]
-        mean_loss = total / len(examples)
-        if not math.isfinite(mean_loss):
-            raise Diverged(f"loss became non-finite at step {step}")
-        if not all(np.isfinite(g).all() for g in acc.values()):
-            raise Diverged(f"gradient became non-finite at step {step}")
-        losses.append(mean_loss)
-        for key, g in acc.items():
-            trained.params[key] -= step_lr * g / len(examples)
-        step_lr *= lr_decay
+    with np.errstate(all="ignore"):
+        for step in range(steps):
+            work = FilmMaskNet(net.config, trained._params_as(np.float32))
+            total = 0.0
+            acc = {key: np.zeros_like(val)
+                   for key, val in trained.params.items()}
+            for ex in examples:
+                loss, grads = snr_loss_and_grad(work, ex.x, ex.z, ex.y,
+                                                refs=ex.refs)
+                total += loss
+                for key in acc:
+                    acc[key] += grads[key]
+            mean_loss = total / len(examples)
+            if not math.isfinite(mean_loss):
+                raise Diverged(f"loss became non-finite at step {step}")
+            if not all(np.isfinite(g).all() for g in acc.values()):
+                raise Diverged(f"gradient became non-finite at step {step}")
+            losses.append(mean_loss)
+            for key, g in acc.items():
+                trained.params[key] -= step_lr * g / len(examples)
+            step_lr *= lr_decay
     return TrainResult(trained, losses)

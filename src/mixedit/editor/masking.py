@@ -21,7 +21,7 @@ from ..core import (
     SimplifiedInstruction,
     SpeechDescriptor,
 )
-from ..dsp import Clip, _Fresh, _take, istft, mel_project, stft
+from ..dsp import Clip, _by_frames, _Fresh, _take, istft, mel_project, stft
 from ..errors import MixeditError
 from ..mixer import target_mixture
 
@@ -97,34 +97,52 @@ def ideal_mask(mixture: Clip, target: Clip,
 
     IRM: |Y| / max(|X|, eps). PSM: Re(Y * conj(X)) / max(|X|^2, eps),
     which accounts for phase. Both are clamped to [0, DEFAULT_MASK_MAX].
+    The mask is frame-major like the spectra, and its element-wise steps
+    run on column halves of them (``dsp._by_frames``), each a contiguous
+    run of memory.
     """
     if len(mixture) != len(target) or mixture.rate != target.rate:
         raise DimMismatch("mixture and target must be aligned")
     x = _spectrum(mixture)
     y = _spectrum(target)
-    raw = np.abs(x)
-    if kind is MaskKind.IRM:
-        np.maximum(raw, MASK_EPS, out=raw)
-        np.divide(np.abs(y), raw, out=raw)
-    else:
-        np.square(raw, out=raw)
-        np.maximum(raw, MASK_EPS, out=raw)
-        cross = np.conj(x)
-        np.multiply(y, cross, out=cross)
-        np.divide(cross.real, raw, out=raw)
-    return EditingMask(_Fresh(np.clip(raw, 0.0, DEFAULT_MASK_MAX, out=raw)))
+    values = np.empty(x.shape, order="F")
+
+    def build(first, end):
+        xs, ys, raw = x[:, first:end], y[:, first:end], values[:, first:end]
+        np.abs(xs, out=raw)
+        if kind is MaskKind.IRM:
+            np.maximum(raw, MASK_EPS, out=raw)
+            np.divide(np.abs(ys), raw, out=raw)
+        else:
+            np.square(raw, out=raw)
+            np.maximum(raw, MASK_EPS, out=raw)
+            cross = np.conj(xs)
+            np.multiply(ys, cross, out=cross)
+            np.divide(cross.real, raw, out=raw)
+        np.clip(raw, 0.0, DEFAULT_MASK_MAX, out=raw)
+
+    _by_frames(build, x.shape[1])
+    return EditingMask(_Fresh(values))
 
 
 def mask_edit(mixture: Clip, mask: EditingMask) -> Clip:
-    """Apply an editing mask to the mixture spectrogram and resynthesize."""
+    """Apply an editing mask to the mixture spectrogram and resynthesize.
+    The masked product runs on column halves (``dsp._by_frames``) into
+    one frame-major array, which ``istft`` reads."""
     frames = _spectrum(mixture)
     if mask.values.shape != frames.shape:
         raise DimMismatch(
             f"mask shape {mask.values.shape} does not match "
             f"spectrogram {frames.shape}"
         )
-    return Clip(_Fresh(istft(mask.values * frames, len(mixture))),
-                mixture.rate)
+    masked = np.empty(frames.shape, dtype=np.complex128, order="F")
+
+    def apply(first, end):
+        np.multiply(mask.values[:, first:end], frames[:, first:end],
+                    out=masked[:, first:end])
+
+    _by_frames(apply, frames.shape[1])
+    return Clip(_Fresh(istft(masked, len(mixture))), mixture.rate)
 
 
 def _edit_tokens(action, desc):

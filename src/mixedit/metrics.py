@@ -42,16 +42,27 @@ class MetricValue:
         return self.value
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """The sum of ``a * b`` in one reduction, with no product array:
+    numpy's own loop, so the result does not depend on the BLAS thread
+    count as ``np.dot``'s does."""
+    return float(np.einsum("i,i->", a.ravel(), b.ravel()))
+
+
 def snr(est, ref) -> MetricValue:
-    """10*log10(||ref||^2 / ||ref - est||^2), clamped at +300 dB."""
+    """10*log10(||ref||^2 / ||ref - est||^2), clamped at +300 dB.
+
+    Each energy is one fused reduction (``_dot``); the error stays a
+    subtraction, so that a near-perfect estimate's error energy carries
+    no cancellation into the clamp test."""
     est, ref = as_samples(est), as_samples(ref)
     if est.shape != ref.shape:
         raise CountMismatch(f"length mismatch: {est.shape} vs {ref.shape}")
-    ref_e = float(np.sum(ref * ref))
+    ref_e = _dot(ref, ref)
     if ref_e == 0.0:
         raise ZeroReference("reference signal is all zero")
     err = ref - est
-    err_e = float(np.sum(err * err))
+    err_e = _dot(err, err)
     if err_e < EPS * ref_e:
         return MetricValue(CLAMP_DB, finite=False)
     return MetricValue(10.0 * math.log10(ref_e / err_e))
@@ -70,23 +81,24 @@ def si_sdr(est, ref) -> MetricValue:
 
     Both signals are mean-removed, the estimate is projected onto the
     reference, and the projection-to-residual ratio is reported with a
-    symmetric +-300 dB clamp.
+    symmetric +-300 dB clamp. Each energy and the projection are one
+    fused reduction (``_dot``), and the residual is a subtraction.
     """
     est, ref = as_samples(est), as_samples(ref)
     if est.shape != ref.shape:
         raise CountMismatch(f"length mismatch: {est.shape} vs {ref.shape}")
     est = est - est.mean()
     ref = ref - ref.mean()
-    ref_e = float(np.sum(ref * ref))
-    est_e = float(np.sum(est * est))
+    ref_e = _dot(ref, ref)
+    est_e = _dot(est, est)
     if ref_e == 0.0:
         raise ZeroReference("reference signal is zero after mean removal")
     if est_e == 0.0:
         raise ZeroEstimate("estimate is zero after mean removal")
-    target = (float(np.dot(est, ref)) / ref_e) * ref
-    target_e = float(np.sum(target * target))
-    resid = est - target
-    resid_e = float(np.sum(resid * resid))
+    target = (_dot(est, ref) / ref_e) * ref
+    target_e = _dot(target, target)
+    resid = np.subtract(est, target, out=est)
+    resid_e = _dot(resid, resid)
     if resid_e < EPS * target_e:
         return MetricValue(CLAMP_DB, finite=False)
     if target_e < EPS * resid_e:

@@ -632,6 +632,44 @@ def test_train_toy_pit_with_more_masks_than_toy_tones_exits_1(
     assert not out_dir.exists()
 
 
+_MAIN = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from mixedit.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+# 20000 samples split the training pass in two, so on two CPUs the
+# overflow also happens on a pool thread.
+@pytest.mark.parametrize("samples", [400, 20000])
+def test_train_toy_divergence_prints_one_line_and_removes_its_out_dir(
+        tmp_path, samples):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"lr": 1e30, "steps": 3,
+                                  "samples": samples}))
+    src = str(Path(mixedit.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", _MAIN, src, "train-toy",
+                          "--config", str(config),
+                          "--out-dir", str(tmp_path / "made" / "run")],
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 1
+    assert run.stderr == "error: Diverged: loss became non-finite at step 1\n"
+    assert not (tmp_path / "made").exists()
+
+
+def test_train_toy_divergence_keeps_an_out_dir_it_did_not_make(tmp_path,
+                                                              capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"lr": 1e30, "steps": 3, "samples": 400}))
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    assert main(["train-toy", "--config", str(config),
+                 "--out-dir", str(kept / "run")]) == 1
+    assert "error: Diverged" in capsys.readouterr().err
+    assert kept.is_dir() and not (kept / "run").exists()
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_train_toy_pit_with_two_masks_trains(tmp_path, capsys, seed):
     """PIT keeps each toy tone as a reference, so no tone weighs 0."""

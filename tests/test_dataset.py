@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.io import wavfile
 
-from mixedit import mixer
+from mixedit import dsp, mixer
 from mixedit.core import Action, AudioSignature, SpeechSignature
 from mixedit.dataset import (
     BadManifestLine,
@@ -482,7 +482,7 @@ def _tree_digest(root):
 
 def test_synthesize_worker_counts_agree(demo, resampled, tmp_path,
                                         monkeypatch):
-    monkeypatch.setattr(synth.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(synth, "available_cpus", lambda: 2)
     for name, catalog in (("demo", demo), ("resampled", resampled)):
         splits = partition(catalog, seed=0)
         records = generate_manifest(catalog, splits, count=8,
@@ -495,6 +495,31 @@ def test_synthesize_worker_counts_agree(demo, resampled, tmp_path,
         s2 = synthesize(records2, out2, workers=2)
         assert s1.ok and s2.ok
         assert _tree_digest(out1) == _tree_digest(out2)
+
+
+def _has_pool():
+    return dsp._pool is not None
+
+
+def test_synthesize_forks_after_the_pool_exists(demo, tmp_path, monkeypatch):
+    # The pool's threads do not survive a fork: a child starts without
+    # the parent's pool, and its tree is the one-process tree.
+    monkeypatch.setattr(dsp, "available_cpus", lambda: 2)
+    monkeypatch.setattr(synth, "available_cpus", lambda: 2)
+    dsp._threads(2)(lambda: None, lambda: None)
+    assert _has_pool()
+    if multiprocessing.get_start_method() == "fork":
+        with multiprocessing.get_context("fork").Pool(1) as child:
+            assert child.apply(_has_pool) is False
+    splits = partition(demo, seed=0)
+    trees = []
+    for workers in (1, 2):
+        records = generate_manifest(demo, splits, count=8,
+                                    comp=Composition(2, 2), seed=5)
+        out = tmp_path / f"w{workers}"
+        assert synthesize(records, out, workers=workers).ok
+        trees.append(_tree_digest(out))
+    assert trees[0] == trees[1]
 
 
 def _spy(monkeypatch, log, name):
@@ -519,7 +544,7 @@ def test_synthesize_reads_and_resamples_each_source_once_per_worker(
     log = tmp_path / "calls.txt"
     _spy(monkeypatch, log, "read_wav")
     _spy(monkeypatch, log, "resample")
-    monkeypatch.setattr(synth.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(synth, "available_cpus", lambda: 2)
     records = generate_manifest(resampled, partition(resampled, seed=0),
                                 count=8, comp=Composition(2, 2), seed=5)
     # synthesize gives each worker a contiguous half.
@@ -664,7 +689,7 @@ def test_synthesize_asks_for_no_more_workers_than_jobs_and_cpus(
             return map(fn, jobs)
 
     monkeypatch.setattr(synth, "ProcessPoolExecutor", Recorder)
-    monkeypatch.setattr(synth.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(synth, "available_cpus", lambda: 4)
     records = generate_manifest(demo, partition(demo, seed=0), count=count,
                                 comp=Composition(1, 1), seed=5)
     assert synthesize(records, tmp_path, workers=workers).ok

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import struct
+import subprocess
 import sys
 import threading
 import time
@@ -38,6 +39,7 @@ from mixedit.dataset import (
     read_wav,
     synthesize,
 )
+from mixedit import dsp
 from mixedit.dsp import HOP, WINDOW, Clip, _Fresh, overlap_add, stft
 from mixedit.editor import (
     BadNetConfig,
@@ -545,7 +547,7 @@ def test_film_edit_peak_memory(monkeypatch):
     # MiB measured). A 60-s clip runs in 30 windows, two at a time here,
     # and holds little more than its float64 output and combined mask
     # (74.6 MiB measured, against 121.3 MiB for one whole-clip pass).
-    monkeypatch.setattr(film.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(dsp, "available_cpus", lambda: 2)
     for seconds, n_masks, limit_mib in ((5, 1, 13), (5, 2, 16), (60, 1, 80)):
         x = Clip(np.random.default_rng(3).standard_normal(seconds * RATE)
                  * 0.1, RATE)
@@ -636,26 +638,36 @@ def test_film_edit_windows_equal_the_whole_clip_at_every_offset(cfg):
 
 
 def test_film_edit_is_the_same_on_one_thread_or_four(monkeypatch):
-    pools = []
+    pools, started = [], []
 
     class Recorded(ThreadPoolExecutor):
-        def __init__(self, max_workers, **kwargs):
-            pools.append(max_workers)
-            super().__init__(max_workers, **kwargs)
+        def __init__(self, max_workers, initializer, **kwargs):
+            def counted():
+                started.append(max_workers)
+                initializer()
 
-    monkeypatch.setattr(film, "ThreadPoolExecutor", Recorded)
+            pools.append(max_workers)
+            super().__init__(max_workers, initializer=counted, **kwargs)
+
+    monkeypatch.setattr(dsp, "ThreadPoolExecutor", Recorded)
+    monkeypatch.setattr(dsp, "_pool", None)  # the process's pool is put back
     net = FilmMaskNet.init(MaskNetConfig(n_masks=2), seed=2)
     x = np.random.default_rng(3).standard_normal(5 * RATE) * 0.1
     z = unit_vec(net.config.embed_dim, seed=4)
     edits = []
     for cpus in (1, 4):
-        monkeypatch.setattr(film.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(dsp, "available_cpus", lambda: cpus)
         est, mask = _assert_edits_whole_clip(net, x, z)
         edits.append((est.samples.tobytes(), mask.values.tobytes()))
-    # One CPU starts no pool. On four, the calling thread runs a share
-    # itself: the edit's four windows (a 5-s clip) get three more
-    # threads, and the cached reference pass's two halves one.
-    assert pools == [3, 1]
+    dsp._pool[1].shutdown(wait=True)  # every started thread has set up
+    # One CPU starts no thread. On four, one pool of three threads serves
+    # both passes: the edit's four windows (a 5-s clip) and the cached
+    # reference pass's two halves start no thread beyond those three.
+    # The edit submits its three windows at once, so it normally starts
+    # all three; a thread that ends a window before the next is submitted
+    # takes that one too.
+    assert pools == [3]
+    assert 1 <= len(started) <= 3
     assert edits[0] == edits[1]
 
 
@@ -690,17 +702,17 @@ def test_film_halves_split_on_the_64_frame_grid(n_frames):
 def test_threads_run_every_task_once_and_raise_its_error(monkeypatch):
     # More threads than cores and a short switch interval, so the caller
     # and the pool race to start the queued tasks.
-    monkeypatch.setattr(film.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(dsp, "available_cpus", lambda: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with film._threads(8) as run:
-            for _ in range(200):
-                done = []
-                run(*(partial(done.append, i) for i in range(9)))
-                assert sorted(done) == list(range(9))
-            with pytest.raises(ZeroDivisionError):
-                run(lambda: None, lambda: 1 / 0, lambda: None)
+        run = dsp._threads(8)
+        for _ in range(200):
+            done = []
+            run(*(partial(done.append, i) for i in range(9)))
+            assert sorted(done) == list(range(9))
+        with pytest.raises(ZeroDivisionError):
+            run(lambda: None, lambda: 1 / 0, lambda: None)
     finally:
         sys.setswitchinterval(interval)
 
@@ -709,22 +721,108 @@ def test_threads_run_every_task_once_and_raise_its_error(monkeypatch):
                     or len(os.sched_getaffinity(0)) < 2,
                     reason="needs two CPUs to pin a pool thread to")
 def test_threads_pin_the_pool_thread_and_leave_the_caller(monkeypatch):
-    monkeypatch.setattr(film.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(dsp, "available_cpus", lambda: 2)
     allowed = os.sched_getaffinity(0)
     seen = []
 
     def report():
         seen.append((threading.get_ident(), os.sched_getaffinity(0)))
 
-    with film._threads(2) as run:
-        for _ in range(20):
-            # The caller sleeps through its task, so the pool thread
-            # starts the report before the caller could take it back.
-            run(partial(time.sleep, 0.002), report)
+    run = dsp._threads(2)
+    for _ in range(20):
+        # The caller sleeps through its task, so the pool thread starts
+        # the report before the caller could take it back.
+        run(partial(time.sleep, 0.002), report)
     assert os.sched_getaffinity(0) == allowed
     pooled = [cpus for ident, cpus in seen if ident != threading.get_ident()]
     assert pooled
     assert all(len(cpus) == 1 and cpus <= allowed for cpus in pooled)
+
+
+# Clip lengths whose frame counts straddle the STFT path's split, at
+# every offset of the hop grid, and a 5-s clip.
+_SPLIT_EDGE = (dsp._SPLIT_FRAMES - 2) * HOP  # the longest clip kept whole
+_SPLIT_LENGTHS = [*range(_SPLIT_EDGE - HOP // 2, _SPLIT_EDGE + HOP // 2),
+                  5 * RATE]
+
+
+def _same_bits(got, expected):
+    return got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_stft_path_on_frame_halves_equals_the_whole_arrays(monkeypatch,
+                                                           cpus):
+    monkeypatch.setattr(dsp, "available_cpus", lambda: cpus)
+    assert len(dsp._frame_parts(-(-_SPLIT_EDGE // HOP) + 1)) == 1
+    assert len(dsp._frame_parts(-(-(_SPLIT_EDGE + 1) // HOP) + 1)) == 2
+    for n in _SPLIT_LENGTHS:
+        rng = np.random.default_rng(n)
+        x = Clip(rng.standard_normal(n) * 0.3, RATE)
+        y = Clip(x.samples * rng.uniform(0.0, 1.5, n), RATE)
+        spectrum = stft(x)
+        assert spectrum.flags.f_contiguous
+        assert _same_bits(spectrum, _contiguous_stft(x.samples)), n
+        assert _same_bits(dsp.istft(spectrum, n),
+                          _istft_rebuilding_the_window_sum(spectrum, n)), n
+        for kind in MaskKind:
+            mask = ideal_mask(x, y, kind)
+            expected_mask, expected_edit = _copied_ideal_mask_and_edit(
+                x.samples, y.samples, kind)
+            assert mask.values.flags.f_contiguous
+            assert _same_bits(mask.values, expected_mask), (n, kind)
+            assert _same_bits(mask_edit(x, mask).samples, expected_edit), \
+                (n, kind)
+
+
+@pytest.mark.parametrize("n_frames", [1, 255, 256, 257, 263, 264, 626,
+                                      1251, 9999])
+def test_stft_frame_parts_split_on_the_8_frame_grid(n_frames):
+    parts = dsp._frame_parts(n_frames)
+    if n_frames < dsp._SPLIT_FRAMES:
+        assert parts == [(0, n_frames)]
+        return
+    (first, middle), (start, end) = parts
+    assert (first, end) == (0, n_frames) and start == middle
+    assert middle % 8 == 0 and n_frames // 2 - 8 < middle <= n_frames // 2
+
+
+_EDIT_ON_CPUS = """
+import hashlib, os, sys, threading
+sys.path.insert(0, sys.argv[1])
+if sys.argv[2] == "one":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import numpy as np
+from mixedit.dsp import Clip
+from mixedit.editor import (FilmMaskNet, MaskKind, MaskNetConfig,
+                            ideal_mask, mask_edit)
+rng = np.random.default_rng(3)
+x = Clip(rng.standard_normal(80000) * 0.3, 16000)
+y = Clip(x.samples * rng.uniform(0.0, 1.5, 80000), 16000)
+z = rng.standard_normal(32)
+net = FilmMaskNet.init(MaskNetConfig(n_masks=2), seed=2)
+est, mask = net.edit(x, z / np.linalg.norm(z))
+digest = hashlib.blake2b(est.samples.tobytes() + mask.values.tobytes())
+for kind in MaskKind:
+    mask = ideal_mask(x, y, kind)
+    digest.update(mask.values.tobytes() + mask_edit(x, mask).samples.tobytes())
+print(threading.active_count(), digest.hexdigest())
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="needs a settable CPU affinity")
+def test_one_cpu_affinity_starts_no_pool_thread_and_edits_the_same():
+    src = str(Path(film.__file__).resolve().parents[2])
+    runs = {}
+    for cpus in ("one", "all"):
+        run = subprocess.run([sys.executable, "-c", _EDIT_ON_CPUS, src, cpus],
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        runs[cpus] = run.stdout.split()
+    threads, digest = runs["one"]
+    assert threads == "1"  # the calling thread alone
+    assert digest == runs["all"][1]
 
 
 def _assert_same_bits(got, expected, where="cache"):
@@ -776,18 +874,18 @@ def test_training_pass_is_the_same_on_one_two_or_four_cpus(
         monkeypatch, cfg, n, dtype):
     # The reference is the pass as it ran before it had threads: one CPU,
     # the whole clip as one part.
-    monkeypatch.setattr(film.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(dsp, "available_cpus", lambda: 1)
     with monkeypatch.context() as whole:
         whole.setattr(film, "_halves", lambda n_frames: [(0, n_frames)])
         expected = _training_runs(cfg, n, dtype)
     for cpus in (1, 2, 4):
-        monkeypatch.setattr(film.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(dsp, "available_cpus", lambda: cpus)
         _assert_same_bits(_training_runs(cfg, n, dtype), list(expected),
                           f"{cpus} cpus")
 
 
 def test_film_training_step_peak_memory_on_two_threads(monkeypatch):
-    monkeypatch.setattr(film.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(dsp, "available_cpus", lambda: 2)
     test_film_training_step_peak_memory()
 
 
@@ -820,7 +918,7 @@ def test_film_threads_call_no_traced_layer(monkeypatch):
         else:
             wrapped = recorded(name, real)
         monkeypatch.setattr(owner, attr, wrapped)
-    monkeypatch.setattr(film.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(dsp, "available_cpus", lambda: 2)
 
     import mixedit.editor as editor
     cfg = MaskNetConfig(n_masks=2)
@@ -832,9 +930,15 @@ def test_film_threads_call_no_traced_layer(monkeypatch):
     film.snr_loss_and_grad(net, x, z, sources[0], refs=tuple(sources))
     editor.train_toy(net, [editor.TrainExample(x, z, sources[0],
                                                tuple(sources))], steps=1)
+    # The STFT path splits a 5-s clip's 626 frames in two.
+    for kind in MaskKind:
+        mixture = Clip(x, RATE)
+        mask = editor.ideal_mask(mixture, Clip(sources[0], RATE), kind)
+        editor.mask_edit(mixture, mask)
     names = {name for name, _ in calls}
     assert {"dsp.clip", "film.forward", "film.backward", "metrics.snr",
-            "film.train_toy"} <= names
+            "film.train_toy", "dsp.stft", "dsp.istft", "masking.ideal_mask",
+            "masking.mask_edit"} <= names
     assert {ident for _, ident in calls} == {threading.get_ident()}
 
 
@@ -1301,9 +1405,10 @@ def test_dilated_conv_and_adjoint_equal_shifted_copies_bit_for_bit(cfg, n):
         grad_h = grad_out.copy()
         prod = np.full_like(grad_h, np.nan)
         grads = {k: np.zeros_like(v) for k, v in net.params.items()}
-        with film._threads(2) as run:  # the gate on two blocks of rows
-            got = net._conv_backward(net.params, i, blk["h_out"], padded,
-                                     grad_padded, grad_h, prod, grads, run, 2)
+        # The gate on two blocks of rows.
+        got = net._conv_backward(net.params, i, blk["h_out"], padded,
+                                 grad_padded, grad_h, prod, grads,
+                                 dsp._threads(2), 2)
         assert got is grad_h
         assert np.array_equal(got, grad_htilde)
         assert np.array_equal(grads[f"block{i}.conv.w"], grad_w)

@@ -2,10 +2,15 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mixedit import metrics
 from mixedit.metrics import (
     CountMismatch,
     MetricValue,
@@ -158,3 +163,59 @@ def test_edit_loss_invariant_to_reference_order():
 
 def test_metric_value_floats():
     assert float(MetricValue(12.5)) == 12.5
+
+
+def _old_snr(est, ref):
+    return 10.0 * math.log10(np.sum(ref * ref) / np.sum((ref - est) ** 2))
+
+
+def _old_si_sdr(est, ref):
+    est, ref = est - est.mean(), ref - ref.mean()
+    target = (np.dot(est, ref) / np.sum(ref * ref)) * ref
+    resid = est - target
+    return 10.0 * math.log10(np.sum(target * target) / np.sum(resid * resid))
+
+
+@pytest.mark.parametrize("n", [1, 7, 4000, 80000, 160003])
+def test_fused_sums_agree_with_the_product_sums(n):
+    # Each energy is one fused reduction now, summed in another order
+    # than np.sum's pairwise one: the dB values move in their last bits.
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        ref = rng.standard_normal(n) * rng.uniform(1e-3, 1e3)
+        est = ref * rng.uniform(0.5, 1.5) + rng.standard_normal(n) * 0.1
+        mix = ref + rng.standard_normal(n)
+        assert abs(snr(est, ref).value - _old_snr(est, ref)) < 1e-12
+        assert abs(snri(mix, est, ref).value
+                   - (_old_snr(est, ref) - _old_snr(mix, ref))) < 1e-12
+        if n > 1:
+            assert abs(si_sdr(est, ref).value - _old_si_sdr(est, ref)) < 1e-12
+
+
+_METRICS_UNDER_BLAS = """
+import sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from mixedit.metrics import si_sdr, snr, snri
+rng = np.random.default_rng(5)
+ref = rng.standard_normal(400000)
+est = 0.8 * ref + 0.3 * rng.standard_normal(400000)
+print(repr([snr(est, ref).value, snri(ref + est, est, ref).value,
+            si_sdr(est, ref).value]))
+"""
+
+
+def test_metrics_do_not_depend_on_the_blas_thread_count():
+    # numpy is loaded before mixedit, so each BLAS setting holds.
+    src = str(Path(metrics.__file__).resolve().parents[1])
+    values = []
+    for threads in ("1", "2"):
+        env = os.environ | dict.fromkeys(
+            ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"),
+            threads)
+        run = subprocess.run([sys.executable, "-c", _METRICS_UNDER_BLAS, src],
+                             env=env, capture_output=True, text=True,
+                             timeout=120)
+        assert run.returncode == 0, run.stderr
+        values.append(run.stdout)
+    assert values[0] == values[1]
