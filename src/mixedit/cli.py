@@ -54,6 +54,16 @@ def _parse_composition(text: str) -> Composition:
         )
 
 
+def _int_from(least: int):
+    """An argparse type: an integer of at least ``least``."""
+    def integer(text: str) -> int:  # "invalid integer value" if not one
+        if (value := int(text)) < least:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {least}, got {value}")
+        return value
+    return integer
+
+
 def _parse_actions(text: str):
     try:
         return parse_action_vector(text)
@@ -492,10 +502,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--catalog", required=True)
     p.add_argument("--metadata", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_int_from(0), required=True)
     p.add_argument("--composition", type=_parse_composition, default="2,2")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_int_from(1), default=1)
     p.add_argument("--split", default="train",
                    choices=("train", "valid", "test"))
     p.add_argument("--pcm16", action="store_true")

@@ -2,8 +2,8 @@
 
 Synthesis is a pure function of (manifest record, source files): each
 source plays at the record's planned ``snr_db``, and the one random draw,
-each source's crop, is keyed off the record's own seed, so running with
-one worker or eight produces bit-identical output trees.
+each source's crop, is keyed off the record's own seed, so running on
+one thread or eight produces bit-identical output trees.
 """
 
 from __future__ import annotations
@@ -11,14 +11,14 @@ from __future__ import annotations
 import json
 import struct
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from ..dsp import (Clip, DEFAULT_DURATION_S, DEFAULT_RATE, _Fresh,
-                   available_cpus, condition, resample)
+from ..dsp import (Clip, DEFAULT_DURATION_S, DEFAULT_RATE, _equal_parts,
+                   _Fresh, _threads, available_cpus, condition, resample)
 from ..errors import MixeditError
 from ..mixer import MixturePair, apply_gains, assign_gains
 from ..seeding import derive_seed
@@ -107,7 +107,9 @@ def read_wav(path) -> Clip:
         wide = np.zeros((count, 4), np.uint8)
         wide[:, 1:] = data.reshape(count, 3)
         data = wide.reshape(-1)
-    samples = data.view(dtype).astype(np.float64)
+    # A float32 signalling NaN warns as it widens; Clip refuses it below.
+    with np.errstate(invalid="ignore"):
+        samples = data.view(dtype).astype(np.float64)
     if offset:
         samples -= offset
     if scale != 1.0:
@@ -261,20 +263,20 @@ def synthesize_record(record: ManifestRecord, sources: _SourceClips,
     return record
 
 
-def _synthesize_shard(job) -> list[tuple[ManifestRecord, str | None]]:
-    """(record, error or None) for each record of a contiguous run, in
-    order; the run shares one set of source clips."""
-    records, out_dir, pcm16 = job
+def _synthesize_shard(records, out_dir: str,
+                      pcm16: bool) -> list[str | None]:
+    """The error, or None, of each record of a contiguous run, in order;
+    the run shares one set of source clips."""
     sources = _SourceClips(records)
-    results = []
+    errors = []
     for record in records:
         try:
-            results.append(
-                (synthesize_record(record, sources, out_dir, pcm16), None))
+            synthesize_record(record, sources, out_dir, pcm16)
+            errors.append(None)
         except MixeditError as err:
-            results.append((record, f"{type(err).__name__}: {err}"))
+            errors.append(f"{type(err).__name__}: {err}")
         sources.finish(record)
-    return results
+    return errors
 
 
 def synthesize(records, out_dir, workers: int = 1,
@@ -286,31 +288,29 @@ def synthesize(records, out_dir, workers: int = 1,
     are collected in the summary instead of aborting the batch.
 
     The records are split into ``min(workers, records, CPUs)`` contiguous
-    runs, one per worker process, counting the CPUs this process may run
-    on; a single run stays in this process.
-    Within a run, each source file is read and resampled to 16 kHz once,
-    and held for the run's later records at most until its last use,
-    within a fixed byte budget. Output, manifest and summary keep record
-    order, and the tree does not depend on the worker count.
+    runs, counting the CPUs this process may run on, and the runs share
+    the process's thread pool (``dsp._threads``). Each record is filled
+    in with its gains, scale and outputs. Within a run, each source file
+    is read and resampled to 16 kHz once, and held for the run's later
+    records at most until its last use, within a fixed byte budget.
+    Output, manifest and summary keep record order, and the tree does not
+    depend on the worker count.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    # The pool starts every worker up front, so ask for no more than
-    # there are records and CPUs.
-    shards = min(workers, len(records), available_cpus())
-    if shards <= 1:
-        results = _synthesize_shard((records, str(out), pcm16))
-    else:
-        bounds = [len(records) * i // shards for i in range(shards + 1)]
-        jobs = [(records[a:b], str(out), pcm16)
-                for a, b in zip(bounds, bounds[1:])]
-        with ProcessPoolExecutor(max_workers=shards) as pool:
-            results = [r for shard in pool.map(_synthesize_shard, jobs)
-                       for r in shard]
+    parts = _equal_parts(
+        len(records), max(1, min(workers, len(records), available_cpus())))
+    errors = [None] * len(records)
+
+    def run_shard(first, end):
+        errors[first:end] = _synthesize_shard(records[first:end], str(out),
+                                              pcm16)
+
+    _threads(len(parts))(*(partial(run_shard, *part) for part in parts))
 
     summary = SynthesisSummary(total=len(records), succeeded=0)
     done = []
-    for record, error in results:
+    for record, error in zip(records, errors):
         if error is None:
             summary.succeeded += 1
             summary.per_task[record.task] = summary.per_task.get(record.task, 0) + 1

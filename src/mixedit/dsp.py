@@ -3,7 +3,7 @@ and the process's thread pool.
 
 Everything operates on mono float64 arrays. Clips are immutable after
 construction (the sample buffer is marked read-only) and safe to share
-across threads and worker processes.
+across threads.
 """
 
 from __future__ import annotations
@@ -306,9 +306,10 @@ def _threads(width: int):
     caller's CPU while the other CPU sat idle, for no gain at all. The
     caller's own affinity is left alone.
 
-    A task calls numpy only: nothing the benchmark tracer wraps, ``Clip``
-    and ``EditingMask`` included, since the tracer's span stack assumes
-    one thread."""
+    An editor or training task calls numpy only: nothing the benchmark
+    tracer wraps, ``Clip`` and ``EditingMask`` included, since the
+    tracer's span stack assumes one thread. The benchmark runs synthesis,
+    which does call traced names, at one worker, on the calling thread."""
     if width == 1 or (cpus := available_cpus()) == 1:
         return _serial
     pool = _shared_pool(cpus - 1)
@@ -328,6 +329,13 @@ def _threads(width: int):
                 future.result()
 
     return run
+
+
+def _equal_parts(n: int, count: int) -> list[tuple[int, int]]:
+    """The ``count`` contiguous parts ``[first, end)`` of ``range(n)``,
+    their sizes differing by at most one."""
+    bounds = [n * i // count for i in range(count + 1)]
+    return list(zip(bounds, bounds[1:]))
 
 
 def _halves(n: int, least: int, grid: int) -> list[tuple[int, int]]:

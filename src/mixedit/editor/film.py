@@ -101,9 +101,7 @@ def _windows(n_frames: int) -> list[tuple[int, int]]:
     product's."""
     if n_frames < 1024:
         return [(0, n_frames)]
-    count = 2 * math.ceil(n_frames / 8192)
-    bounds = [n_frames * i // count for i in range(count + 1)]
-    return list(zip(bounds, bounds[1:]))
+    return dsp._equal_parts(n_frames, 2 * math.ceil(n_frames / 8192))
 
 
 def _halves(n_frames: int) -> list[tuple[int, int]]:
@@ -136,10 +134,8 @@ def _by_rows(run, count, step, *arrays) -> None:
     ``arrays``, which share their first axis; the blocks go to ``run``
     together. An element-wise step splits this way, so that each block
     is one run of memory."""
-    rows = len(arrays[0])
-    bounds = [rows * i // count for i in range(count + 1)]
     run(*(partial(step, *(a[first:end] for a in arrays))
-          for first, end in zip(bounds, bounds[1:])))
+          for first, end in dsp._equal_parts(len(arrays[0]), count)))
 
 
 def _bool_scratch(buf: np.ndarray, count: int) -> list[np.ndarray]:

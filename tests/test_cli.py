@@ -640,6 +640,22 @@ sys.exit(main(sys.argv[2:]))
 """
 
 
+def test_edit_of_a_signalling_nan_prints_one_line(tmp_path):
+    path = tmp_path / "snan.wav"
+    write_wav(path, Clip(np.zeros(100), RATE))
+    blob = bytearray(path.read_bytes())
+    blob[-4:] = (0x7F800001).to_bytes(4, "little")  # float32 signalling NaN
+    path.write_bytes(bytes(blob))
+    src = str(Path(mixedit.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", _MAIN, src, "edit",
+                          "--mixture", str(path), "--actions", "1",
+                          "--out", str(tmp_path / "out.wav")],
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 1
+    assert run.stderr == (f"error: BadWavFile: {path}: clip contains "
+                          "non-finite samples\n")
+
+
 # 20000 samples split the training pass in two, so on two CPUs the
 # overflow also happens on a pool thread.
 @pytest.mark.parametrize("samples", [400, 20000])
@@ -711,6 +727,26 @@ def test_generate_bad_metadata_exits_1(tmp_path, capsys, blob):
     assert main(["generate", "--catalog", str(root), "--out",
                  str(tmp_path / "data"), "--count", "2"]) == 1
     assert "error: BadMetadataRow" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option,value", [("--count", "-2"),
+                                          ("--workers", "0"),
+                                          ("--workers", "-5")])
+def test_generate_refuses_a_negative_count_or_no_workers(
+        catalog_dir, tmp_path, capsys, option, value):
+    out = tmp_path / "data"
+    assert main(["generate", "--catalog", str(catalog_dir), "--out",
+                 str(out), "--count", "2", option, value]) == 2
+    assert f"argument {option}: must be at least" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_generate_of_no_records_exits_0(catalog_dir, tmp_path, capsys):
+    out = tmp_path / "data"
+    assert main(["generate", "--catalog", str(catalog_dir), "--out",
+                 str(out), "--count", "0"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["total"] == 0 and summary["succeeded"] == 0
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory"])

@@ -4,8 +4,8 @@ import csv
 import hashlib
 import json
 import multiprocessing
-import os
 import struct
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from types import SimpleNamespace
@@ -178,6 +178,16 @@ def test_read_wav_matches_scipy(tmp_path, tag, bits, extensible, channels):
     clip = read_wav(path)
     assert clip.rate == RATE and len(clip) == 101
     assert np.array_equal(clip.samples, _scipy_reference(path))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_read_wav_refuses_a_signalling_nan_without_a_warning(tmp_path):
+    samples = np.zeros(100, "<f4")
+    samples.view("<u4")[-1] = 0x7F800001  # a float32 signalling NaN
+    path = tmp_path / "snan.wav"
+    path.write_bytes(_wav_blob(3, 1, 32, samples.tobytes()))
+    with pytest.raises(BadWavFile, match="non-finite"):
+        read_wav(path)
 
 
 @pytest.mark.parametrize("tag, bits", _FORMATS)
@@ -497,18 +507,49 @@ def test_synthesize_worker_counts_agree(demo, resampled, tmp_path,
         assert _tree_digest(out1) == _tree_digest(out2)
 
 
+def test_synthesize_fills_in_the_callers_records_at_any_worker_count(
+        resampled, tmp_path, monkeypatch):
+    # Eight shards on more threads than this host has cores, switching
+    # often, so that a lost update between shards would show.
+    monkeypatch.setattr(dsp, "available_cpus", lambda: 8)
+    monkeypatch.setattr(synth, "available_cpus", lambda: 8)
+    splits = partition(resampled, seed=0)
+    filled, trees = [], []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 8):
+            records = generate_manifest(resampled, splits, count=8,
+                                        comp=Composition(2, 2), seed=5)
+            out = tmp_path / f"w{workers}"
+            assert synthesize(records, out, workers=workers).ok
+            assert all(r.scale is not None and r.outputs
+                       and all(ref.gain is not None for ref in r.sources)
+                       for r in records)
+            lines = [r.to_json() for r in records]
+            assert lines == (out / "manifest.jsonl").read_text().splitlines()
+            filled.append(lines)
+            trees.append(_tree_digest(out))
+    finally:
+        sys.setswitchinterval(interval)
+    assert filled[0] == filled[1] == filled[2]
+    assert trees[0] == trees[1] == trees[2]
+
+
 def _has_pool():
     return dsp._pool is not None
 
 
 def test_synthesize_forks_after_the_pool_exists(demo, tmp_path, monkeypatch):
-    # The pool's threads do not survive a fork: a child starts without
-    # the parent's pool, and its tree is the one-process tree.
+    # synthesize forks nothing, but a library user may fork after the
+    # pool exists: the pool's threads do not survive a fork, so the child
+    # starts without the parent's pool. Trees made after the pool exists
+    # are the one-thread tree.
     monkeypatch.setattr(dsp, "available_cpus", lambda: 2)
     monkeypatch.setattr(synth, "available_cpus", lambda: 2)
     dsp._threads(2)(lambda: None, lambda: None)
     assert _has_pool()
-    if multiprocessing.get_start_method() == "fork":
+    if "fork" in multiprocessing.get_all_start_methods():
         with multiprocessing.get_context("fork").Pool(1) as child:
             assert child.apply(_has_pool) is False
     splits = partition(demo, seed=0)
@@ -523,14 +564,12 @@ def test_synthesize_forks_after_the_pool_exists(demo, tmp_path, monkeypatch):
 
 
 def _spy(monkeypatch, log, name):
-    """Replace ``synth.<name>`` with a wrapper that appends "<pid> <name>
-    <path, or clip length>" to ``log``; forked workers inherit it."""
+    """Replace ``synth.<name>`` with a wrapper that appends (thread id,
+    first argument) to ``log[name]``."""
     original = getattr(synth, name)
 
     def spy(arg, *rest):
-        shown = len(arg) if isinstance(arg, Clip) else arg
-        with open(log, "a", encoding="utf-8") as fh:
-            fh.write(f"{os.getpid()} {name} {shown}\n")
+        log.setdefault(name, []).append((threading.get_ident(), arg))
         return original(arg, *rest)
 
     monkeypatch.setattr(synth, name, spy)
@@ -539,30 +578,34 @@ def _spy(monkeypatch, log, name):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_synthesize_reads_and_resamples_each_source_once_per_worker(
         resampled, tmp_path, monkeypatch, workers):
-    if workers > 1 and multiprocessing.get_start_method() != "fork":
-        pytest.skip("the spies reach worker processes only through fork")
-    log = tmp_path / "calls.txt"
+    log = {}
+    _spy(monkeypatch, log, "_synthesize_shard")
     _spy(monkeypatch, log, "read_wav")
     _spy(monkeypatch, log, "resample")
+    monkeypatch.setattr(dsp, "available_cpus", lambda: 2)
     monkeypatch.setattr(synth, "available_cpus", lambda: 2)
     records = generate_manifest(resampled, partition(resampled, seed=0),
                                 count=8, comp=Composition(2, 2), seed=5)
-    # synthesize gives each worker a contiguous half.
-    shards = [records] if workers == 1 else [records[:4], records[4:]]
-    wanted = sorted(sorted({ref.path for r in shard for ref in r.sources})
-                    for shard in shards)
-    assert sum(len(r.sources) for r in records) > sum(map(len, wanted))
     assert synthesize(records, tmp_path / "out", workers=workers).ok
 
-    reads, resamples = {}, {}
-    for line in log.read_text().splitlines():
-        pid, name, arg = line.split(" ", 2)
-        if name == "read_wav":
-            reads.setdefault(pid, []).append(arg)
-        else:
-            resamples[pid] = resamples.get(pid, 0) + 1
-    assert sorted(sorted(paths) for paths in reads.values()) == wanted
-    assert resamples == {pid: len(paths) for pid, paths in reads.items()}
+    # synthesize gives each worker a contiguous half; a thread reads each
+    # path once for every shard it ran that uses it.
+    shards = log["_synthesize_shard"]
+    assert [r for _, shard in shards for r in shard] == records
+    assert [len(shard) for _, shard in shards] == [8 // workers] * workers
+    wanted, reads, resamples = {}, {}, {}
+    for thread, shard in shards:
+        wanted.setdefault(thread, []).extend(
+            {ref.path for r in shard for ref in r.sources})
+    for thread, path in log["read_wav"]:
+        reads.setdefault(thread, []).append(path)
+    for thread, _ in log["resample"]:
+        resamples[thread] = resamples.get(thread, 0) + 1
+    assert sum(len(r.sources) for r in records) > sum(map(len,
+                                                          wanted.values()))
+    assert {t: sorted(paths) for t, paths in reads.items()} == {
+        t: sorted(paths) for t, paths in wanted.items()}
+    assert resamples == {t: len(paths) for t, paths in reads.items()}
 
 
 def test_synthesize_fails_exactly_the_records_that_share_a_bad_source(
@@ -635,9 +678,12 @@ def test_source_clips_let_go_of_the_clip_needed_last(monkeypatch, uses,
     assert sources.held_bytes == 0
 
 
+@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("budget", [0, 1_500_000])
 def test_synthesize_keeps_held_clips_within_the_budget(
-        demo, tmp_path, monkeypatch, budget):
+        demo, tmp_path, monkeypatch, budget, workers):
+    # Each shard holds its own clips within the budget.
+    monkeypatch.setattr(synth, "available_cpus", lambda: 2)
     records = generate_manifest(demo, partition(demo, seed=0), count=12,
                                 comp=Composition(2, 2), seed=9)
     assert synthesize(records, tmp_path / "reference", workers=1).ok
@@ -656,7 +702,7 @@ def test_synthesize_keeps_held_clips_within_the_budget(
                         lambda path: reads.append(path) or read(path))
     records = generate_manifest(demo, partition(demo, seed=0), count=12,
                                 comp=Composition(2, 2), seed=9)
-    assert synthesize(records, tmp_path / "budgeted", workers=1).ok
+    assert synthesize(records, tmp_path / "budgeted", workers=workers).ok
     assert max(held) <= budget
     uses = sum(len(r.sources) for r in records)
     if budget:  # some clips are held, and some let go and read again
@@ -671,29 +717,18 @@ def test_synthesize_keeps_held_clips_within_the_budget(
                                                      (10000, 8, 4), (2, 8, 2)])
 def test_synthesize_asks_for_no_more_workers_than_jobs_and_cpus(
         demo, tmp_path, monkeypatch, workers, count, expected):
-    # The pool forks every worker up front; a recorder stands in for it so
-    # no process starts.
-    asked = []
-
-    class Recorder:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(synth, "ProcessPoolExecutor", Recorder)
+    # Each shard is one task on the pool: no more than there are records
+    # and CPUs.
+    shards = []
+    shard = synth._synthesize_shard
+    monkeypatch.setattr(synth, "_synthesize_shard",
+                        lambda records, *rest: shards.append(len(records))
+                        or shard(records, *rest))
     monkeypatch.setattr(synth, "available_cpus", lambda: 4)
     records = generate_manifest(demo, partition(demo, seed=0), count=count,
                                 comp=Composition(1, 1), seed=5)
     assert synthesize(records, tmp_path, workers=workers).ok
-    assert asked == [expected]
+    assert len(shards) == expected and sum(shards) == count
 
 
 def test_synthesized_mixture_replays_from_record(demo, tmp_path):
@@ -921,6 +956,10 @@ def test_rephrase_network_error():
 
 def test_import_does_not_load_urllib_request(import_leaves_out):
     import_leaves_out("import mixedit.dataset", "urllib.request")
+
+
+def test_import_does_not_load_multiprocessing(import_leaves_out):
+    import_leaves_out("import mixedit.dataset", "multiprocessing")
 
 
 # ---------------- ignored columns, typed manifest lines ----------------

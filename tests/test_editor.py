@@ -892,9 +892,10 @@ def test_film_training_step_peak_memory_on_two_threads(monkeypatch):
 TRACING = Path(__file__).resolve().parents[1] / "mixbench" / "tracing.py"
 
 
-def test_film_threads_call_no_traced_layer(monkeypatch):
+def test_film_threads_call_no_traced_layer(monkeypatch, tmp_path):
     # The benchmark tracer keeps one span stack for the process, so every
-    # call it wraps must come from the thread that called into mixedit.
+    # call it wraps must come from the thread that called into mixedit,
+    # synthesis at the one worker the benchmark runs included.
     spec = importlib.util.spec_from_file_location("mixbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
@@ -920,6 +921,7 @@ def test_film_threads_call_no_traced_layer(monkeypatch):
         monkeypatch.setattr(owner, attr, wrapped)
     monkeypatch.setattr(dsp, "available_cpus", lambda: 2)
 
+    import mixedit.dataset as dataset
     import mixedit.editor as editor
     cfg = MaskNetConfig(n_masks=2)
     net = editor.FilmMaskNet.init(cfg, seed=2)
@@ -935,10 +937,19 @@ def test_film_threads_call_no_traced_layer(monkeypatch):
         mixture = Clip(x, RATE)
         mask = editor.ideal_mask(mixture, Clip(sources[0], RATE), kind)
         editor.mask_edit(mixture, mask)
+    # Every source of a 48-kHz catalog is resampled.
+    build_demo_catalog(tmp_path / "catalog", seed=0, rate=48000)
+    catalog = ingest(tmp_path / "catalog")
+    records = generate_manifest(catalog, partition(catalog, seed=0), count=4,
+                                comp=Composition(2, 2), seed=5)
+    assert dataset.synthesize(records, tmp_path / "tree", workers=1).ok
     names = {name for name, _ in calls}
     assert {"dsp.clip", "film.forward", "film.backward", "metrics.snr",
             "film.train_toy", "dsp.stft", "dsp.istft", "masking.ideal_mask",
-            "masking.mask_edit"} <= names
+            "masking.mask_edit", "synth.synthesize", "synth.record",
+            "synth.read_wav", "synth.write_wav", "dsp.resample",
+            "dsp.condition", "mixer.assign_gains", "mixer.apply_gains",
+            "mixer.build"} <= names
     assert {ident for _, ident in calls} == {threading.get_ident()}
 
 
