@@ -340,11 +340,16 @@ def cmd_eval(args) -> int:
             raise UnknownRecord(f"{est_dir / name} names no record of "
                                 f"{manifest}")
         unprocessed, target = _record_clips(tree, record)
-        est = ds.read_wav(est_dir / name)
+        path = est_dir / name
+        est = ds.read_wav(path)
         if not est.rate == target.rate == unprocessed.rate:
             raise MixeditError(
-                f"sample rates differ for {name}: est {est.rate}, "
+                f"sample rates differ for {path}: est {est.rate}, "
                 f"target {target.rate}, input {unprocessed.rate} Hz")
+        if not len(est) == len(target) == len(unprocessed):
+            raise MixeditError(
+                f"lengths differ for {path}: est {len(est)}, "
+                f"target {len(target)}, input {len(unprocessed)} samples")
         value = snri(unprocessed, est, target)
         entries.append({"task": record.task, "snri_db": value.value,
                         "clamped": not value.finite})

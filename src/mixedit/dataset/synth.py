@@ -12,13 +12,12 @@ import json
 import struct
 from collections import deque
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from ..dsp import (Clip, DEFAULT_DURATION_S, DEFAULT_RATE, _equal_parts,
-                   _Fresh, _threads, available_cpus, condition, resample)
+from ..dsp import (Clip, DEFAULT_DURATION_S, DEFAULT_RATE, _each,
+                   _equal_parts, _Fresh, available_cpus, condition, resample)
 from ..errors import MixeditError
 from ..mixer import MixturePair, apply_gains, assign_gains
 from ..seeding import derive_seed
@@ -288,13 +287,13 @@ def synthesize(records, out_dir, workers: int = 1,
     are collected in the summary instead of aborting the batch.
 
     The records are split into ``min(workers, records, CPUs)`` contiguous
-    runs, counting the CPUs this process may run on, and the runs share
-    the process's thread pool (``dsp._threads``). Each record is filled
-    in with its gains, scale and outputs. Within a run, each source file
-    is read and resampled to 16 kHz once, and held for the run's later
-    records at most until its last use, within a fixed byte budget.
-    Output, manifest and summary keep record order, and the tree does not
-    depend on the worker count.
+    runs (``dsp._equal_parts``), counting the CPUs this process may run
+    on, and the runs share the process's thread pool (``dsp._each``).
+    Each record is filled in with its gains, scale and outputs. Within a
+    run, each source file is read and resampled to 16 kHz once, and held
+    for the run's later records at most until its last use, within a
+    fixed byte budget. Output, manifest and summary keep record order,
+    and the tree does not depend on the worker count.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -306,7 +305,7 @@ def synthesize(records, out_dir, workers: int = 1,
         errors[first:end] = _synthesize_shard(records[first:end], str(out),
                                               pcm16)
 
-    _threads(len(parts))(*(partial(run_shard, *part) for part in parts))
+    _each(parts, run_shard)
 
     summary = SynthesisSummary(total=len(records), succeeded=0)
     done = []

@@ -290,13 +290,15 @@ def _serial(*tasks) -> None:
 
 def _threads(width: int):
     """``run(*tasks)``, which calls every task and returns once all are
-    done, re-raising a task's error. With ``width`` or ``available_cpus()``
-    at 1 the tasks run in order on the calling thread. Otherwise the
-    calling thread runs the first task while the process's pool takes the
-    rest; the caller then runs itself, last first, every task no pool
-    thread has started. So a host that does not run the threads at once
-    costs little more than the serial run. Each task runs in a copy of
-    the caller's context, so ``np.errstate`` reaches it.
+    done, re-raising a task's error; ``_each`` hands it the parts that
+    ``_parts`` or ``_equal_parts`` cut. With ``width`` or
+    ``available_cpus()`` at 1 the tasks run in order on the calling
+    thread. Otherwise the calling thread runs the first task while the
+    process's pool takes the rest; the caller then runs itself, last
+    first, every task no pool thread has started. So a host that does not
+    run the threads at once costs little more than the serial run. Each
+    task runs in a copy of the caller's context, so ``np.errstate``
+    reaches it.
 
     The pool is made on first use with ``available_cpus() - 1`` threads
     and lives as long as the process; a forked child starts without one.
@@ -338,14 +340,26 @@ def _equal_parts(n: int, count: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-def _halves(n: int, least: int, grid: int) -> list[tuple[int, int]]:
-    """The parts ``[first, end)`` that ``n`` frames split into for two
-    threads: one part below ``least`` frames, else two, split at the
-    multiple of ``grid`` frames nearest below the middle."""
+def _parts(n: int, least: int, grid: int,
+           widest: int | None = None) -> list[tuple[int, int]]:
+    """The parts ``[first, end)`` that ``n`` frames split into for the
+    pool: one below ``least`` frames, else an even count, so that two
+    threads stay busy to the end: two, or ``2 * ceil(n / widest)``. The
+    cuts are ``_equal_parts``'s, each rounded down to a multiple of
+    ``grid`` frames. The layout depends on ``n`` alone, and a one-thread
+    run uses it too, so the thread count changes no bit."""
     if n < least:
         return [(0, n)]
-    middle = n // (2 * grid) * grid
-    return [(0, middle), (middle, n)]
+    count = 2 if widest is None else 2 * math.ceil(n / widest)
+    bounds = [n * i // count // grid * grid for i in range(count)] + [n]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _each(parts, step) -> None:
+    """``step(first, end)`` for each part ``[first, end)`` of ``parts``,
+    all of them handed to ``_threads(len(parts))`` together."""
+    _threads(len(parts))(*(partial(step, first, end)
+                           for first, end in parts))
 
 
 # Periodic Hann; shifted squared copies sum to a constant for hop <= window/2.
@@ -353,28 +367,12 @@ _HANN = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(WINDOW) / WINDOW)
 _HANN.setflags(write=False)
 
 
-# Below this many frames a spectrum is one part on one thread.
-_SPLIT_FRAMES = 256
-
-
-def _frame_parts(n_frames: int) -> list[tuple[int, int]]:
-    """The frames, ``[first, end)``, of the parts that the STFT path works
-    on, each on its own thread: two halves from ``_SPLIT_FRAMES`` frames
-    on, split at a multiple of 8 frames, so that each part of a
-    ``(bins, frames)`` array starts as far into a 64-byte line as the
-    whole does. The layout depends on the frame count alone, and every
-    frame's FFT and every element's operation is the same in any part, so
-    the result is the same bits on any number of threads."""
-    return _halves(n_frames, _SPLIT_FRAMES, 8)
-
-
-def _by_frames(step, n_frames: int) -> None:
-    """``step(first, end)`` for each of ``_frame_parts(n_frames)``, the
-    parts on threads together. ``step`` calls numpy only (see
-    ``_threads``)."""
-    parts = _frame_parts(n_frames)
-    _threads(len(parts))(*(partial(step, first, end)
-                           for first, end in parts))
+# ``_parts`` settings of the STFT path (``stft``, ``istft`` and the ideal
+# masks): from 256 frames on, two halves cut at a multiple of 8 frames, so
+# that each part of a ``(bins, frames)`` array starts as far into a
+# 64-byte line as the whole does. Every frame's FFT and every element's
+# operation is the same in any part.
+_STFT_PARTS = (256, 8)
 
 
 def stft(clip: Clip) -> np.ndarray:
@@ -387,8 +385,8 @@ def stft(clip: Clip) -> np.ndarray:
     bins)`` array ``rfft`` writes, so each frame's bins are contiguous
     (Fortran order) and no copy is made. Element-wise work on it keeps
     that layout, and ``istft`` hands its transpose to ``irfft`` as a
-    C-contiguous array. The windowing and the ``rfft`` run on the halves
-    of the frames (``_by_frames``), each writing its rows of that array."""
+    C-contiguous array. The windowing and the ``rfft`` run on the parts
+    of the frames (``_STFT_PARTS``), each writing its rows of that array."""
     n = len(clip)
     n_frames = -(-n // HOP) + 1
     x = np.zeros((n_frames - 1) * HOP + WINDOW)
@@ -400,7 +398,7 @@ def stft(clip: Clip) -> np.ndarray:
         np.fft.rfft(frames[first:end] * _HANN, axis=1,
                     out=spectra[first:end])
 
-    _by_frames(analyse, n_frames)
+    _each(_parts(n_frames, *_STFT_PARTS), analyse)
     return spectra.T
 
 
@@ -438,7 +436,7 @@ def istft(frames: np.ndarray, n_samples: int) -> np.ndarray:
     """Weighted overlap-add inverse of ``stft`` for a clip of
     ``n_samples``: exact at every sample, since the centring leaves each
     one under a squared-window sum of at least 1.25. The ``irfft`` and
-    the window run on the halves of the frames (``_by_frames``); the
+    the window run on the parts of the frames (``_STFT_PARTS``); the
     overlap-add and the division by the window sum run whole."""
     n_frames = frames.shape[1]
     frames_t = np.empty((n_frames, WINDOW))
@@ -448,7 +446,7 @@ def istft(frames: np.ndarray, n_samples: int) -> np.ndarray:
         np.fft.irfft(frames[:, first:end].T, n=WINDOW, axis=1, out=part)
         part *= _HANN
 
-    _by_frames(synthesise, n_frames)
+    _each(_parts(n_frames, *_STFT_PARTS), synthesise)
     num = overlap_add(frames_t, HOP)[WINDOW // 2:WINDOW // 2 + n_samples]
     num /= _window_sum(n_frames, n_samples)
     return num

@@ -22,8 +22,8 @@ from functools import partial
 
 import numpy as np
 
-from .. import dsp
-from ..dsp import Clip, _Fresh, _threads, overlap_add
+from ..dsp import (Clip, _each, _equal_parts, _Fresh, _parts, _threads,
+                   overlap_add)
 from ..errors import MixeditError
 from ..metrics import pit_snr, snr
 from .masking import DEFAULT_EMBED_DIM, DEFAULT_MASK_MAX, EditingMask
@@ -89,53 +89,34 @@ def latent_frames(n_samples: int, kernel: int) -> int:
     return (n_samples - kernel) // (kernel // 2) + 1
 
 
-def _windows(n_frames: int) -> list[tuple[int, int]]:
-    """The latent frames, ``[first, end)``, that each window of the
-    inference forward owns. A clip under 1024 frames is one window;
-    longer ones split into an even count of equal windows, at most 8192
-    frames wide. An even count keeps two threads busy to the end.
-
-    The layout depends on the clip alone. Every window is at least 512
-    frames wide: OpenBLAS takes a narrow sgemm (N below about 250)
-    through another kernel, whose last bits differ from the whole-clip
-    product's."""
-    if n_frames < 1024:
-        return [(0, n_frames)]
-    return dsp._equal_parts(n_frames, 2 * math.ceil(n_frames / 8192))
+# ``dsp._parts`` settings, in latent frames. The inference forward runs
+# in windows: one under 1024 frames, else an even count of equal windows
+# at most 8192 frames wide. The training pass splits its products into two
+# column halves from 1024 frames on, cut at a multiple of 64 frames. Every
+# part is at least 512 frames wide: OpenBLAS takes a narrow sgemm (N below
+# about 250) through another kernel, whose last bits differ from the
+# whole-clip product's, and a float64 split at an odd frame changes the
+# bits too. Cut this way, a part's products equal the whole-clip
+# product's columns bit for bit for the default shapes in both dtypes.
+_EDIT_PARTS = (1024, 1, 8192)
+_TRAIN_PARTS = (1024, 64)
 
 
-def _halves(n_frames: int) -> list[tuple[int, int]]:
-    """The latent frames, ``[first, end)``, of the column halves that the
-    training pass splits its products into; its element-wise steps split
-    the channels as many ways. A clip under 1024 frames is one part; a
-    longer one splits in two at the multiple of 64 frames nearest below
-    its middle.
-
-    As with ``_windows``, the layout depends on the clip alone and every
-    part is at least 512 frames wide, and a serial run uses it too, so
-    the thread count changes no bit. Split there, a part's products equal
-    the whole-clip product's columns bit for bit on OpenBLAS for the
-    default shapes in both dtypes; a float64 split at an odd frame does
-    not."""
-    return dsp._halves(n_frames, 1024, 64)
-
-
-def _by_columns(run, parts, step, *arrays) -> None:
+def _by_columns(parts, step, *arrays) -> None:
     """``step(*views)`` for each part ``[first, end)`` of ``parts``, the
-    views being that part's columns of ``arrays``; the parts go to
-    ``run`` together. A product splits this way, so that each output
-    element keeps its sum."""
-    run(*(partial(step, *(a[:, first:end] for a in arrays))
-          for first, end in parts))
+    views being that part's columns of ``arrays``, the parts on threads
+    together (``dsp._each``). A product splits this way, so that each
+    output element keeps its sum."""
+    _each(parts, lambda first, end: step(*(a[:, first:end] for a in arrays)))
 
 
-def _by_rows(run, count, step, *arrays) -> None:
-    """``step(*blocks)`` for each of ``count`` equal blocks of rows of
-    ``arrays``, which share their first axis; the blocks go to ``run``
-    together. An element-wise step splits this way, so that each block
-    is one run of memory."""
-    run(*(partial(step, *(a[first:end] for a in arrays))
-          for first, end in dsp._equal_parts(len(arrays[0]), count)))
+def _by_rows(parts, step, *arrays) -> None:
+    """``step(*blocks)`` for each of ``len(parts)`` equal blocks of rows of
+    ``arrays``, which share their first axis, the blocks on threads
+    together. An element-wise step splits this way, so that each block is
+    one run of memory."""
+    _each(_equal_parts(len(arrays[0]), len(parts)),
+          lambda first, end: step(*(a[first:end] for a in arrays)))
 
 
 def _bool_scratch(buf: np.ndarray, count: int) -> list[np.ndarray]:
@@ -254,13 +235,13 @@ class FilmMaskNet:
         each block's input, perceptron activations and ``h_out``, from
         which ``backward`` rebuilds the modulated input and the ReLU
         gates, and ``masks`` for the clamp gates. A clip of 1024 latent
-        frames or more runs its ``(C, L)`` work in two parts (``_halves``)
-        on up to two threads, one per CPU at most; every output element
-        is computed as on one thread, so the cache does not depend on the
-        thread count.
+        frames or more runs its ``(C, L)`` work in two parts
+        (``_TRAIN_PARTS``) on up to two threads, one per CPU at most; every
+        output element is computed as on one thread, so the cache does not
+        depend on the thread count.
 
         With ``keep_cache=False`` (inference) the clip runs in windows of
-        latent frames (``_windows``), on up to one thread per CPU, and
+        latent frames (``_EDIT_PARTS``), on up to one thread per CPU, and
         only ``y`` and ``mask`` come back, both float64: the output, and
         the masks summed and clamped to ``config.max_gain``. A window
         reads 2^R - 1 frames of context on each side, the receptive field
@@ -287,8 +268,7 @@ class FilmMaskNet:
         y = np.empty(len(x))
         mask = np.empty((cfg.channels, n_frames))
 
-        def run_window(owned):
-            first, end = owned
+        def run_window(first, end):
             lo = max(first - context, 0)
             hi = min(end + context - 1, n_frames)
             # Frames [lo, hi) read samples [lo*s, (hi+1)*s); a window that
@@ -303,9 +283,7 @@ class FilmMaskNet:
             stop = end * s if end < n_frames else len(x)
             y[first * s:stop] = out["y"][(first - lo) * s:stop - lo * s]
 
-        windows = _windows(n_frames)
-        _threads(len(windows))(*(partial(run_window, owned)
-                                 for owned in windows))
+        _each(_parts(n_frames, *_EDIT_PARTS), run_window)
         return {"y": y, "mask": mask}
 
     def _run(self, x: np.ndarray, z: np.ndarray, keep_cache: bool) -> dict:
@@ -321,12 +299,13 @@ class FilmMaskNet:
         number, and the buffer is freed before the head and the decoder
         allocate.
 
-        With the cache (training), the work runs on ``_threads`` in two
-        parts once ``_halves`` splits the clip: the encoder, each conv with
-        its bias and ReLU, and the head on the column halves, and each
-        modulation and the decoder's masked product on halves of the
-        rows. Every part writes its share of arrays allocated here, so
-        the pass allocates what a serial one does. The decoder's product
+        With the cache (training), the work runs on the pool in two parts
+        once ``_TRAIN_PARTS`` splits the clip: the encoder, each conv with
+        its bias and ReLU, and the head on the column halves
+        (``_by_columns``), and each modulation and the decoder's masked
+        product on halves of the rows (``_by_rows``). Every part writes
+        its share of arrays allocated here, so the pass allocates what a
+        serial one does. The decoder's product
         and overlap-add run whole on the calling thread. Without the cache
         (``edit``'s windows, which have threads of their own) all of it
         runs on the calling thread."""
@@ -335,7 +314,8 @@ class FilmMaskNet:
         k, s, c = cfg.kernel, cfg.stride, cfg.channels
         n = len(x)
         n_frames = latent_frames(n, k)
-        parts = _halves(n_frames) if keep_cache else [(0, n_frames)]
+        parts = (_parts(n_frames, *_TRAIN_PARTS) if keep_cache
+                 else [(0, n_frames)])
         frames = np.lib.stride_tricks.sliding_window_view(x, k)[::s]
         h_x = np.empty((c, n_frames), dtype=dtype)
 
@@ -346,9 +326,8 @@ class FilmMaskNet:
         margin = 2 ** (cfg.blocks - 1)
         padded = _margined(c, n_frames, margin, dtype)
         h_tilde = padded[:, margin:margin + n_frames]
-        run = _threads(len(parts))
-        by_columns = partial(_by_columns, run, parts)
-        by_rows = partial(_by_rows, run, len(parts))
+        by_columns = partial(_by_columns, parts)
+        by_rows = partial(_by_rows, parts)
         by_columns(lambda f, out: np.matmul(p["enc.w"], f, out=out),
                    frames.T, h_x)
         h = h_x
@@ -457,8 +436,8 @@ class FilmMaskNet:
     @staticmethod
     def _conv_backward(p: dict, i: int, h_out: np.ndarray,
                        padded: np.ndarray, grad_padded: np.ndarray,
-                       grad_h: np.ndarray, prod: np.ndarray, grads: dict,
-                       run, split: int) -> np.ndarray:
+                       grad_h: np.ndarray, prod: np.ndarray,
+                       grads: dict) -> np.ndarray:
         """Adjoint of block i's ReLU dilated conv, in caller-owned buffers.
 
         ``padded`` holds the block's ``h_tilde`` between zero margins at
@@ -469,15 +448,18 @@ class FilmMaskNet:
         overwrites ``grad_h`` (d(loss)/d(h_out)) with d(loss)/d(h_tilde),
         summing the taps in ``prod``, and returns it.
 
-        The gate runs on ``split`` blocks of rows. The bias and weight
-        gradients, each a sum over every frame, then run whole as one task
-        beside the three input-gradient products (``run``)."""
+        The gate runs on as many blocks of rows as ``_TRAIN_PARTS`` cuts
+        the frames into. The bias and weight gradients, each a sum over
+        every frame, then run whole as one task, and the three
+        input-gradient products as another, on two threads once the
+        frames split."""
         w = p[f"block{i}.conv.w"]
         d, n = 2 ** i, h_out.shape[1]
         margin = (padded.shape[1] - n) // 2
         grad_pre = grad_padded[:, margin:margin + n]
+        parts = _parts(n, *_TRAIN_PARTS)
         # prod's bytes hold the gate until the input-gradient taps need it.
-        _by_rows(run, split, FilmMaskNet._gate_relu, h_out, grad_h,
+        _by_rows(parts, FilmMaskNet._gate_relu, h_out, grad_h,
                  *_bool_scratch(prod, 1), grad_pre)
         grad_w = np.empty((3,) + w.shape[:2], dtype=w.dtype)
         grad_b = np.empty(w.shape[0], dtype=w.dtype)
@@ -498,7 +480,7 @@ class FilmMaskNet:
                 acc += np.matmul(w[:, :, j].T,
                                  grad_padded[:, start:start + n], out=prod)
 
-        run(weight_grads, input_grads)
+        _threads(len(parts))(weight_grads, input_grads)
         grads[f"block{i}.conv.b"] += grad_b
         for j in range(3):
             grads[f"block{i}.conv.w"][:, :, j] += grad_w[j]
@@ -520,13 +502,13 @@ class FilmMaskNet:
         ``_modulate``, gates the gradient into the second, and
         overwrites the incoming gradient's array with the next one.
 
-        Like the cached ``forward``, the pass runs on ``_threads`` once
-        ``_halves`` splits the clip: the element-wise steps on two halves
-        of the rows, and the weight gradients of the decoder, the head
-        and each block, which sum over every frame, whole on one thread
-        beside the input gradients on the other. Tasks write only into
-        arrays allocated here, and every element is computed as on one
-        thread.
+        Like the cached ``forward``, the pass runs on the pool once
+        ``_TRAIN_PARTS`` splits the clip: the element-wise steps on two
+        halves of the rows (``_by_rows``), and the weight gradients of the
+        decoder, the head and each block, which sum over every frame,
+        whole on one thread beside the input gradients on the other. Tasks
+        write only into arrays allocated here, and every element is
+        computed as on one thread.
         """
         cfg = self.config
         k, s, c = cfg.kernel, cfg.stride, cfg.channels
@@ -543,12 +525,11 @@ class FilmMaskNet:
         grad_gamma = np.empty(c, dtype=h_x.dtype)
         grad_beta = np.empty(c, dtype=h_x.dtype)
 
-        split = len(_halves(n_frames))
+        parts = _parts(n_frames, *_TRAIN_PARTS)
         prod = np.empty_like(h_x)  # scratch for one (C, L) product
         grad_masks = np.empty_like(masks)
         grad_hx = np.zeros_like(h_x)
-        run = _threads(split)
-        by_rows = partial(_by_rows, run, split)
+        by_rows = partial(_by_rows, parts)
         for m in range(cfg.n_masks):
             # The decoder's adjoint frames the gradient like the
             # encoder; a contiguous copy keeps the products on BLAS.
@@ -562,7 +543,8 @@ class FilmMaskNet:
                 np.multiply(masks[m], h_x, out=grad_masks[m])
                 np.matmul(grad_masks[m], grad_contrib.T, out=grad_dec_w)
 
-            run(decoder_weight,
+            _threads(len(parts))(
+                decoder_weight,
                 partial(np.matmul, p["dec.w"], grad_contrib, out=prod))
             grads["dec.w"] += grad_dec_w
             by_rows(self._decoder_adjoint, prod, h_x, masks[m],
@@ -579,7 +561,8 @@ class FilmMaskNet:
             np.sum(grad_mpre, axis=1, out=grad_head_b)
 
         grad_h = np.empty_like(h_x)
-        run(head_weight,
+        _threads(len(parts))(
+            head_weight,
             partial(np.matmul, p["head.w"].T, grad_mpre, out=grad_h))
         grads["head.w"] += grad_head_w
         grads["head.b"] += grad_head_b
@@ -595,7 +578,7 @@ class FilmMaskNet:
                     blk["h_in"], h_tilde)
             grad_h = self._conv_backward(
                 p, i, blk["h_out"], padded, grad_padded, grad_h, prod,
-                grads, run, split)
+                grads)
             by_rows(self._film_adjoint, blk["gamma"], blk["h_in"], grad_h,
                     prod, grad_gamma, grad_beta)
 

@@ -21,7 +21,8 @@ from ..core import (
     SimplifiedInstruction,
     SpeechDescriptor,
 )
-from ..dsp import Clip, _by_frames, _Fresh, _take, istft, mel_project, stft
+from ..dsp import (Clip, _each, _Fresh, _parts, _STFT_PARTS, _take, istft,
+                   mel_project, stft)
 from ..errors import MixeditError
 from ..mixer import target_mixture
 
@@ -98,8 +99,8 @@ def ideal_mask(mixture: Clip, target: Clip,
     IRM: |Y| / max(|X|, eps). PSM: Re(Y * conj(X)) / max(|X|^2, eps),
     which accounts for phase. Both are clamped to [0, DEFAULT_MASK_MAX].
     The mask is frame-major like the spectra, and its element-wise steps
-    run on column halves of them (``dsp._by_frames``), each a contiguous
-    run of memory.
+    run on the STFT path's parts of the frames (``dsp._STFT_PARTS``), each
+    a contiguous run of memory.
     """
     if len(mixture) != len(target) or mixture.rate != target.rate:
         raise DimMismatch("mixture and target must be aligned")
@@ -121,14 +122,15 @@ def ideal_mask(mixture: Clip, target: Clip,
             np.divide(cross.real, raw, out=raw)
         np.clip(raw, 0.0, DEFAULT_MASK_MAX, out=raw)
 
-    _by_frames(build, x.shape[1])
+    _each(_parts(x.shape[1], *_STFT_PARTS), build)
     return EditingMask(_Fresh(values))
 
 
 def mask_edit(mixture: Clip, mask: EditingMask) -> Clip:
     """Apply an editing mask to the mixture spectrogram and resynthesize.
-    The masked product runs on column halves (``dsp._by_frames``) into
-    one frame-major array, which ``istft`` reads."""
+    The masked product runs on the STFT path's parts of the frames
+    (``dsp._STFT_PARTS``) into one frame-major array, which ``istft``
+    reads."""
     frames = _spectrum(mixture)
     if mask.values.shape != frames.shape:
         raise DimMismatch(
@@ -141,7 +143,7 @@ def mask_edit(mixture: Clip, mask: EditingMask) -> Clip:
         np.multiply(mask.values[:, first:end], frames[:, first:end],
                     out=masked[:, first:end])
 
-    _by_frames(apply, frames.shape[1])
+    _each(_parts(frames.shape[1], *_STFT_PARTS), apply)
     return Clip(_Fresh(istft(masked, len(mixture))), mixture.rate)
 
 

@@ -577,6 +577,19 @@ def test_eval_rejects_mismatched_sample_rates(tmp_path, capsys):
     assert "000000.wav" in err and "8000" in err and "16000" in err
 
 
+def test_eval_names_an_estimate_of_another_length(tmp_path, capsys):
+    x = np.random.default_rng(0).standard_normal(800) * 0.1
+    _write_tree(tmp_path / "tree", [(Clip(x, RATE), Clip(x, RATE))])
+    est = tmp_path / "est"
+    est.mkdir()
+    write_wav(est / "000000.wav", Clip(x[:795], RATE))
+    assert main(["eval", "--est", str(est), "--tree",
+                 str(tmp_path / "tree")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: MixeditError")
+    assert str(est / "000000.wav") in err and "795" in err and "800" in err
+
+
 @pytest.mark.parametrize("bad", [{"kernel": 15}, {"channels": 0},
                                  {"n_masks": -1}, {"mask_max": 1e400}])
 def test_train_toy_bad_net_config_exits_1(tmp_path, capsys, bad):

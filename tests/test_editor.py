@@ -671,32 +671,50 @@ def test_film_edit_is_the_same_on_one_thread_or_four(monkeypatch):
     assert edits[0] == edits[1]
 
 
+def _assert_parts(settings, n_frames, narrowest=1):
+    """``dsp._parts(n_frames, *settings)`` tiles the frames: one part below
+    ``least``, else an even count of parts, at least ``narrowest`` and at
+    most ``widest`` wide, each cut at the multiple of ``grid`` nearest
+    below the equal cut. Returns the parts."""
+    least, grid, widest = (*settings, None)[:3]
+    parts = dsp._parts(n_frames, *settings)
+    if n_frames < least:
+        assert parts == [(0, n_frames)]
+        return parts
+    assert parts[0][0] == 0 and parts[-1][1] == n_frames
+    assert all(a[1] == b[0] for a, b in zip(parts, parts[1:]))
+    count = len(parts)
+    assert count % 2 == 0 and (count == 2 if widest is None else
+                               max(end - first for first, end in parts)
+                               <= widest)
+    for i, (first, _) in enumerate(parts[1:], 1):
+        equal = n_frames * i // count
+        assert first % grid == 0 and equal - grid < first <= equal
+    assert min(end - first for first, end in parts) >= narrowest
+    return parts
+
+
 @pytest.mark.parametrize("n_frames", [1, 1023, 1024, 1025, 8191, 8192, 8193,
                                       9999, 16384, 16385, 119999])
 def test_film_windows_tile_the_clip_in_an_even_count(n_frames):
-    windows = film._windows(n_frames)
-    assert windows[0][0] == 0 and windows[-1][1] == n_frames
-    assert all(a[1] == b[0] for a, b in zip(windows, windows[1:]))
+    windows = _assert_parts(film._EDIT_PARTS, n_frames, 512)
     widths = {end - first for first, end in windows}
-    if n_frames < 1024:
-        assert windows == [(0, n_frames)]
-    else:
-        assert len(windows) % 2 == 0
-        assert max(widths) - min(widths) <= 1
-        assert 512 <= min(widths) and max(widths) <= 8192
+    assert max(widths) - min(widths) <= 1
 
 
 @pytest.mark.parametrize("n_frames", [1, 1023, 1024, 1025, 1151, 1152, 9999,
                                       119999])
 def test_film_halves_split_on_the_64_frame_grid(n_frames):
-    parts = film._halves(n_frames)
-    if n_frames < 1024:
-        assert parts == [(0, n_frames)]
-        return
-    (first, middle), (start, end) = parts
-    assert (first, end) == (0, n_frames) and start == middle
-    assert middle % 64 == 0 and n_frames // 2 - 64 < middle <= n_frames // 2
-    assert min(middle, n_frames - middle) >= 512
+    _assert_parts(film._TRAIN_PARTS, n_frames, 512)
+
+
+def test_film_parts_are_wide_and_on_their_grid_from_1024_frames_on():
+    for settings in (film._EDIT_PARTS, film._TRAIN_PARTS):
+        grid = settings[1]
+        for n_frames in range(1024, 70000):
+            parts = dsp._parts(n_frames, *settings)
+            assert min(end - first for first, end in parts) >= 512
+            assert all(first % grid == 0 for first, _ in parts)
 
 
 def test_threads_run_every_task_once_and_raise_its_error(monkeypatch):
@@ -741,7 +759,7 @@ def test_threads_pin_the_pool_thread_and_leave_the_caller(monkeypatch):
 
 # Clip lengths whose frame counts straddle the STFT path's split, at
 # every offset of the hop grid, and a 5-s clip.
-_SPLIT_EDGE = (dsp._SPLIT_FRAMES - 2) * HOP  # the longest clip kept whole
+_SPLIT_EDGE = (dsp._STFT_PARTS[0] - 2) * HOP  # the longest clip kept whole
 _SPLIT_LENGTHS = [*range(_SPLIT_EDGE - HOP // 2, _SPLIT_EDGE + HOP // 2),
                   5 * RATE]
 
@@ -754,8 +772,8 @@ def _same_bits(got, expected):
 def test_stft_path_on_frame_halves_equals_the_whole_arrays(monkeypatch,
                                                            cpus):
     monkeypatch.setattr(dsp, "available_cpus", lambda: cpus)
-    assert len(dsp._frame_parts(-(-_SPLIT_EDGE // HOP) + 1)) == 1
-    assert len(dsp._frame_parts(-(-(_SPLIT_EDGE + 1) // HOP) + 1)) == 2
+    for n, count in [(_SPLIT_EDGE, 1), (_SPLIT_EDGE + 1, 2)]:
+        assert len(dsp._parts(-(-n // HOP) + 1, *dsp._STFT_PARTS)) == count
     for n in _SPLIT_LENGTHS:
         rng = np.random.default_rng(n)
         x = Clip(rng.standard_normal(n) * 0.3, RATE)
@@ -778,13 +796,7 @@ def test_stft_path_on_frame_halves_equals_the_whole_arrays(monkeypatch,
 @pytest.mark.parametrize("n_frames", [1, 255, 256, 257, 263, 264, 626,
                                       1251, 9999])
 def test_stft_frame_parts_split_on_the_8_frame_grid(n_frames):
-    parts = dsp._frame_parts(n_frames)
-    if n_frames < dsp._SPLIT_FRAMES:
-        assert parts == [(0, n_frames)]
-        return
-    (first, middle), (start, end) = parts
-    assert (first, end) == (0, n_frames) and start == middle
-    assert middle % 8 == 0 and n_frames // 2 - 8 < middle <= n_frames // 2
+    _assert_parts(dsp._STFT_PARTS, n_frames)
 
 
 _EDIT_ON_CPUS = """
@@ -876,7 +888,7 @@ def test_training_pass_is_the_same_on_one_two_or_four_cpus(
     # the whole clip as one part.
     monkeypatch.setattr(dsp, "available_cpus", lambda: 1)
     with monkeypatch.context() as whole:
-        whole.setattr(film, "_halves", lambda n_frames: [(0, n_frames)])
+        whole.setattr(film, "_TRAIN_PARTS", (math.inf, 64))
         expected = _training_runs(cfg, n, dtype)
     for cpus in (1, 2, 4):
         monkeypatch.setattr(dsp, "available_cpus", lambda: cpus)
@@ -1390,10 +1402,15 @@ def test_film_decoder_gradient_equals_per_tap_framing_bit_for_bit():
     (MaskNetConfig(channels=8, kernel=4, blocks=6, embed_dim=8), 97),
     (MaskNetConfig(channels=8, kernel=4, blocks=7, embed_dim=8), 97),
 ])
-def test_dilated_conv_and_adjoint_equal_shifted_copies_bit_for_bit(cfg, n):
+def test_dilated_conv_and_adjoint_equal_shifted_copies_bit_for_bit(
+        monkeypatch, cfg, n):
     net = FilmMaskNet.init(cfg, seed=4)
     rng = np.random.default_rng(8)
     cache = net.forward(rng.standard_normal(n) * 0.3, unit_vec(8, seed=6))
+    # Every clip here is under 1024 frames; split from 1 frame on, the
+    # conv adjoint's gate runs on two blocks of rows and its gradients on
+    # two threads.
+    monkeypatch.setattr(film, "_TRAIN_PARTS", (1, 1))
     n_frames, margin = cache["h_x"].shape[1], 2 ** (cfg.blocks - 1)
     for i, blk in enumerate(cache["blocks"]):
         w, d = net.params[f"block{i}.conv.w"], 2 ** i
@@ -1416,10 +1433,8 @@ def test_dilated_conv_and_adjoint_equal_shifted_copies_bit_for_bit(cfg, n):
         grad_h = grad_out.copy()
         prod = np.full_like(grad_h, np.nan)
         grads = {k: np.zeros_like(v) for k, v in net.params.items()}
-        # The gate on two blocks of rows.
         got = net._conv_backward(net.params, i, blk["h_out"], padded,
-                                 grad_padded, grad_h, prod, grads,
-                                 dsp._threads(2), 2)
+                                 grad_padded, grad_h, prod, grads)
         assert got is grad_h
         assert np.array_equal(got, grad_htilde)
         assert np.array_equal(grads[f"block{i}.conv.w"], grad_w)
