@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataset as ds
+from .dataset.manifest import simplified_from_json
 from .core import Action, parse_action_vector, validate_instruction
 from .editor import (
     FilmMaskNet,
@@ -38,9 +39,8 @@ from .editor import (
 )
 from .errors import MixeditError, read_json_config
 from .metrics import snr, snri
-from .mixer import mix, target_mixture
+from .mixer import LengthMismatch, mix, target_mixture
 from .prompt import ParseError, Prompt, Provenance, expand, parse, simplify
-from .seeding import derive_seed
 from .taskspace import Composition, Task, count_table, defined_tasks, enumerate_edits
 
 
@@ -343,11 +343,11 @@ def cmd_eval(args) -> int:
         path = est_dir / name
         est = ds.read_wav(path)
         if not est.rate == target.rate == unprocessed.rate:
-            raise MixeditError(
+            raise LengthMismatch(
                 f"sample rates differ for {path}: est {est.rate}, "
                 f"target {target.rate}, input {unprocessed.rate} Hz")
         if not len(est) == len(target) == len(unprocessed):
-            raise MixeditError(
+            raise LengthMismatch(
                 f"lengths differ for {path}: est {len(est)}, "
                 f"target {len(target)}, input {len(unprocessed)} samples")
         value = snri(unprocessed, est, target)
@@ -378,77 +378,57 @@ def cmd_eval(args) -> int:
 
 # ---------------- train-toy ----------------
 
-def _toy_examples(n_examples, embed_dim, seed, refs: bool, t=4000,
-                  rate=16000):
-    """Synthetic tonal editing set: disjoint tone pairs, random edits. With
-    ``refs``, each example keeps its two weighted tones as PIT references,
-    and no tone has the weight 0, whose reference would be silent."""
-    rng = np.random.default_rng(derive_seed(seed, "toy-data"))
-    examples = []
-    t_axis = np.arange(t) / rate
-    for _ in range(n_examples):
-        f1 = rng.choice([330.0, 440.0, 550.0, 660.0])
-        f2 = rng.choice([1100.0, 1320.0, 1540.0])
-        s1 = 0.4 * np.sin(2 * np.pi * f1 * t_axis + rng.uniform(0, 2 * np.pi))
-        s2 = 0.3 * np.sin(2 * np.pi * f2 * t_axis + rng.uniform(0, 2 * np.pi))
-        alphas = rng.choice([0.0, 0.5, 1.0, 2.0], size=2)
-        while (alphas[0] == alphas[1] == 1.0 or alphas[0] == alphas[1] == 0.0
-               or refs and 0.0 in alphas):
-            alphas = rng.choice([0.0, 0.5, 1.0, 2.0], size=2)
-        z = rng.standard_normal(embed_dim)
-        z /= np.linalg.norm(z)
-        examples.append(TrainExample(
-            s1 + s2, z, alphas[0] * s1 + alphas[1] * s2,
-            refs=(alphas[0] * s1, alphas[1] * s2) if refs else None,
-        ))
-    return examples
-
-
 # Toy sizes over the MaskNetConfig defaults, then the training run's keys.
 _TOY_DEFAULTS = {
     "channels": 16, "kernel": 16, "blocks": 2, "embed_dim": 16,
-    "examples": 4, "samples": 4000, "steps": 200, "lr": 1e-3, "lr_decay": 1.0,
-    "pit": False,
+    "steps": 200, "lr": 1e-3, "lr_decay": 1.0,
 }
 
 
-def _read_toy_config(path, seed: int) -> tuple[dict, dict]:
+def _read_toy_config(path) -> tuple[dict, dict]:
     """The config file as written and the full settings it stands for;
-    raises BadConfigFile for an unknown key, a value of the wrong type, a
-    negative seed, no examples or steps, a non-finite lr, a non-finite or
-    negative lr_decay, or PIT over more masks than the toy set has
-    sources."""
+    raises BadConfigFile for an unknown key, a value of the wrong type, no
+    steps, a non-finite lr, or a non-finite or negative lr_decay."""
     settings = {f.name: f.default for f in dataclasses.fields(MaskNetConfig)}
-    settings.update(_TOY_DEFAULTS, seed=seed)
+    settings.update(_TOY_DEFAULTS)
     config = read_json_config(path, settings, BadConfigFile,
                               nullable={"hidden": 0})
     settings.update(config)
-    if settings["seed"] < 0 or settings["examples"] < 1 or settings["steps"] < 1:
-        raise BadConfigFile(f"{path}: need seed >= 0, examples >= 1, steps >= 1")
+    if settings["steps"] < 1:
+        raise BadConfigFile(f"{path}: need steps >= 1")
     lr, decay = settings["lr"], settings["lr_decay"]
     if not (math.isfinite(lr) and math.isfinite(decay) and decay >= 0):
         raise BadConfigFile(f"{path}: need a finite lr and a finite "
                             "lr_decay >= 0")
-    # Each toy example mixes two tones: PIT has two references to match.
-    if settings["pit"] and settings["n_masks"] > 2:
-        raise BadConfigFile(f"{path}: pit needs n_masks <= 2, one mask per "
-                            "toy tone")
     return config, settings
 
 
+def _tree_examples(tree: Path, embed_dim: int) -> list[TrainExample]:
+    """One example per record of a ``generate`` tree: the input and target
+    clips ``eval`` reads, and the record's simplified instruction embedded
+    as ``edit --editor film`` embeds a parsed prompt. A tree holds no
+    per-source targets, so a net of several masks trains on the mixture
+    loss alone."""
+    examples = []
+    for record in ds.load_manifest(tree / "manifest.jsonl"):
+        unprocessed, target = _record_clips(tree, record)
+        z = embed_instruction(simplified_from_json(record.simplified),
+                              dim=embed_dim)
+        examples.append(TrainExample(unprocessed.samples, z, target.samples))
+    return examples
+
+
 def cmd_train_toy(args) -> int:
-    config, settings = _read_toy_config(args.config, args.seed)
+    config, settings = _read_toy_config(args.config)
     net_config = MaskNetConfig(**{
         f.name: settings[f.name] for f in dataclasses.fields(MaskNetConfig)})
-    seed = settings["seed"]
-    net = FilmMaskNet.init(net_config, seed=seed)
-    examples = _toy_examples(settings["examples"], net_config.embed_dim, seed,
-                             settings["pit"] and net_config.n_masks > 1,
-                             t=settings["samples"])
+    net = FilmMaskNet.init(net_config, seed=args.seed)
+    examples = _tree_examples(Path(args.tree), net_config.embed_dim)
     out_dir = Path(args.out_dir)
     # The outermost directory this run makes, removed again if training
-    # fails; the directory is made first so that an unwritable one fails
-    # before any training.
+    # fails. It is made after the tree is read, so that a bad tree leaves
+    # no directory, and before training, so that an unwritable one fails
+    # before any step.
     made = next((d for d in reversed((out_dir, *out_dir.parents))
                  if not d.exists()), None)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -469,14 +449,15 @@ def cmd_train_toy(args) -> int:
         fh.write("step,loss\n")
         for i, loss in enumerate(result.losses):
             fh.write(f"{i},{loss:.6f}\n")
+    echo = {**config, "seed": args.seed}
     (out_dir / "config.json").write_text(
-        json.dumps({**config, "seed": seed}, indent=2, sort_keys=True) + "\n")
+        json.dumps(echo, indent=2, sort_keys=True) + "\n")
     print(json.dumps({
         "checkpoint": str(out_dir / "net.mxn"),
         "loss_curve": str(curve),
         "initial_loss": result.losses[0],
         "final_loss": result.losses[-1],
-        "config": {**config, "seed": seed},
+        "config": echo,
     }, indent=2, sort_keys=True))
     return 0
 
@@ -546,8 +527,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-toy", help="train the toy mask network")
     p.add_argument("--config", required=True)
+    p.add_argument("--tree", required=True,
+                   help="a generate --out directory to train on")
     p.add_argument("--out-dir", dest="out_dir", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_from(0), default=0)
     p.set_defaults(func=cmd_train_toy)
 
     return parser

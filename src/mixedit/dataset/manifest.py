@@ -192,6 +192,7 @@ class ManifestRecord:
                 _check_source(ref)
             record.action_vector()
             record.signatures()
+            simplified_from_json(record.simplified)
             return record
         except (ValueError, KeyError, TypeError, AttributeError,
                 RecursionError) as err:

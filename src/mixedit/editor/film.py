@@ -25,7 +25,7 @@ import numpy as np
 from ..dsp import (Clip, _each, _equal_parts, _Fresh, _parts, _threads,
                    overlap_add)
 from ..errors import MixeditError
-from ..metrics import pit_snr, snr
+from ..metrics import _snr_error, pit_snr
 from .masking import DEFAULT_EMBED_DIM, DEFAULT_MASK_MAX, EditingMask
 
 _LN10 = math.log(10.0)
@@ -597,13 +597,12 @@ class FilmMaskNet:
 
 
 def _snr_and_grad(est: np.ndarray, ref: np.ndarray):
-    """``metrics.snr`` in dB and d(SNR)/d(est); zero gradient in the
-    clamped regime."""
-    value = snr(est, ref)
+    """``metrics.snr`` in dB and d(SNR)/d(est), from the error energy the
+    SNR was measured with; zero gradient in the clamped regime."""
+    value, err, err_e = _snr_error(est, ref)
     if not value.finite:
         return value.value, np.zeros_like(est)
-    err = ref - est
-    return value.value, 20.0 * err / (_LN10 * float(np.sum(err * err)))
+    return value.value, 20.0 * err / (_LN10 * err_e)
 
 
 @dataclass(frozen=True)

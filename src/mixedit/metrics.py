@@ -49,12 +49,10 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a.ravel(), b.ravel()))
 
 
-def snr(est, ref) -> MetricValue:
-    """10*log10(||ref||^2 / ||ref - est||^2), clamped at +300 dB.
-
-    Each energy is one fused reduction (``_dot``); the error stays a
-    subtraction, so that a near-perfect estimate's error energy carries
-    no cancellation into the clamp test."""
+def _snr_error(est, ref) -> tuple[MetricValue, np.ndarray, float]:
+    """``snr``'s value, the error ``ref - est`` it measured and that
+    error's energy, for a caller that needs the error too (FiLM's loss
+    gradient) and so forms and sums it only once."""
     est, ref = as_samples(est), as_samples(ref)
     if est.shape != ref.shape:
         raise CountMismatch(f"length mismatch: {est.shape} vs {ref.shape}")
@@ -64,8 +62,17 @@ def snr(est, ref) -> MetricValue:
     err = ref - est
     err_e = _dot(err, err)
     if err_e < EPS * ref_e:
-        return MetricValue(CLAMP_DB, finite=False)
-    return MetricValue(10.0 * math.log10(ref_e / err_e))
+        return MetricValue(CLAMP_DB, finite=False), err, err_e
+    return MetricValue(10.0 * math.log10(ref_e / err_e)), err, err_e
+
+
+def snr(est, ref) -> MetricValue:
+    """10*log10(||ref||^2 / ||ref - est||^2), clamped at +300 dB.
+
+    Each energy is one fused reduction (``_dot``); the error stays a
+    subtraction, so that a near-perfect estimate's error energy carries
+    no cancellation into the clamp test."""
+    return _snr_error(est, ref)[0]
 
 
 def snri(mixture, est, ref) -> MetricValue:

@@ -1,6 +1,8 @@
 """Command-line surface: round trips, exit codes, JSON outputs."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
@@ -16,8 +18,9 @@ import pytest
 import mixedit
 from mixedit import cli
 from mixedit.cli import main
-from mixedit.dataset import (RephraseConfig, build_demo_catalog, read_wav,
-                             write_manifest, write_wav)
+from mixedit.dataset import (RephraseConfig, build_demo_catalog, ingest,
+                             load_manifest, read_wav, write_manifest,
+                             write_wav)
 from mixedit.dataset.manifest import ManifestRecord, SourceRef
 from mixedit.dsp import Clip
 from mixedit.editor import (FilmMaskNet, MaskNetConfig, embed_instruction,
@@ -32,6 +35,16 @@ def catalog_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("catalog")
     build_demo_catalog(root, seed=0)
     return root
+
+
+@pytest.fixture(scope="module")
+def demo_tree(catalog_dir, tmp_path_factory):
+    """A ``generate`` tree of three 2,2 records of the demo catalog."""
+    tree = tmp_path_factory.mktemp("demo") / "data"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["generate", "--catalog", str(catalog_dir), "--out",
+                     str(tree), "--count", "3", "--seed", "5"]) == 0
+    return tree
 
 
 @pytest.fixture()
@@ -181,8 +194,8 @@ def _write_tree(tree: Path, pairs, tasks=None):
                      SourceRef("b", "b.wav",
                                {"kind": "audio", "label": "cat"}, 1.5)],
             actions=["keep", "remove"], task=tasks[i] if tasks else "T1",
-            simplified=[], prompt="p", prompt_provenance="template",
-            outputs=outputs))
+            simplified=[{"action": "remove", "kind": "audio", "label": "cat"}],
+            prompt="p", prompt_provenance="template", outputs=outputs))
     write_manifest(records, tree / "manifest.jsonl")
 
 
@@ -426,40 +439,58 @@ def test_generate_rephrase_malformed_reply_falls_back(catalog_dir, tmp_path,
                for r in records)
 
 
-def test_train_toy_cli(tmp_path, capsys):
+def test_train_toy_cli(demo_tree, tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
-        "seed": 0, "channels": 8, "blocks": 2, "embed_dim": 8,
-        "examples": 2, "steps": 10, "lr": 1e-3, "samples": 1600,
+        "channels": 8, "blocks": 2, "embed_dim": 8, "steps": 10, "lr": 1e-3,
     }))
     out_dir = tmp_path / "run"
-    assert main(["train-toy", "--config", str(config),
-                 "--out-dir", str(out_dir)]) == 0
+    assert main(["train-toy", "--config", str(config), "--tree",
+                 str(demo_tree), "--out-dir", str(out_dir), "--seed", "4"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["final_loss"] <= doc["initial_loss"]
+    assert doc["config"]["seed"] == 4
+    assert json.loads((out_dir / "config.json").read_text()) == doc["config"]
     assert (out_dir / "net.mxn").exists()
     curve = (out_dir / "loss_curve.csv").read_text().splitlines()
     assert curve[0] == "step,loss"
     assert len(curve) == 11
+    losses = [float(line.split(",")[1]) for line in curve[1:]]
+    assert losses[-1] < losses[0]
 
 
-def test_train_toy_config_sets_every_net_field(tmp_path, capsys):
+def test_train_toy_examples_embed_what_edit_embeds(catalog_dir, demo_tree):
+    """Each record gives its input, its target and its simplified
+    instruction, embedded as ``edit --editor film --prompt`` embeds the
+    record's prompt."""
+    labels = ingest(catalog_dir).labels
+    records = load_manifest(demo_tree / "manifest.jsonl")
+    examples = cli._tree_examples(demo_tree, embed_dim=8)
+    assert len(examples) == len(records) == 3
+    for record, ex in zip(records, examples):
+        for role, samples in (("input", ex.x), ("target", ex.y)):
+            clip = read_wav(demo_tree / record.outputs[role])
+            assert np.array_equal(samples, clip.samples)
+        assert np.array_equal(ex.z, embed_instruction(
+            parse(record.prompt, labels), dim=8))
+        assert ex.refs is None
+
+
+def test_train_toy_config_sets_every_net_field(demo_tree, tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "channels": 8, "kernel": 8, "blocks": 1, "embed_dim": 4, "hidden": 5,
-        "mask_max": 3.0, "n_masks": 2, "examples": 1, "steps": 1,
-        "samples": 400,
+        "mask_max": 3.0, "n_masks": 2, "steps": 1,
     }))
     out_dir = tmp_path / "run"
-    assert main(["train-toy", "--config", str(config),
-                 "--out-dir", str(out_dir)]) == 0
+    assert main(["train-toy", "--config", str(config), "--tree",
+                 str(demo_tree), "--out-dir", str(out_dir)]) == 0
     capsys.readouterr()
     net = load_net(out_dir / "net.mxn")
     assert (net.config.hidden, net.config.mask_max) == (5, 3.0)
     assert net.params["block0.film.f1.w"].shape == (5, 4)
 
 
-def test_film_editor_cli_prompt_path(tmp_path, capsys):
+def test_film_editor_cli_prompt_path(demo_tree, tmp_path, capsys):
     # Tiny aligned catalog (equal-length clips) so unmodified catalog
     # files can be summed into the mixture directly.
     cat = tmp_path / "cat"
@@ -478,12 +509,11 @@ def test_film_editor_cli_prompt_path(tmp_path, capsys):
 
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
-        "seed": 0, "channels": 8, "blocks": 2, "embed_dim": 16,
-        "examples": 2, "steps": 5, "lr": 1e-3, "samples": 1600,
+        "channels": 8, "blocks": 2, "embed_dim": 16, "steps": 5, "lr": 1e-3,
     }))
     run_dir = tmp_path / "run"
-    assert main(["train-toy", "--config", str(config),
-                 "--out-dir", str(run_dir)]) == 0
+    assert main(["train-toy", "--config", str(config), "--tree",
+                 str(demo_tree), "--out-dir", str(run_dir)]) == 0
     capsys.readouterr()
 
     code = main([
@@ -499,6 +529,25 @@ def test_film_editor_cli_prompt_path(tmp_path, capsys):
     assert doc["editor"] == "film"
     assert "snr_db" in doc  # an untrained toy net is scored, not judged
     assert (tmp_path / "out.wav").exists()
+
+
+def test_film_edits_a_generated_mixture_from_its_prompt(catalog_dir, demo_tree,
+                                                       tmp_path, capsys):
+    """``generate``, then ``train-toy --tree`` on what it wrote, then
+    ``edit --editor film --prompt "$(cat 000000_prompt.txt)"``."""
+    config = tmp_path / "toy.json"
+    config.write_text(json.dumps({"steps": 2}))
+    run = tmp_path / "run"
+    assert main(["train-toy", "--config", str(config), "--tree",
+                 str(demo_tree), "--out-dir", str(run)]) == 0
+    prompt = (demo_tree / "000000_prompt.txt").read_text("utf-8").rstrip("\n")
+    out = tmp_path / "edited.wav"
+    assert main(["edit", "--mixture", str(demo_tree / "000000_input.wav"),
+                 "--catalog", str(catalog_dir), "--prompt", prompt,
+                 "--editor", "film", "--model", str(run / "net.mxn"),
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert len(read_wav(out)) == len(read_wav(demo_tree / "000000_input.wav"))
 
 
 @pytest.fixture()
@@ -574,6 +623,7 @@ def test_eval_rejects_mismatched_sample_rates(tmp_path, capsys):
     assert main(["eval", "--est", str(est), "--tree",
                  str(tmp_path / "tree")]) == 1
     err = capsys.readouterr().err
+    assert err.startswith("error: LengthMismatch: sample rates differ")
     assert "000000.wav" in err and "8000" in err and "16000" in err
 
 
@@ -586,17 +636,17 @@ def test_eval_names_an_estimate_of_another_length(tmp_path, capsys):
     assert main(["eval", "--est", str(est), "--tree",
                  str(tmp_path / "tree")]) == 1
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: MixeditError")
+    assert err.count("\n") == 1 and err.startswith("error: LengthMismatch")
     assert str(est / "000000.wav") in err and "795" in err and "800" in err
 
 
 @pytest.mark.parametrize("bad", [{"kernel": 15}, {"channels": 0},
                                  {"n_masks": -1}, {"mask_max": 1e400}])
-def test_train_toy_bad_net_config_exits_1(tmp_path, capsys, bad):
+def test_train_toy_bad_net_config_exits_1(demo_tree, tmp_path, capsys, bad):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"steps": 1, "samples": 400, **bad}))
-    assert main(["train-toy", "--config", str(config),
-                 "--out-dir", str(tmp_path / "run")]) == 1
+    config.write_text(json.dumps({"steps": 1, **bad}))
+    assert main(["train-toy", "--config", str(config), "--tree",
+                 str(demo_tree), "--out-dir", str(tmp_path / "run")]) == 1
     assert "BadNetConfig" in capsys.readouterr().err
 
 
@@ -607,18 +657,22 @@ def test_train_toy_bad_net_config_exits_1(tmp_path, capsys, bad):
                                   '{"seed": -1}', '{"steps": 0}',
                                   '{"examples": 0}', '{"lr": 1e400}',
                                   '{"lr": NaN}', '{"lr_decay": -1}',
-                                  '{"lr_decay": Infinity}'])
-def test_train_toy_bad_config_file_exits_1(tmp_path, capsys, text):
+                                  '{"lr_decay": Infinity}',
+                                  # keys of the tone generator and of the seed
+                                  '{"examples": 4}', '{"samples": 4000}',
+                                  '{"pit": false}', '{"seed": 0}'])
+def test_train_toy_bad_config_file_exits_1(demo_tree, tmp_path, capsys, text):
     config = tmp_path / "config.json"
     config.write_text(text)
-    assert main(["train-toy", "--config", str(config),
-                 "--out-dir", str(tmp_path / "run")]) == 1
+    assert main(["train-toy", "--config", str(config), "--tree",
+                 str(demo_tree), "--out-dir", str(tmp_path / "run")]) == 1
     assert "error: BadConfigFile" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("bom", [False, True])
 @pytest.mark.parametrize("read,doc", [
-    (lambda path: cli._read_toy_config(path, seed=0),
+    (cli._read_toy_config,
      {"channels": 8, "steps": 3, "lr": 0.01, "hidden": None}),
     (RephraseConfig.from_file,
      {"endpoint": "http://127.0.0.1:9/x", "n": 2, "timeout_s": 1.5}),
@@ -630,19 +684,6 @@ def test_json_config_with_or_without_a_bom(tmp_path, read, doc, bom):
     config.write_text(json.dumps(doc), "utf-8-sig" if bom else "utf-8")
     assert config.read_bytes().startswith(b"\xef\xbb\xbf") == bom
     assert read(config) == read(plain)
-
-
-@pytest.mark.parametrize("n_masks", [3, 4])
-def test_train_toy_pit_with_more_masks_than_toy_tones_exits_1(
-        tmp_path, capsys, n_masks):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"pit": True, "n_masks": n_masks,
-                                  "steps": 1, "samples": 400}))
-    out_dir = tmp_path / "run"
-    assert main(["train-toy", "--config", str(config),
-                 "--out-dir", str(out_dir)]) == 1
-    assert "error: BadConfigFile" in capsys.readouterr().err
-    assert not out_dir.exists()
 
 
 _MAIN = """
@@ -669,17 +710,26 @@ def test_edit_of_a_signalling_nan_prints_one_line(tmp_path):
                           "non-finite samples\n")
 
 
+def _tone_tree(tree: Path, samples: int):
+    """A one-record tree of two tones, the high one removed."""
+    t = np.arange(samples) / RATE
+    low = 0.4 * np.sin(2 * np.pi * 440 * t)
+    high = 0.3 * np.sin(2 * np.pi * 1320 * t)
+    _write_tree(tree, [(Clip(low + high, RATE), Clip(low, RATE))])
+
+
 # 20000 samples split the training pass in two, so on two CPUs the
 # overflow also happens on a pool thread.
 @pytest.mark.parametrize("samples", [400, 20000])
 def test_train_toy_divergence_prints_one_line_and_removes_its_out_dir(
         tmp_path, samples):
+    _tone_tree(tmp_path / "tree", samples)
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"lr": 1e30, "steps": 3,
-                                  "samples": samples}))
+    config.write_text(json.dumps({"lr": 1e30, "steps": 3}))
     src = str(Path(mixedit.__file__).resolve().parents[1])
     run = subprocess.run([sys.executable, "-c", _MAIN, src, "train-toy",
                           "--config", str(config),
+                          "--tree", str(tmp_path / "tree"),
                           "--out-dir", str(tmp_path / "made" / "run")],
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 1
@@ -689,24 +739,45 @@ def test_train_toy_divergence_prints_one_line_and_removes_its_out_dir(
 
 def test_train_toy_divergence_keeps_an_out_dir_it_did_not_make(tmp_path,
                                                               capsys):
+    _tone_tree(tmp_path / "tree", 400)
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"lr": 1e30, "steps": 3, "samples": 400}))
+    config.write_text(json.dumps({"lr": 1e30, "steps": 3}))
     kept = tmp_path / "kept"
     kept.mkdir()
-    assert main(["train-toy", "--config", str(config),
-                 "--out-dir", str(kept / "run")]) == 1
+    assert main(["train-toy", "--config", str(config), "--tree",
+                 str(tmp_path / "tree"), "--out-dir", str(kept / "run")]) == 1
     assert "error: Diverged" in capsys.readouterr().err
     assert kept.is_dir() and not (kept / "run").exists()
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_train_toy_pit_with_two_masks_trains(tmp_path, capsys, seed):
-    """PIT keeps each toy tone as a reference, so no tone weighs 0."""
+@pytest.mark.parametrize("field,value", [
+    ("outputs", None), ("simplified", []), ("simplified", [1])])
+def test_train_toy_bad_tree_exits_1_before_its_out_dir(tmp_path, capsys,
+                                                      field, value):
+    _tone_tree(tmp_path / "tree", 400)
+    manifest = tmp_path / "tree" / "manifest.jsonl"
+    record = json.loads(manifest.read_text())
+    manifest.write_text(json.dumps({**record, field: value}) + "\n")
+    config = tmp_path / "toy.json"
+    config.write_text("{}")
+    assert main(["train-toy", "--config", str(config), "--tree",
+                 str(tmp_path / "tree"),
+                 "--out-dir", str(tmp_path / "made" / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: BadManifestLine")
+    assert not (tmp_path / "made").exists()
+
+
+@pytest.mark.parametrize("n_masks", [2, 3, 4])
+def test_train_toy_trains_several_masks_on_the_mixture_loss(
+        demo_tree, tmp_path, capsys, n_masks):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"pit": True, "n_masks": 2, "steps": 1}))
-    assert main(["train-toy", "--config", str(config), "--out-dir",
-                 str(tmp_path / "run"), "--seed", str(seed)]) == 0
-    assert (tmp_path / "run" / "net.mxn").exists()
+    config.write_text(json.dumps({"channels": 8, "blocks": 1, "embed_dim": 4,
+                                  "n_masks": n_masks, "steps": 1}))
+    assert main(["train-toy", "--config", str(config), "--tree",
+                 str(demo_tree), "--out-dir", str(tmp_path / "run")]) == 0
+    capsys.readouterr()
+    assert load_net(tmp_path / "run" / "net.mxn").config.n_masks == n_masks
 
 
 @pytest.mark.parametrize("text", ['{"endpoint":', '{"endpointz": null}',
@@ -754,6 +825,16 @@ def test_generate_refuses_a_negative_count_or_no_workers(
     assert not out.exists()
 
 
+def test_train_toy_refuses_a_negative_seed(demo_tree, tmp_path, capsys):
+    config = tmp_path / "toy.json"
+    config.write_text("{}")
+    out = tmp_path / "run"
+    assert main(["train-toy", "--config", str(config), "--tree",
+                 str(demo_tree), "--out-dir", str(out), "--seed", "-1"]) == 2
+    assert "argument --seed: must be at least 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generate_of_no_records_exits_0(catalog_dir, tmp_path, capsys):
     out = tmp_path / "data"
     assert main(["generate", "--catalog", str(catalog_dir), "--out",
@@ -790,7 +871,7 @@ def test_unreadable_input_path_exits_1(tone_catalog, capsys, command, error,
     ("edit", "--out"), ("edit", "--dump-mask"), ("edit", "--metrics-out"),
     ("generate", "--out"), ("train-toy", "--out-dir"), ("demo-catalog", "--out"),
 ])
-def test_unwritable_output_exits_1(tone_setup, catalog_dir, capsys,
+def test_unwritable_output_exits_1(tone_setup, catalog_dir, demo_tree, capsys,
                                    monkeypatch, command, option):
     tmp_path, paths, _, _ = tone_setup
     if command == "edit":  # a directory that does not exist
@@ -799,14 +880,15 @@ def test_unwritable_output_exits_1(tone_setup, catalog_dir, capsys,
         path, error = Path(paths["s1"]) / "out", "NotADirectoryError"
     config = tmp_path / "toy.json"
     config.write_text(json.dumps({"channels": 4, "blocks": 1, "embed_dim": 4,
-                                  "examples": 1, "steps": 1, "samples": 400}))
+                                  "steps": 1}))
     argv = {  # the option under test comes last, so it wins over an --out
         "edit": ["edit", "--mixture", paths["mix"], "--sources", paths["s1"],
                  paths["s2"], "--actions", "1,0", "--editor", "psm",
                  "--out", str(tmp_path / "edited.wav")],
         "generate": ["generate", "--catalog", str(catalog_dir),
                      "--count", "1"],
-        "train-toy": ["train-toy", "--config", str(config)],
+        "train-toy": ["train-toy", "--config", str(config), "--tree",
+                      str(demo_tree)],
         "demo-catalog": ["demo-catalog"],
     }[command]
     def no_training(*args, **kwargs):
@@ -958,7 +1040,8 @@ catalog, config, out = sys.argv[2:]
 for argv in (
     ["generate", "--catalog", catalog, "--out", f"{out}/data", "--count", "4",
      "--seed", "7"],
-    ["train-toy", "--config", config, "--out-dir", f"{out}/net", "--seed", "3"],
+    ["train-toy", "--config", config, "--tree", f"{out}/data",
+     "--out-dir", f"{out}/net", "--seed", "3"],
 ):
     code = main(argv)
     if code:
@@ -988,8 +1071,7 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
                  for row in json.loads(meta.read_text()) if row["type"] == kind]
     (catalog / "metadata.json").write_text(json.dumps(rows))
     config = tmp_path / "toy.json"
-    config.write_text(json.dumps({"steps": 2, "channels": 64,
-                                  "samples": 5 * RATE, "examples": 2}))
+    config.write_text(json.dumps({"steps": 2, "channels": 64}))
     out = tmp_path / "out"  # one path for both runs: stdout names it
     runs = {}
     for name, env in (("unset", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):

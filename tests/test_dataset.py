@@ -996,8 +996,9 @@ _GOOD_SOURCE = {"id": "a", "path": "a.wav",
 def _line_with_source(**fields) -> str:
     doc = {"schema": 1, "record_id": 0, "seed": 1, "n_speech": 0,
            "n_audio": 1, "sources": [{**_GOOD_SOURCE, **fields}],
-           "actions": ["up"], "task": "T1", "simplified": [], "prompt": "p",
-           "prompt_provenance": "template"}
+           "actions": ["up"], "task": "T1",
+           "simplified": [{"action": "up", "kind": "audio", "label": "dog"}],
+           "prompt": "p", "prompt_provenance": "template"}
     return json.dumps(doc)
 
 
@@ -1042,6 +1043,19 @@ def test_manifest_record_fields_are_typed(fields):
 def test_manifest_record_fields_of_the_right_type_load(fields):
     record = ManifestRecord.from_json(_line_with(**fields))
     assert {name: getattr(record, name) for name in fields} == fields
+
+
+@pytest.mark.parametrize("simplified", [
+    [], [1], ["up"], [{"action": "up"}], [{"action": "louder", "kind": "audio",
+                                          "label": "dog"}],
+    [{"action": "up", "kind": "audio", "label": 5}],
+    [{"action": "up", "kind": "speech", "attrs": {}}],
+    [{"action": "up", "kind": "speech", "attrs": {"gender": "robot"}}],
+    [{"action": "up", "kind": "group", "scope": "every source"}],
+])
+def test_manifest_simplified_that_does_not_parse_is_typed(simplified):
+    with pytest.raises(BadManifestLine):
+        ManifestRecord.from_json(_line_with(simplified=simplified))
 
 
 def test_manifest_record_needs_a_source():

@@ -1206,6 +1206,15 @@ def test_train_toy_diverges_cleanly():
         train_toy(net, [TrainExample(x, z, y)], steps=5, lr=1e-3)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_train_toy_diverges_by_overflow_without_a_warning():
+    # A short clip runs each pass as one part, on the calling thread.
+    net = FilmMaskNet.init(TOY, seed=0)
+    x, z, y = toy_data(t=400)
+    with pytest.raises(Diverged, match="loss became non-finite at step 1"):
+        train_toy(net, [TrainExample(x, z, y)], steps=3, lr=1e30)
+
+
 def test_train_toy_rejects_an_empty_example_list():
     net = FilmMaskNet.init(MaskNetConfig(channels=8, blocks=1, embed_dim=4))
     with pytest.raises(ShapeMismatch, match="at least one training example"):
