@@ -780,6 +780,32 @@ def test_train_toy_trains_several_masks_on_the_mixture_loss(
     assert load_net(tmp_path / "run" / "net.mxn").config.n_masks == n_masks
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_train_toy_pit_with_two_masks_trains(tmp_path, seed):
+    """A tree holds no per-source targets, so PIT runs only through the
+    library: ``train_toy`` at train-toy's toy sizes, two masks, each
+    example keeping its two weighted tones as references, none silent."""
+    sizes = {key: value for key, value in cli._TOY_DEFAULTS.items()
+             if key in MaskNetConfig.__dataclass_fields__}
+    config = MaskNetConfig(**sizes, n_masks=2)
+    rng = np.random.default_rng(seed)
+    t = np.arange(4000) / RATE
+    examples = []
+    for _ in range(2):
+        s1 = 0.4 * np.sin(2 * np.pi * 440 * t + rng.uniform(0, 2 * np.pi))
+        s2 = 0.3 * np.sin(2 * np.pi * 1320 * t + rng.uniform(0, 2 * np.pi))
+        a1, a2 = rng.choice([0.5, 1.0, 2.0], size=2)
+        z = embed_instruction(parse("remove dog", ["dog"]),
+                              dim=config.embed_dim)
+        examples.append(cli.TrainExample(s1 + s2, z, a1 * s1 + a2 * s2,
+                                         refs=(a1 * s1, a2 * s2)))
+    result = cli.train_toy(FilmMaskNet.init(config, seed=seed), examples,
+                           steps=1, lr=cli._TOY_DEFAULTS["lr"])
+    assert len(result.losses) == 1 and np.isfinite(result.losses[0])
+    save_net(tmp_path / "net.mxn", result.net)
+    assert load_net(tmp_path / "net.mxn").config.n_masks == 2
+
+
 @pytest.mark.parametrize("text", ['{"endpoint":', '{"endpointz": null}',
                                   "[1, 2]", '{"endpoint": "not a url"}',
                                   '{"endpoint": "ftp://127.0.0.1/x"}',
