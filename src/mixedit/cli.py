@@ -449,15 +449,19 @@ def cmd_train_toy(args) -> int:
         fh.write("step,loss\n")
         for i, loss in enumerate(result.losses):
             fh.write(f"{i},{loss:.6f}\n")
-    echo = {**config, "seed": args.seed}
+    # The config as read, so that the run's copy can be passed back as
+    # --config; the seed is an option, not a config key, so it has its own
+    # file.
     (out_dir / "config.json").write_text(
-        json.dumps(echo, indent=2, sort_keys=True) + "\n")
+        json.dumps(config, indent=2, sort_keys=True) + "\n")
+    (out_dir / "seed.json").write_text(json.dumps({"seed": args.seed}) + "\n")
     print(json.dumps({
         "checkpoint": str(out_dir / "net.mxn"),
         "loss_curve": str(curve),
         "initial_loss": result.losses[0],
         "final_loss": result.losses[-1],
-        "config": echo,
+        "config": config,
+        "seed": args.seed,
     }, indent=2, sort_keys=True))
     return 0
 

@@ -307,16 +307,26 @@ def write_manifest(records, path):
 
 
 def load_manifest(path) -> list[ManifestRecord]:
+    """The records of a JSONL manifest, in line order. A line that does
+    not parse, or a record_id an earlier line holds, raises
+    BadManifestLine naming the line: every consumer keys records by id."""
     records = []
     try:
         # utf-8-sig skips a leading byte-order mark.
         lines = Path(path).read_text("utf-8-sig").splitlines()
     except (OSError, UnicodeDecodeError) as err:  # unreadable, not UTF-8
         raise BadManifestLine(f"{path}: {err}") from err
+    seen = {}  # record_id -> its line number
     for line_no, line in enumerate(lines, start=1):
         if line.strip():
             try:
-                records.append(ManifestRecord.from_json(line))
+                record = ManifestRecord.from_json(line)
             except BadManifestLine as err:
                 raise BadManifestLine(f"{path} line {line_no}: {err}") from err
+            first = seen.setdefault(record.record_id, line_no)
+            if first != line_no:
+                raise BadManifestLine(
+                    f"{path} line {line_no}: record_id {record.record_id} "
+                    f"repeats line {first}")
+            records.append(record)
     return records

@@ -283,22 +283,17 @@ def _shared_pool(threads: int) -> ThreadPoolExecutor:
         return _pool[1]
 
 
-def _serial(*tasks) -> None:
-    for task in tasks:
-        task()
-
-
-def _threads(width: int):
-    """``run(*tasks)``, which calls every task and returns once all are
-    done, re-raising a task's error; ``_each`` hands it the parts that
-    ``_parts`` or ``_equal_parts`` cut. With ``width`` or
+def _threads(*tasks, serial: bool = False) -> None:
+    """Calls every task and returns once all are done, re-raising a
+    task's error; ``_each`` hands it the parts that ``_parts`` or
+    ``_equal_parts`` cut. With ``serial``, one task, or
     ``available_cpus()`` at 1 the tasks run in order on the calling
-    thread. Otherwise the calling thread runs the first task while the
-    process's pool takes the rest; the caller then runs itself, last
-    first, every task no pool thread has started. So a host that does not
-    run the threads at once costs little more than the serial run. Each
-    task runs in a copy of the caller's context, so ``np.errstate``
-    reaches it.
+    thread. Otherwise the calling thread runs the first task
+    while the process's pool takes the rest; the caller then runs itself,
+    last first, every task no pool thread has started. So a host that
+    does not run the threads at once costs little more than the serial
+    run. Each task runs in a copy of the caller's context, so
+    ``np.errstate`` reaches it.
 
     The pool is made on first use with ``available_cpus() - 1`` threads
     and lives as long as the process; a forked child starts without one.
@@ -312,31 +307,29 @@ def _threads(width: int):
     tracer wraps, ``Clip`` and ``EditingMask`` included, since the
     tracer's span stack assumes one thread. The benchmark runs synthesis,
     which does call traced names, at one worker, on the calling thread."""
-    if width == 1 or (cpus := available_cpus()) == 1:
-        return _serial
+    if serial or len(tasks) == 1 or (cpus := available_cpus()) == 1:
+        for task in tasks:
+            task()
+        return
     pool = _shared_pool(cpus - 1)
-
-    def run(*tasks):
-        queued = [(pool.submit(copy_context().run, task), task)
-                  for task in tasks[1:]]
-        try:
-            tasks[0]()
-            for future, task in reversed(queued):
-                if future.cancel():  # no pool thread has started it
-                    task()
-        finally:  # a started task ends before run does, even on an error
-            wait([future for future, _ in queued if not future.cancel()])
-        for future, _ in queued:
-            if not future.cancelled():
-                future.result()
-
-    return run
+    queued = [(pool.submit(copy_context().run, task), task)
+              for task in tasks[1:]]
+    try:
+        tasks[0]()
+        for future, task in reversed(queued):
+            if future.cancel():  # no pool thread has started it
+                task()
+    finally:  # a started task ends before _threads does, even on an error
+        wait([future for future, _ in queued if not future.cancel()])
+    for future, _ in queued:
+        if not future.cancelled():
+            future.result()
 
 
-def _equal_parts(n: int, count: int) -> list[tuple[int, int]]:
+def _equal_parts(n: int, count: int, grid: int = 1) -> list[tuple[int, int]]:
     """The ``count`` contiguous parts ``[first, end)`` of ``range(n)``,
-    their sizes differing by at most one."""
-    bounds = [n * i // count for i in range(count + 1)]
+    cut at ``n * i // count`` rounded down to a multiple of ``grid``."""
+    bounds = [n * i // count // grid * grid for i in range(count)] + [n]
     return list(zip(bounds, bounds[1:]))
 
 
@@ -345,21 +338,27 @@ def _parts(n: int, least: int, grid: int,
     """The parts ``[first, end)`` that ``n`` frames split into for the
     pool: one below ``least`` frames, else an even count, so that two
     threads stay busy to the end: two, or ``2 * ceil(n / widest)``. The
-    cuts are ``_equal_parts``'s, each rounded down to a multiple of
-    ``grid`` frames. The layout depends on ``n`` alone, and a one-thread
-    run uses it too, so the thread count changes no bit."""
+    cuts are ``_equal_parts``'s on a ``grid``-frame grid. The layout
+    depends on ``n`` alone, and a one-thread run uses it too, so the
+    thread count changes no bit."""
     if n < least:
         return [(0, n)]
-    count = 2 if widest is None else 2 * math.ceil(n / widest)
-    bounds = [n * i // count // grid * grid for i in range(count)] + [n]
-    return list(zip(bounds, bounds[1:]))
+    return _equal_parts(n, 2 if widest is None
+                        else 2 * math.ceil(n / widest), grid)
 
 
 def _each(parts, step) -> None:
     """``step(first, end)`` for each part ``[first, end)`` of ``parts``,
-    all of them handed to ``_threads(len(parts))`` together."""
-    _threads(len(parts))(*(partial(step, first, end)
-                           for first, end in parts))
+    all of them handed to ``_threads`` together."""
+    _threads(*(partial(step, first, end) for first, end in parts))
+
+
+def _by_columns(parts, step, *arrays) -> None:
+    """``step(*views)`` for each part ``[first, end)`` of ``parts``, the
+    views being that part's columns of ``arrays``, the parts on threads
+    together (``_each``): a product keeps each output element's sum, and
+    each part of a frame-major array is one run of memory."""
+    _each(parts, lambda first, end: step(*(a[:, first:end] for a in arrays)))
 
 
 # Periodic Hann; shifted squared copies sum to a constant for hop <= window/2.

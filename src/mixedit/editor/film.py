@@ -22,8 +22,8 @@ from functools import partial
 
 import numpy as np
 
-from ..dsp import (Clip, _each, _equal_parts, _Fresh, _parts, _threads,
-                   overlap_add)
+from ..dsp import (Clip, _by_columns, _each, _equal_parts, _Fresh, _parts,
+                   _threads, overlap_add)
 from ..errors import MixeditError
 from ..metrics import _snr_error, pit_snr
 from .masking import DEFAULT_EMBED_DIM, DEFAULT_MASK_MAX, EditingMask
@@ -57,14 +57,16 @@ class MaskNetConfig:
         sizes = ["channels", "kernel", "blocks", "embed_dim", "n_masks"]
         if self.hidden is not None:
             sizes.append("hidden")
-        for name in sizes:
+        for name in sizes:  # bool is an int, but no size
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value <= 0:
+            if (isinstance(value, bool)
+                    or not isinstance(value, (int, np.integer)) or value <= 0):
                 raise BadNetConfig(f"{name} must be a positive integer, "
                                    f"got {value!r}")
         if self.kernel % 2 != 0:
             raise BadNetConfig("kernel must be even so the stride is kernel/2")
-        if not (self.mask_max > 0 and math.isfinite(self.mask_max)):
+        if (isinstance(self.mask_max, (bool, np.bool_))
+                or not (self.mask_max > 0 and math.isfinite(self.mask_max))):
             raise BadNetConfig(
                 f"mask_max must be positive and finite, got {self.mask_max!r}")
 
@@ -100,14 +102,6 @@ def latent_frames(n_samples: int, kernel: int) -> int:
 # product's columns bit for bit for the default shapes in both dtypes.
 _EDIT_PARTS = (1024, 1, 8192)
 _TRAIN_PARTS = (1024, 64)
-
-
-def _by_columns(parts, step, *arrays) -> None:
-    """``step(*views)`` for each part ``[first, end)`` of ``parts``, the
-    views being that part's columns of ``arrays``, the parts on threads
-    together (``dsp._each``). A product splits this way, so that each
-    output element keeps its sum."""
-    _each(parts, lambda first, end: step(*(a[:, first:end] for a in arrays)))
 
 
 def _by_rows(parts, step, *arrays) -> None:
@@ -302,7 +296,7 @@ class FilmMaskNet:
         With the cache (training), the work runs on the pool in two parts
         once ``_TRAIN_PARTS`` splits the clip: the encoder, each conv with
         its bias and ReLU, and the head on the column halves
-        (``_by_columns``), and each modulation and the decoder's masked
+        (``dsp._by_columns``), and each modulation and the decoder's masked
         product on halves of the rows (``_by_rows``). Every part writes
         its share of arrays allocated here, so the pass allocates what a
         serial one does. The decoder's product
@@ -451,8 +445,8 @@ class FilmMaskNet:
         The gate runs on as many blocks of rows as ``_TRAIN_PARTS`` cuts
         the frames into. The bias and weight gradients, each a sum over
         every frame, then run whole as one task, and the three
-        input-gradient products as another, on two threads once the
-        frames split."""
+        input-gradient products as another, through ``dsp._threads``,
+        serially for a one-part clip, on the calling thread."""
         w = p[f"block{i}.conv.w"]
         d, n = 2 ** i, h_out.shape[1]
         margin = (padded.shape[1] - n) // 2
@@ -480,7 +474,7 @@ class FilmMaskNet:
                 acc += np.matmul(w[:, :, j].T,
                                  grad_padded[:, start:start + n], out=prod)
 
-        _threads(len(parts))(weight_grads, input_grads)
+        _threads(weight_grads, input_grads, serial=len(parts) == 1)
         grads[f"block{i}.conv.b"] += grad_b
         for j in range(3):
             grads[f"block{i}.conv.w"][:, :, j] += grad_w[j]
@@ -506,9 +500,9 @@ class FilmMaskNet:
         ``_TRAIN_PARTS`` splits the clip: the element-wise steps on two
         halves of the rows (``_by_rows``), and the weight gradients of the
         decoder, the head and each block, which sum over every frame,
-        whole on one thread beside the input gradients on the other. Tasks
-        write only into arrays allocated here, and every element is
-        computed as on one thread.
+        whole beside the input gradients, through ``dsp._threads`` (for a
+        one-part clip serially, on the calling thread). Tasks write only into
+        arrays allocated here; every element is computed as on one thread.
         """
         cfg = self.config
         k, s, c = cfg.kernel, cfg.stride, cfg.channels
@@ -543,9 +537,9 @@ class FilmMaskNet:
                 np.multiply(masks[m], h_x, out=grad_masks[m])
                 np.matmul(grad_masks[m], grad_contrib.T, out=grad_dec_w)
 
-            _threads(len(parts))(
-                decoder_weight,
-                partial(np.matmul, p["dec.w"], grad_contrib, out=prod))
+            _threads(decoder_weight,
+                     partial(np.matmul, p["dec.w"], grad_contrib, out=prod),
+                     serial=len(parts) == 1)
             grads["dec.w"] += grad_dec_w
             by_rows(self._decoder_adjoint, prod, h_x, masks[m],
                     grad_masks[m], grad_hx)
@@ -561,9 +555,9 @@ class FilmMaskNet:
             np.sum(grad_mpre, axis=1, out=grad_head_b)
 
         grad_h = np.empty_like(h_x)
-        _threads(len(parts))(
-            head_weight,
-            partial(np.matmul, p["head.w"].T, grad_mpre, out=grad_h))
+        _threads(head_weight,
+                 partial(np.matmul, p["head.w"].T, grad_mpre, out=grad_h),
+                 serial=len(parts) == 1)
         grads["head.w"] += grad_head_w
         grads["head.b"] += grad_head_b
         del grad_masks, grad_mpre

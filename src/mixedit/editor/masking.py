@@ -21,8 +21,8 @@ from ..core import (
     SimplifiedInstruction,
     SpeechDescriptor,
 )
-from ..dsp import (Clip, _each, _Fresh, _parts, _STFT_PARTS, _take, istft,
-                   mel_project, stft)
+from ..dsp import (Clip, _by_columns, _Fresh, _parts, _STFT_PARTS, _take,
+                   istft, mel_project, stft)
 from ..errors import MixeditError
 from ..mixer import target_mixture
 
@@ -98,18 +98,17 @@ def ideal_mask(mixture: Clip, target: Clip,
 
     IRM: |Y| / max(|X|, eps). PSM: Re(Y * conj(X)) / max(|X|^2, eps),
     which accounts for phase. Both are clamped to [0, DEFAULT_MASK_MAX].
-    The mask is frame-major like the spectra, and its element-wise steps
-    run on the STFT path's parts of the frames (``dsp._STFT_PARTS``), each
-    a contiguous run of memory.
+    The mask is laid out like the spectra, and its element-wise steps run
+    on the STFT path's parts of the frames (``dsp._STFT_PARTS``) through
+    ``dsp._by_columns``.
     """
     if len(mixture) != len(target) or mixture.rate != target.rate:
         raise DimMismatch("mixture and target must be aligned")
     x = _spectrum(mixture)
     y = _spectrum(target)
-    values = np.empty(x.shape, order="F")
+    values = np.empty_like(x, dtype=np.float64)
 
-    def build(first, end):
-        xs, ys, raw = x[:, first:end], y[:, first:end], values[:, first:end]
+    def build(xs, ys, raw):
         np.abs(xs, out=raw)
         if kind is MaskKind.IRM:
             np.maximum(raw, MASK_EPS, out=raw)
@@ -122,28 +121,24 @@ def ideal_mask(mixture: Clip, target: Clip,
             np.divide(cross.real, raw, out=raw)
         np.clip(raw, 0.0, DEFAULT_MASK_MAX, out=raw)
 
-    _each(_parts(x.shape[1], *_STFT_PARTS), build)
+    _by_columns(_parts(x.shape[1], *_STFT_PARTS), build, x, y, values)
     return EditingMask(_Fresh(values))
 
 
 def mask_edit(mixture: Clip, mask: EditingMask) -> Clip:
     """Apply an editing mask to the mixture spectrogram and resynthesize.
     The masked product runs on the STFT path's parts of the frames
-    (``dsp._STFT_PARTS``) into one frame-major array, which ``istft``
-    reads."""
+    (``dsp._STFT_PARTS``) through ``dsp._by_columns``, into one array laid
+    out like the spectrum, which ``istft`` reads."""
     frames = _spectrum(mixture)
     if mask.values.shape != frames.shape:
         raise DimMismatch(
             f"mask shape {mask.values.shape} does not match "
             f"spectrogram {frames.shape}"
         )
-    masked = np.empty(frames.shape, dtype=np.complex128, order="F")
-
-    def apply(first, end):
-        np.multiply(mask.values[:, first:end], frames[:, first:end],
-                    out=masked[:, first:end])
-
-    _each(_parts(frames.shape[1], *_STFT_PARTS), apply)
+    masked = np.empty_like(frames)
+    _by_columns(_parts(frames.shape[1], *_STFT_PARTS), np.multiply,
+                mask.values, frames, masked)
     return Clip(_Fresh(istft(masked, len(mixture))), mixture.rate)
 
 

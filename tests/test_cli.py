@@ -26,6 +26,7 @@ from mixedit.dsp import Clip
 from mixedit.editor import (FilmMaskNet, MaskNetConfig, embed_instruction,
                             load_net, save_net)
 from mixedit.prompt import parse
+from mixedit.taskspace import Composition, defined_tasks, enumerate_edits
 
 RATE = 16000
 
@@ -85,6 +86,24 @@ def test_tasks_json(capsys):
     assert doc["total"] == 254
     assert doc["counts"]["MVC"] == 64
     assert doc["counts"]["MEVC"] == 160
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_tasks_enumerate_lists_every_edit(capsys, as_json):
+    comp = Composition(1, 1)
+    edits = {task: ["".join(a.symbol for a in vec)
+                    for vec in enumerate_edits(task, comp)]
+             for task in defined_tasks(comp)}
+    assert main(["tasks", "--composition", "1,1", "--enumerate"]
+                + ["--json"] * as_json) == 0
+    out = capsys.readouterr().out
+    if as_json:
+        doc = json.loads(out)
+        assert doc["edits"] == {t.value: v for t, v in edits.items()}
+        assert sum(map(len, doc["edits"].values())) == doc["total"] == 14
+    else:
+        for task, vecs in edits.items():
+            assert f"{task.symbol}: {' '.join(vecs)}" in out.splitlines()
 
 
 def test_tasks_degenerate_composition(capsys):
@@ -174,6 +193,49 @@ def test_edit_bad_prompt_exit_code(tone_setup, catalog_dir, capsys):
     err = capsys.readouterr().err
     assert "prompt error" in err
     assert "frobnicate" in err
+
+
+@pytest.mark.parametrize("options, message", [
+    (["--prompt", "Please remove the high tone sound."],
+     "--prompt needs --catalog"),
+    (["--actions", "1,0", "--editor", "film"], "--editor film needs --model"),
+])
+def test_edit_without_a_needed_option_exits_2(tone_setup, capsys, options,
+                                              message):
+    tmp_path, paths, _, _ = tone_setup
+    out = tmp_path / "out.wav"
+    assert main(["edit", "--mixture", paths["mix"], "--sources", paths["s1"],
+                 paths["s2"], *options, "--out", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_edit_source_missing_from_the_catalog_exits_1(tone_catalog, capsys):
+    tmp_path, paths, s1, _ = tone_catalog
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    write_wav(elsewhere / "s1.wav", s1)
+    out = tmp_path / "out.wav"
+    assert main(["edit", "--mixture", paths["mix"], "--sources",
+                 str(elsewhere / "s1.wav"), paths["s2"], "--catalog",
+                 str(tmp_path), "--prompt", "Please remove the high tone sound.",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: MixeditError: source ")
+    assert "not found in the catalog" in err
+    assert not out.exists()
+
+
+def test_edit_oracle_has_no_mask_to_dump(tone_setup, capsys):
+    tmp_path, paths, _, _ = tone_setup
+    assert main(["edit", "--mixture", paths["mix"], "--sources", paths["s1"],
+                 paths["s2"], "--actions", "1,0", "--out",
+                 str(tmp_path / "out.wav"), "--dump-mask",
+                 str(tmp_path / "mask")]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "note: the oracle editor has no mask to dump\n"
+    assert "mask" not in json.loads(captured.out)
+    assert not list(tmp_path.glob("mask.*"))
 
 
 def _write_tree(tree: Path, pairs, tasks=None):
@@ -448,14 +510,35 @@ def test_train_toy_cli(demo_tree, tmp_path, capsys):
     assert main(["train-toy", "--config", str(config), "--tree",
                  str(demo_tree), "--out-dir", str(out_dir), "--seed", "4"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["config"]["seed"] == 4
+    assert doc["seed"] == 4
+    assert doc["config"] == json.loads(config.read_text())
     assert json.loads((out_dir / "config.json").read_text()) == doc["config"]
+    assert json.loads((out_dir / "seed.json").read_text()) == {"seed": 4}
     assert (out_dir / "net.mxn").exists()
     curve = (out_dir / "loss_curve.csv").read_text().splitlines()
     assert curve[0] == "step,loss"
     assert len(curve) == 11
     losses = [float(line.split(",")[1]) for line in curve[1:]]
     assert losses[-1] < losses[0]
+
+
+def test_train_toy_reruns_from_its_own_config_json(demo_tree, tmp_path,
+                                                   capsys):
+    config = tmp_path / "toy.json"
+    config.write_text(json.dumps({
+        "channels": 8, "blocks": 1, "embed_dim": 8, "hidden": None,
+        "steps": 2, "lr": 1e-3,
+    }))
+    first, again = tmp_path / "run", tmp_path / "again"
+    assert main(["train-toy", "--config", str(config), "--tree",
+                 str(demo_tree), "--out-dir", str(first), "--seed", "3"]) == 0
+    seed = json.loads((first / "seed.json").read_text())["seed"]
+    assert main(["train-toy", "--config", str(first / "config.json"),
+                 "--tree", str(demo_tree), "--out-dir", str(again),
+                 "--seed", str(seed)]) == 0
+    capsys.readouterr()
+    for name in ("net.mxn", "config.json", "seed.json", "loss_curve.csv"):
+        assert (again / name).read_bytes() == (first / name).read_bytes()
 
 
 def test_train_toy_examples_embed_what_edit_embeds(catalog_dir, demo_tree):

@@ -1,6 +1,7 @@
 """Catalog ingestion, splits, manifests, synthesis, and the rephrase client."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import multiprocessing
@@ -22,8 +23,10 @@ from mixedit.dataset import (
     BadManifestLine,
     BadMetadataRow,
     BadWavFile,
+    Catalog,
     Disabled,
     EmptyCatalog,
+    ExhaustedRetries,
     MalformedResponse,
     MissingFile,
     NetworkError,
@@ -547,7 +550,7 @@ def test_synthesize_forks_after_the_pool_exists(demo, tmp_path, monkeypatch):
     # are the one-thread tree.
     monkeypatch.setattr(dsp, "available_cpus", lambda: 2)
     monkeypatch.setattr(synth, "available_cpus", lambda: 2)
-    dsp._threads(2)(lambda: None, lambda: None)
+    dsp._threads(lambda: None, lambda: None)
     assert _has_pool()
     if "fork" in multiprocessing.get_all_start_methods():
         with multiprocessing.get_context("fork").Pool(1) as child:
@@ -1081,3 +1084,40 @@ def test_load_manifest_names_the_bad_line(demo, tmp_path):
                                records[1].to_json(), '{"schema": 1}']) + "\n")
     with pytest.raises(BadManifestLine, match="line 4"):
         load_manifest(path)
+
+
+def test_load_manifest_refuses_a_repeated_record_id(demo, tmp_path):
+    splits = partition(demo, ratios=(12, 2, 2), seed=0)
+    records = generate_manifest(demo, splits, count=2,
+                                comp=Composition(2, 2), seed=0)
+    path = tmp_path / "manifest.jsonl"
+    path.write_text("\n".join([records[0].to_json(), records[1].to_json(),
+                               "", records[0].to_json()]) + "\n")
+    with pytest.raises(BadManifestLine,
+                       match="line 4: record_id 0 repeats line 1"):
+        load_manifest(path)
+
+
+def test_generate_manifest_needs_enough_sources_in_the_split(demo):
+    splits = partition(demo, seed=0)
+    held = sum(not e.is_speech for e in splits.entries(demo, "train"))
+    with pytest.raises(ExhaustedRetries,
+                       match=f"need {held + 1} sources but the split holds "
+                             f"{held}"):
+        generate_manifest(demo, splits, count=1,
+                          comp=Composition(0, held + 1), seed=0)
+
+
+@pytest.mark.parametrize("speech, comp", [(True, Composition(2, 0)),
+                                          (False, Composition(0, 2))])
+def test_generate_manifest_gives_up_on_a_distinct_draw(demo, speech, comp):
+    # Every source of the group carries the first one's signature, so no
+    # draw of two differs in style or label.
+    group = [e for e in demo.entries if e.is_speech == speech]
+    same = Catalog(tuple(dataclasses.replace(e, signature=group[0].signature)
+                         for e in group))
+    kind = "style" if speech else "label"
+    with pytest.raises(ExhaustedRetries,
+                       match=f"distinct-{kind} sources in 200 tries"):
+        generate_manifest(same, partition(same, seed=0), count=1, comp=comp,
+                          seed=0)

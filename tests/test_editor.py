@@ -1,6 +1,7 @@
 """Reference editors: oracle, ideal masks, embedding, FiLM mask network."""
 
 import gc
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -24,6 +25,8 @@ from mixedit.core import (
     Action,
     AudioDescriptor,
     AudioSignature,
+    GroupDescriptor,
+    GroupScope,
     SimplifiedInstruction,
     SpeechDescriptor,
     SpeechSignature,
@@ -345,6 +348,31 @@ def test_embed_order_insensitive():
     a = embed_instruction(SimplifiedInstruction((e1, e2)))
     b = embed_instruction(SimplifiedInstruction((e2, e1)))
     assert np.allclose(a, b)
+
+
+@pytest.mark.parametrize("desc, tokens", [
+    (GroupDescriptor(GroupScope.ALL_SPEECH), ["scope=all_speech"]),
+    (GroupDescriptor(GroupScope.EVERYTHING), ["scope=everything"]),
+    (SpeechDescriptor((("gender", "female"), ("pitch", "high"))),
+     ["gender=female", "pitch=high", "gender=female+pitch=high"]),
+    (SpeechDescriptor((("tempo", "low"), ("volume", "high"),
+                       ("emotion", "sad"))),
+     ["tempo=low", "volume=high", "emotion=sad",
+      "tempo=low+volume=high+emotion=sad"]),
+])
+def test_embed_group_and_several_attribute_edits(desc, tokens):
+    # A speech edit of several attributes adds one whole-edit token; each
+    # token lights four signed blake2b buckets.
+    assert masking._edit_tokens(U, desc) == tokens
+    expected = np.zeros(64)
+    for token in tokens:
+        for r in range(4):
+            digest = hashlib.blake2b(f"{r}|{U.value}|{token}".encode(),
+                                     digest_size=9).digest()
+            expected[int.from_bytes(digest[:8], "little") % 64] += (
+                1.0 if digest[8] & 1 else -1.0)
+    z = embed_instruction(SimplifiedInstruction(((U, desc),)), dim=64)
+    assert np.array_equal(z, expected / np.linalg.norm(expected))
 
 
 def test_embed_distinct_over_all_edits():
@@ -724,13 +752,12 @@ def test_threads_run_every_task_once_and_raise_its_error(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        run = dsp._threads(8)
         for _ in range(200):
             done = []
-            run(*(partial(done.append, i) for i in range(9)))
+            dsp._threads(*(partial(done.append, i) for i in range(9)))
             assert sorted(done) == list(range(9))
         with pytest.raises(ZeroDivisionError):
-            run(lambda: None, lambda: 1 / 0, lambda: None)
+            dsp._threads(lambda: None, lambda: 1 / 0, lambda: None)
     finally:
         sys.setswitchinterval(interval)
 
@@ -746,11 +773,10 @@ def test_threads_pin_the_pool_thread_and_leave_the_caller(monkeypatch):
     def report():
         seen.append((threading.get_ident(), os.sched_getaffinity(0)))
 
-    run = dsp._threads(2)
     for _ in range(20):
         # The caller sleeps through its task, so the pool thread starts
         # the report before the caller could take it back.
-        run(partial(time.sleep, 0.002), report)
+        dsp._threads(partial(time.sleep, 0.002), report)
     assert os.sched_getaffinity(0) == allowed
     pooled = [cpus for ident, cpus in seen if ident != threading.get_ident()]
     assert pooled
@@ -1476,6 +1502,8 @@ def test_training_loss_rejects_zero_target_typed():
     {"kernel": 15}, {"kernel": 0}, {"channels": 0}, {"blocks": -1},
     {"embed_dim": 0}, {"n_masks": 0}, {"hidden": 0}, {"channels": 8.0},
     {"mask_max": 0.0}, {"mask_max": float("nan")}, {"mask_max": math.inf},
+    {"channels": True}, {"blocks": True}, {"n_masks": True}, {"hidden": True},
+    {"mask_max": True}, {"mask_max": np.True_},
 ])
 def test_mask_net_config_rejects_bad_values_typed(bad):
     with pytest.raises(BadNetConfig) as info:
@@ -1486,7 +1514,10 @@ def test_mask_net_config_rejects_bad_values_typed(bad):
 
 @pytest.mark.parametrize("edit", ["truncate", "unknown key", "bad json",
                                   "renamed tensor", "bad shape",
-                                  "infinite mask_max"])
+                                  "infinite mask_max", "bool channels",
+                                  "bool blocks", "bool n_masks",
+                                  "bool mask_max", "version 2",
+                                  "trailing bytes"])
 def test_load_net_malformed_raises_bad_container(tmp_path, edit):
     from mixedit.editor.serialize import BadContainer
     path = tmp_path / "net.mxn"
@@ -1510,6 +1541,21 @@ def test_load_net_malformed_raises_bad_container(tmp_path, edit):
         save_net(path, net)
         data = path.read_bytes()
         assert b'"mask_max": Infinity' in data
+    elif edit.startswith("bool "):
+        # A net whose field is 1, saved with that field true: its tensors
+        # fit the config, so only the bool check can refuse it.
+        save_net(path, FilmMaskNet.init(MaskNetConfig(
+            channels=1, blocks=1, embed_dim=4, mask_max=1.0), seed=0))
+        data = path.read_bytes()
+        (config_len,) = struct.unpack_from("<I", data, 8)
+        config = json.loads(data[12:12 + config_len])
+        blob = json.dumps({**config, edit[5:]: True}).encode("utf-8")
+        data = (data[:8] + struct.pack("<I", len(blob)) + blob
+                + data[12 + config_len:])
+    elif edit == "version 2":
+        data = data[:4] + struct.pack("<I", 2) + data[8:]
+    elif edit == "trailing bytes":
+        data += b"\0"
     else:
         data = data.replace(b'"blocks"', b'"blocks\x01')
     path.write_bytes(data)

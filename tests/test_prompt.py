@@ -1,5 +1,7 @@
 """Simplification, template rendering, generic prompts, and the parser."""
 
+import itertools
+
 import pytest
 
 from mixedit.core import (
@@ -394,6 +396,39 @@ def test_parse_unknown_descriptor():
         parse("Please remove the purple speaker.", LABELS)
 
 
+@pytest.mark.parametrize("traits", [("pitch", "tempo"), ("pitch", "volume"),
+                                    ("tempo", "volume"),
+                                    ("pitch", "tempo", "volume")])
+def test_parse_round_trip_of_a_speaker_with_two_or_three_traits(traits):
+    # The traits render as "a and b" or "a, b, and c" after "characterized
+    # by"; each is read back with or without a head word.
+    joined = " and " if len(traits) == 2 else ", and "
+    for levels in itertools.product(("low", "normal", "high"),
+                                    repeat=len(traits)):
+        for head in ((), (("gender", "female"),)):
+            desc = SpeechDescriptor(head + tuple(zip(traits, levels)))
+            simp = SimplifiedInstruction(
+                ((U, desc), (R, AudioDescriptor("playing cello"))))
+            for template in TemplateId:
+                text = render(simp, template, seed=len(levels)).text
+                assert joined in text.split("characterized by")[1], text
+                assert parse(text, LABELS).as_set() == simp.as_set(), text
+
+
+@pytest.mark.parametrize("text, message", [
+    ("Please remove the speaker characterized by purple pitch.",
+     "unreadable trait"),
+    ("Please remove the speaker characterized by high.", "unreadable trait"),
+    ("Please remove the speaker.", "no attributes"),
+    ("Please remove the female male speaker.", "given twice"),
+    ("Please remove the speaker characterized by low pitch and high pitch.",
+     "given twice"),
+])
+def test_parse_unreadable_speaker_descriptions(text, message):
+    with pytest.raises(UnknownDescriptor, match=message):
+        parse(text, LABELS)
+
+
 def test_parse_conflicting_edits():
     with pytest.raises(ConflictingEdits):
         parse("Please remove the dog barking sound, and extract the dog "
@@ -442,6 +477,14 @@ def test_expand_round_trip_all_edits():
             instruction = validate_instruction(list(zip(vec, SIGS)))
             simp = simplify(instruction, seed=8)
             assert expand(simp, SIGS) == vec
+
+
+def test_expand_ambiguous_descriptor():
+    # Both speakers of SIGS have normal pitch.
+    simp = SimplifiedInstruction(
+        ((R, SpeechDescriptor((("pitch", "normal"),))),))
+    with pytest.raises(UnknownDescriptor, match="ambiguous"):
+        expand(simp, SIGS)
 
 
 def test_expand_unmatched_descriptor():
