@@ -13,9 +13,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import shutil
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +37,7 @@ from .editor import (
     save_net,
     train_toy,
 )
+from .editor.film import _CONFIG_HINTS
 from .errors import MixeditError, read_json_config
 from .metrics import snr, snri
 from .mixer import LengthMismatch, mix, target_mixture
@@ -385,21 +386,25 @@ _TOY_DEFAULTS = {
 }
 
 
+# A toy config's keys and their annotations: MaskNetConfig's fields, then
+# train_toy's run settings.
+_TOY_HINTS = _CONFIG_HINTS | {
+    key: hint for key, hint in typing.get_type_hints(train_toy).items()
+    if key in _TOY_DEFAULTS}
+
+
 def _read_toy_config(path) -> tuple[dict, dict]:
     """The config file as written and the full settings it stands for;
-    raises BadConfigFile for an unknown key, a value of the wrong type, no
-    steps, a non-finite lr, or a non-finite or negative lr_decay."""
+    raises BadConfigFile for a key or value ``errors.check_types`` refuses
+    against ``_TOY_HINTS``, no steps, or a negative lr_decay."""
+    config = read_json_config(path, _TOY_HINTS, BadConfigFile)
     settings = {f.name: f.default for f in dataclasses.fields(MaskNetConfig)}
     settings.update(_TOY_DEFAULTS)
-    config = read_json_config(path, settings, BadConfigFile,
-                              nullable={"hidden": 0})
     settings.update(config)
     if settings["steps"] < 1:
         raise BadConfigFile(f"{path}: need steps >= 1")
-    lr, decay = settings["lr"], settings["lr_decay"]
-    if not (math.isfinite(lr) and math.isfinite(decay) and decay >= 0):
-        raise BadConfigFile(f"{path}: need a finite lr and a finite "
-                            "lr_decay >= 0")
+    if settings["lr_decay"] < 0:
+        raise BadConfigFile(f"{path}: need lr_decay >= 0")
     return config, settings
 
 

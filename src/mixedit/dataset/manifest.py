@@ -12,8 +12,8 @@ The manifest is line-delimited JSON, one record per line, schema-versioned.
 from __future__ import annotations
 
 import json
-import math
 import random
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,7 +31,7 @@ from ..core import (
     StyleVector,
     validate_instruction,
 )
-from ..errors import MixeditError
+from ..errors import MixeditError, check_types
 from ..mixer import draw_assigned_snrs
 from ..prompt import TemplateId, parse, render, simplify, special_generic
 from ..seeding import derive_seed
@@ -105,56 +105,6 @@ class SourceRef:
     gain: float | None = None  # filled during synthesis
 
 
-# Fields that callers format or compare by type; json.loads gives exactly
-# these types (a bool is not an int here).
-_FIELD_TYPES = {"record_id": int, "seed": int, "n_speech": int, "n_audio": int,
-                "task": str, "prompt": str, "prompt_provenance": str,
-                "actions": list, "simplified": list}
-_SOURCE_FIELD_TYPES = {"id": str, "path": str, "signature": dict}
-
-
-def _check_types(obj, types: dict, where: str = ""):
-    for name, kind in types.items():
-        value = getattr(obj, name)
-        if type(value) is not kind:
-            raise BadManifestLine(
-                f"{where}{name} must be {kind.__name__}, got {value!r}")
-
-
-def _is_finite_number(value) -> bool:
-    """A JSON number that is finite; a bool is not a number here."""
-    try:
-        return type(value) in (int, float) and math.isfinite(value)
-    except OverflowError:  # an int beyond the float range
-        return False
-
-
-def _check_optional_fields(record: "ManifestRecord"):
-    if record.template is not None and type(record.template) is not str:
-        raise BadManifestLine(
-            f"template must be null or str, got {record.template!r}")
-    if record.scale is not None and not _is_finite_number(record.scale):
-        raise BadManifestLine(
-            f"scale must be null or a finite number, got {record.scale!r}")
-    outputs = record.outputs
-    if outputs is not None and not (
-            type(outputs) is dict
-            and all(type(outputs.get(role)) is str
-                    for role in ("input", "target", "prompt"))):
-        raise BadManifestLine(f"outputs must be null or an object of "
-                              f"input, target and prompt names, got {outputs!r}")
-
-
-def _check_source(ref: SourceRef):
-    _check_types(ref, _SOURCE_FIELD_TYPES, "source ")
-    if not _is_finite_number(ref.snr_db):
-        raise BadManifestLine(
-            f"source snr_db must be a finite number, got {ref.snr_db!r}")
-    if ref.gain is not None and not _is_finite_number(ref.gain):
-        raise BadManifestLine(
-            f"source gain must be null or a finite number, got {ref.gain!r}")
-
-
 @dataclass
 class ManifestRecord:
     record_id: int
@@ -177,19 +127,29 @@ class ManifestRecord:
 
     @classmethod
     def from_json(cls, line: str) -> "ManifestRecord":
+        """The record on one manifest line. Another schema, a field that
+        ``errors.check_types`` refuses, no sources, ``outputs`` without
+        its three names, or content that does not decode raise
+        BadManifestLine."""
         try:
             doc = json.loads(line)
             schema = doc.get("schema")
             if type(schema) is not int or schema != SCHEMA_VERSION:
                 raise BadManifestLine(f"unsupported manifest schema {schema!r}")
+            check_types(doc, _RECORD_HINTS, BadManifestLine)
             doc["sources"] = [SourceRef(**s) for s in doc["sources"]]
+            for ref in doc["sources"]:
+                check_types(vars(ref), _SOURCE_HINTS, BadManifestLine,
+                            "source ")
             record = cls(**doc)
-            _check_types(record, _FIELD_TYPES)
-            _check_optional_fields(record)
             if not record.sources:
                 raise BadManifestLine("a record needs at least one source")
-            for ref in record.sources:
-                _check_source(ref)
+            outputs = record.outputs
+            if outputs is not None and not all(
+                    type(outputs.get(role)) is str
+                    for role in ("input", "target", "prompt")):
+                raise BadManifestLine(f"outputs must name the input, target "
+                                      f"and prompt files, got {outputs!r}")
             record.action_vector()
             record.signatures()
             simplified_from_json(record.simplified)
@@ -207,6 +167,10 @@ class ManifestRecord:
 
     def signatures(self):
         return [signature_from_json(s.signature) for s in self.sources]
+
+
+_RECORD_HINTS = typing.get_type_hints(ManifestRecord)
+_SOURCE_HINTS = typing.get_type_hints(SourceRef)
 
 
 def _sample_distinct(pool: list[CatalogEntry], count: int, rng: random.Random,
@@ -307,9 +271,10 @@ def write_manifest(records, path):
 
 
 def load_manifest(path) -> list[ManifestRecord]:
-    """The records of a JSONL manifest, in line order. A line that does
-    not parse, or a record_id an earlier line holds, raises
-    BadManifestLine naming the line: every consumer keys records by id."""
+    """The records of a JSONL manifest, in line order. A line that
+    ``ManifestRecord.from_json`` refuses, or a record_id an earlier line
+    holds, raises BadManifestLine naming the line: every consumer keys
+    records by id."""
     records = []
     try:
         # utf-8-sig skips a leading byte-order mark.

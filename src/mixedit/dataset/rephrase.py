@@ -12,6 +12,7 @@ import dataclasses
 import json
 import os
 import string
+import typing
 from urllib.parse import urlsplit
 
 from ..errors import MixeditError, read_json_config
@@ -52,14 +53,12 @@ class RephraseConfig:
 
     @classmethod
     def from_file(cls, path) -> "RephraseConfig":
-        """Read a config; a key that is not a field, a value of the wrong
-        JSON type, an endpoint that is not an http(s) URL, a timeout
-        outside (0, 86400] seconds, a ``max_concurrency`` outside 1..32
-        or a wrapper with a field other than a bare ``{n}`` raises
-        BadRephraseConfig."""
-        defaults = {f.name: f.default for f in dataclasses.fields(cls)}
-        config = cls(**read_json_config(path, defaults, BadRephraseConfig,
-                                        nullable={"endpoint": ""}))
+        """Read a config; a key that is not a field, a value that does not
+        fit the field's annotation under ``errors.check_types``, an
+        endpoint that is not an http(s) URL, a timeout outside (0, 86400]
+        seconds, a ``max_concurrency`` outside 1..32 or a wrapper with a
+        field other than a bare ``{n}`` raises BadRephraseConfig."""
+        config = cls(**read_json_config(path, _HINTS, BadRephraseConfig))
         if config.endpoint is not None:
             try:
                 url = urlsplit(config.endpoint)
@@ -70,7 +69,7 @@ class RephraseConfig:
                 raise BadRephraseConfig(
                     f"{path}: endpoint must be an http(s) URL, "
                     f"got {config.endpoint!r}")
-        if not 0 < config.timeout_s <= 86400:  # NaN fails too
+        if not 0 < config.timeout_s <= 86400:
             raise BadRephraseConfig(
                 f"{path}: timeout_s must be in (0, 86400] seconds, "
                 f"got {config.timeout_s!r}")
@@ -92,6 +91,9 @@ class RephraseConfig:
                 f"{path}: wrapper fields must be a bare {{n}}, "
                 f"got {config.wrapper!r}")
         return config
+
+
+_HINTS = typing.get_type_hints(RephraseConfig)
 
 
 def rephrase(prompt: Prompt, config: RephraseConfig) -> list[Prompt]:

@@ -17,6 +17,7 @@ SNR clamps are taken as zero.
 from __future__ import annotations
 
 import math
+import typing
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from ..dsp import (Clip, _by_columns, _each, _equal_parts, _Fresh, _parts,
                    _threads, overlap_add)
-from ..errors import MixeditError
+from ..errors import MixeditError, check_types
 from ..metrics import _snr_error, pit_snr
 from .masking import DEFAULT_EMBED_DIM, DEFAULT_MASK_MAX, EditingMask
 
@@ -54,21 +55,20 @@ class MaskNetConfig:
     n_masks: int = 1          # >1 adds a per-source mask stack
 
     def __post_init__(self):
-        sizes = ["channels", "kernel", "blocks", "embed_dim", "n_masks"]
-        if self.hidden is not None:
-            sizes.append("hidden")
-        for name in sizes:  # bool is an int, but no size
-            value = getattr(self, name)
-            if (isinstance(value, bool)
-                    or not isinstance(value, (int, np.integer)) or value <= 0):
-                raise BadNetConfig(f"{name} must be a positive integer, "
-                                   f"got {value!r}")
+        """Raises BadNetConfig for a field ``errors.check_types`` refuses
+        (numpy integers and reals pass, no bool does), a field that is not
+        positive, an odd kernel, or more than ``_MAX_PARAMS`` parameters."""
+        check_types(vars(self), _CONFIG_HINTS, BadNetConfig)
+        for name, value in vars(self).items():
+            if value is not None and not value > 0:
+                raise BadNetConfig(f"{name} must be positive, got {value!r}")
         if self.kernel % 2 != 0:
             raise BadNetConfig("kernel must be even so the stride is kernel/2")
-        if (isinstance(self.mask_max, (bool, np.bool_))
-                or not (self.mask_max > 0 and math.isfinite(self.mask_max))):
-            raise BadNetConfig(
-                f"mask_max must be positive and finite, got {self.mask_max!r}")
+        # int(): a product of numpy sizes would wrap around.
+        if sum(math.prod(map(int, shape))
+               for shape, _ in param_layout(self).values()) > _MAX_PARAMS:
+            raise BadNetConfig(f"the net would hold more than {_MAX_PARAMS} "
+                               "parameters")
 
     @property
     def stride(self) -> int:
@@ -82,6 +82,14 @@ class MaskNetConfig:
     def max_gain(self) -> float:
         """Bound of the combined mask, the sum of the per-source masks."""
         return self.mask_max * self.n_masks
+
+
+_CONFIG_HINTS = typing.get_type_hints(MaskNetConfig)
+
+# The most parameters a net may hold: training keeps float64 params, a
+# float32 copy and float64 gradients, 1.25 GiB at this cap, and a larger
+# net would fail in numpy's allocator with a traceback.
+_MAX_PARAMS = 2 ** 26
 
 
 def latent_frames(n_samples: int, kernel: int) -> int:

@@ -1,5 +1,5 @@
-"""Base exception for everything raised by this package, and the one
-reader of JSON config files.
+"""Base exception for everything raised by this package, the one type
+rule for JSON input, and the one reader of JSON config files.
 
 Concrete errors live next to the code that raises them; catching
 MixeditError at a boundary (e.g. the CLI, or per-record synthesis)
@@ -7,6 +7,10 @@ is the supported way to separate domain failures from bugs.
 """
 
 import json
+import math
+import numbers
+import types
+import typing
 from pathlib import Path
 
 
@@ -14,23 +18,44 @@ class MixeditError(Exception):
     pass
 
 
-def _has_type_of(value, example) -> bool:
-    """JSON type check: a bool only for a bool, any number for a float,
-    and otherwise the example's own type."""
-    if isinstance(example, bool) or isinstance(value, bool):
-        return type(value) is type(example)
-    if isinstance(example, float):
-        return isinstance(value, (int, float))
-    return isinstance(value, type(example))
+def _fits(value, hint) -> bool:
+    """Whether ``value`` fits the annotation ``hint``, as
+    ``check_types`` says."""
+    if isinstance(hint, types.UnionType):
+        return any(_fits(value, h) for h in typing.get_args(hint))
+    hint = typing.get_origin(hint) or hint
+    if hint is type(None):
+        return value is None
+    if isinstance(value, bool):  # an int to Python, but no number in JSON
+        return hint is bool
+    if hint is int:
+        return isinstance(value, numbers.Integral)
+    if hint is float:
+        try:
+            return isinstance(value, numbers.Real) and math.isfinite(value)
+        except OverflowError:  # an int beyond the float range
+            return False
+    return isinstance(value, hint)
 
 
-def read_json_config(path, defaults: dict, error: type[MixeditError],
-                     nullable: dict | None = None) -> dict:
-    """The JSON object in ``path``, whose keys must all be in ``defaults``
-    and whose values must have their default's JSON type. A key whose
-    default is null takes null or the type of its example in
-    ``nullable``. Anything else, or an unreadable file, raises ``error``.
-    A leading UTF-8 byte-order mark is skipped.
+def check_types(values: dict, hints: dict, error: type[MixeditError],
+                where: str = "") -> None:
+    """Raise ``error``, its message prefixed by ``where``, for the first
+    key of ``values`` that ``hints`` lacks or whose value does not fit its
+    annotation there: an int is an integer and a float a finite number,
+    neither a bool; None fits only ``X | None``; any other class, such as
+    str, list or dict, is checked as that container only."""
+    for key, value in values.items():
+        if key not in hints:
+            raise error(f"{where}unknown key {key!r}")
+        if not _fits(value, hints[key]):
+            raise error(f"{where}{key} has the wrong type: {value!r}")
+
+
+def read_json_config(path, hints: dict, error: type[MixeditError]) -> dict:
+    """The JSON object in ``path``, whose keys and values ``check_types``
+    takes against ``hints``. Anything else, or an unreadable file, raises
+    ``error``. A leading UTF-8 byte-order mark is skipped.
     """
     try:
         doc = json.loads(Path(path).read_text("utf-8-sig"))
@@ -39,14 +64,5 @@ def read_json_config(path, defaults: dict, error: type[MixeditError],
         raise error(f"{path}: {err}") from err
     if not isinstance(doc, dict):
         raise error(f"{path}: expected a JSON object")
-    for key, value in doc.items():
-        if key not in defaults:
-            raise error(f"{path}: unknown key {key!r}")
-        example = defaults[key]
-        if example is None:
-            if value is None:
-                continue
-            example = nullable[key]
-        if not _has_type_of(value, example):
-            raise error(f"{path}: {key} has the wrong type: {value!r}")
+    check_types(doc, hints, error, f"{path}: ")
     return doc

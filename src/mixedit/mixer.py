@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Action, Signature, SpeechSignature, Level
+from .core import Signature, SpeechSignature, Level
 from .dsp import Clip, _Fresh, mean_square
 from .errors import MixeditError
 from .seeding import derive_seed
@@ -161,17 +161,15 @@ def target_mixture(sources, actions) -> Clip:
 
 @dataclass(frozen=True)
 class MixturePair:
-    """An input mixture with its edited target and constituent sources.
+    """An input mixture with its edited target.
 
-    If any sample of the pair exceeds full scale, everything (input,
-    target, and the stored sources) is rescaled by one common factor to
-    peak 0.99, which preserves all SNR relations.
+    If any sample of the pair or of a source exceeds full scale, input
+    and target are rescaled by one common factor to peak 0.99, which
+    preserves all SNR relations.
     """
 
     input: Clip
     target: Clip
-    sources: tuple[Clip, ...]
-    actions: tuple[Action, ...]
     scale: float = 1.0
 
     @classmethod
@@ -192,6 +190,4 @@ class MixturePair:
             scale = PEAK_TARGET / peak
             x = Clip(_Fresh(x.samples * scale), x.rate)
             y = Clip(_Fresh(y.samples * scale), y.rate)
-            sources = tuple(Clip(_Fresh(s.samples * scale), s.rate)
-                            for s in sources)
-        return cls(x, y, sources, actions, scale)
+        return cls(x, y, scale)

@@ -723,14 +723,22 @@ def test_eval_names_an_estimate_of_another_length(tmp_path, capsys):
     assert str(est / "000000.wav") in err and "795" in err and "800" in err
 
 
-@pytest.mark.parametrize("bad", [{"kernel": 15}, {"channels": 0},
-                                 {"n_masks": -1}, {"mask_max": 1e400}])
-def test_train_toy_bad_net_config_exits_1(demo_tree, tmp_path, capsys, bad):
+# A non-finite mask_max fails the file's type rule before any net config
+# is built; a net too big to build fails on its parameter count.
+@pytest.mark.parametrize("bad,error", [
+    ({"kernel": 15}, "BadNetConfig"), ({"channels": 0}, "BadNetConfig"),
+    ({"n_masks": -1}, "BadNetConfig"), ({"mask_max": 1e400}, "BadConfigFile"),
+    ({"hidden": 10 ** 20}, "BadNetConfig"),
+    ({"channels": 100_000_000_000}, "BadNetConfig"),
+], ids=[f"bad{i}" for i in range(6)])
+def test_train_toy_bad_net_config_exits_1(demo_tree, tmp_path, capsys, bad,
+                                          error):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"steps": 1, **bad}))
     assert main(["train-toy", "--config", str(config), "--tree",
                  str(demo_tree), "--out-dir", str(tmp_path / "run")]) == 1
-    assert "BadNetConfig" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {error}: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("text", ['{"steps": 1,', "[1, 2]",

@@ -1512,6 +1512,13 @@ def test_mask_net_config_rejects_bad_values_typed(bad):
     assert isinstance(info.value, ValueError)
 
 
+def test_mask_net_config_takes_numpy_numbers():
+    cfg = MaskNetConfig(channels=np.int64(8), hidden=np.uint8(4),
+                        mask_max=np.float32(2.0))
+    assert FilmMaskNet.init(cfg, seed=0).params["block0.film.f1.w"].shape == (
+        4, cfg.embed_dim)
+
+
 @pytest.mark.parametrize("edit", ["truncate", "unknown key", "bad json",
                                   "renamed tensor", "bad shape",
                                   "infinite mask_max", "bool channels",

@@ -193,8 +193,9 @@ def test_mixture_pair_peak_rescale():
     assert np.abs(pair.input.samples).max() == pytest.approx(0.99, abs=1e-12)
     # common factor preserves the input/target ratio
     assert np.allclose(pair.target.samples, pair.input.samples)
-    ratio = pair.sources[0].samples[0] / pair.sources[1].samples[0]
-    assert ratio == pytest.approx(0.9 / 0.8, abs=1e-12)
+    for clip, unscaled in ((pair.input, mix(srcs)),
+                           (pair.target, target_mixture(srcs, [K, K]))):
+        assert np.array_equal(clip.samples, unscaled.samples * pair.scale)
 
 
 def test_mixture_pair_no_rescale_when_in_range():

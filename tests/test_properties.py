@@ -7,6 +7,8 @@ import io
 import json
 import struct
 import tempfile
+import types
+import typing
 from pathlib import Path
 from urllib.parse import urlsplit
 
@@ -15,7 +17,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from mixedit.cli import BadConfigFile, _read_toy_config, _record_clips, main
+from mixedit.cli import (_TOY_HINTS, BadConfigFile, _read_toy_config,
+                         _record_clips, main)
 from mixedit.core import (
     STYLE_FIELDS,
     Action,
@@ -35,9 +38,10 @@ from mixedit.dataset import (
     write_wav,
 )
 from mixedit.dataset.catalog import _DEMO_LABELS
-from mixedit.dataset.manifest import ManifestRecord, SourceRef
+from mixedit.dataset.manifest import BadManifestLine, ManifestRecord, SourceRef
 from mixedit.dsp import Clip, condition
-from mixedit.editor import FilmMaskNet, MaskNetConfig, load_net, save_net
+from mixedit.editor import (BadNetConfig, FilmMaskNet, MaskNetConfig,
+                            load_net, save_net)
 from mixedit.editor.serialize import BadContainer
 from mixedit.errors import MixeditError
 from mixedit.metrics import si_sdr, snr
@@ -110,7 +114,7 @@ def test_mixture_pair_never_exceeds_full_scale(seed, gain):
     sources = [Clip(gain * rng.standard_normal(256), 16000) for _ in range(3)]
     pair = MixturePair.build(sources, [Action.KEEP, Action.VOLUME_UP,
                                        Action.REMOVE])
-    for clip in (pair.input, pair.target, *pair.sources):
+    for clip in (pair.input, pair.target):
         assert np.abs(clip.samples).max() <= 1.0 + 1e-12
 
 
@@ -451,6 +455,78 @@ def test_any_rephrase_config_loads_or_raises_typed(doc):
     assert 0 < config.timeout_s <= 86400
     assert config.endpoint is None or urlsplit(
         config.endpoint).scheme in ("http", "https")
+
+
+# ---------------- one type rule for every JSON input ----------------
+
+# A JSON text of each type a value can take; 2.0 is a float, though integral.
+_JSON_TEXTS = {type(None): "null", bool: "true", int: "3", float: "2.0",
+               str: '"x"', list: "[]", dict: "{}"}
+
+
+def _misfits(hint) -> list[str]:
+    """JSON texts of values that do not fit the annotation ``hint``: one of
+    each other JSON type (an int fits a float), and non-finite numbers
+    where a float is annotated."""
+    kinds = typing.get_args(hint) if isinstance(hint, types.UnionType) else (
+        hint,)
+    kinds = {typing.get_origin(kind) or kind for kind in kinds}
+    texts = [text for kind, text in _JSON_TEXTS.items()
+             if kind not in kinds and not (kind is int and float in kinds)]
+    return texts + ["NaN", "Infinity", "1e400"] * (float in kinds)
+
+
+_SOURCE = {"id": "a", "path": "a.wav",
+           "signature": {"kind": "audio", "label": "dog"}, "snr_db": 0.0}
+_RECORD = {"schema": 1, "record_id": 0, "seed": 1, "n_speech": 0,
+           "n_audio": 1, "sources": [_SOURCE], "actions": ["up"],
+           "task": "T1",
+           "simplified": [{"action": "up", "kind": "audio", "label": "dog"}],
+           "prompt": "p", "prompt_provenance": "template"}
+
+
+def _with(doc: dict, field: str, text: str) -> str:
+    """``doc`` as JSON text, with ``field`` holding the JSON ``text``."""
+    return json.dumps({**doc, field: "@"}).replace('"@"', text)
+
+
+def _config_file(read):
+    def read_one(tmp_path, field, text):
+        path = tmp_path / "config.json"
+        path.write_text(_with({}, field, text), "utf-8")
+        read(path)
+    return read_one
+
+
+# Each reader of JSON: the annotations its input is checked against, how it
+# reads one field's JSON text, and the error it refuses a misfit with.
+_JSON_READERS = {
+    "manifest": (typing.get_type_hints(ManifestRecord),
+                 lambda _, field, text: ManifestRecord.from_json(
+                     _with(_RECORD, field, text)),
+                 BadManifestLine),
+    "source": (typing.get_type_hints(SourceRef),
+               lambda _, field, text: ManifestRecord.from_json(_with(
+                   _RECORD, "sources", f"[{_with(_SOURCE, field, text)}]")),
+               BadManifestLine),
+    "net": (typing.get_type_hints(MaskNetConfig),
+            lambda _, field, text: MaskNetConfig(**{field: json.loads(text)}),
+            BadNetConfig),
+    "toy": (_TOY_HINTS, _config_file(_read_toy_config), BadConfigFile),
+    "rephrase": (typing.get_type_hints(RephraseConfig),
+                 _config_file(RephraseConfig.from_file), BadRephraseConfig),
+}
+
+
+@pytest.mark.parametrize("reader,field,text", [
+    pytest.param(reader, field, text, id=f"{reader}-{field}-{text}")
+    for reader, (hints, _, _) in _JSON_READERS.items()
+    for field, hint in hints.items() for text in _misfits(hint)])
+def test_a_json_value_that_misfits_its_annotation_is_refused(
+        tmp_path, reader, field, text):
+    _, read, error = _JSON_READERS[reader]
+    with pytest.raises(error, match=field):
+        read(tmp_path, field, text)
 
 
 def _prompt_tokens() -> list[str]:
