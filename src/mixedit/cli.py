@@ -29,8 +29,7 @@ from .editor import (
     MaskNetConfig,
     TrainExample,
     embed_instruction,
-    export_mask_csv,
-    export_mask_pgm,
+    export_mask,
     ideal_mask,
     load_net,
     mask_edit,
@@ -269,13 +268,7 @@ def cmd_edit(args) -> int:
             print("note: the oracle editor has no mask to dump",
                   file=sys.stderr)
         else:
-            mel = 80 if args.editor in ("psm", "irm") else None
-            export_mask_csv(mask, f"{args.dump_mask}.csv",
-                            rate=mixture.rate, n_mels=mel)
-            export_mask_pgm(mask, f"{args.dump_mask}.pgm",
-                            rate=mixture.rate, n_mels=mel)
-            metrics["mask"] = {"csv": f"{args.dump_mask}.csv",
-                               "pgm": f"{args.dump_mask}.pgm"}
+            metrics["mask"] = export_mask(mask, args.dump_mask)
     if args.metrics_out:
         Path(args.metrics_out).write_text(
             json.dumps(metrics, indent=2, sort_keys=True) + "\n", "utf-8")
@@ -430,36 +423,37 @@ def cmd_train_toy(args) -> int:
     net = FilmMaskNet.init(net_config, seed=args.seed)
     examples = _tree_examples(Path(args.tree), net_config.embed_dim)
     out_dir = Path(args.out_dir)
-    # The outermost directory this run makes, removed again if training
-    # fails. It is made after the tree is read, so that a bad tree leaves
-    # no directory, and before training, so that an unwritable one fails
-    # before any step.
+    # The outermost directory this run makes, removed again if training or
+    # any write fails, or the run is interrupted. It is made after the tree
+    # is read, so that a bad tree leaves no directory, and before training,
+    # so that an unwritable one fails before any step.
     made = next((d for d in reversed((out_dir, *out_dir.parents))
                  if not d.exists()), None)
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)
         result = train_toy(
             net, examples,
             steps=settings["steps"],
             lr=settings["lr"],
             lr_decay=settings["lr_decay"],
         )
-    except MixeditError:
+        save_net(out_dir / "net.mxn", result.net)
+        curve = out_dir / "loss_curve.csv"
+        with open(curve, "w", encoding="utf-8") as fh:
+            fh.write("step,loss\n")
+            for i, loss in enumerate(result.losses):
+                fh.write(f"{i},{loss:.6f}\n")
+        # The config as read, so that the run's copy can be passed back as
+        # --config; the seed is an option, not a config key, so it has its
+        # own file.
+        (out_dir / "config.json").write_text(
+            json.dumps(config, indent=2, sort_keys=True) + "\n")
+        (out_dir / "seed.json").write_text(
+            json.dumps({"seed": args.seed}) + "\n")
+    except BaseException:
         if made is not None:
             shutil.rmtree(made, ignore_errors=True)
         raise
-    save_net(out_dir / "net.mxn", result.net)
-    curve = out_dir / "loss_curve.csv"
-    with open(curve, "w", encoding="utf-8") as fh:
-        fh.write("step,loss\n")
-        for i, loss in enumerate(result.losses):
-            fh.write(f"{i},{loss:.6f}\n")
-    # The config as read, so that the run's copy can be passed back as
-    # --config; the seed is an option, not a config key, so it has its own
-    # file.
-    (out_dir / "config.json").write_text(
-        json.dumps(config, indent=2, sort_keys=True) + "\n")
-    (out_dir / "seed.json").write_text(json.dumps({"seed": args.seed}) + "\n")
     print(json.dumps({
         "checkpoint": str(out_dir / "net.mxn"),
         "loss_curve": str(curve),
@@ -562,7 +556,8 @@ def main(argv=None) -> int:
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (MixeditError, OSError) as err:  # OSError: an unwritable output
+    # OSError: an unwritable output; MemoryError: an input too big to hold.
+    except (MixeditError, OSError, MemoryError) as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
 

@@ -1,5 +1,5 @@
-"""Waveform primitives: clips, resampling, crop/pad conditioning, STFT, Mel,
-and the process's thread pool.
+"""Waveform primitives: clips, resampling, crop/pad conditioning, STFT, and
+the process's thread pool.
 
 Everything operates on mono float64 arrays. Clips are immutable after
 construction (the sample buffer is marked read-only) and safe to share
@@ -449,41 +449,3 @@ def istft(frames: np.ndarray, n_samples: int) -> np.ndarray:
     num = overlap_add(frames_t, HOP)[WINDOW // 2:WINDOW // 2 + n_samples]
     num /= _window_sum(n_frames, n_samples)
     return num
-
-
-def hz_to_mel(f):
-    return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
-
-
-def mel_to_hz(m):
-    return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
-
-
-def mel_filterbank(n_mels: int, n_bins: int, rate: int) -> np.ndarray:
-    """Triangular Mel filterbank from 0 Hz to Nyquist, (n_mels, n_bins).
-    Full-band coverage: every row has positive weight."""
-    window = 2 * (n_bins - 1)
-    bin_freqs = np.arange(n_bins) * rate / window
-    edges = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(rate / 2.0),
-                                  n_mels + 2))
-    bank = np.zeros((n_mels, n_bins))
-    for m in range(n_mels):
-        lo, center, hi = edges[m], edges[m + 1], edges[m + 2]
-        rising = (bin_freqs - lo) / max(center - lo, 1e-12)
-        falling = (hi - bin_freqs) / max(hi - center, 1e-12)
-        bank[m] = np.maximum(0.0, np.minimum(rising, falling))
-        if not bank[m].any():  # very narrow triangle: grab the nearest bin
-            bank[m, int(np.argmin(np.abs(bin_freqs - center)))] = 1.0
-    return bank
-
-
-def mel_project(magnitudes: np.ndarray, rate: int, n_mels: int = 80) -> np.ndarray:
-    """Project non-negative magnitude frames onto the Mel scale
-    (export/visualization only)."""
-    mags = np.asarray(magnitudes, dtype=np.float64)
-    if mags.ndim != 2:
-        raise ValueError("expected a (bins, frames) magnitude matrix")
-    if mags.size and mags.min() < 0:
-        raise ValueError("magnitudes must be non-negative")
-    bank = mel_filterbank(n_mels, mags.shape[0], rate)
-    return bank @ mags

@@ -7,8 +7,7 @@ from .masking import (
     EditingMask,
     MaskKind,
     embed_instruction,
-    export_mask_csv,
-    export_mask_pgm,
+    export_mask,
     ideal_mask,
     mask_edit,
     oracle_edit,
@@ -27,8 +26,8 @@ from .serialize import load_net, save_net
 
 __all__ = [
     "DimMismatch", "EditingMask", "MaskKind", "embed_instruction",
-    "export_mask_csv", "export_mask_pgm", "ideal_mask", "mask_edit",
-    "oracle_edit", "BadNetConfig", "Diverged", "FilmMaskNet", "MaskNetConfig",
+    "export_mask", "ideal_mask", "mask_edit", "oracle_edit",
+    "BadNetConfig", "Diverged", "FilmMaskNet", "MaskNetConfig",
     "ShapeMismatch", "TrainExample", "TrainResult", "train_toy",
     "load_net", "save_net",
 ]

@@ -57,11 +57,15 @@ class MaskNetConfig:
     def __post_init__(self):
         """Raises BadNetConfig for a field ``errors.check_types`` refuses
         (numpy integers and reals pass, no bool does), a field that is not
-        positive, an odd kernel, or more than ``_MAX_PARAMS`` parameters."""
+        positive, more than ``_MAX_BLOCKS`` blocks, an odd kernel, or more
+        than ``_MAX_PARAMS`` parameters."""
         check_types(vars(self), _CONFIG_HINTS, BadNetConfig)
         for name, value in vars(self).items():
             if value is not None and not value > 0:
                 raise BadNetConfig(f"{name} must be positive, got {value!r}")
+        if self.blocks > _MAX_BLOCKS:
+            raise BadNetConfig(f"blocks must be at most {_MAX_BLOCKS}, "
+                               f"got {self.blocks}")
         if self.kernel % 2 != 0:
             raise BadNetConfig("kernel must be even so the stride is kernel/2")
         # int(): a product of numpy sizes would wrap around.
@@ -90,6 +94,12 @@ _CONFIG_HINTS = typing.get_type_hints(MaskNetConfig)
 # float32 copy and float64 gradients, 1.25 GiB at this cap, and a larger
 # net would fail in numpy's allocator with a traceback.
 _MAX_PARAMS = 2 ** 26
+
+# The most dilated blocks a net may have: each block doubles the margin
+# ``forward`` pads (2**(blocks-1) latent frames a side) and the context an
+# ``edit`` window reads. At 16 the margin is 2**15 frames, about 16 s of
+# 16-kHz audio at the default stride, more than a tree clip holds.
+_MAX_BLOCKS = 16
 
 
 def latent_frames(n_samples: int, kernel: int) -> int:

@@ -22,7 +22,7 @@ from ..core import (
     SpeechDescriptor,
 )
 from ..dsp import (Clip, _by_columns, _Fresh, _parts, _STFT_PARTS, _take,
-                   istft, mel_project, stft)
+                   istft, stft)
 from ..errors import MixeditError
 from ..mixer import target_mixture
 
@@ -188,32 +188,15 @@ def embed_instruction(simplified: SimplifiedInstruction,
     return v / norm
 
 
-def _as_grid(mask: EditingMask, rate: int | None, n_mels: int | None) -> np.ndarray:
-    if n_mels is None:
-        return mask.values
-    if rate is None:
-        raise ValueError("Mel projection needs the sample rate")
-    return mel_project(mask.values, rate, n_mels)
-
-
-def export_mask_csv(mask: EditingMask, path, rate: int | None = None,
-                    n_mels: int | None = None):
-    """Numeric mask grid as CSV; optionally Mel-projected for inspection."""
-    grid = _as_grid(mask, rate, n_mels)
-    np.savetxt(path, grid, delimiter=",", fmt="%.6g")
-
-
-def export_mask_pgm(mask: EditingMask, path, rate: int | None = None,
-                    n_mels: int | None = None):
-    """8-bit grayscale PGM of the mask, dark-to-light over [0, m_max].
-
-    Rows are flipped so low frequencies sit at the bottom of the image.
-    """
-    grid = _as_grid(mask, rate, n_mels)
-    scale = mask.m_max if n_mels is None else max(grid.max(), 1e-12)
-    pixels = np.clip(grid / scale, 0.0, 1.0)
-    pixels = np.flipud(np.round(pixels * 255).astype(np.uint8))
+def export_mask(mask: EditingMask, prefix) -> dict[str, str]:
+    """Write the gain field an editor applied as ``{prefix}.csv``, its
+    values (``%.6g``), and ``{prefix}.pgm``, 8-bit grayscale over [0, m_max]
+    with low rows at the bottom; returns the two paths by format."""
+    paths = {"csv": f"{prefix}.csv", "pgm": f"{prefix}.pgm"}
+    np.savetxt(paths["csv"], mask.values, delimiter=",", fmt="%.6g")
+    pixels = np.flipud(np.round(mask.values / mask.m_max * 255).astype(np.uint8))
     header = f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n255\n".encode("ascii")
-    with open(path, "wb") as fh:
+    with open(paths["pgm"], "wb") as fh:
         fh.write(header)
         fh.write(pixels.tobytes())
+    return paths

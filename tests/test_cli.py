@@ -18,13 +18,15 @@ import pytest
 import mixedit
 from mixedit import cli
 from mixedit.cli import main
+from mixedit.core import Action
 from mixedit.dataset import (RephraseConfig, build_demo_catalog, ingest,
                              load_manifest, read_wav, write_manifest,
                              write_wav)
 from mixedit.dataset.manifest import ManifestRecord, SourceRef
 from mixedit.dsp import Clip
-from mixedit.editor import (FilmMaskNet, MaskNetConfig, embed_instruction,
-                            load_net, save_net)
+from mixedit.editor import (FilmMaskNet, MaskKind, MaskNetConfig,
+                            embed_instruction, ideal_mask, load_net, save_net)
+from mixedit.mixer import mix, target_mixture
 from mixedit.prompt import parse
 from mixedit.taskspace import Composition, defined_tasks, enumerate_edits
 
@@ -169,6 +171,45 @@ def test_edit_psm_with_mask_dump(tone_setup, capsys):
     assert doc["snri_db"] > 0.0
     assert (tmp_path / "mask.csv").exists()
     assert (tmp_path / "mask.pgm").exists()
+
+
+@pytest.mark.parametrize("editor", ["irm", "psm", "film"])
+def test_edit_dumps_the_mask_it_applied(tmp_path, toy_model, assert_dump_is,
+                                        capsys, editor):
+    """On a 5-s mixture, ``--dump-mask`` writes the gain field the editor
+    multiplied, whatever the editor: its values in the CSV, and in the PGM
+    over ``[0, m_max]``."""
+    t = np.arange(5 * RATE) / RATE
+    for name, freq, amp in [("s1", 440, 0.4), ("s2", 2093, 0.3)]:
+        write_wav(tmp_path / f"{name}.wav",
+                  Clip(amp * np.sin(2 * np.pi * freq * t), RATE))
+    (tmp_path / "metadata.json").write_text(json.dumps([
+        {"id": "a", "path": "s1.wav", "type": "audio", "label": "low tone"},
+        {"id": "b", "path": "s2.wav", "type": "audio", "label": "high tone"},
+    ]))
+    sources = [read_wav(tmp_path / f"{name}.wav") for name in ("s1", "s2")]
+    write_wav(tmp_path / "mix.wav", mix(sources))
+    mixture = read_wav(tmp_path / "mix.wav")
+    prompt = "Please remove the high tone sound."
+    if editor == "film":
+        options = ["--catalog", str(tmp_path), "--prompt", prompt,
+                   "--model", str(toy_model)]
+        net = load_net(toy_model)
+        z = embed_instruction(parse(prompt, ["low tone", "high tone"]),
+                              dim=net.config.embed_dim)
+        mask = net.edit(mixture, z)[1]
+    else:
+        options = ["--sources", str(tmp_path / "s1.wav"),
+                   str(tmp_path / "s2.wav"), "--actions", "1,0"]
+        target = target_mixture(sources, [Action.KEEP, Action.REMOVE])
+        mask = ideal_mask(mixture, target, MaskKind(editor))
+    prefix = tmp_path / "mask"
+    assert main(["edit", "--mixture", str(tmp_path / "mix.wav"), *options,
+                 "--editor", editor, "--out", str(tmp_path / "out.wav"),
+                 "--dump-mask", str(prefix)]) == 0
+    assert json.loads(capsys.readouterr().out)["mask"] == {
+        "csv": f"{prefix}.csv", "pgm": f"{prefix}.pgm"}
+    assert_dump_is(prefix, mask)
 
 
 def test_edit_inconsistent_sources_rejected(tone_setup):
@@ -724,13 +765,15 @@ def test_eval_names_an_estimate_of_another_length(tmp_path, capsys):
 
 
 # A non-finite mask_max fails the file's type rule before any net config
-# is built; a net too big to build fails on its parameter count.
+# is built; a net too big to build fails on its parameter count, one too
+# deep on its block count.
 @pytest.mark.parametrize("bad,error", [
     ({"kernel": 15}, "BadNetConfig"), ({"channels": 0}, "BadNetConfig"),
     ({"n_masks": -1}, "BadNetConfig"), ({"mask_max": 1e400}, "BadConfigFile"),
     ({"hidden": 10 ** 20}, "BadNetConfig"),
     ({"channels": 100_000_000_000}, "BadNetConfig"),
-], ids=[f"bad{i}" for i in range(6)])
+    ({"blocks": 40}, "BadNetConfig"),
+], ids=[f"bad{i}" for i in range(7)])
 def test_train_toy_bad_net_config_exits_1(demo_tree, tmp_path, capsys, bad,
                                           error):
     config = tmp_path / "config.json"
@@ -739,6 +782,7 @@ def test_train_toy_bad_net_config_exits_1(demo_tree, tmp_path, capsys, bad,
                  str(demo_tree), "--out-dir", str(tmp_path / "run")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {error}: ") and err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("text", ['{"steps": 1,', "[1, 2]",
@@ -839,6 +883,42 @@ def test_train_toy_divergence_keeps_an_out_dir_it_did_not_make(tmp_path,
                  str(tmp_path / "tree"), "--out-dir", str(kept / "run")]) == 1
     assert "error: Diverged" in capsys.readouterr().err
     assert kept.is_dir() and not (kept / "run").exists()
+
+
+@pytest.mark.parametrize("name,error", [
+    ("train_toy", MemoryError("cannot allocate the pass")),
+    ("save_net", OSError(28, "No space left on device")),
+], ids=["MemoryError", "OSError"])
+def test_train_toy_failure_after_its_out_dir_removes_it(
+        demo_tree, tmp_path, capsys, monkeypatch, name, error):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, name, fail)
+    config = tmp_path / "toy.json"
+    config.write_text(json.dumps({"channels": 4, "blocks": 1, "embed_dim": 4,
+                                  "steps": 1}))
+    assert main(["train-toy", "--config", str(config), "--tree",
+                 str(demo_tree),
+                 "--out-dir", str(tmp_path / "made" / "run")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {type(error).__name__}: {error}\n")
+    assert not (tmp_path / "made").exists()
+
+
+def test_train_toy_interrupted_removes_its_out_dir(demo_tree, tmp_path,
+                                                   monkeypatch):
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "train_toy", interrupt)
+    config = tmp_path / "toy.json"
+    config.write_text(json.dumps({"channels": 4, "blocks": 1, "embed_dim": 4,
+                                  "steps": 1}))
+    with pytest.raises(KeyboardInterrupt):
+        main(["train-toy", "--config", str(config), "--tree", str(demo_tree),
+              "--out-dir", str(tmp_path / "made" / "run")])
+    assert not (tmp_path / "made").exists()
 
 
 @pytest.mark.parametrize("field,value", [

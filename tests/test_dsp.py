@@ -1,4 +1,4 @@
-"""Waveform primitives: resampling, conditioning, STFT, Mel projection."""
+"""Waveform primitives: resampling, conditioning, STFT."""
 
 import math
 import tracemalloc
@@ -18,8 +18,6 @@ from mixedit.dsp import (
     condition,
     istft,
     mean_square,
-    mel_filterbank,
-    mel_project,
     overlap_add,
     resample,
     stft,
@@ -286,18 +284,6 @@ def test_stft_parseval_with_window_compensation():
     hann_sq_sum = 1.5  # periodic Hann, hop = window/4: sum of squared shifts
     wave_energy = float(np.sum(x * x)) * hann_sq_sum
     assert abs(spec_energy - wave_energy) / wave_energy < 1e-3
-
-
-def test_mel_projection_basics():
-    zero = np.zeros((257, 10))
-    assert np.all(mel_project(zero, 16000) == 0)
-    bank = mel_filterbank(80, 257, 16000)
-    assert bank.shape == (80, 257)
-    assert np.all(bank.sum(axis=1) > 0)
-    centers = [np.argmax(row) for row in bank]
-    assert all(b >= a for a, b in zip(centers, centers[1:]))
-    with pytest.raises(ValueError):
-        mel_project(-zero - 1.0, 16000)
 
 
 def test_mean_square():

@@ -54,8 +54,7 @@ from mixedit.editor import (
     ShapeMismatch,
     TrainExample,
     embed_instruction,
-    export_mask_csv,
-    export_mask_pgm,
+    export_mask,
     ideal_mask,
     load_net,
     mask_edit,
@@ -1370,23 +1369,22 @@ def test_bad_container_rejected(tmp_path):
         load_net(path)
 
 
-def test_mask_exports(tmp_path):
+def test_mask_exports(tmp_path, assert_dump_is):
     x = tone(440, 16000)
     m = ideal_mask(x, Clip(0.5 * x.samples, RATE), MaskKind.PSM)
-    csv_path = tmp_path / "mask.csv"
-    export_mask_csv(m, csv_path)
-    grid = np.loadtxt(csv_path, delimiter=",")
-    assert grid.shape == m.values.shape
-    mel_csv = tmp_path / "mask_mel.csv"
-    export_mask_csv(m, mel_csv, rate=RATE, n_mels=40)
-    assert np.loadtxt(mel_csv, delimiter=",").shape[0] == 40
-    pgm_path = tmp_path / "mask.pgm"
-    export_mask_pgm(m, pgm_path)
-    blob = pgm_path.read_bytes()
-    assert blob.startswith(b"P5\n")
-    header, rest = blob.split(b"255\n", 1)
-    dims = header.split(b"\n")[1].split()
-    assert len(rest) == int(dims[0]) * int(dims[1])
+    prefix = tmp_path / "mask"
+    assert export_mask(m, prefix) == {"csv": f"{prefix}.csv",
+                                      "pgm": f"{prefix}.pgm"}
+    assert_dump_is(prefix, m)
+
+
+def test_an_all_ones_mask_dumps_flat(tmp_path, assert_dump_is):
+    ones = EditingMask(np.ones((257, 40)))
+    export_mask(ones, tmp_path / "ones")
+    assert_dump_is(tmp_path / "ones", ones)
+    assert (tmp_path / "ones.csv").read_text() == ("1," * 39 + "1\n") * 257
+    assert (tmp_path / "ones.pgm").read_bytes().endswith(
+        b"\n255\n" + bytes([64]) * 257 * 40)
 
 
 # ---------------- shared overlap-add and SNR ----------------
@@ -1519,6 +1517,31 @@ def test_mask_net_config_takes_numpy_numbers():
         4, cfg.embed_dim)
 
 
+def test_mask_net_config_caps_blocks_before_building_its_layout(monkeypatch):
+    deepest = MaskNetConfig(channels=16, kernel=16,
+                            blocks=film._MAX_BLOCKS, embed_dim=16)
+    assert len(film.param_layout(deepest)) == 4 + 10 * film._MAX_BLOCKS
+
+    def no_layout(config):
+        raise AssertionError("param_layout built for a refused config")
+
+    monkeypatch.setattr(film, "param_layout", no_layout)
+    for blocks in (film._MAX_BLOCKS + 1, 40):
+        with pytest.raises(BadNetConfig, match=f"blocks must be at most "
+                           f"{film._MAX_BLOCKS}, got {blocks}"):
+            MaskNetConfig(channels=16, kernel=16, blocks=blocks, embed_dim=16)
+
+
+def _rewrite_config(path, **fields):
+    """Set ``fields`` in the config blob of the container at ``path``."""
+    data = path.read_bytes()
+    (config_len,) = struct.unpack_from("<I", data, 8)
+    config = json.loads(data[12:12 + config_len])
+    blob = json.dumps({**config, **fields}).encode("utf-8")
+    path.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob
+                     + data[12 + config_len:])
+
+
 @pytest.mark.parametrize("edit", ["truncate", "unknown key", "bad json",
                                   "renamed tensor", "bad shape",
                                   "infinite mask_max", "bool channels",
@@ -1543,7 +1566,8 @@ def test_load_net_malformed_raises_bad_container(tmp_path, edit):
         data = path.read_bytes()
     elif edit == "infinite mask_max":
         # The container an unchecked config wrote: "mask_max": Infinity.
-        net = FilmMaskNet.init(TOY, seed=0)
+        # The net gets its own config, so that TOY stays as it is.
+        net = FilmMaskNet.init(MaskNetConfig(**vars(TOY)), seed=0)
         object.__setattr__(net.config, "mask_max", math.inf)
         save_net(path, net)
         data = path.read_bytes()
@@ -1574,12 +1598,7 @@ def test_load_net_rejects_oversized_config_before_allocating(tmp_path):
     from mixedit.editor.serialize import BadContainer
     path = tmp_path / "net.mxn"
     save_net(path, FilmMaskNet.init(TOY, seed=0))
-    data = path.read_bytes()
-    (config_len,) = struct.unpack_from("<I", data, 8)
-    config = json.loads(data[12:12 + config_len])
-    blob = json.dumps({**config, "channels": 2048}).encode("utf-8")
-    path.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob
-                     + data[12 + config_len:])
+    _rewrite_config(path, channels=2048)
     tracemalloc.start()
     try:
         with pytest.raises(BadContainer):
@@ -1588,3 +1607,12 @@ def test_load_net_rejects_oversized_config_before_allocating(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_load_net_refuses_blocks_past_the_cap(tmp_path):
+    from mixedit.editor.serialize import BadContainer
+    path = tmp_path / "net.mxn"
+    save_net(path, FilmMaskNet.init(TOY, seed=0))
+    _rewrite_config(path, blocks=film._MAX_BLOCKS + 1)
+    with pytest.raises(BadContainer, match="blocks must be at most"):
+        load_net(path)

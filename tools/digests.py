@@ -17,7 +17,8 @@ DIR:
   one with speech at 48 kHz and audio at 44.1 kHz;
 - ``edit``: the WAV, metrics JSON, ``--dump-mask`` files and stdout of
   the oracle, IRM, PSM and FiLM (default ``MaskNetConfig``, seed 0)
-  editors on one 5-s mixture;
+  editors on one 5-s mixture; the mask files hold the raw grid each
+  editor multiplied (STFT bins or latent channels by frames);
 - ``eval``: ``eval --json`` stdout over FiLM edits of a 16-kHz tree's
   records from their prompts, and those edits;
 - ``train-toy``: ``net.mxn``, ``loss_curve.csv``, ``config.json``,
@@ -360,6 +361,8 @@ _BAD_TOY = [
     '{"mask_max":"3"}', '{"mask_max":null}', '{"channels":8.0}',
     '{"channels":true}', '{"channels":0}', '{"kernel":15}', '{"hidden":null}',
     '{"hidden":0}', '{"hidden":"4"}', '{"n_masks":-1}', '{"seed":0}', "{}",
+    # film._MAX_BLOCKS is 16: one net past it, one at it.
+    '{"blocks":40,"steps":1}', '{"blocks":16,"steps":1}',
 ]
 _BAD_REPHRASE = [
     "[]", '{"endpoint":5}', '{"endpoint":"ftp://x"}', '{"endpoint":null}',
