@@ -100,6 +100,15 @@ _GROUP = 64
 # carry any rate, and a near-coprime pair's plan grows with the source
 # rate: 16001 Hz needs 2.45M taps, 999983 Hz 153M.
 _MAX_PLAN_TAPS = 2 ** 23
+# ``_parts`` settings of ``resample``'s output blocks: from 256 blocks on,
+# two halves, cut anywhere. Each output is one window's dot product with
+# one tap column. For the plans to 16 kHz, OpenBLAS sums it in the same
+# order in a half of 128 blocks or more as in the whole product. A
+# product of one block, or of a few dozen blocks of a long window, takes
+# its vector or small-matrix kernel instead, which can differ in the
+# last bits (from 2 to 3 and from 34 to 67 blocks at 48 kHz, had those
+# counts split), so shorter runs stay whole.
+_RESAMPLE_PARTS = (256, 1)
 
 
 @lru_cache(maxsize=32)
@@ -185,6 +194,13 @@ def resample(clip: Clip, target_rate: int) -> Clip:
     same taps) to within ``1e-12 * max(1, max|x|)``; only the summation
     order differs.
 
+    The calling thread pads the input and allocates the output; the
+    products then run on the parts of the output blocks
+    (``_RESAMPLE_PARTS``), each writing its own rows of the output and
+    calling numpy only. The parts depend on the block count alone, so
+    the output has the same bits on any number of CPUs; for the plans to
+    16 kHz they are also the bits of one whole product.
+
     Output length is round(len * target / source). Same-rate input is
     returned unchanged.
     """
@@ -203,10 +219,15 @@ def resample(clip: Clip, target_rate: int) -> Clip:
     x = np.concatenate([np.zeros(left), clip.samples,
                         np.zeros(max(0, end - len(clip)))])
     y = np.empty((n_blocks, period))
-    for p0, lo, taps in groups:
-        windows = np.lib.stride_tricks.sliding_window_view(
-            x[left + lo:], len(taps))[::advance][:n_blocks]
-        y[:, p0:p0 + taps.shape[1]] = windows @ taps
+    products = [(np.lib.stride_tricks.sliding_window_view(
+        x[left + lo:], len(taps))[::advance][:n_blocks], taps,
+        y[:, p0:p0 + taps.shape[1]]) for p0, lo, taps in groups]
+
+    def run_blocks(first, end):
+        for windows, taps, out in products:
+            np.matmul(windows[first:end], taps, out=out[first:end])
+
+    _each(_parts(n_blocks, *_RESAMPLE_PARTS), run_blocks)
     return Clip(_Fresh(y.ravel()[:out_len]), target_rate)
 
 
@@ -303,10 +324,16 @@ def _threads(*tasks, serial: bool = False) -> None:
     caller's CPU while the other CPU sat idle, for no gain at all. The
     caller's own affinity is left alone.
 
-    An editor or training task calls numpy only: nothing the benchmark
-    tracer wraps, ``Clip`` and ``EditingMask`` included, since the
-    tracer's span stack assumes one thread. The benchmark runs synthesis,
-    which does call traced names, at one worker, on the calling thread."""
+    A task may call ``_threads`` again, as a ``synthesize`` shard does
+    through ``resample``: a caller on a pool thread runs its own queued
+    tasks that no other pool thread has started, so nesting cannot wait
+    on itself.
+
+    An editor, training or resampling task calls numpy only: nothing the
+    benchmark tracer wraps, ``Clip`` and ``EditingMask`` included, since
+    the tracer's span stack assumes one thread. Synthesis does call
+    traced names; the benchmark runs it at one worker, so they run on the
+    calling thread, and only ``resample``'s products reach the pool."""
     if serial or len(tasks) == 1 or (cpus := available_cpus()) == 1:
         for task in tasks:
             task()

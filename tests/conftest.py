@@ -1,5 +1,6 @@
 """Fixtures shared by several test modules."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,22 @@ import numpy as np
 import pytest
 
 import mixedit
+from mixedit.dataset import build_demo_catalog
+
+
+@pytest.fixture(scope="session")
+def resampled_root(tmp_path_factory):
+    """A demo catalog with its speech at 48 kHz and its audio at 44.1 kHz,
+    so that every source is resampled, on both plan shapes: one tap group
+    and three."""
+    root = tmp_path_factory.mktemp("resampled")
+    rows = []
+    for rate, kind in ((48000, "speech"), (44100, "audio")):
+        meta = build_demo_catalog(root / kind, seed=0, rate=rate)
+        rows += [dict(row, path=f"{kind}/{row['path']}")
+                 for row in json.loads(meta.read_text()) if row["type"] == kind]
+    (root / "metadata.json").write_text(json.dumps(rows))
+    return root
 
 
 @pytest.fixture

@@ -67,17 +67,10 @@ def demo(demo_root):
 
 
 @pytest.fixture(scope="module")
-def resampled(tmp_path_factory):
+def resampled(resampled_root):
     """Speech at 48 kHz and audio at 44.1 kHz in one catalog, so every
     source is resampled."""
-    root = tmp_path_factory.mktemp("resampled")
-    rows = []
-    for rate, kind in ((48000, "speech"), (44100, "audio")):
-        meta = build_demo_catalog(root / kind, seed=0, rate=rate)
-        rows += [dict(row, path=f"{kind}/{row['path']}")
-                 for row in json.loads(meta.read_text()) if row["type"] == kind]
-    (root / "metadata.json").write_text(json.dumps(rows))
-    return ingest(root)
+    return ingest(resampled_root)
 
 
 # ---------------- WAV I/O ----------------
@@ -508,6 +501,30 @@ def test_synthesize_worker_counts_agree(demo, resampled, tmp_path,
         s2 = synthesize(records2, out2, workers=2)
         assert s1.ok and s2.ok
         assert _tree_digest(out1) == _tree_digest(out2)
+
+
+def test_synthesize_trees_agree_when_shards_resample_on_the_pool(
+        resampled, tmp_path, monkeypatch):
+    # A shard on a pool thread calls dsp._threads again for each source's
+    # resampling halves, with the pool's threads busy with shards.
+    splits = partition(resampled, seed=0)
+    trees = {}
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(dsp, "available_cpus", lambda: cpus)
+        monkeypatch.setattr(synth, "available_cpus", lambda: cpus)
+        for workers in (1, 2, 4):
+            records = generate_manifest(resampled, splits, count=8,
+                                        comp=Composition(2, 2), seed=5)
+            out = tmp_path / f"c{cpus}w{workers}"
+            result = []
+            run = threading.Thread(target=lambda: result.append(
+                synthesize(records, out, workers=workers)), daemon=True)
+            run.start()
+            run.join(timeout=120)
+            assert not run.is_alive(), (cpus, workers)
+            assert result[0].ok
+            trees[cpus, workers] = _tree_digest(out)
+    assert len(set(trees.values())) == 1, trees
 
 
 def test_synthesize_fills_in_the_callers_records_at_any_worker_count(

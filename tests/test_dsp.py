@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.signal import upfirdn
 
+from mixedit import dsp
 from mixedit.dsp import (
     HOP,
     WINDOW,
@@ -161,6 +162,44 @@ def test_resample_matches_polyphase_reference(src, tgt):
         assert len(out) == len(ref) == round(n * tgt / src)
         if len(out):
             assert np.abs(out - ref).max() <= 1e-12 * max(1.0, np.abs(x).max())
+
+
+def _whole_product_resample(clip, target_rate):
+    """``resample`` as it ran before its products had threads: one product
+    per tap group over every block at once."""
+    out_len = round(len(clip) * target_rate / clip.rate)
+    period, advance, groups = _resample_plan(clip.rate, target_rate)
+    n_blocks = -(-out_len // period)
+    left = -groups[0][1]
+    end = max((n_blocks - 1) * advance + lo + len(taps)
+              for _, lo, taps in groups)
+    x = np.concatenate([np.zeros(left), clip.samples,
+                        np.zeros(max(0, end - len(clip)))])
+    y = np.empty((n_blocks, period))
+    for p0, lo, taps in groups:
+        windows = np.lib.stride_tricks.sliding_window_view(
+            x[left + lo:], len(taps))[::advance][:n_blocks]
+        y[:, p0:p0 + taps.shape[1]] = windows @ taps
+    return y.ravel()[:out_len]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("src,tgt", _RATE_PAIRS)
+def test_resample_on_block_halves_equals_the_whole_product(monkeypatch, src,
+                                                           tgt, cpus):
+    monkeypatch.setattr(dsp, "available_cpus", lambda: cpus)
+    period, _, _ = _resample_plan(src, tgt)
+    least = dsp._RESAMPLE_PARTS[0]
+    rng = np.random.default_rng(src)
+    # One to three blocks, every count within 8 of the split, and a few
+    # thousand blocks; each clip ends half a period into its last block.
+    for n_blocks in (1, 2, 3, *range(least - 8, least + 9), 4099):
+        n = (n_blocks * period - period // 2) * src // tgt
+        clip = Clip(3.0 * rng.standard_normal(n), src)
+        out = resample(clip, tgt).samples
+        assert -(-len(out) // period) == n_blocks
+        expected = _whole_product_resample(clip, tgt)
+        assert out.tobytes() == expected.tobytes(), (src, n_blocks)
 
 
 @pytest.mark.parametrize("src,tgt", _RATE_PAIRS + [(16001, 16000),

@@ -824,6 +824,15 @@ def test_stft_frame_parts_split_on_the_8_frame_grid(n_frames):
     _assert_parts(dsp._STFT_PARTS, n_frames)
 
 
+@pytest.mark.parametrize("n_blocks", [1, 3, 255, 256, 257, 500, 1250,
+                                      20001])
+def test_resample_block_parts_are_halves_from_256_blocks(n_blocks):
+    parts = _assert_parts(dsp._RESAMPLE_PARTS, n_blocks, 128)
+    half = n_blocks // 2
+    assert parts == ([(0, n_blocks)] if n_blocks < 256
+                     else [(0, half), (half, n_blocks)])
+
+
 _EDIT_ON_CPUS = """
 import hashlib, os, sys, threading
 sys.path.insert(0, sys.argv[1])
@@ -929,7 +938,8 @@ def test_film_training_step_peak_memory_on_two_threads(monkeypatch):
 TRACING = Path(__file__).resolve().parents[1] / "mixbench" / "tracing.py"
 
 
-def test_film_threads_call_no_traced_layer(monkeypatch, tmp_path):
+def test_film_threads_call_no_traced_layer(monkeypatch, tmp_path,
+                                          resampled_root):
     # The benchmark tracer keeps one span stack for the process, so every
     # call it wraps must come from the thread that called into mixedit,
     # synthesis at the one worker the benchmark runs included.
@@ -974,9 +984,9 @@ def test_film_threads_call_no_traced_layer(monkeypatch, tmp_path):
         mixture = Clip(x, RATE)
         mask = editor.ideal_mask(mixture, Clip(sources[0], RATE), kind)
         editor.mask_edit(mixture, mask)
-    # Every source of a 48-kHz catalog is resampled.
-    build_demo_catalog(tmp_path / "catalog", seed=0, rate=48000)
-    catalog = ingest(tmp_path / "catalog")
+    # Every source of a 48-kHz speech and 44.1-kHz audio catalog is
+    # resampled, in halves on the pool.
+    catalog = ingest(resampled_root)
     records = generate_manifest(catalog, partition(catalog, seed=0), count=4,
                                 comp=Composition(2, 2), seed=5)
     assert dataset.synthesize(records, tmp_path / "tree", workers=1).ok

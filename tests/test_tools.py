@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+from mixedit import dsp
+
 _DIGESTS = Path(__file__).resolve().parents[1] / "tools" / "digests.py"
 
 
@@ -39,3 +41,15 @@ def test_digests_of_the_loss_case_agree_across_runs(tmp_path, monkeypatch):
         f"loss/{dtype}/{refs}" for dtype in ("float64", "float32")
         for refs in ("mixture", "pit")]
     assert len({digest for _, digest in runs[0]}) == 4
+
+
+def test_digests_of_the_resample_case_agree_on_one_and_two_cpus(monkeypatch):
+    digests = _digests_module()
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(dsp, "available_cpus", lambda: cpus)
+        runs.append(list(digests.CASES["resample"]()))
+    assert runs[0] == runs[1]
+    assert [name for name, _ in runs[0]] == [
+        f"resample/{src}-{tgt}" for src, tgt in digests.RESAMPLE_PAIRS]
+    assert len({digest for _, digest in runs[0]}) == len(runs[0])

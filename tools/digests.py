@@ -27,6 +27,9 @@ DIR:
   seed 0) on one 5-s noise clip, on the float64 net and its float32 copy;
 - ``loss``: ``snr_loss_and_grad``'s loss and gradients on a two-mask net,
   float64 and float32, without and with per-source PIT references;
+- ``resample``: ``resample`` of fixed noise at 1, 255, 256, 257 and 1250
+  output blocks, on both sides of the count from which it splits its
+  blocks over the pool, one digest per rate pair;
 - ``parse``: ``parse`` over fixed corruptions of rendered 2,2 prompts,
   one digest over each prompt's instruction or error class and span;
 - ``rejects``: one line per malformed input, the error class (or
@@ -282,6 +285,23 @@ def case_loss():
                    _values(snr_loss_and_grad(net, x, z, y, given)))
 
 
+RESAMPLE_PAIRS = [(8000, 16000), (11025, 16000), (22050, 16000),
+                  (24000, 16000), (32000, 16000), (44100, 16000),
+                  (48000, 16000), (96000, 16000), (16000, 8000)]
+
+
+def case_resample():
+    rng = np.random.default_rng(SEED)
+    for src, tgt in RESAMPLE_PAIRS:
+        period, _, _ = dsp._resample_plan(src, tgt)
+        outputs = []
+        for n_blocks in (1, 255, 256, 257, 1250):
+            n = (n_blocks * period - period // 2) * src // tgt
+            outputs.append(dsp.resample(dsp.Clip(_noise(rng, n), src),
+                                        tgt).samples)
+        yield f"resample/{src}-{tgt}", _values(outputs)
+
+
 def _corruptions(text: str, rng: random.Random) -> list[str]:
     """``text`` and seven damaged copies: a word dropped, two neighbours
     swapped, a word doubled, a cut, a character replaced, capitals, and a
@@ -462,7 +482,8 @@ def case_rejects():
 
 CASES = {"generate": case_generate, "edit": case_edit, "eval": case_eval,
          "train-toy": case_train_toy, "film": case_film, "loss": case_loss,
-         "parse": case_parse, "rejects": case_rejects}
+         "resample": case_resample, "parse": case_parse,
+         "rejects": case_rejects}
 
 
 def main(argv=None) -> int:
