@@ -13,6 +13,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -84,9 +85,9 @@ class Catalog:
     def audio(self) -> list[CatalogEntry]:
         return [e for e in self.entries if not e.is_speech]
 
-    @property
-    def labels(self) -> set[str]:
-        return {e.signature.label for e in self.audio}
+    @cached_property
+    def labels(self) -> frozenset[str]:
+        return frozenset(e.signature.label for e in self.audio)
 
     @property
     def speakers(self) -> list[str]:

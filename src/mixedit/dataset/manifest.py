@@ -105,6 +105,14 @@ class SourceRef:
     gain: float | None = None  # filled during synthesis
 
 
+def _is_file_name(name) -> bool:
+    """Whether ``name`` is a file name with no directory part, so that it
+    names a file in the tree itself: a string other than ``""``, ``.``
+    and ``..``, without ``/``, ``\\`` or NUL, so never absolute."""
+    return (type(name) is str and name not in ("", ".", "..")
+            and not {"/", "\\", "\0"} & set(name))
+
+
 @dataclass
 class ManifestRecord:
     record_id: int
@@ -129,7 +137,7 @@ class ManifestRecord:
     def from_json(cls, line: str) -> "ManifestRecord":
         """The record on one manifest line. Another schema, a field that
         ``errors.check_types`` refuses, no sources, ``outputs`` without
-        its three names, or content that does not decode raise
+        its three bare file names, or content that does not decode raise
         BadManifestLine."""
         try:
             doc = json.loads(line)
@@ -146,10 +154,11 @@ class ManifestRecord:
                 raise BadManifestLine("a record needs at least one source")
             outputs = record.outputs
             if outputs is not None and not all(
-                    type(outputs.get(role)) is str
+                    _is_file_name(outputs.get(role))
                     for role in ("input", "target", "prompt")):
                 raise BadManifestLine(f"outputs must name the input, target "
-                                      f"and prompt files, got {outputs!r}")
+                                      f"and prompt files by bare file names, "
+                                      f"got {outputs!r}")
             record.action_vector()
             record.signatures()
             simplified_from_json(record.simplified)

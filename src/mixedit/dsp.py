@@ -100,15 +100,10 @@ _GROUP = 64
 # carry any rate, and a near-coprime pair's plan grows with the source
 # rate: 16001 Hz needs 2.45M taps, 999983 Hz 153M.
 _MAX_PLAN_TAPS = 2 ** 23
-# ``_parts`` settings of ``resample``'s output blocks: from 256 blocks on,
-# two halves, cut anywhere. Each output is one window's dot product with
-# one tap column. For the plans to 16 kHz, OpenBLAS sums it in the same
-# order in a half of 128 blocks or more as in the whole product. A
-# product of one block, or of a few dozen blocks of a long window, takes
-# its vector or small-matrix kernel instead, which can differ in the
-# last bits (from 2 to 3 and from 34 to 67 blocks at 48 kHz, had those
-# counts split), so shorter runs stay whole.
-_RESAMPLE_PARTS = (256, 1)
+# OpenBLAS (0.3.31) runs a product of at most this many multiply-adds
+# through its small-matrix kernel, which sums in another order than the
+# kernel of a larger product.
+_SMALL_GEMM = 100 ** 3
 
 
 @lru_cache(maxsize=32)
@@ -195,11 +190,13 @@ def resample(clip: Clip, target_rate: int) -> Clip:
     order differs.
 
     The calling thread pads the input and allocates the output; the
-    products then run on the parts of the output blocks
-    (``_RESAMPLE_PARTS``), each writing its own rows of the output and
-    calling numpy only. The parts depend on the block count alone, so
-    the output has the same bits on any number of CPUs; for the plans to
-    16 kHz they are also the bits of one whole product.
+    products then run on two halves of the output blocks, each writing
+    its own rows of the output and calling numpy only, once the smaller
+    half's product over the narrowest tap group is over ``_SMALL_GEMM``
+    multiply-adds and no half is one block. Every half's product then
+    takes the kernel of the whole product and sums each output in its
+    order, so the output has the bits of one whole product on any
+    number of CPUs (measured on OpenBLAS 0.3.31 at one BLAS thread).
 
     Output length is round(len * target / source). Same-rate input is
     returned unchanged.
@@ -227,7 +224,9 @@ def resample(clip: Clip, target_rate: int) -> Clip:
         for windows, taps, out in products:
             np.matmul(windows[first:end], taps, out=out[first:end])
 
-    _each(_parts(n_blocks, *_RESAMPLE_PARTS), run_blocks)
+    narrowest = min(taps.size for _, _, taps in groups)
+    _each(_parts(n_blocks, max(4, 2 * (_SMALL_GEMM // narrowest + 1)), 1),
+          run_blocks)
     return Clip(_Fresh(y.ravel()[:out_len]), target_rate)
 
 

@@ -401,6 +401,12 @@ _WORD = re.compile(r"\S+")
 _ARTICLES = ("the", "an", "a")
 
 
+@lru_cache(maxsize=8)
+def _normal_labels(labels: frozenset[str]) -> frozenset[str]:
+    """A label set normalised once, not on every ``parse`` against it."""
+    return frozenset(map(normalize_label, labels))
+
+
 def parse(text: str, labels) -> SimplifiedInstruction:
     """Invert ``render``: map a template or special generic prompt back to
     its simplified instruction.
@@ -413,7 +419,7 @@ def parse(text: str, labels) -> SimplifiedInstruction:
     EmptyInstruction's span is ``(0, len(text))``.
     """
     lex = default_lexicon()
-    labels = {normalize_label(l) for l in labels}
+    labels = _normal_labels(frozenset(labels))
     norm = normalize_label(text)
     special = lex._special_lookup.get(norm)
     if special is not None:

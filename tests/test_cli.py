@@ -419,6 +419,28 @@ def test_eval_record_without_its_files_exits_1(tmp_path, capsys, hole):
     assert f"error: {error}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["ABS", "../000000_target.wav",
+                                  "sub/000000_target.wav", ".."])
+def test_eval_refuses_outputs_outside_the_tree(tmp_path, capsys, name):
+    x = Clip(np.ones(100) * 0.1, RATE)
+    tree = tmp_path / "tree"
+    _write_tree(tree, [(x, x)])
+    outside = tmp_path / "000000_target.wav"
+    shutil.copy(tree / "000000_target.wav", outside)
+    (tree / "sub").mkdir()
+    shutil.copy(outside, tree / "sub")
+    record = json.loads((tree / "manifest.jsonl").read_text())
+    record["outputs"]["target"] = str(outside) if name == "ABS" else name
+    (tree / "manifest.jsonl").write_text(json.dumps(record) + "\n")
+    est = tmp_path / "est"
+    est.mkdir()
+    write_wav(est / "000000.wav", x)
+    assert main(["eval", "--est", str(est), "--tree", str(tree)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert err.startswith("error: BadManifestLine") and "bare file" in err
+
+
 @pytest.mark.parametrize("option", ["--ref", "--input", "--per-task"])
 def test_eval_takes_no_three_directory_options(tmp_path, capsys, option):
     x = Clip(np.ones(100) * 0.1, RATE)

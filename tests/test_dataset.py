@@ -1054,6 +1054,21 @@ def test_manifest_record_fields_are_typed(fields):
         ManifestRecord.from_json(_line_with(**fields))
 
 
+_NOT_FILE_NAMES = ["/abs.wav", "sub/a.wav", "../a.wav", "a\\b.wav", ".",
+                   "..", "", "a\x00.wav"]
+
+
+@pytest.mark.parametrize("name", _NOT_FILE_NAMES)
+@pytest.mark.parametrize("role", ["input", "target", "prompt"])
+def test_load_manifest_refuses_outputs_that_are_not_bare_file_names(
+        tmp_path, role, name):
+    outputs = {"input": "a.wav", "target": "b.wav", "prompt": "p.txt"}
+    path = tmp_path / "manifest.jsonl"
+    path.write_text(_line_with(outputs={**outputs, role: name}) + "\n")
+    with pytest.raises(BadManifestLine, match="line 1: outputs must name"):
+        load_manifest(path)
+
+
 @pytest.mark.parametrize("fields", [
     {"outputs": None},
     {"outputs": {"input": "a.wav", "target": "b.wav", "prompt": "p.txt"}},

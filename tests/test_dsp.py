@@ -145,9 +145,12 @@ _RATE_PAIRS = [
     (32000, 16000), (44100, 16000), (48000, 16000), (96000, 16000),
     (16000, 8000),
 ]
+# Pairs off 16 kHz: the narrow tap groups of the first two split only
+# from 274 blocks on.
+_OTHER_PAIRS = [(48000, 44100), (44100, 48000), (16000, 44100)]
 
 
-@pytest.mark.parametrize("src,tgt", _RATE_PAIRS)
+@pytest.mark.parametrize("src,tgt", _RATE_PAIRS + _OTHER_PAIRS)
 def test_resample_matches_polyphase_reference(src, tgt):
     h, _, up, _ = _dense_filter(src, tgt)
     span = len(h) // up
@@ -183,23 +186,58 @@ def _whole_product_resample(clip, target_rate):
     return y.ravel()[:out_len]
 
 
+def _split_from(src, tgt):
+    """The block count from which ``resample`` runs two halves: the least
+    whose smaller half, over the plan's narrowest tap group, is a product
+    of more than ``dsp._SMALL_GEMM`` multiply-adds, and at least 4."""
+    _, _, groups = _resample_plan(src, tgt)
+    narrowest = min(taps.size for _, _, taps in groups)
+    return max(4, 2 * (dsp._SMALL_GEMM // narrowest + 1))
+
+
+def _clip_of_blocks(rng, src, tgt, n_blocks):
+    """Noise that ``resample`` turns into ``n_blocks`` output blocks, the
+    last one half full."""
+    period, _, _ = _resample_plan(src, tgt)
+    n = (n_blocks * period - period // 2) * src // tgt
+    return Clip(3.0 * rng.standard_normal(n), src)
+
+
+@pytest.mark.parametrize("src,tgt", _RATE_PAIRS + _OTHER_PAIRS)
+def test_resample_block_parts_are_halves_from_the_plans_threshold(
+        monkeypatch, src, tgt):
+    least = _split_from(src, tgt)
+    seen = []
+    each = dsp._each
+    monkeypatch.setattr(dsp, "_each", lambda parts, step: (
+        seen.append(parts), each(parts, step)))
+    rng = np.random.default_rng(src)
+    for n_blocks in (1, 3, least - 1, least, least + 1, 2 * least + 1,
+                     4099):
+        seen.clear()
+        resample(_clip_of_blocks(rng, src, tgt, n_blocks), tgt)
+        parts = ([(0, n_blocks)] if n_blocks < least
+                 else dsp._equal_parts(n_blocks, 2))
+        assert seen == [parts], (src, tgt, n_blocks)
+        assert min(end - first for first, end in parts) >= min(n_blocks, 2)
+
+
 @pytest.mark.parametrize("cpus", [1, 2])
-@pytest.mark.parametrize("src,tgt", _RATE_PAIRS)
+@pytest.mark.parametrize("src,tgt", _RATE_PAIRS + _OTHER_PAIRS)
 def test_resample_on_block_halves_equals_the_whole_product(monkeypatch, src,
                                                            tgt, cpus):
     monkeypatch.setattr(dsp, "available_cpus", lambda: cpus)
     period, _, _ = _resample_plan(src, tgt)
-    least = dsp._RESAMPLE_PARTS[0]
+    least = _split_from(src, tgt)
     rng = np.random.default_rng(src)
     # One to three blocks, every count within 8 of the split, and a few
-    # thousand blocks; each clip ends half a period into its last block.
+    # thousand blocks.
     for n_blocks in (1, 2, 3, *range(least - 8, least + 9), 4099):
-        n = (n_blocks * period - period // 2) * src // tgt
-        clip = Clip(3.0 * rng.standard_normal(n), src)
+        clip = _clip_of_blocks(rng, src, tgt, n_blocks)
         out = resample(clip, tgt).samples
         assert -(-len(out) // period) == n_blocks
         expected = _whole_product_resample(clip, tgt)
-        assert out.tobytes() == expected.tobytes(), (src, n_blocks)
+        assert out.tobytes() == expected.tobytes(), (src, tgt, n_blocks)
 
 
 @pytest.mark.parametrize("src,tgt", _RATE_PAIRS + [(16001, 16000),

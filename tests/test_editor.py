@@ -824,15 +824,6 @@ def test_stft_frame_parts_split_on_the_8_frame_grid(n_frames):
     _assert_parts(dsp._STFT_PARTS, n_frames)
 
 
-@pytest.mark.parametrize("n_blocks", [1, 3, 255, 256, 257, 500, 1250,
-                                      20001])
-def test_resample_block_parts_are_halves_from_256_blocks(n_blocks):
-    parts = _assert_parts(dsp._RESAMPLE_PARTS, n_blocks, 128)
-    half = n_blocks // 2
-    assert parts == ([(0, n_blocks)] if n_blocks < 256
-                     else [(0, half), (half, n_blocks)])
-
-
 _EDIT_ON_CPUS = """
 import hashlib, os, sys, threading
 sys.path.insert(0, sys.argv[1])

@@ -1,6 +1,7 @@
 """Simplification, template rendering, generic prompts, and the parser."""
 
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +37,7 @@ from mixedit.prompt import (
     simplify,
     special_generic,
 )
+from mixedit.dataset.catalog import Catalog, CatalogEntry
 from mixedit.taskspace import Composition, defined_tasks, enumerate_edits
 
 K, R, U, D = Action.KEEP, Action.REMOVE, Action.VOLUME_UP, Action.VOLUME_DOWN
@@ -354,6 +356,26 @@ def test_parse_round_trip_label_whose_casefold_differs(label, template):
     ))
     text = render(simp, template, seed=1).text
     assert parse(text, [label]).as_set() == simp.as_set(), text
+
+
+def test_parse_normalises_a_catalogs_labels_once(monkeypatch):
+    catalog = Catalog(tuple(
+        CatalogEntry(f"a{i}", Path(f"a{i}.wav"), AudioSignature(label))
+        for i, label in enumerate(
+            [f"Sound  {i}" for i in range(500)] + ["Dog barking"])))
+    assert len(catalog.labels) == 501 and catalog.labels is catalog.labels
+    simp = SimplifiedInstruction((
+        (R, AudioDescriptor("dog barking")),
+        (U, SpeechDescriptor((("gender", "male"),))),
+    ))
+    text = render(simp, TemplateId.PLEASE, seed=1).text
+    assert parse(text, catalog.labels).as_set() == simp.as_set()
+    calls = []
+    normalize = prompt_module.normalize_label
+    monkeypatch.setattr(prompt_module, "normalize_label",
+                        lambda t: calls.append(t) or normalize(t))
+    assert parse(text, catalog.labels).as_set() == simp.as_set()
+    assert len(calls) < 10
 
 
 def test_parse_special_prompts():

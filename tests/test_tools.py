@@ -51,5 +51,8 @@ def test_digests_of_the_resample_case_agree_on_one_and_two_cpus(monkeypatch):
         runs.append(list(digests.CASES["resample"]()))
     assert runs[0] == runs[1]
     assert [name for name, _ in runs[0]] == [
-        f"resample/{src}-{tgt}" for src, tgt in digests.RESAMPLE_PAIRS]
+        f"resample/{src}-{tgt}" for src, tgt in digests.RESAMPLE_PAIRS] + [
+        f"resample/{src}-{tgt}/split" for src, tgt in digests.SPLIT_PAIRS]
+    assert digests._split_from(48000, 44100) == 274
+    assert digests._split_from(44100, 48000) == 274
     assert len({digest for _, digest in runs[0]}) == len(runs[0])

@@ -28,8 +28,9 @@ DIR:
 - ``loss``: ``snr_loss_and_grad``'s loss and gradients on a two-mask net,
   float64 and float32, without and with per-source PIT references;
 - ``resample``: ``resample`` of fixed noise at 1, 255, 256, 257 and 1250
-  output blocks, on both sides of the count from which it splits its
-  blocks over the pool, one digest per rate pair;
+  output blocks, one digest per rate pair to 16 or 8 kHz; then one
+  ``/split`` digest per pair, those and 48000 <-> 44100, at one block
+  below and at the count from which it splits its blocks over the pool;
 - ``parse``: ``parse`` over fixed corruptions of rendered 2,2 prompts,
   one digest over each prompt's instruction or error class and span;
 - ``rejects``: one line per malformed input, the error class (or
@@ -288,18 +289,39 @@ def case_loss():
 RESAMPLE_PAIRS = [(8000, 16000), (11025, 16000), (22050, 16000),
                   (24000, 16000), (32000, 16000), (44100, 16000),
                   (48000, 16000), (96000, 16000), (16000, 8000)]
+# The pairs whose threshold ``/split`` digests: these, and two whose
+# narrow tap groups split only from 274 blocks on.
+SPLIT_PAIRS = RESAMPLE_PAIRS + [(48000, 44100), (44100, 48000)]
+
+
+def _split_from(src: int, tgt: int) -> int:
+    """The block count from which ``resample`` runs two halves: the least
+    whose smaller half, over the plan's narrowest tap group, is a product
+    of more than 100**3 multiply-adds, and at least 4. Worked out here,
+    not read from ``dsp``, so that a changed rule shows as changed
+    digests of the same inputs."""
+    _, _, groups = dsp._resample_plan(src, tgt)
+    return max(4, 2 * (100 ** 3 // min(t.size for _, _, t in groups) + 1))
+
+
+def _resampled(rng, src: int, tgt: int, counts) -> list[np.ndarray]:
+    """``resample`` of noise at each count of output blocks, the last
+    block half full."""
+    period, _, _ = dsp._resample_plan(src, tgt)
+    clips = (dsp.Clip(_noise(rng, (n * period - period // 2) * src // tgt),
+                      src) for n in counts)
+    return [dsp.resample(clip, tgt).samples for clip in clips]
 
 
 def case_resample():
     rng = np.random.default_rng(SEED)
     for src, tgt in RESAMPLE_PAIRS:
-        period, _, _ = dsp._resample_plan(src, tgt)
-        outputs = []
-        for n_blocks in (1, 255, 256, 257, 1250):
-            n = (n_blocks * period - period // 2) * src // tgt
-            outputs.append(dsp.resample(dsp.Clip(_noise(rng, n), src),
-                                        tgt).samples)
-        yield f"resample/{src}-{tgt}", _values(outputs)
+        yield f"resample/{src}-{tgt}", _values(
+            _resampled(rng, src, tgt, (1, 255, 256, 257, 1250)))
+    for src, tgt in SPLIT_PAIRS:
+        least = _split_from(src, tgt)
+        yield f"resample/{src}-{tgt}/split", _values(
+            _resampled(rng, src, tgt, (least - 1, least)))
 
 
 def _corruptions(text: str, rng: random.Random) -> list[str]:
