@@ -100,10 +100,12 @@ _GROUP = 64
 # carry any rate, and a near-coprime pair's plan grows with the source
 # rate: 16001 Hz needs 2.45M taps, 999983 Hz 153M.
 _MAX_PLAN_TAPS = 2 ** 23
-# OpenBLAS (0.3.31) runs a product of at most this many multiply-adds
-# through its small-matrix kernel, which sums in another order than the
-# kernel of a larger product.
+# OpenBLAS (0.3.31) sums a product in another order than a larger one
+# when it has at most this many multiply-adds (its small-matrix kernel)
+# or, on two BLAS threads, no more rows than columns.
 _SMALL_GEMM = 100 ** 3
+# A half's multiply-adds below which the pool costs time (on 2 vCPUs).
+_POOL_GEMM = 3 * 10 ** 6
 
 
 @lru_cache(maxsize=32)
@@ -191,12 +193,10 @@ def resample(clip: Clip, target_rate: int) -> Clip:
 
     The calling thread pads the input and allocates the output; the
     products then run on two halves of the output blocks, each writing
-    its own rows of the output and calling numpy only, once the smaller
-    half's product over the narrowest tap group is over ``_SMALL_GEMM``
-    multiply-adds and no half is one block. Every half's product then
-    takes the kernel of the whole product and sums each output in its
-    order, so the output has the bits of one whole product on any
-    number of CPUs (measured on OpenBLAS 0.3.31 at one BLAS thread).
+    its own rows and calling numpy only, once a half has more rows than
+    columns and more multiply-adds than ``_SMALL_GEMM`` per tap group
+    and ``_POOL_GEMM`` in all. Each output then sums as in one whole
+    product on any number of CPUs (OpenBLAS 0.3.31, 1 or 2 BLAS threads).
 
     Output length is round(len * target / source). Same-rate input is
     returned unchanged.
@@ -224,9 +224,10 @@ def resample(clip: Clip, target_rate: int) -> Clip:
         for windows, taps, out in products:
             np.matmul(windows[first:end], taps, out=out[first:end])
 
-    narrowest = min(taps.size for _, _, taps in groups)
-    _each(_parts(n_blocks, max(4, 2 * (_SMALL_GEMM // narrowest + 1)), 1),
-          run_blocks)
+    short = max(max(taps.shape[1] for _, _, taps in groups),
+                _SMALL_GEMM // min(taps.size for _, _, taps in groups),
+                _POOL_GEMM // sum(taps.size for _, _, taps in groups))
+    _each(_parts(n_blocks, 2 * (short + 1), 1), run_blocks)
     return Clip(_Fresh(y.ravel()[:out_len]), target_rate)
 
 

@@ -5,14 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-# mixedit before numpy, so that the tests run numpy's BLAS at the one
-# thread the package sets (see ``mixedit/__init__.py``): ``resample`` keeps
-# a whole product's bits at that setting, as the program runs it.
-import mixedit  # isort: skip
-
 import numpy as np
 import pytest
 
+import mixedit
 from mixedit.dataset import build_demo_catalog
 
 

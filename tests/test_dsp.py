@@ -1,6 +1,9 @@
 """Waveform primitives: resampling, conditioning, STFT."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -145,9 +148,16 @@ _RATE_PAIRS = [
     (32000, 16000), (44100, 16000), (48000, 16000), (96000, 16000),
     (16000, 8000),
 ]
-# Pairs off 16 kHz: the narrow tap groups of the first two split only
-# from 274 blocks on.
 _OTHER_PAIRS = [(48000, 44100), (44100, 48000), (16000, 44100)]
+# The block count from which ``resample`` runs two halves, per pair. A
+# split changes the last bits up to one block below it at 44100 -> 16000
+# (on two BLAS threads) and at 48000 -> 44100.
+_SPLIT_FROM = {
+    (8000, 16000): 770, (11025, 16000): 236, (22050, 16000): 150,
+    (24000, 16000): 408, (32000, 16000): 306, (44100, 16000): 110,
+    (48000, 16000): 204, (96000, 16000): 130, (16000, 8000): 306,
+    (48000, 44100): 274, (44100, 48000): 274, (16000, 44100): 288,
+}
 
 
 @pytest.mark.parametrize("src,tgt", _RATE_PAIRS + _OTHER_PAIRS)
@@ -186,15 +196,6 @@ def _whole_product_resample(clip, target_rate):
     return y.ravel()[:out_len]
 
 
-def _split_from(src, tgt):
-    """The block count from which ``resample`` runs two halves: the least
-    whose smaller half, over the plan's narrowest tap group, is a product
-    of more than ``dsp._SMALL_GEMM`` multiply-adds, and at least 4."""
-    _, _, groups = _resample_plan(src, tgt)
-    narrowest = min(taps.size for _, _, taps in groups)
-    return max(4, 2 * (dsp._SMALL_GEMM // narrowest + 1))
-
-
 def _clip_of_blocks(rng, src, tgt, n_blocks):
     """Noise that ``resample`` turns into ``n_blocks`` output blocks, the
     last one half full."""
@@ -206,7 +207,7 @@ def _clip_of_blocks(rng, src, tgt, n_blocks):
 @pytest.mark.parametrize("src,tgt", _RATE_PAIRS + _OTHER_PAIRS)
 def test_resample_block_parts_are_halves_from_the_plans_threshold(
         monkeypatch, src, tgt):
-    least = _split_from(src, tgt)
+    least = _SPLIT_FROM[src, tgt]
     seen = []
     each = dsp._each
     monkeypatch.setattr(dsp, "_each", lambda parts, step: (
@@ -228,7 +229,7 @@ def test_resample_on_block_halves_equals_the_whole_product(monkeypatch, src,
                                                            tgt, cpus):
     monkeypatch.setattr(dsp, "available_cpus", lambda: cpus)
     period, _, _ = _resample_plan(src, tgt)
-    least = _split_from(src, tgt)
+    least = _SPLIT_FROM[src, tgt]
     rng = np.random.default_rng(src)
     # One to three blocks, every count within 8 of the split, and a few
     # thousand blocks.
@@ -238,6 +239,22 @@ def test_resample_on_block_halves_equals_the_whole_product(monkeypatch, src,
         assert -(-len(out) // period) == n_blocks
         expected = _whole_product_resample(clip, tgt)
         assert out.tobytes() == expected.tobytes(), (src, tgt, n_blocks)
+
+
+def test_block_halves_keep_the_bits_on_one_and_two_blas_threads():
+    # The suite runs numpy's BLAS at its default thread count; this runs
+    # the test above at one BLAS thread, the package's setting, and at
+    # two, where OpenBLAS splits a product of few rows by its columns.
+    test = (f"{__file__}::"
+            "test_resample_on_block_halves_equals_the_whole_product")
+    for threads in ("1", "2"):
+        env = os.environ | dict.fromkeys(
+            ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"),
+            threads)
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             test], env=env, capture_output=True, text=True, timeout=600)
+        assert run.returncode == 0, (threads, run.stdout[-3000:])
 
 
 @pytest.mark.parametrize("src,tgt", _RATE_PAIRS + [(16001, 16000),

@@ -46,13 +46,18 @@ def test_digests_of_the_loss_case_agree_across_runs(tmp_path, monkeypatch):
 def test_digests_of_the_resample_case_agree_on_one_and_two_cpus(monkeypatch):
     digests = _digests_module()
     runs = []
+    counts = []  # of the parts each resample call runs
+    each = dsp._each
+    monkeypatch.setattr(dsp, "_each", lambda parts, step: (
+        counts.append(len(parts)), each(parts, step)))
     for cpus in (1, 2):
         monkeypatch.setattr(dsp, "available_cpus", lambda: cpus)
         runs.append(list(digests.CASES["resample"]()))
     assert runs[0] == runs[1]
     assert [name for name, _ in runs[0]] == [
         f"resample/{src}-{tgt}" for src, tgt in digests.RESAMPLE_PAIRS] + [
-        f"resample/{src}-{tgt}/split" for src, tgt in digests.SPLIT_PAIRS]
-    assert digests._split_from(48000, 44100) == 274
-    assert digests._split_from(44100, 48000) == 274
+        f"resample/{src}-{tgt}/split" for src, tgt in digests.SPLIT_FROM]
+    # Each /split digest is of one block below resample's split and of it.
+    splits = len(digests.SPLIT_FROM)
+    assert counts[-2 * splits:] == [1, 2] * splits
     assert len({digest for _, digest in runs[0]}) == len(runs[0])

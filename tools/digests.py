@@ -289,19 +289,14 @@ def case_loss():
 RESAMPLE_PAIRS = [(8000, 16000), (11025, 16000), (22050, 16000),
                   (24000, 16000), (32000, 16000), (44100, 16000),
                   (48000, 16000), (96000, 16000), (16000, 8000)]
-# The pairs whose threshold ``/split`` digests: these, and two whose
-# narrow tap groups split only from 274 blocks on.
-SPLIT_PAIRS = RESAMPLE_PAIRS + [(48000, 44100), (44100, 48000)]
-
-
-def _split_from(src: int, tgt: int) -> int:
-    """The block count from which ``resample`` runs two halves: the least
-    whose smaller half, over the plan's narrowest tap group, is a product
-    of more than 100**3 multiply-adds, and at least 4. Worked out here,
-    not read from ``dsp``, so that a changed rule shows as changed
-    digests of the same inputs."""
-    _, _, groups = dsp._resample_plan(src, tgt)
-    return max(4, 2 * (100 ** 3 // min(t.size for _, _, t in groups) + 1))
+# The block count from which ``resample`` runs two halves, for each pair
+# that ``/split`` digests at one block below it and at it: the pairs
+# above and 48000 <-> 44100. Fixed here, so that a changed rule runs the
+# same inputs and shows as changed digests.
+SPLIT_FROM = {(8000, 16000): 770, (11025, 16000): 236, (22050, 16000): 150,
+              (24000, 16000): 408, (32000, 16000): 306, (44100, 16000): 110,
+              (48000, 16000): 204, (96000, 16000): 130, (16000, 8000): 306,
+              (48000, 44100): 274, (44100, 48000): 274}
 
 
 def _resampled(rng, src: int, tgt: int, counts) -> list[np.ndarray]:
@@ -318,8 +313,7 @@ def case_resample():
     for src, tgt in RESAMPLE_PAIRS:
         yield f"resample/{src}-{tgt}", _values(
             _resampled(rng, src, tgt, (1, 255, 256, 257, 1250)))
-    for src, tgt in SPLIT_PAIRS:
-        least = _split_from(src, tgt)
+    for (src, tgt), least in SPLIT_FROM.items():
         yield f"resample/{src}-{tgt}/split", _values(
             _resampled(rng, src, tgt, (least - 1, least)))
 
