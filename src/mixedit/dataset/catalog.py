@@ -8,12 +8,13 @@ are filtered out against a fixed blocklist.
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from ..core import (
     StyleVector,
     normalize_label,
 )
-from ..dsp import DEFAULT_RATE, Clip
+from ..dsp import DEFAULT_RATE, Clip, _each, _equal_parts, _Fresh
 from ..errors import MixeditError
 from ..seeding import derive_seed
 
@@ -257,29 +258,44 @@ _AM = {"low": 1.5, "normal": 3.0, "high": 5.5}
 _AMP = {"low": 0.08, "normal": 0.16, "high": 0.3}
 
 
-def _demo_speech(style: StyleVector, rng: np.ndarray, duration: float,
+def _demo_speech(style: StyleVector, jitter: float, phases, duration: float,
                  rate: int) -> np.ndarray:
     """Speech-like harmonic stack: pitch sets f0, tempo the syllable rate,
-    volume the level, gender a formant tilt, emotion the vibrato."""
+    volume the level, gender a formant tilt, emotion the vibrato. ``jitter``
+    (a standard normal draw) detunes f0; ``phases`` holds the four
+    harmonics' start phases."""
     n = int(duration * rate)
-    t = np.arange(n) / rate
+    t = np.arange(n, dtype=np.float64) / rate
     f0 = _F0[style.pitch.value] * (1.0 if style.gender.value == "male" else 1.35)
-    f0 *= 1.0 + 0.02 * rng.standard_normal()
+    f0 *= 1.0 + 0.02 * jitter
     vib_depth = 0.004 * (1 + list(type(style.emotion)).index(style.emotion))
     vib = np.cumsum(1.0 + vib_depth * np.sin(2 * np.pi * 5.3 * t))
     wave = np.zeros(n)
     tilt = 1.4 if style.gender.value == "female" else 0.9
-    for k, gain in enumerate([1.0, 0.6 * tilt, 0.35, 0.2 * tilt], start=1):
-        phase = rng.uniform(0, 2 * np.pi)
+    for k, (gain, phase) in enumerate(
+            zip([1.0, 0.6 * tilt, 0.35, 0.2 * tilt], phases), start=1):
         wave += gain * np.sin(2 * np.pi * k * f0 * vib / rate + phase)
     am = 0.55 + 0.45 * np.clip(np.sin(2 * np.pi * _AM[style.tempo.value] * t), 0, 1)
     wave *= am
     return _AMP[style.volume.value] * wave / np.max(np.abs(wave))
 
 
+def _audio_noise(label: str, rng, n: int) -> tuple[np.ndarray, ...]:
+    """The random arrays ``_demo_audio`` draws for ``label`` at ``n``
+    samples, in the order it draws them: one normal array for noise
+    burst, rumble and wind noise, the real and imaginary halves of the
+    spectrum for pink noise, none for the rest."""
+    if label in ("noise burst", "rumble", "wind noise"):
+        return (rng.standard_normal(n),)
+    if label == "pink noise":
+        return rng.standard_normal(n // 2 + 1), rng.standard_normal(n // 2 + 1)
+    return ()
+
+
 def _demo_audio(label: str, rng, duration: float, rate: int) -> np.ndarray:
     n = int(duration * rate)
-    t = np.arange(n) / rate
+    t = np.arange(n, dtype=np.float64) / rate
+    noise = _audio_noise(label, rng, n)
     if label == "sine tone":
         w = np.sin(2 * np.pi * 523.25 * t)
     elif label == "low hum":
@@ -287,7 +303,7 @@ def _demo_audio(label: str, rng, duration: float, rate: int) -> np.ndarray:
     elif label == "chirp sweep":
         w = np.sin(2 * np.pi * (300 + (3000 - 300) * t / t[-1] / 2) * t)
     elif label == "noise burst":
-        w = rng.standard_normal(n) * (np.sin(2 * np.pi * 0.7 * t) > 0)
+        w = noise[0] * (np.sin(2 * np.pi * 0.7 * t) > 0)
         w += 1e-4 * np.sin(2 * np.pi * 440 * t)  # never fully silent
     elif label == "click train":
         w = np.zeros(n)
@@ -302,13 +318,13 @@ def _demo_audio(label: str, rng, duration: float, rate: int) -> np.ndarray:
     elif label == "high whistle":
         w = np.sin(2 * np.pi * 3200 * t)
     elif label == "rumble":
-        w = np.cumsum(rng.standard_normal(n))
+        w = np.cumsum(noise[0])
         w -= np.linspace(0, w[-1], n)
     elif label == "beep sequence":
         w = np.sin(2 * np.pi * 1000 * t) * (np.sin(2 * np.pi * 2.0 * t) > 0.3)
         w += 1e-4 * np.sin(2 * np.pi * 1000 * t)
     elif label == "pink noise":
-        white = rng.standard_normal(n // 2 + 1) + 1j * rng.standard_normal(n // 2 + 1)
+        white = noise[0] + 1j * noise[1]
         spectrum = white / np.maximum(np.sqrt(np.arange(len(white))), 1.0)
         w = np.fft.irfft(spectrum, n=n)
     elif label == "ringing bell":
@@ -321,7 +337,7 @@ def _demo_audio(label: str, rng, duration: float, rate: int) -> np.ndarray:
         w = (np.sin(2 * np.pi * 150 * t) > 0.95).astype(float)
         w += 1e-4 * np.sin(2 * np.pi * 150 * t)
     else:  # wind noise
-        w = np.convolve(rng.standard_normal(n), np.ones(64) / 64, mode="same")
+        w = np.convolve(noise[0], np.ones(64) / 64, mode="same")
     w = np.asarray(w, dtype=np.float64)
     return 0.25 * w / np.max(np.abs(w))
 
@@ -333,22 +349,34 @@ def build_demo_catalog(out_dir, seed: int = 0,
 
     Returns the metadata path. Durations vary around 5 s so conditioning
     exercises both cropping and padding.
+
+    The calling thread draws every random value first, in one fixed
+    order: the 16 styles, then per speaker its duration, f0 jitter and
+    four phases, then per audio label its duration and noise arrays
+    (``_audio_noise``), each label's render keeping a copy of the
+    generator from before its noise. The sources are then rendered and
+    written, one at a time, on the two halves of the pool's parts
+    (``dsp._each``), each half holding 8 speech and 8 audio sources.
+    Every file is the same bytes on any number of CPUs; ``metadata.json``
+    is written last.
     """
     from .synth import write_wav  # local import to avoid a cycle
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(derive_seed(seed, "demo"))
-    rows = []
+    rows, speech, audio = [], [], []
 
     styles = list(StyleVector.all_vectors())
     picked_idx = rng.choice(len(styles), size=_DEMO_SPEAKERS, replace=False)
     for i, idx in enumerate(picked_idx):
         style = styles[idx]
         duration = float(rng.uniform(4.0, 6.0))
-        wave = _demo_speech(style, rng, duration, rate)
+        jitter = rng.standard_normal()
+        phases = [rng.uniform(0, 2 * np.pi) for _ in range(4)]
         name = f"speech_{i:03d}.wav"
-        write_wav(out_dir / name, Clip(wave, rate))
+        speech.append((name, partial(_demo_speech, style, jitter, phases,
+                                     duration, rate)))
         rows.append({
             "id": f"spk{i:03d}", "path": name, "type": "speech",
             "speaker": f"speaker{i:03d}",
@@ -356,13 +384,26 @@ def build_demo_catalog(out_dir, seed: int = 0,
         })
     for i, label in enumerate(_DEMO_LABELS):
         duration = float(rng.uniform(4.0, 6.0))
-        wave = _demo_audio(label, rng, duration, rate)
+        # The render draws this label's noise again, from a copy of the
+        # generator as it stands here: holding every label's noise until
+        # its render raised the peak RSS by about 5 MB at 48 kHz.
+        at = copy.deepcopy(rng)
+        _audio_noise(label, rng, int(duration * rate))
         name = f"audio_{i:03d}.wav"
-        write_wav(out_dir / name, Clip(wave, rate))
+        audio.append((name, partial(_demo_audio, label, at, duration, rate)))
         rows.append({
             "id": f"aud{i:03d}", "path": name, "type": "audio",
             "label": label,
         })
+    # Speech alternates with audio, so that each half holds 8 of the
+    # speech sources, which take about 2.6 times as long to render.
+    sources = [job for pair in zip(speech, audio, strict=True) for job in pair]
+
+    def render(first, end):
+        for name, wave in sources[first:end]:
+            write_wav(out_dir / name, Clip(_Fresh(wave()), rate))
+
+    _each(_equal_parts(len(sources), 2), render)
     metadata = out_dir / "metadata.json"
     metadata.write_text(json.dumps(rows, indent=2, sort_keys=True))
     return metadata

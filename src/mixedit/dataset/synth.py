@@ -143,7 +143,7 @@ def write_wav(path, clip: Clip, pcm16: bool = False):
     with open(path, "wb") as fh:
         fh.write(b"RIFF" + struct.pack("<I", len(header) + data.nbytes)
                  + header)
-        fh.write(data.tobytes())
+        fh.write(data)
 
 
 @dataclass

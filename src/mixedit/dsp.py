@@ -329,11 +329,17 @@ def _threads(*tasks, serial: bool = False) -> None:
     tasks that no other pool thread has started, so nesting cannot wait
     on itself.
 
-    An editor, training or resampling task calls numpy only: nothing the
-    benchmark tracer wraps, ``Clip`` and ``EditingMask`` included, since
-    the tracer's span stack assumes one thread. Synthesis does call
-    traced names; the benchmark runs it at one worker, so they run on the
-    calling thread, and only ``resample``'s products reach the pool."""
+    The pool runs editor, training and resampling parts, ``synthesize``'s
+    shards of records and ``build_demo_catalog``'s two halves of its
+    sources. An editor, training or resampling task calls numpy only:
+    nothing the benchmark tracer wraps, ``Clip`` and ``EditingMask``
+    included, since the tracer's span stack assumes one thread.
+    Synthesis does call traced names; the benchmark runs it at one
+    worker, so they run on the calling thread, and only ``resample``'s
+    products reach the pool. The catalog's halves make a ``Clip`` and
+    call ``write_wav``, both traced, but the benchmark builds its
+    catalogs in set-up, so ``build_demo_catalog`` never runs under the
+    tracer."""
     if serial or len(tasks) == 1 or (cpus := available_cpus()) == 1:
         for task in tasks:
             task()

@@ -16,12 +16,13 @@ import numpy as np
 import pytest
 
 import mixedit
-from mixedit import cli
+from mixedit import cli, dsp
 from mixedit.cli import main
 from mixedit.core import Action
 from mixedit.dataset import (RephraseConfig, build_demo_catalog, ingest,
                              load_manifest, read_wav, write_manifest,
                              write_wav)
+from mixedit.dataset import synth
 from mixedit.dataset.manifest import ManifestRecord, SourceRef
 from mixedit.dsp import Clip
 from mixedit.editor import (FilmMaskNet, MaskKind, MaskNetConfig,
@@ -1118,6 +1119,26 @@ def test_unwritable_output_exits_1(tone_setup, catalog_dir, demo_tree, capsys,
     assert f"error: {error}" in capsys.readouterr().err
     if command == "edit" and option != "--out":
         assert not (tmp_path / "edited.wav").exists()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_demo_catalog_write_failing_in_a_pool_task_exits_1(
+        tmp_path, capsys, monkeypatch, cpus):
+    # audio_012.wav is in the second half of the sources, the part that
+    # goes to the pool at two CPUs.
+    write = synth.write_wav
+
+    def full_disk(path, clip, pcm16=False):
+        if path.name == "audio_012.wav":
+            raise OSError(28, "No space left on device")
+        write(path, clip, pcm16)
+
+    monkeypatch.setattr(synth, "write_wav", full_disk)
+    monkeypatch.setattr(dsp, "available_cpus", lambda: cpus)
+    assert main(["demo-catalog", "--out", str(tmp_path / "demo")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: OSError: [Errno 28] No space left on device"]
+    assert not (tmp_path / "demo" / "metadata.json").exists()
 
 
 @pytest.mark.parametrize("sources,actions", [(["s1", "s2"], "1,x")])

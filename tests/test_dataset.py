@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from scipy.io import wavfile
 
 from mixedit import dsp, mixer
-from mixedit.core import Action, AudioSignature, SpeechSignature
+from mixedit.core import (STYLE_FIELDS, Action, AudioSignature,
+                          SpeechSignature, StyleVector)
 from mixedit.dataset import (
     BadManifestLine,
     BadMetadataRow,
@@ -44,11 +45,13 @@ from mixedit.dataset import (
     write_wav,
 )
 from mixedit.dataset import synth
-from mixedit.dataset.catalog import _allocate
+from mixedit.dataset.catalog import (_AM, _AMP, _DEMO_LABELS, _DEMO_SPEAKERS,
+                                     _F0, _allocate)
 from mixedit.dataset.manifest import ManifestRecord, simplified_from_json
 from mixedit.dsp import Clip
 from mixedit.mixer import SPEECH_SNR_RANGES, AUDIO_SNR_RANGE
 from mixedit.prompt import Prompt, Provenance
+from mixedit.seeding import derive_seed
 from mixedit.taskspace import Composition, Task, classify
 
 RATE = 16000
@@ -263,6 +266,128 @@ def test_demo_catalog_bytes_are_pinned(tmp_path, rate, digest):
     for path in sorted(tmp_path.iterdir()):
         h.update(path.name.encode() + b"\0" + path.read_bytes())
     assert h.hexdigest() == digest
+
+
+def _serial_speech(style, rng, duration, rate):
+    """The demo speech source as the serial builder made it, drawing its
+    f0 jitter and phases from ``rng`` as it goes."""
+    n = int(duration * rate)
+    t = np.arange(n) / rate
+    f0 = _F0[style.pitch.value] * (1.0 if style.gender.value == "male" else 1.35)
+    f0 *= 1.0 + 0.02 * rng.standard_normal()
+    vib_depth = 0.004 * (1 + list(type(style.emotion)).index(style.emotion))
+    vib = np.cumsum(1.0 + vib_depth * np.sin(2 * np.pi * 5.3 * t))
+    wave = np.zeros(n)
+    tilt = 1.4 if style.gender.value == "female" else 0.9
+    for k, gain in enumerate([1.0, 0.6 * tilt, 0.35, 0.2 * tilt], start=1):
+        phase = rng.uniform(0, 2 * np.pi)
+        wave += gain * np.sin(2 * np.pi * k * f0 * vib / rate + phase)
+    am = 0.55 + 0.45 * np.clip(np.sin(2 * np.pi * _AM[style.tempo.value] * t), 0, 1)
+    wave *= am
+    return _AMP[style.volume.value] * wave / np.max(np.abs(wave))
+
+
+def _serial_audio(label, rng, duration, rate):
+    """The demo audio source as the serial builder made it, drawing its
+    noise from ``rng`` as it goes."""
+    n = int(duration * rate)
+    t = np.arange(n) / rate
+    if label == "sine tone":
+        w = np.sin(2 * np.pi * 523.25 * t)
+    elif label == "low hum":
+        w = np.sin(2 * np.pi * 60 * t) + 0.4 * np.sin(2 * np.pi * 120 * t)
+    elif label == "chirp sweep":
+        w = np.sin(2 * np.pi * (300 + (3000 - 300) * t / t[-1] / 2) * t)
+    elif label == "noise burst":
+        w = rng.standard_normal(n) * (np.sin(2 * np.pi * 0.7 * t) > 0)
+        w += 1e-4 * np.sin(2 * np.pi * 440 * t)
+    elif label == "click train":
+        w = np.zeros(n)
+        w[::rate // 8] = 1.0
+        w = np.convolve(w, np.hanning(64), mode="same")
+    elif label == "square wave":
+        w = np.sign(np.sin(2 * np.pi * 220 * t))
+    elif label == "sawtooth wave":
+        w = 2 * ((110 * t) % 1.0) - 1.0
+    elif label == "warble tone":
+        w = np.sin(2 * np.pi * 880 * t + 6 * np.sin(2 * np.pi * 3 * t))
+    elif label == "high whistle":
+        w = np.sin(2 * np.pi * 3200 * t)
+    elif label == "rumble":
+        w = np.cumsum(rng.standard_normal(n))
+        w -= np.linspace(0, w[-1], n)
+    elif label == "beep sequence":
+        w = np.sin(2 * np.pi * 1000 * t) * (np.sin(2 * np.pi * 2.0 * t) > 0.3)
+        w += 1e-4 * np.sin(2 * np.pi * 1000 * t)
+    elif label == "pink noise":
+        white = (rng.standard_normal(n // 2 + 1)
+                 + 1j * rng.standard_normal(n // 2 + 1))
+        spectrum = white / np.maximum(np.sqrt(np.arange(len(white))), 1.0)
+        w = np.fft.irfft(spectrum, n=n)
+    elif label == "ringing bell":
+        w = sum(np.exp(-3 * t) * np.sin(2 * np.pi * f * t)
+                for f in (660, 1320, 1980))
+    elif label == "siren sweep":
+        w = np.sin(2 * np.pi * (600 * t + 200 / (2 * np.pi * 0.5)
+                                * -np.cos(2 * np.pi * 0.5 * t)))
+    elif label == "pulse train":
+        w = (np.sin(2 * np.pi * 150 * t) > 0.95).astype(float)
+        w += 1e-4 * np.sin(2 * np.pi * 150 * t)
+    else:  # wind noise
+        w = np.convolve(rng.standard_normal(n), np.ones(64) / 64, mode="same")
+    w = np.asarray(w, dtype=np.float64)
+    return 0.25 * w / np.max(np.abs(w))
+
+
+def _serial_demo_catalog(out, seed, rate):
+    """The demo catalog built one source after another on one thread,
+    each source drawing from the shared generator while it renders; the
+    WAVs are written by scipy."""
+    out.mkdir()
+    rng = np.random.default_rng(derive_seed(seed, "demo"))
+    styles = list(StyleVector.all_vectors())
+    rows = []
+    picked_idx = rng.choice(len(styles), size=_DEMO_SPEAKERS, replace=False)
+    for i, idx in enumerate(picked_idx):
+        style = styles[idx]
+        duration = float(rng.uniform(4.0, 6.0))
+        wave = _serial_speech(style, rng, duration, rate)
+        wavfile.write(out / f"speech_{i:03d}.wav", rate,
+                      wave.astype(np.float32))
+        rows.append({"id": f"spk{i:03d}", "path": f"speech_{i:03d}.wav",
+                     "type": "speech", "speaker": f"speaker{i:03d}",
+                     **dict(zip(STYLE_FIELDS, style.values()))})
+    for i, label in enumerate(_DEMO_LABELS):
+        duration = float(rng.uniform(4.0, 6.0))
+        wave = _serial_audio(label, rng, duration, rate)
+        wavfile.write(out / f"audio_{i:03d}.wav", rate,
+                      wave.astype(np.float32))
+        rows.append({"id": f"aud{i:03d}", "path": f"audio_{i:03d}.wav",
+                     "type": "audio", "label": label})
+    (out / "metadata.json").write_text(json.dumps(rows, indent=2,
+                                                  sort_keys=True))
+
+
+def _file_digests(root):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(root.iterdir())}
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("rate", [16000, 44100, 48000])
+def test_demo_catalog_equals_the_serial_build(tmp_path, monkeypatch, rate,
+                                              seed):
+    # Every WAV and metadata.json, on the calling thread alone and with
+    # the second half of the sources on the pool.
+    _serial_demo_catalog(tmp_path / "serial", seed, rate)
+    want = _file_digests(tmp_path / "serial")
+    assert len(want) == 33
+    for cpus in (1, 2):
+        monkeypatch.setattr(dsp, "available_cpus", lambda: cpus)
+        build_demo_catalog(tmp_path / f"cpus{cpus}", seed=seed, rate=rate)
+        got = _file_digests(tmp_path / f"cpus{cpus}")
+        assert got.keys() == want.keys()
+        assert [name for name in want if got[name] != want[name]] == [], cpus
 
 
 def test_ingest_rejects_multi_label(tmp_path):

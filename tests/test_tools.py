@@ -61,3 +61,18 @@ def test_digests_of_the_resample_case_agree_on_one_and_two_cpus(monkeypatch):
     splits = len(digests.SPLIT_FROM)
     assert counts[-2 * splits:] == [1, 2] * splits
     assert len({digest for _, digest in runs[0]}) == len(runs[0])
+
+
+def test_digests_of_the_demo_case_agree_on_one_and_two_cpus(tmp_path,
+                                                            monkeypatch):
+    digests = _digests_module()
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(dsp, "available_cpus", lambda: cpus)
+        (tmp_path / f"cpus{cpus}").mkdir()
+        monkeypatch.chdir(tmp_path / f"cpus{cpus}")
+        runs.append(list(digests.CASES["demo"]()))
+    assert runs[0] == runs[1]
+    assert [name for name, _ in runs[0]] == [
+        "demo/cat16", "demo/cat48/speech", "demo/cat48/audio"]
+    assert len({digest for _, digest in runs[0]}) == 3

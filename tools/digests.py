@@ -12,6 +12,9 @@ variables and ``dsp.available_cpus()`` follow, since both decide which
 bits the program writes. The cases, each run on what it builds itself in
 DIR:
 
+- ``demo``: the files of the 16-kHz demo catalog, then of the 48-kHz
+  speech catalog and of the 44.1-kHz audio catalog that ``cat48`` merges,
+  one digest per file set;
 - ``generate``: trees and stdout of 4 records of 2,2 at ``--workers`` 1
   and 2, float32 and ``--pcm16``, from the 16-kHz demo catalog and from
   one with speech at 48 kHz and audio at 44.1 kHz;
@@ -199,6 +202,12 @@ def _mixture() -> tuple[Path, Path, list[Path]]:
         (root / "metadata.json").write_text(json.dumps(picked))
         write_wav(mixture, mix(read_wav(p) for p in sources))
     return mixture, root, sources
+
+
+def case_demo():
+    yield "demo/cat16", _tree(_catalog("cat16"))
+    for kind in ("speech", "audio"):
+        yield f"demo/cat48/{kind}", _tree(_catalog("cat48") / kind)
 
 
 def case_generate():
@@ -496,9 +505,9 @@ def case_rejects():
             lambda: MaskNetConfig(**{key: value}))
 
 
-CASES = {"generate": case_generate, "edit": case_edit, "eval": case_eval,
-         "train-toy": case_train_toy, "film": case_film, "loss": case_loss,
-         "resample": case_resample, "parse": case_parse,
+CASES = {"demo": case_demo, "generate": case_generate, "edit": case_edit,
+         "eval": case_eval, "train-toy": case_train_toy, "film": case_film,
+         "loss": case_loss, "resample": case_resample, "parse": case_parse,
          "rejects": case_rejects}
 
 
