@@ -321,21 +321,23 @@ def _demo_audio(label: str, rng, duration: float, rate: int) -> np.ndarray:
         w = np.cumsum(noise[0])
         w -= np.linspace(0, w[-1], n)
     elif label == "beep sequence":
-        w = np.sin(2 * np.pi * 1000 * t) * (np.sin(2 * np.pi * 2.0 * t) > 0.3)
-        w += 1e-4 * np.sin(2 * np.pi * 1000 * t)
+        tone = np.sin(2 * np.pi * 1000 * t)
+        w = tone * (np.sin(2 * np.pi * 2.0 * t) > 0.3)
+        w += 1e-4 * tone
     elif label == "pink noise":
         white = noise[0] + 1j * noise[1]
         spectrum = white / np.maximum(np.sqrt(np.arange(len(white))), 1.0)
         w = np.fft.irfft(spectrum, n=n)
     elif label == "ringing bell":
-        w = sum(np.exp(-3 * t) * np.sin(2 * np.pi * f * t)
-                for f in (660, 1320, 1980))
+        decay = np.exp(-3 * t)
+        w = sum(decay * np.sin(2 * np.pi * f * t) for f in (660, 1320, 1980))
     elif label == "siren sweep":
         w = np.sin(2 * np.pi * (600 * t + 200 / (2 * np.pi * 0.5)
                                 * -np.cos(2 * np.pi * 0.5 * t)))
     elif label == "pulse train":
-        w = (np.sin(2 * np.pi * 150 * t) > 0.95).astype(float)
-        w += 1e-4 * np.sin(2 * np.pi * 150 * t)
+        tone = np.sin(2 * np.pi * 150 * t)
+        w = (tone > 0.95).astype(float)
+        w += 1e-4 * tone
     else:  # wind noise
         w = np.convolve(noise[0], np.ones(64) / 64, mode="same")
     w = np.asarray(w, dtype=np.float64)

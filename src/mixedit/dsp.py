@@ -329,11 +329,14 @@ def _threads(*tasks, serial: bool = False) -> None:
     tasks that no other pool thread has started, so nesting cannot wait
     on itself.
 
-    The pool runs editor, training and resampling parts, ``synthesize``'s
-    shards of records and ``build_demo_catalog``'s two halves of its
-    sources. An editor, training or resampling task calls numpy only:
-    nothing the benchmark tracer wraps, ``Clip`` and ``EditingMask``
-    included, since the tracer's span stack assumes one thread.
+    The pool runs editor, training and resampling parts, ``train_toy``'s
+    parts of its examples, ``synthesize``'s shards of records and
+    ``build_demo_catalog``'s two halves of its sources. An editor,
+    training or resampling task calls numpy only: nothing the benchmark
+    tracer wraps, ``Clip`` and ``EditingMask`` included, since the
+    tracer's span stack assumes one thread. Of ``train_toy``'s parts only
+    the first, which runs on the calling thread, calls the traced
+    ``forward`` and ``backward``; the others call their untraced bodies.
     Synthesis does call traced names; the benchmark runs it at one
     worker, so they run on the calling thread, and only ``resample``'s
     products reach the pool. The catalog's halves make a ``Clip`` and
@@ -345,18 +348,25 @@ def _threads(*tasks, serial: bool = False) -> None:
             task()
         return
     pool = _shared_pool(cpus - 1)
-    queued = [(pool.submit(copy_context().run, task), task)
-              for task in tasks[1:]]
+    # A cancelled item stays in the pool's queue until a pool thread takes
+    # it, so each holds its task in a box that the caller empties when it
+    # takes the task back: the queue keeps none of that task's arrays.
+    queued = [(pool.submit(copy_context().run, _call_boxed, box), box)
+              for box in ([task] for task in tasks[1:])]
     try:
         tasks[0]()
-        for future, task in reversed(queued):
+        for future, box in reversed(queued):
             if future.cancel():  # no pool thread has started it
-                task()
+                box.pop()()
     finally:  # a started task ends before _threads does, even on an error
         wait([future for future, _ in queued if not future.cancel()])
     for future, _ in queued:
         if not future.cancelled():
             future.result()
+
+
+def _call_boxed(box: list) -> None:
+    box[0]()
 
 
 def _equal_parts(n: int, count: int, grid: int = 1) -> list[tuple[int, int]]:

@@ -129,8 +129,10 @@ def pit_snr(est_sources, ref_sources) -> tuple[tuple[int, ...], MetricValue]:
         raise CountMismatch("no sources given")
     if n > 8:
         raise CountMismatch("permutation search is limited to 8 sources")
-    # Pairwise table first; n! lookups afterwards.
-    table = [[snr(ests[j], refs[i]) for j in range(n)] for i in range(n)]
+    # Pairwise table first; n! lookups afterwards. ``_snr_error``, not the
+    # traced ``snr``, so that ``train_toy``'s pool threads may call this.
+    table = [[_snr_error(ests[j], refs[i])[0] for j in range(n)]
+             for i in range(n)]
     best_perm = None
     best_mean = -math.inf
     best_finite = True

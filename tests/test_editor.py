@@ -761,6 +761,27 @@ def test_threads_run_every_task_once_and_raise_its_error(monkeypatch):
         sys.setswitchinterval(interval)
 
 
+def test_threads_leave_no_taken_back_task_in_the_pool_queue(monkeypatch):
+    # While the one pool thread is busy, a task waits in its queue and the
+    # caller takes it back; the queue keeps the cancelled item until the
+    # pool thread is free, but not the task or what the task holds.
+    monkeypatch.setattr(dsp, "available_cpus", lambda: 2)
+    release = threading.Event()
+    busy = dsp._shared_pool(1).submit(release.wait, 10)
+    try:
+        held = np.zeros(4)
+        kept = weakref.ref(held)
+        done = []
+        dsp._threads(lambda: None, partial(done.append, held))
+        assert len(done) == 1
+        del held, done
+        gc.collect()
+        assert kept() is None
+    finally:
+        release.set()
+        busy.result(timeout=10)
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
                     or len(os.sched_getaffinity(0)) < 2,
                     reason="needs two CPUs to pin a pool thread to")
@@ -878,24 +899,34 @@ def _assert_same_bits(got, expected, where="cache"):
         assert got.tobytes() == expected.tobytes(), where
 
 
+def _training_examples(cfg, n, rng, seeds):
+    """One example of ``n`` samples per seed, with per-source refs when
+    there are two masks."""
+    examples = []
+    for seed in seeds:
+        sources = rng.standard_normal((2, n)) * 0.1
+        refs = tuple(sources) if cfg.n_masks == 2 else None
+        examples.append(TrainExample(sources.sum(axis=0),
+                                     unit_vec(cfg.embed_dim, seed=seed),
+                                     sources[0], refs))
+    return examples
+
+
 def _training_runs(cfg, n, dtype):
-    """A cached forward, its backward, and three ``train_toy`` steps on
-    two examples (with per-source refs when there are two masks)."""
+    """A cached forward, its backward, three ``train_toy`` steps on two
+    examples, and two steps each on one and on three examples, the
+    examples' parts cut unevenly on two CPUs."""
     net = FilmMaskNet.init(cfg, seed=2)
     net = FilmMaskNet(cfg, net._params_as(dtype))
     rng = np.random.default_rng(n)
     x = rng.standard_normal(n) * 0.1
     cache = net.forward(x, unit_vec(cfg.embed_dim, seed=4))
     grads = net.backward(cache, rng.standard_normal((cfg.n_masks, n)))
-    examples = []
-    for seed in (5, 6):
-        sources = rng.standard_normal((2, n)) * 0.1
-        refs = tuple(sources) if cfg.n_masks == 2 else None
-        examples.append(TrainExample(sources.sum(axis=0),
-                                     unit_vec(cfg.embed_dim, seed=seed),
-                                     sources[0], refs))
-    trained = train_toy(net, examples, steps=3, lr=1e-3)
-    return cache, grads, trained.losses, trained.net.params
+    examples = _training_examples(cfg, n, rng, (5, 6, 7))
+    runs = [train_toy(net, examples[:2], steps=3, lr=1e-3)]
+    runs += [train_toy(net, examples[:count], steps=2, lr=1e-3)
+             for count in (1, 3)]
+    return cache, grads, [[run.losses, run.net.params] for run in runs]
 
 
 @pytest.mark.parametrize("cfg,n,dtype", [
@@ -924,6 +955,106 @@ def test_training_pass_is_the_same_on_one_two_or_four_cpus(
 def test_film_training_step_peak_memory_on_two_threads(monkeypatch):
     monkeypatch.setattr(dsp, "available_cpus", lambda: 2)
     test_film_training_step_peak_memory()
+
+
+def test_train_toy_step_peak_memory_on_two_cpus(monkeypatch):
+    # Two examples' passes run at once, one per CPU, so a float32 step
+    # holds two passes (63 and 71 MiB measured). Four examples hold no
+    # more: a task the pool's queue keeps after its cancel holds none of
+    # its arrays (148 MiB with one mask when it did).
+    monkeypatch.setattr(dsp, "available_cpus", lambda: 2)
+    rng = np.random.default_rng(3)
+    for n_masks, limit_mib in ((1, 68), (2, 78)):
+        cfg = MaskNetConfig(n_masks=n_masks)
+        net = FilmMaskNet.init(cfg, seed=2)
+        for count in (2, 4):
+            examples = _training_examples(cfg, 5 * RATE, rng, range(count))
+            tracemalloc.start()
+            try:
+                train_toy(net, examples, steps=1)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < limit_mib * 2**20, (n_masks, count)
+
+
+def _three_examples(bad=()):
+    """Three toy examples and the ``z`` of the last; on two CPUs the last
+    is the pool's part, the first two the calling thread's. The last, if
+    in ``bad``, has a target one sample short; another one in ``bad`` has
+    a ``z`` one entry short."""
+    x, z, y = toy_data()
+    last = unit_vec(8, seed=9)
+    return [TrainExample(x, last if i == 2 else z[:-1] if i in bad else z,
+                         y[:-1] if i == 2 and i in bad else y)
+            for i in range(3)], last
+
+
+def _raised(monkeypatch, cpus, examples, **kwargs):
+    """``(class, message)`` of the error ``train_toy`` raises on
+    ``examples`` at ``cpus`` CPUs, and the threads that ran a pass. On
+    more than one CPU the calling thread's first pass waits until a pool
+    thread has started its part, which it would otherwise take back when
+    it got there first."""
+    monkeypatch.setattr(dsp, "available_cpus", lambda: cpus)
+    caller, threads, pooled = threading.get_ident(), set(), threading.Event()
+    body = FilmMaskNet._forward
+
+    def recorded(self, *args, **kw):
+        if threading.get_ident() != caller:
+            pooled.set()
+        elif cpus > 1:
+            assert pooled.wait(timeout=10)
+        threads.add(threading.get_ident())
+        return body(self, *args, **kw)
+
+    net = FilmMaskNet.init(TOY, seed=0)
+    before = {key: val.copy() for key, val in net.params.items()}
+    with monkeypatch.context() as patch, \
+            pytest.raises(MixeditError) as raised:
+        patch.setattr(FilmMaskNet, "_forward", recorded)
+        train_toy(net, examples, **kwargs)
+    for key, val in before.items():
+        assert np.array_equal(net.params[key], val)
+    return (type(raised.value), str(raised.value)), threads
+
+
+@pytest.mark.parametrize("bad,message", [
+    ((2,), "target length must match the input"),
+    # Both parts fail: the calling thread's example comes first.
+    ((1, 2), "conditioning vector must have size 8"),
+])
+def test_train_toy_raises_an_examples_error_as_one_cpu_does(monkeypatch,
+                                                            bad, message):
+    examples, _ = _three_examples(bad)
+    serial, _ = _raised(monkeypatch, 1, examples, steps=1)
+    assert serial == (ShapeMismatch, message)
+    pooled, threads = _raised(monkeypatch, 2, examples, steps=1)
+    assert pooled == serial
+    assert len(threads) == 2
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_train_toy_diverges_on_two_cpus_as_on_one(monkeypatch):
+    examples, last = _three_examples()
+    # The loss overflows at the second step, in every example.
+    for cpus in (1, 2):
+        error, _ = _raised(monkeypatch, cpus, examples, steps=3, lr=1e30)
+        assert error == (Diverged, "loss became non-finite at step 1")
+    # Only the pool's example's gradient overflows, at the first step.
+    body = FilmMaskNet._backward
+
+    def overflowing(self, cache, grad_sources):
+        grads = body(self, cache, grad_sources)
+        if np.array_equal(cache["z"], last.astype(np.float32)):
+            grads["head.b"][3] = np.inf
+        return grads
+
+    monkeypatch.setattr(FilmMaskNet, "_backward", overflowing)
+    for cpus in (1, 2):
+        error, threads = _raised(monkeypatch, cpus, examples, steps=2)
+        assert error == (Diverged, "gradient became non-finite at step 0")
+        assert len(threads) == cpus
 
 
 TRACING = Path(__file__).resolve().parents[1] / "mixbench" / "tracing.py"
@@ -968,8 +1099,15 @@ def test_film_threads_call_no_traced_layer(monkeypatch, tmp_path,
     x, z = sources.sum(axis=0), unit_vec(cfg.embed_dim, seed=4)
     net.edit(Clip(x, RATE), z)
     film.snr_loss_and_grad(net, x, z, sources[0], refs=tuple(sources))
-    editor.train_toy(net, [editor.TrainExample(x, z, sources[0],
-                                               tuple(sources))], steps=1)
+    example = editor.TrainExample(x, z, sources[0], tuple(sources))
+    editor.train_toy(net, [example], steps=1)
+    # Of three examples the calling thread runs two, through the traced
+    # passes, and the pool the third, through their bodies.
+    start = len(calls)
+    editor.train_toy(net, [example] * 3, steps=1)
+    assert sorted(name for name, _ in calls[start:]) == [
+        "film.backward", "film.backward", "film.forward", "film.forward",
+        "film.train_toy"]
     # The STFT path splits a 5-s clip's 626 frames in two.
     for kind in MaskKind:
         mixture = Clip(x, RATE)
@@ -982,8 +1120,8 @@ def test_film_threads_call_no_traced_layer(monkeypatch, tmp_path,
                                 comp=Composition(2, 2), seed=5)
     assert dataset.synthesize(records, tmp_path / "tree", workers=1).ok
     names = {name for name, _ in calls}
-    assert {"dsp.clip", "film.forward", "film.backward", "metrics.snr",
-            "film.train_toy", "dsp.stft", "dsp.istft", "masking.ideal_mask",
+    assert {"dsp.clip", "film.forward", "film.backward", "film.train_toy",
+            "dsp.stft", "dsp.istft", "masking.ideal_mask",
             "masking.mask_edit", "synth.synthesize", "synth.record",
             "synth.read_wav", "synth.write_wav", "dsp.resample",
             "dsp.condition", "mixer.assign_gains", "mixer.apply_gains",

@@ -30,6 +30,9 @@ DIR:
   seed 0) on one 5-s noise clip, on the float64 net and its float32 copy;
 - ``loss``: ``snr_loss_and_grad``'s loss and gradients on a two-mask net,
   float64 and float32, without and with per-source PIT references;
+- ``train``: ``train_toy``'s losses and params, one digest, after two
+  steps of a default ``MaskNetConfig`` net (seed 0) on three 5-s float32
+  noise examples, whose parts the pool cuts unevenly on two CPUs;
 - ``resample``: ``resample`` of fixed noise at 1, 255, 256, 257 and 1250
   output blocks, one digest per rate pair to 16 or 8 kHz; then one
   ``/split`` digest per pair, those and 48000 <-> 44100, at one block
@@ -75,7 +78,7 @@ from mixedit.dataset import (RephraseConfig,  # noqa: E402
                              write_wav)
 from mixedit.dataset.manifest import simplified_to_json  # noqa: E402
 from mixedit.editor import (FilmMaskNet, MaskNetConfig,  # noqa: E402
-                            load_net, save_net)
+                            TrainExample, load_net, save_net, train_toy)
 from mixedit.editor.film import snr_loss_and_grad  # noqa: E402
 from mixedit.errors import MixeditError  # noqa: E402
 from mixedit.mixer import mix  # noqa: E402
@@ -295,6 +298,17 @@ def case_loss():
                    _values(snr_loss_and_grad(net, x, z, y, given)))
 
 
+def case_train():
+    rng = np.random.default_rng(SEED)
+    examples = []
+    for _ in range(3):
+        x, y = _noise(rng, 2, 5 * 16000).astype(np.float32)
+        examples.append(TrainExample(x, rng.standard_normal(32), y))
+    net = FilmMaskNet.init(MaskNetConfig(), seed=0)
+    result = train_toy(net, examples, steps=2)
+    yield "train", _values([result.losses, result.net.params])
+
+
 RESAMPLE_PAIRS = [(8000, 16000), (11025, 16000), (22050, 16000),
                   (24000, 16000), (32000, 16000), (44100, 16000),
                   (48000, 16000), (96000, 16000), (16000, 8000)]
@@ -507,8 +521,8 @@ def case_rejects():
 
 CASES = {"demo": case_demo, "generate": case_generate, "edit": case_edit,
          "eval": case_eval, "train-toy": case_train_toy, "film": case_film,
-         "loss": case_loss, "resample": case_resample, "parse": case_parse,
-         "rejects": case_rejects}
+         "loss": case_loss, "train": case_train, "resample": case_resample,
+         "parse": case_parse, "rejects": case_rejects}
 
 
 def main(argv=None) -> int:
