@@ -404,9 +404,7 @@ def _read_toy_config(path) -> tuple[dict, dict]:
 def _tree_examples(tree: Path, embed_dim: int) -> list[TrainExample]:
     """One example per record of a ``generate`` tree: the input and target
     clips ``eval`` reads, and the record's simplified instruction embedded
-    as ``edit --editor film`` embeds a parsed prompt. A tree holds no
-    per-source targets, so a net of several masks trains on the mixture
-    loss alone."""
+    as ``edit --editor film`` embeds a parsed prompt."""
     examples = []
     for record in ds.load_manifest(tree / "manifest.jsonl"):
         unprocessed, target = _record_clips(tree, record)

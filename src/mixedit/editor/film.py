@@ -27,7 +27,7 @@ from .. import dsp
 from ..dsp import (Clip, _by_columns, _each, _equal_parts, _Fresh, _parts,
                    _threads, overlap_add)
 from ..errors import MixeditError, check_types
-from ..metrics import _snr_error, pit_snr
+from ..metrics import _snr_error
 from .masking import DEFAULT_EMBED_DIM, DEFAULT_MASK_MAX, EditingMask
 
 _LN10 = math.log(10.0)
@@ -53,7 +53,6 @@ class MaskNetConfig:
     embed_dim: int = DEFAULT_EMBED_DIM  # conditioning vector size D
     hidden: int | None = None  # FiLM perceptron hidden width, default C
     mask_max: float = DEFAULT_MASK_MAX
-    n_masks: int = 1          # >1 adds a per-source mask stack
 
     def __post_init__(self):
         """Raises BadNetConfig for a field ``errors.check_types`` refuses
@@ -82,11 +81,6 @@ class MaskNetConfig:
     @property
     def film_hidden(self) -> int:
         return self.hidden if self.hidden is not None else self.channels
-
-    @property
-    def max_gain(self) -> float:
-        """Bound of the combined mask, the sum of the per-source masks."""
-        return self.mask_max * self.n_masks
 
 
 _CONFIG_HINTS = typing.get_type_hints(MaskNetConfig)
@@ -170,8 +164,8 @@ def param_layout(config: MaskNetConfig) -> dict:
             layout[f"{name}1.b"] = ((h,), 0.0)
             layout[f"{name}2.w"] = ((c, h), lambda w: w * 0.1 / math.sqrt(h))
             layout[f"{name}2.b"] = ((c,), bias)
-    layout["head.w"] = ((config.n_masks * c, c), lambda w: w * math.sqrt(1.0 / c))
-    layout["head.b"] = ((config.n_masks * c,), 1.0)
+    layout["head.w"] = ((c, c), lambda w: w * math.sqrt(1.0 / c))
+    layout["head.b"] = ((c,), 1.0)
     return layout
 
 
@@ -247,16 +241,16 @@ class FilmMaskNet:
         ``backward``. The cache holds only what ``backward`` reads:
         each block's input, perceptron activations and ``h_out``, from
         which ``backward`` rebuilds the modulated input and the ReLU
-        gates, and ``masks`` for the clamp gates. A clip of 1024 latent
-        frames or more runs its ``(C, L)`` work in two parts
-        (``_TRAIN_PARTS``) on up to two threads, one per CPU at most; every
-        output element is computed as on one thread, so the cache does not
-        depend on the thread count.
+        gates, and the ``(C, L)`` mask as ``masks`` for the clamp gates.
+        A clip of 1024 latent frames or more runs its ``(C, L)`` work in
+        two parts (``_TRAIN_PARTS``) on up to two threads, one per CPU at
+        most; every output element is computed as on one thread, so the
+        cache does not depend on the thread count.
 
         With ``keep_cache=False`` (inference) the clip runs in windows of
         latent frames (``_EDIT_PARTS``), on up to one thread per CPU, and
         only ``y`` and ``mask`` come back, both float64: the output, and
-        the masks summed and clamped to ``config.max_gain``. A window
+        the mask clamped to ``config.mask_max`` in float64. A window
         reads 2^R - 1 frames of context on each side, the receptive field
         of the R dilated blocks, plus one more on its left, since its
         first samples also sum the frame before its first. It keeps only
@@ -296,9 +290,8 @@ class FilmMaskNet:
             out = self._run(np.asarray(read, dtype=dtype), z,
                             keep_cache=False)
             part = mask[:, first:end]
-            np.sum(out["masks"][:, :, first - lo:end - lo], axis=0,
-                   dtype=np.float64, out=part)
-            np.clip(part, 0.0, cfg.max_gain, out=part)
+            part[...] = out["masks"][:, first - lo:end - lo]
+            np.clip(part, 0.0, cfg.mask_max, out=part)
             stop = end * s if end < n_frames else len(x)
             y[first * s:stop] = out["y"][(first - lo) * s:stop - lo * s]
 
@@ -307,8 +300,8 @@ class FilmMaskNet:
 
     def _run(self, x: np.ndarray, z: np.ndarray, keep_cache: bool) -> dict:
         """``forward`` over the whole of ``x`` and ``z``, both already in
-        the params' dtype: ``masks``, ``per_source`` and ``y``, plus the
-        backward cache if ``keep_cache``.
+        the params' dtype: the ``(C, L)`` mask as ``masks`` and the output
+        ``y``, plus the backward cache if ``keep_cache``.
 
         Every block writes its modulated input ``h_tilde`` into one
         zero-margined buffer, with margins as wide as the last block's
@@ -369,34 +362,30 @@ class FilmMaskNet:
                 cache["blocks"][-1]["h_out"] = h
 
         del padded, h_tilde, taps  # spent: freed before the head allocates
-        masks = np.empty((cfg.n_masks * c, n_frames), dtype=dtype)
+        masks = np.empty((c, n_frames), dtype=dtype)
         by_columns(partial(self._head, p["head.w"], p["head.b"],
                            cfg.mask_max), h, masks)
         del h  # without the cache, freed before the decoder allocates
-        masks = masks.reshape(cfg.n_masks, c, n_frames)
-        per_source = np.empty((cfg.n_masks, n), dtype=dtype)
-        for m in range(cfg.n_masks):
-            by_rows(np.multiply, masks[m], h_x, prod)  # into prod
-            contrib = p["dec.w"].T @ prod
-            y_full = overlap_add(contrib.T, s)  # <= n samples; tail is 0
-            per_source[m, :len(y_full)] = y_full
-            per_source[m, len(y_full):] = 0.0
-        out = {"masks": masks, "per_source": per_source,
-               "y": per_source.sum(axis=0)}
+        by_rows(np.multiply, masks, h_x, prod)  # into prod
+        contrib = p["dec.w"].T @ prod
+        y_full = overlap_add(contrib.T, s)  # <= n samples; tail is 0
+        y = np.zeros(n, dtype=dtype)
+        y[:len(y_full)] = y_full
+        out = {"masks": masks, "y": y}
         return cache | out if keep_cache else out
 
     def edit(self, clip: Clip, z: np.ndarray) -> tuple[Clip, EditingMask]:
         """Edit a clip under conditioning z; returns the output and the
-        combined latent editing mask. Runs the inference ``forward`` on
+        latent editing mask. Runs the inference ``forward`` on
         the float32 copy of the net that a ``train_toy`` step makes (no
         copy if the params are float32 already), about 135 dB SNR from
         the float64 forward on a 5-s clip; the returned clip and mask are
-        float64. The mask is summed and clamped in float64: a float32
-        ``mask_max`` such as 1.1 rounds up past the float64 bound."""
+        float64. The mask is cast to float64 and clamped again there: a
+        float32 ``mask_max`` such as 1.1 rounds up past the float64 bound."""
         net32 = FilmMaskNet(self.config, self._params_as(np.float32))
         out = net32.forward(clip.samples, z, keep_cache=False)
         return (Clip(_Fresh(out["y"]), clip.rate),
-                EditingMask(_Fresh(out["mask"]), self.config.max_gain))
+                EditingMask(_Fresh(out["mask"]), self.config.mask_max))
 
     # ---------------- backward ----------------
 
@@ -428,9 +417,9 @@ class FilmMaskNet:
     def _decoder_adjoint(grad_prod: np.ndarray, h_x: np.ndarray,
                          mask: np.ndarray, grad_mask: np.ndarray,
                          grad_hx: np.ndarray) -> None:
-        """One mask's share of the masked product's adjoint: its mask
-        gradient into ``grad_mask``, and its ``h_x`` gradient added to
-        ``grad_hx`` through ``grad_prod``, which it overwrites."""
+        """The masked product's adjoint: the mask gradient into
+        ``grad_mask``, and the ``h_x`` gradient added to ``grad_hx``
+        through ``grad_prod``, which it overwrites."""
         np.multiply(grad_prod, h_x, out=grad_mask)
         grad_hx += np.multiply(grad_prod, mask, out=grad_prod)
 
@@ -505,13 +494,13 @@ class FilmMaskNet:
             grads[f"block{i}.conv.w"][:, :, j] += grad_w[j]
         return grad_h
 
-    def backward(self, cache: dict, grad_sources: np.ndarray) -> dict:
-        """Gradients of a scalar loss given d(loss)/d(per-source output).
+    def backward(self, cache: dict, grad_y: np.ndarray) -> dict:
+        """Gradients of a scalar loss given d(loss)/d(y), the output.
 
-        grad_sources has shape (n_masks, T), and ``cache`` comes from this
-        net's ``forward``. Runs in the dtype of the params, as ``forward``
-        does: grad_sources is cast to it, so a float32 net gives float32
-        gradients. Returns a dict keyed like ``params`` plus "z".
+        grad_y has shape (T,), and ``cache`` comes from this net's
+        ``forward``. Runs in the dtype of the params, as ``forward`` does:
+        grad_y is cast to it, so a float32 net gives float32 gradients.
+        Returns a dict keyed like ``params`` plus "z".
 
         The decoder and head adjoints write into one ``(C, L)`` scratch
         and the mask gradient's own array. The blocks then share two
@@ -529,17 +518,17 @@ class FilmMaskNet:
         one-part clip serially, on the calling thread). Tasks write only into
         arrays allocated here; every element is computed as on one thread.
         """
-        return self._backward(cache, grad_sources)
+        return self._backward(cache, grad_y)
 
-    def _backward(self, cache: dict, grad_sources: np.ndarray) -> dict:
+    def _backward(self, cache: dict, grad_y: np.ndarray) -> dict:
         """``backward``'s body, which the benchmark tracer does not wrap,
         for ``train_toy``'s examples on the pool's threads."""
         cfg = self.config
         k, s, c = cfg.kernel, cfg.stride, cfg.channels
-        masks, h_x = cache["masks"], cache["h_x"]
+        mask, h_x = cache["masks"], cache["h_x"]
         n_frames = h_x.shape[1]
         p = self.params
-        grad_sources = np.asarray(grad_sources, dtype=h_x.dtype)
+        grad_y = np.asarray(grad_y, dtype=h_x.dtype)
         grads = {key: np.zeros_like(val) for key, val in p.items()}
         grad_z = np.zeros(cfg.embed_dim, dtype=h_x.dtype)
         # What the tasks write besides the (C, L) arrays below.
@@ -551,46 +540,40 @@ class FilmMaskNet:
 
         parts = _parts(n_frames, *_TRAIN_PARTS)
         prod = np.empty_like(h_x)  # scratch for one (C, L) product
-        grad_masks = np.empty_like(masks)
+        grad_mask = np.empty_like(mask)
         grad_hx = np.zeros_like(h_x)
         by_rows = partial(_by_rows, parts)
-        for m in range(cfg.n_masks):
-            # The decoder's adjoint frames the gradient like the
-            # encoder; a contiguous copy keeps the products on BLAS.
-            grad_contrib = np.ascontiguousarray(
-                np.lib.stride_tricks.sliding_window_view(
-                    grad_sources[m], k)[::s].T)  # (K, L)
+        # The decoder's adjoint frames the gradient like the encoder; a
+        # contiguous copy keeps the products on BLAS.
+        grad_contrib = np.ascontiguousarray(
+            np.lib.stride_tricks.sliding_window_view(grad_y, k)[::s].T)
 
-            def decoder_weight():
-                # grad_masks[m] holds the decoder's input until the
-                # adjoint below overwrites it.
-                np.multiply(masks[m], h_x, out=grad_masks[m])
-                np.matmul(grad_masks[m], grad_contrib.T, out=grad_dec_w)
+        def decoder_weight():
+            # grad_mask holds the decoder's input until the adjoint below
+            # overwrites it.
+            np.multiply(mask, h_x, out=grad_mask)
+            np.matmul(grad_mask, grad_contrib.T, out=grad_dec_w)
 
-            _threads(decoder_weight,
-                     partial(np.matmul, p["dec.w"], grad_contrib, out=prod),
-                     serial=len(parts) == 1)
-            grads["dec.w"] += grad_dec_w
-            by_rows(self._decoder_adjoint, prod, h_x, masks[m],
-                    grad_masks[m], grad_hx)
-
-        for m in range(cfg.n_masks):
-            by_rows(partial(self._gate_clamp, cfg.mask_max), masks[m],
-                    grad_masks[m], *_bool_scratch(prod, 2))
-        grad_mpre = grad_masks.reshape(cfg.n_masks * c, n_frames)
+        _threads(decoder_weight,
+                 partial(np.matmul, p["dec.w"], grad_contrib, out=prod),
+                 serial=len(parts) == 1)
+        grads["dec.w"] += grad_dec_w
+        by_rows(self._decoder_adjoint, prod, h_x, mask, grad_mask, grad_hx)
+        by_rows(partial(self._gate_clamp, cfg.mask_max), mask, grad_mask,
+                *_bool_scratch(prod, 2))
         h_last = cache["blocks"][-1]["h_out"]
 
         def head_weight():
-            np.matmul(grad_mpre, h_last.T, out=grad_head_w)
-            np.sum(grad_mpre, axis=1, out=grad_head_b)
+            np.matmul(grad_mask, h_last.T, out=grad_head_w)
+            np.sum(grad_mask, axis=1, out=grad_head_b)
 
         grad_h = np.empty_like(h_x)
         _threads(head_weight,
-                 partial(np.matmul, p["head.w"].T, grad_mpre, out=grad_h),
+                 partial(np.matmul, p["head.w"].T, grad_mask, out=grad_h),
                  serial=len(parts) == 1)
         grads["head.w"] += grad_head_w
         grads["head.b"] += grad_head_b
-        del grad_masks, grad_mpre
+        del grad_mask
 
         margin = 2 ** (cfg.blocks - 1)
         padded = _margined(c, n_frames, margin, h_x.dtype)
@@ -631,49 +614,31 @@ def _snr_and_grad(est: np.ndarray, ref: np.ndarray):
 
 @dataclass(frozen=True)
 class TrainExample:
-    """One training tuple; refs, when given, are the per-source targets
-    of the permutation-invariant term."""
+    """One training tuple: the input mixture, the conditioning vector and
+    the edited mixture to aim for."""
 
     x: np.ndarray
     z: np.ndarray
     y: np.ndarray
-    refs: tuple[np.ndarray, ...] | None = None
 
 
-def snr_loss_and_grad(net: FilmMaskNet, x, z, y, refs=None):
-    """Loss = -SNR(edit, target); given per-source ``refs``, one per mask,
-    the permutation-invariant per-source term is added. The net runs in
-    its params' dtype and so do the gradients; the loss is computed in
-    float64 from its output. Returns (loss, grads dict including "z")."""
-    return _loss_and_grad(net.forward, net.backward, net.config.n_masks,
-                          x, z, y, refs)
+def snr_loss_and_grad(net: FilmMaskNet, x, z, y):
+    """Loss = -SNR(edit, target). The net runs in its params' dtype and so
+    do the gradients; the loss is computed in float64 from its output.
+    Returns (loss, grads dict including "z")."""
+    return _loss_and_grad(net.forward, net.backward, x, z, y)
 
 
-def _loss_and_grad(forward, backward, n_masks: int, x, z, y, refs):
-    """``snr_loss_and_grad`` through the given ``forward`` and ``backward``
-    of a net with ``n_masks`` masks: its public passes, or their bodies
-    on a pool thread. Calls no other name the benchmark tracer wraps."""
+def _loss_and_grad(forward, backward, x, z, y):
+    """``snr_loss_and_grad`` through the given ``forward`` and
+    ``backward``: a net's public passes, or their bodies on a pool
+    thread. Calls no other name the benchmark tracer wraps."""
     cache = forward(x, z)
     y = np.asarray(y, dtype=np.float64)
     if y.shape != cache["y"].shape:
         raise ShapeMismatch("target length must match the input")
-    mix_snr, mix_grad = _snr_and_grad(cache["y"], y)
-    loss = -mix_snr
-    grad_sources = np.tile(-mix_grad, (n_masks, 1))
-    if refs is not None:
-        if len(refs) != n_masks:
-            raise ShapeMismatch("PIT needs one reference per mask")
-        refs = [np.asarray(r, dtype=np.float64) for r in refs]
-        ests = [cache["per_source"][m] for m in range(n_masks)]
-        perm, _ = pit_snr(ests, refs)
-        total = 0.0
-        for i, ref in enumerate(refs):
-            value, g = _snr_and_grad(ests[perm[i]], ref)
-            total += value
-            grad_sources[perm[i]] -= g / n_masks
-        loss -= total / n_masks
-    grads = backward(cache, grad_sources)
-    return loss, grads
+    value, grad = _snr_and_grad(cache["y"], y)
+    return -value, backward(cache, -grad)
 
 
 def _examples_loss_and_grad(net: FilmMaskNet, examples, results: list,
@@ -687,8 +652,7 @@ def _examples_loss_and_grad(net: FilmMaskNet, examples, results: list,
               else (net._forward, net._backward))
     for i in range(first, end):
         ex = examples[i]
-        results[i] = _loss_and_grad(*passes, net.config.n_masks,
-                                    ex.x, ex.z, ex.y, ex.refs)
+        results[i] = _loss_and_grad(*passes, ex.x, ex.z, ex.y)
 
 
 @dataclass

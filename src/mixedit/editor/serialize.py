@@ -5,7 +5,7 @@ Layout, all little-endian:
     bytes 0-3   magic "MXN1"
     u32         container version (currently 1)
     u32         length of the config JSON blob
-    bytes       config JSON (the MaskNetConfig fields)
+    bytes       config JSON (the MaskNetConfig fields, and "n_masks": 1)
     u32         tensor count
     per tensor: u16 name length, name (utf-8),
                 u8 ndim, ndim * u32 dims,
@@ -34,7 +34,11 @@ class BadContainer(MixeditError):
 
 
 def save_net(path, net: FilmMaskNet):
-    config_blob = json.dumps(asdict(net.config), sort_keys=True).encode("utf-8")
+    """Write ``net`` to ``path``. The config blob keeps the
+    ``"n_masks": 1`` that every container has carried, so that a net
+    saves to the same bytes as before."""
+    config = asdict(net.config) | {"n_masks": 1}
+    config_blob = json.dumps(config, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, len(config_blob)))
@@ -52,8 +56,8 @@ def save_net(path, net: FilmMaskNet):
 
 def load_net(path) -> FilmMaskNet:
     """Read a container; any malformed content, including a tensor whose
-    name or shape does not fit the config, raises BadContainer; so does
-    a path that cannot be read."""
+    name or shape does not fit the config or an ``n_masks`` other than 1,
+    raises BadContainer; so does a path that cannot be read."""
     try:
         data = Path(path).read_bytes()
     except OSError as err:  # missing, a directory, no permission
@@ -66,8 +70,12 @@ def load_net(path) -> FilmMaskNet:
         if version != VERSION:
             raise BadContainer(f"unsupported container version {version}")
         offset = 12
-        config = MaskNetConfig(
-            **json.loads(bytes(view[offset:offset + config_len])))
+        blob = json.loads(bytes(view[offset:offset + config_len]))
+        if isinstance(blob, dict):
+            n_masks = blob.pop("n_masks", 1)
+            if type(n_masks) is not int or n_masks != 1:
+                raise BadContainer(f"a net has one mask, not {n_masks!r}")
+        config = MaskNetConfig(**blob)
         offset += config_len
         (count,) = struct.unpack_from("<I", view, offset)
         offset += 4

@@ -66,7 +66,7 @@ from mixedit.editor import film, masking
 from mixedit.editor.film import latent_frames, snr_loss_and_grad
 from mixedit.editor.masking import DimMismatch
 from mixedit.errors import MixeditError
-from mixedit.metrics import ZeroReference, edit_loss, snr, snri
+from mixedit.metrics import ZeroReference, snr, snri
 from mixedit.mixer import mix, target_mixture
 from mixedit.prompt import simplify
 from mixedit.taskspace import Composition, defined_tasks, enumerate_edits
@@ -511,24 +511,6 @@ def test_perfect_estimate_has_zero_gradient():
     assert all(np.all(g == 0.0) for k, g in grads.items())
 
 
-def test_multimask_sum_equals_combined_mask_path():
-    cfg = MaskNetConfig(channels=8, kernel=16, blocks=2, embed_dim=8, n_masks=2)
-    net = FilmMaskNet.init(cfg, seed=1)
-    x, z, _ = toy_data()
-    cache = net.forward(x, z)
-    parts = cache["per_source"]
-    summed = parts[0] + parts[1]
-    assert np.allclose(summed, cache["y"], atol=1e-12)
-    # decoding the summed mask directly gives the same waveform (linear decoder)
-    combined = (cache["masks"].sum(axis=0)) * cache["h_x"]
-    k, s, n_frames = cfg.kernel, cfg.stride, cache["h_x"].shape[1]
-    y_full = np.zeros((n_frames - 1) * s + k)
-    contrib = net.params["dec.w"].T @ combined
-    for kk in range(k):
-        y_full[kk:kk + (n_frames - 1) * s + 1:s] += contrib[kk]
-    assert np.allclose(y_full[:len(x)], cache["y"], atol=1e-9)
-
-
 def test_film_edit_float32_matches_float64_forward():
     net = FilmMaskNet.init(MaskNetConfig(), seed=2)
     x = Clip(np.random.default_rng(3).standard_normal(5 * RATE) * 0.1, RATE)
@@ -541,23 +523,23 @@ def test_film_edit_float32_matches_float64_forward():
     assert snr(est, cache["y"]).value >= 100.0
 
 
-@pytest.mark.parametrize("mask_max,n_masks", [(1.1, 1), (2.2, 2), (0.1, 1)])
-def test_film_edit_saturated_mask_within_bound(mask_max, n_masks):
+@pytest.mark.parametrize("mask_max", [1.1, 0.1])
+def test_film_edit_saturated_mask_within_bound(mask_max):
     # float32(mask_max) exceeds mask_max for these values; every bin of
-    # the head saturates, so the combined mask reaches its bound.
+    # the head saturates, so the mask reaches its bound.
     cfg = MaskNetConfig(channels=8, kernel=16, blocks=2, embed_dim=8,
-                        n_masks=n_masks, mask_max=mask_max)
+                        mask_max=mask_max)
     net = FilmMaskNet.init(cfg, seed=1)
     net.params["head.b"] = np.full_like(net.params["head.b"], 10.0)
     est, mask = net.edit(tone(440, n=4000), unit_vec(8, seed=2))
-    assert mask.m_max == mask_max * n_masks
+    assert mask.m_max == mask_max
     assert np.all(mask.values == mask.m_max)
     assert np.all(np.isfinite(est.samples))
 
 
 def test_saturated_mask_head_gets_zero_gradient():
     # Every bin sits at the clamp, where the subgradient is taken as zero.
-    cfg = MaskNetConfig(channels=8, kernel=16, blocks=2, embed_dim=8, n_masks=2)
+    cfg = MaskNetConfig(channels=8, kernel=16, blocks=2, embed_dim=8)
     net = FilmMaskNet.init(cfg, seed=1)
     net.params["head.b"] = np.full_like(net.params["head.b"], 10.0)
     x, z, y = toy_data()
@@ -570,15 +552,15 @@ def test_saturated_mask_head_gets_zero_gradient():
 def test_film_edit_peak_memory(monkeypatch):
     # edit runs forward without the backward cache: the blocks share one
     # zero-margined buffer, freed before the head allocates, and each
-    # block's input is freed before its h_out allocates (10.5 and 13.0
-    # MiB measured). A 60-s clip runs in 30 windows, two at a time here,
-    # and holds little more than its float64 output and combined mask
-    # (74.6 MiB measured, against 121.3 MiB for one whole-clip pass).
+    # block's input is freed before its h_out allocates (11.1 MiB
+    # measured). A 60-s clip runs in 30 windows, two at a time here,
+    # and holds little more than its float64 output and mask (74.6 MiB
+    # measured, against 121.3 MiB for one whole-clip pass).
     monkeypatch.setattr(dsp, "available_cpus", lambda: 2)
-    for seconds, n_masks, limit_mib in ((5, 1, 13), (5, 2, 16), (60, 1, 80)):
+    for seconds, limit_mib in ((5, 13), (60, 80)):
         x = Clip(np.random.default_rng(3).standard_normal(seconds * RATE)
                  * 0.1, RATE)
-        net = FilmMaskNet.init(MaskNetConfig(n_masks=n_masks), seed=2)
+        net = FilmMaskNet.init(MaskNetConfig(), seed=2)
         z = unit_vec(net.config.embed_dim, seed=4)
         tracemalloc.start()
         try:
@@ -586,38 +568,40 @@ def test_film_edit_peak_memory(monkeypatch):
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < limit_mib * 2**20, (seconds, n_masks)
+        assert peak < limit_mib * 2**20, seconds
 
 
 def test_film_training_step_peak_memory():
     # The cache keeps one h_out per block, not each block's h_tilde;
     # forward and backward each work in one set of zero-margined buffers
-    # (31.0 and 34.7 MiB measured, against 48.0 and 57.2 MiB when every
-    # block kept its own margined h_tilde).
+    # (30.7 MiB measured, against 48.0 MiB when every block kept its own
+    # margined h_tilde).
     x = np.random.default_rng(3).standard_normal(5 * RATE) * 0.1
     y = 0.5 * x
-    for n_masks, limit_mib in ((1, 34), (2, 39)):
-        net = FilmMaskNet.init(MaskNetConfig(n_masks=n_masks), seed=2)
-        net = FilmMaskNet(net.config, net._params_as(np.float32))
-        z = unit_vec(net.config.embed_dim, seed=4)
-        tracemalloc.start()
-        try:
-            snr_loss_and_grad(net, x, z, y)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < limit_mib * 2**20, n_masks
+    net = FilmMaskNet.init(MaskNetConfig(), seed=2)
+    net = FilmMaskNet(net.config, net._params_as(np.float32))
+    z = unit_vec(net.config.embed_dim, seed=4)
+    tracemalloc.start()
+    try:
+        snr_loss_and_grad(net, x, z, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 34 * 2**20
 
 
-WIDE = MaskNetConfig(channels=8, kernel=4, blocks=6, embed_dim=8, n_masks=2)
+WIDE = MaskNetConfig(channels=8, kernel=4, blocks=6, embed_dim=8)
+# The head's bias starts at 1, so a mask_max of 1.1 keeps many bins at the
+# upper clamp, which float32 rounds above the float64 bound.
+CLAMPED = MaskNetConfig(mask_max=1.1)
 
 
 def _whole_clip_edit(net, x, z):
-    """The output and combined mask of one cached float32 forward over
-    the whole clip."""
+    """The output and mask of one cached float32 forward over the whole
+    clip."""
     cache = FilmMaskNet(net.config, net._params_as(np.float32)).forward(x, z)
-    mask = np.clip(cache["masks"].sum(axis=0, dtype=np.float64), 0.0,
-                   net.config.max_gain)
+    mask = np.clip(cache["masks"].astype(np.float64), 0.0,
+                   net.config.mask_max)
     return cache["y"], mask
 
 
@@ -635,7 +619,7 @@ def _samples_for(cfg, n_frames):
 
 @pytest.mark.parametrize("cfg,n", [
     (MaskNetConfig(), 5 * RATE),
-    (MaskNetConfig(n_masks=2), 5 * RATE),
+    (CLAMPED, 5 * RATE),
     (WIDE, 4000),
     # L = 4 frames against a widest margin of 2**5 columns: the outer
     # taps of the later blocks read nothing but the shared margins.
@@ -651,8 +635,7 @@ def test_film_edit_equals_cached_float32_forward_bit_for_bit(cfg, n):
     _assert_edits_whole_clip(net, x, unit_vec(cfg.embed_dim, seed=4))
 
 
-@pytest.mark.parametrize("cfg", [MaskNetConfig(), MaskNetConfig(n_masks=2),
-                                 WIDE])
+@pytest.mark.parametrize("cfg", [MaskNetConfig(), CLAMPED, WIDE])
 def test_film_edit_windows_equal_the_whole_clip_at_every_offset(cfg):
     # Clip lengths over two strides, so the clip's end and the sample
     # edges of the windows fall at every offset of the frame grid.
@@ -678,7 +661,7 @@ def test_film_edit_is_the_same_on_one_thread_or_four(monkeypatch):
 
     monkeypatch.setattr(dsp, "ThreadPoolExecutor", Recorded)
     monkeypatch.setattr(dsp, "_pool", None)  # the process's pool is put back
-    net = FilmMaskNet.init(MaskNetConfig(n_masks=2), seed=2)
+    net = FilmMaskNet.init(MaskNetConfig(), seed=2)
     x = np.random.default_rng(3).standard_normal(5 * RATE) * 0.1
     z = unit_vec(net.config.embed_dim, seed=4)
     edits = []
@@ -858,7 +841,7 @@ rng = np.random.default_rng(3)
 x = Clip(rng.standard_normal(80000) * 0.3, 16000)
 y = Clip(x.samples * rng.uniform(0.0, 1.5, 80000), 16000)
 z = rng.standard_normal(32)
-net = FilmMaskNet.init(MaskNetConfig(n_masks=2), seed=2)
+net = FilmMaskNet.init(MaskNetConfig(), seed=2)
 est, mask = net.edit(x, z / np.linalg.norm(z))
 digest = hashlib.blake2b(est.samples.tobytes() + mask.values.tobytes())
 for kind in MaskKind:
@@ -900,15 +883,14 @@ def _assert_same_bits(got, expected, where="cache"):
 
 
 def _training_examples(cfg, n, rng, seeds):
-    """One example of ``n`` samples per seed, with per-source refs when
-    there are two masks."""
+    """One example of ``n`` samples per seed: the sum of two sources, with
+    the first as the target."""
     examples = []
     for seed in seeds:
         sources = rng.standard_normal((2, n)) * 0.1
-        refs = tuple(sources) if cfg.n_masks == 2 else None
         examples.append(TrainExample(sources.sum(axis=0),
                                      unit_vec(cfg.embed_dim, seed=seed),
-                                     sources[0], refs))
+                                     sources[0]))
     return examples
 
 
@@ -921,7 +903,7 @@ def _training_runs(cfg, n, dtype):
     rng = np.random.default_rng(n)
     x = rng.standard_normal(n) * 0.1
     cache = net.forward(x, unit_vec(cfg.embed_dim, seed=4))
-    grads = net.backward(cache, rng.standard_normal((cfg.n_masks, n)))
+    grads = net.backward(cache, rng.standard_normal(n))
     examples = _training_examples(cfg, n, rng, (5, 6, 7))
     runs = [train_toy(net, examples[:2], steps=3, lr=1e-3)]
     runs += [train_toy(net, examples[:count], steps=2, lr=1e-3)
@@ -931,7 +913,7 @@ def _training_runs(cfg, n, dtype):
 
 @pytest.mark.parametrize("cfg,n,dtype", [
     (MaskNetConfig(), 5 * RATE, np.float32),
-    (MaskNetConfig(n_masks=2), 5 * RATE, np.float32),
+    (CLAMPED, 5 * RATE, np.float32),
     (WIDE, 4000, np.float32),
     (MaskNetConfig(), 5 * RATE, np.float64),
     # The longest clip that is one part, and the shortest that splits.
@@ -959,23 +941,22 @@ def test_film_training_step_peak_memory_on_two_threads(monkeypatch):
 
 def test_train_toy_step_peak_memory_on_two_cpus(monkeypatch):
     # Two examples' passes run at once, one per CPU, so a float32 step
-    # holds two passes (63 and 71 MiB measured). Four examples hold no
-    # more: a task the pool's queue keeps after its cancel holds none of
-    # its arrays (148 MiB with one mask when it did).
+    # holds two passes (62 MiB measured). Four examples hold no more: a
+    # task the pool's queue keeps after its cancel holds none of its
+    # arrays (148 MiB when it did).
     monkeypatch.setattr(dsp, "available_cpus", lambda: 2)
     rng = np.random.default_rng(3)
-    for n_masks, limit_mib in ((1, 68), (2, 78)):
-        cfg = MaskNetConfig(n_masks=n_masks)
-        net = FilmMaskNet.init(cfg, seed=2)
-        for count in (2, 4):
-            examples = _training_examples(cfg, 5 * RATE, rng, range(count))
-            tracemalloc.start()
-            try:
-                train_toy(net, examples, steps=1)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak < limit_mib * 2**20, (n_masks, count)
+    cfg = MaskNetConfig()
+    net = FilmMaskNet.init(cfg, seed=2)
+    for count in (2, 4):
+        examples = _training_examples(cfg, 5 * RATE, rng, range(count))
+        tracemalloc.start()
+        try:
+            train_toy(net, examples, steps=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 68 * 2**20, count
 
 
 def _three_examples(bad=()):
@@ -1044,8 +1025,8 @@ def test_train_toy_diverges_on_two_cpus_as_on_one(monkeypatch):
     # Only the pool's example's gradient overflows, at the first step.
     body = FilmMaskNet._backward
 
-    def overflowing(self, cache, grad_sources):
-        grads = body(self, cache, grad_sources)
+    def overflowing(self, cache, grad_y):
+        grads = body(self, cache, grad_y)
         if np.array_equal(cache["z"], last.astype(np.float32)):
             grads["head.b"][3] = np.inf
         return grads
@@ -1092,14 +1073,14 @@ def test_film_threads_call_no_traced_layer(monkeypatch, tmp_path,
 
     import mixedit.dataset as dataset
     import mixedit.editor as editor
-    cfg = MaskNetConfig(n_masks=2)
+    cfg = MaskNetConfig()
     net = editor.FilmMaskNet.init(cfg, seed=2)
     rng = np.random.default_rng(3)
     sources = rng.standard_normal((2, 5 * RATE)) * 0.1
     x, z = sources.sum(axis=0), unit_vec(cfg.embed_dim, seed=4)
     net.edit(Clip(x, RATE), z)
-    film.snr_loss_and_grad(net, x, z, sources[0], refs=tuple(sources))
-    example = editor.TrainExample(x, z, sources[0], tuple(sources))
+    film.snr_loss_and_grad(net, x, z, sources[0])
+    example = editor.TrainExample(x, z, sources[0])
     editor.train_toy(net, [example], steps=1)
     # Of three examples the calling thread runs two, through the traced
     # passes, and the pool the third, through their bodies.
@@ -1132,7 +1113,7 @@ def test_film_threads_call_no_traced_layer(monkeypatch, tmp_path,
 def _film_edit_with_zeroed_buffers(net, x, z):
     """``FilmMaskNet.edit`` as it ran before: cache-less float32 forward
     on zero-filled buffers that stay allocated to the end, then the
-    output and the combined mask copied."""
+    output and the mask copied."""
     cfg = net.config
     p = net._params_as(np.float32)
     x, z = np.asarray(x, np.float32), np.asarray(z, np.float32)
@@ -1161,23 +1142,19 @@ def _film_edit_with_zeroed_buffers(net, x, z):
         h_out += p[f"block{i}.conv.b"][:, None]
         np.maximum(h_out, 0.0, out=h_out)
         h = h_out
-    masks = p["head.w"] @ h
-    masks += p["head.b"][:, None]
-    masks = masks.reshape(cfg.n_masks, c, n_frames)
-    np.clip(masks, 0.0, cfg.mask_max, out=masks)
-    per_source = np.zeros((cfg.n_masks, len(x)), np.float32)
-    for m in range(cfg.n_masks):
-        contrib = p["dec.w"].T @ np.multiply(masks[m], h_x, out=prod)
-        y_full = overlap_add(contrib.T, s)
-        per_source[m, :len(y_full)] = y_full
-    combined = masks.sum(axis=0, dtype=np.float64)
-    np.clip(combined, 0.0, cfg.mask_max * cfg.n_masks, out=combined)
-    return (np.array(per_source.sum(axis=0), dtype=np.float64),
-            np.array(combined))
+    mask = p["head.w"] @ h
+    mask += p["head.b"][:, None]
+    np.clip(mask, 0.0, cfg.mask_max, out=mask)
+    y = np.zeros(len(x), np.float32)
+    contrib = p["dec.w"].T @ np.multiply(mask, h_x, out=prod)
+    y_full = overlap_add(contrib.T, s)
+    y[:len(y_full)] = y_full
+    mask64 = mask.astype(np.float64)
+    np.clip(mask64, 0.0, cfg.mask_max, out=mask64)
+    return np.array(y, dtype=np.float64), mask64
 
 
-@pytest.mark.parametrize("cfg", [MaskNetConfig(), MaskNetConfig(n_masks=2),
-                                 WIDE])
+@pytest.mark.parametrize("cfg", [MaskNetConfig(), CLAMPED, WIDE])
 @pytest.mark.parametrize("n", _EDIT_LENGTHS)
 def test_film_edit_equals_the_zeroed_buffer_path_bit_for_bit(cfg, n):
     net = FilmMaskNet.init(cfg, seed=2)
@@ -1189,7 +1166,7 @@ def test_film_edit_equals_the_zeroed_buffer_path_bit_for_bit(cfg, n):
     assert np.array_equal(mask.values, expected_mask)
 
 
-def _backward_with_cached_htilde(net, cache, grad_sources):
+def _backward_with_cached_htilde(net, cache, grad_y):
     """``FilmMaskNet.backward`` as it ran when the cache held each block's
     ``h_tilde`` in its own buffer with zero margins of its dilation d:
     those buffers are rebuilt here with forward's ops. Every block
@@ -1197,26 +1174,23 @@ def _backward_with_cached_htilde(net, cache, grad_sources):
     products into a new array."""
     cfg = net.config
     k, s, c = cfg.kernel, cfg.stride, cfg.channels
-    masks, h_x = cache["masks"], cache["h_x"]
+    mask, h_x = cache["masks"], cache["h_x"]
     p = net._params_as(h_x.dtype)
-    grad_sources = np.asarray(grad_sources, dtype=h_x.dtype)
+    grad_y = np.asarray(grad_y, dtype=h_x.dtype)
     grads = {key: np.zeros_like(val) for key, val in p.items()}
     grad_z = np.zeros(cfg.embed_dim, dtype=h_x.dtype)
     n = h_x.shape[1]
 
-    grad_masks = np.zeros_like(masks)
     grad_hx = np.zeros_like(h_x)
-    for m in range(cfg.n_masks):
-        grad_contrib = np.ascontiguousarray(
-            np.lib.stride_tricks.sliding_window_view(
-                grad_sources[m], k)[::s].T)
-        grads["dec.w"] += (masks[m] * h_x) @ grad_contrib.T
-        grad_prod = p["dec.w"] @ grad_contrib
-        grad_masks[m] = grad_prod * h_x
-        grad_hx += grad_prod * masks[m]
+    grad_contrib = np.ascontiguousarray(
+        np.lib.stride_tricks.sliding_window_view(grad_y, k)[::s].T)
+    grads["dec.w"] += (mask * h_x) @ grad_contrib.T
+    grad_prod = p["dec.w"] @ grad_contrib
+    grad_mask = grad_prod * h_x
+    grad_hx += grad_prod * mask
 
-    on = (masks > 0.0) & (masks < cfg.mask_max)
-    grad_mpre = (grad_masks * on).reshape(cfg.n_masks * c, n)
+    on = (mask > 0.0) & (mask < cfg.mask_max)
+    grad_mpre = grad_mask * on
     grads["head.w"] += grad_mpre @ cache["blocks"][-1]["h_out"].T
     grads["head.b"] += grad_mpre.sum(axis=1)
     grad_h = p["head.w"].T @ grad_mpre
@@ -1255,7 +1229,7 @@ def _backward_with_cached_htilde(net, cache, grad_sources):
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("cfg,n", [
     (MaskNetConfig(), 5 * RATE),
-    (MaskNetConfig(n_masks=2), 5 * RATE),
+    (CLAMPED, 5 * RATE),
     (WIDE, 4000),
     (MaskNetConfig(channels=8, kernel=4, blocks=7, embed_dim=8), 97),
 ])
@@ -1264,7 +1238,7 @@ def test_backward_equals_the_cached_htilde_path_bit_for_bit(cfg, n, dtype):
     net = FilmMaskNet(cfg, net._params_as(dtype))
     rng = np.random.default_rng(n)
     x = rng.standard_normal(n) * 0.1
-    g = rng.standard_normal((cfg.n_masks, n))
+    g = rng.standard_normal(n)
     cache = net.forward(x, unit_vec(cfg.embed_dim, seed=4))
     grads = net.backward(cache, g)
     expected = _backward_with_cached_htilde(net, cache, g)
@@ -1298,23 +1272,8 @@ def test_edit_and_training_run_forward_with_and_without_the_cache(
     assert len(calls) == 3
 
 
-def test_pit_loss_invariant_to_reference_order():
-    cfg = MaskNetConfig(channels=8, kernel=16, blocks=2, embed_dim=8, n_masks=2)
-    net = FilmMaskNet.init(cfg, seed=1)
-    rng = np.random.default_rng(2)
-    t = 800
-    x = rng.standard_normal(t) * 0.3
-    z = unit_vec(8, seed=3)
-    r1 = 0.4 * x + 0.05 * rng.standard_normal(t)
-    r2 = 0.2 * x + 0.05 * rng.standard_normal(t)
-    y = r1 + r2
-    a, _ = snr_loss_and_grad(net, x, z, y, refs=(r1, r2))
-    b, _ = snr_loss_and_grad(net, x, z, y, refs=(r2, r1))
-    assert a == pytest.approx(b, abs=1e-9)
-
-
 def test_loss_without_refs_is_the_mixture_snr():
-    cfg = MaskNetConfig(channels=8, kernel=16, blocks=2, embed_dim=8, n_masks=2)
+    cfg = MaskNetConfig(channels=8, kernel=16, blocks=2, embed_dim=8)
     net = FilmMaskNet.init(cfg, seed=1)
     x, z, y = toy_data()
     loss, _ = snr_loss_and_grad(net, x, z, y)
@@ -1390,8 +1349,8 @@ def test_train_toy_stops_on_a_non_finite_gradient(monkeypatch):
     backward = FilmMaskNet.backward
     calls = []
 
-    def overflowing(self, cache, grad_sources):
-        grads = backward(self, cache, grad_sources)
+    def overflowing(self, cache, grad_y):
+        grads = backward(self, cache, grad_y)
         calls.append(1)
         if len(calls) == 2:
             grads["head.b"][3] = np.inf
@@ -1407,21 +1366,19 @@ def test_train_toy_stops_on_a_non_finite_gradient(monkeypatch):
         assert np.array_equal(net.params[key], val)
 
 
-@pytest.mark.parametrize("n_masks", [1, 2])
-def test_backward_on_a_float32_cache_gives_float32_gradients(n_masks):
-    # A float64 grad_sources must not upcast a float32 net's pass.
-    cfg = MaskNetConfig(channels=8, kernel=16, blocks=2, embed_dim=8,
-                        n_masks=n_masks)
+def test_backward_on_a_float32_cache_gives_float32_gradients():
+    # A float64 grad_y must not upcast a float32 net's pass.
+    cfg = MaskNetConfig(channels=8, kernel=16, blocks=2, embed_dim=8)
     net = FilmMaskNet.init(cfg, seed=2)
     net32 = FilmMaskNet(cfg, net._params_as(np.float32))
     x, z, _ = toy_data()
-    g = np.random.default_rng(4).standard_normal((n_masks, len(x)))
+    g = np.random.default_rng(4).standard_normal(len(x))
     cache = net32.forward(x, z)
     assert cache["h_x"].dtype == np.float32
     grads = net32.backward(cache, g)
     assert set(grads) == set(net.params) | {"z"}
     assert {v.dtype for v in grads.values()} == {np.dtype(np.float32)}
-    # grad_sources is cast on entry: no float64 intermediate anywhere.
+    # grad_y is cast on entry: no float64 intermediate anywhere.
     same = net32.backward(cache, g.astype(np.float32))
     assert all(np.array_equal(grads[k], same[k]) for k in grads)
 
@@ -1431,9 +1388,9 @@ def test_train_toy_computes_in_float32_and_keeps_float64_masters(
     backward = FilmMaskNet.backward
     seen = []
 
-    def recording(self, cache, grad_sources):
+    def recording(self, cache, grad_y):
         seen.append(cache["h_x"].dtype)
-        return backward(self, cache, grad_sources)
+        return backward(self, cache, grad_y)
 
     monkeypatch.setattr(FilmMaskNet, "backward", recording)
     x, z, y = toy_data()
@@ -1471,10 +1428,13 @@ def test_float32_training_tracks_float64_over_25_steps():
 # ---------------- serialization and export ----------------
 
 def test_net_serialization_round_trip(tmp_path):
-    cfg = MaskNetConfig(channels=8, kernel=16, blocks=2, embed_dim=8, n_masks=2)
+    cfg = MaskNetConfig(channels=8, kernel=16, blocks=2, embed_dim=8)
     net = FilmMaskNet.init(cfg, seed=5)
     path = tmp_path / "net.mxn"
     save_net(path, net)
+    # Every container written so far holds "n_masks": 1; save_net still
+    # writes it, so that a net saves to the same bytes.
+    assert b'"n_masks": 1' in path.read_bytes()
     loaded = load_net(path)
     assert loaded.config == cfg
     for key, val in net.params.items():
@@ -1540,30 +1500,26 @@ def _decode_per_tap(net, prods, n):
 
 
 def test_film_decoder_equals_per_tap_loop_bit_for_bit():
-    cfg = MaskNetConfig(channels=8, kernel=12, blocks=2, embed_dim=8, n_masks=2)
+    cfg = MaskNetConfig(channels=8, kernel=12, blocks=2, embed_dim=8)
     net = FilmMaskNet.init(cfg, seed=4)
     x = np.random.default_rng(5).standard_normal(1003) * 0.3  # ragged tail
     cache = net.forward(x, unit_vec(8, seed=6))
-    for m in range(cfg.n_masks):
-        prods = cache["masks"][m] * cache["h_x"]
-        assert np.array_equal(cache["per_source"][m],
-                              _decode_per_tap(net, prods, len(x)))
+    prods = cache["masks"] * cache["h_x"]
+    assert np.array_equal(cache["y"], _decode_per_tap(net, prods, len(x)))
 
 
 def test_film_decoder_gradient_equals_per_tap_framing_bit_for_bit():
-    cfg = MaskNetConfig(channels=8, kernel=12, blocks=2, embed_dim=8, n_masks=2)
+    cfg = MaskNetConfig(channels=8, kernel=12, blocks=2, embed_dim=8)
     net = FilmMaskNet.init(cfg, seed=4)
     rng = np.random.default_rng(7)
     x = rng.standard_normal(1003) * 0.3
     cache = net.forward(x, unit_vec(8, seed=6))
-    g = rng.standard_normal((2, len(x)))
+    g = rng.standard_normal(len(x))
     k, s, n_frames = cfg.kernel, cfg.stride, cache["h_x"].shape[1]
-    expected = np.zeros_like(net.params["dec.w"])
-    for m in range(2):
-        framed = np.empty((k, n_frames))
-        for kk in range(k):
-            framed[kk] = g[m][kk:kk + (n_frames - 1) * s + 1:s]
-        expected += (cache["masks"][m] * cache["h_x"]) @ framed.T
+    framed = np.empty((k, n_frames))
+    for kk in range(k):
+        framed[kk] = g[kk:kk + (n_frames - 1) * s + 1:s]
+    expected = (cache["masks"] * cache["h_x"]) @ framed.T
     assert np.array_equal(net.backward(cache, g)["dec.w"], expected)
 
 
@@ -1613,21 +1569,6 @@ def test_dilated_conv_and_adjoint_equal_shifted_copies_bit_for_bit(
         assert np.array_equal(grads[f"block{i}.conv.b"], grad_pre.sum(axis=1))
 
 
-def test_pit_training_loss_is_metrics_edit_loss():
-    cfg = MaskNetConfig(channels=8, kernel=16, blocks=2, embed_dim=8, n_masks=2)
-    net = FilmMaskNet.init(cfg, seed=1)
-    rng = np.random.default_rng(2)
-    x = rng.standard_normal(800) * 0.3
-    z = unit_vec(8, seed=3)
-    r1 = 0.4 * x + 0.05 * rng.standard_normal(800)
-    r2 = 0.2 * x + 0.05 * rng.standard_normal(800)
-    y = r1 + r2
-    loss, _ = snr_loss_and_grad(net, x, z, y, refs=(r1, r2))
-    cache = net.forward(x, z)
-    assert loss == edit_loss(list(cache["per_source"]), [r1, r2],
-                             cache["y"], y)
-
-
 def test_training_loss_rejects_zero_target_typed():
     net = FilmMaskNet.init(TOY, seed=3)
     x, z, _ = toy_data()
@@ -1637,9 +1578,9 @@ def test_training_loss_rejects_zero_target_typed():
 
 @pytest.mark.parametrize("bad", [
     {"kernel": 15}, {"kernel": 0}, {"channels": 0}, {"blocks": -1},
-    {"embed_dim": 0}, {"n_masks": 0}, {"hidden": 0}, {"channels": 8.0},
+    {"embed_dim": 0}, {"mask_max": -1.0}, {"hidden": 0}, {"channels": 8.0},
     {"mask_max": 0.0}, {"mask_max": float("nan")}, {"mask_max": math.inf},
-    {"channels": True}, {"blocks": True}, {"n_masks": True}, {"hidden": True},
+    {"channels": True}, {"blocks": True}, {"kernel": True}, {"hidden": True},
     {"mask_max": True}, {"mask_max": np.True_},
 ])
 def test_mask_net_config_rejects_bad_values_typed(bad):
@@ -1686,7 +1627,8 @@ def _rewrite_config(path, **fields):
                                   "infinite mask_max", "bool channels",
                                   "bool blocks", "bool n_masks",
                                   "bool mask_max", "version 2",
-                                  "trailing bytes"])
+                                  "trailing bytes", "n_masks 2", "n_masks 0",
+                                  "n_masks 1.0"])
 def test_load_net_malformed_raises_bad_container(tmp_path, edit):
     from mixedit.editor.serialize import BadContainer
     path = tmp_path / "net.mxn"
@@ -1722,6 +1664,10 @@ def test_load_net_malformed_raises_bad_container(tmp_path, edit):
         blob = json.dumps({**config, edit[5:]: True}).encode("utf-8")
         data = (data[:8] + struct.pack("<I", len(blob)) + blob
                 + data[12 + config_len:])
+    elif edit.startswith("n_masks "):
+        # The tensors fit the one-mask config, so only the count refuses it.
+        _rewrite_config(path, n_masks=json.loads(edit[8:]))
+        data = path.read_bytes()
     elif edit == "version 2":
         data = data[:4] + struct.pack("<I", 2) + data[8:]
     elif edit == "trailing bytes":

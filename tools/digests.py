@@ -28,8 +28,8 @@ DIR:
   ``seed.json`` and stdout of three steps on that tree;
 - ``film``: the cache of FiLM ``forward`` (default ``MaskNetConfig``,
   seed 0) on one 5-s noise clip, on the float64 net and its float32 copy;
-- ``loss``: ``snr_loss_and_grad``'s loss and gradients on a two-mask net,
-  float64 and float32, without and with per-source PIT references;
+- ``loss``: ``snr_loss_and_grad``'s loss and gradients (default
+  ``MaskNetConfig``, seed 0), float64 and float32;
 - ``train``: ``train_toy``'s losses and params, one digest, after two
   steps of a default ``MaskNetConfig`` net (seed 0) on three 5-s float32
   noise examples, whose parts the pool cuts unevenly on two CPUs;
@@ -290,12 +290,10 @@ def case_film():
 
 def case_loss():
     rng = np.random.default_rng(SEED)
-    refs = _noise(rng, 2, 5 * 16000)
-    x, y, z = refs.sum(axis=0), refs[0], rng.standard_normal(32)
-    for name, net in _nets(MaskNetConfig(n_masks=2)):
-        for pit, given in (("mixture", None), ("pit", list(refs))):
-            yield (f"loss/{name}/{pit}",
-                   _values(snr_loss_and_grad(net, x, z, y, given)))
+    sources = _noise(rng, 2, 5 * 16000)
+    x, y, z = sources.sum(axis=0), sources[0], rng.standard_normal(32)
+    for name, net in _nets(MaskNetConfig()):
+        yield f"loss/{name}", _values(snr_loss_and_grad(net, x, z, y))
 
 
 def case_train():
@@ -435,7 +433,7 @@ _BAD_NET_FIELDS = [
     ("kernel", 15), ("channels", 0), ("channels", 8.0), ("channels", True),
     ("blocks", np.int64(0)), ("hidden", True), ("hidden", 0),
     ("mask_max", 0.0), ("mask_max", float("nan")), ("mask_max", float("inf")),
-    ("mask_max", np.True_), ("n_masks", -1), ("embed_dim", np.bool_(True)),
+    ("mask_max", np.True_), ("embed_dim", np.bool_(True)),
     ("channels", np.int64(8)), ("mask_max", np.float32(2.0)), ("hidden", None),
 ]
 
@@ -488,7 +486,7 @@ def _containers():
     yield "tensor-name", data.replace(b"head.b", b"head.c")
     for key, value in (("mask_max", "3"), ("mask_max", None),
                        ("channels", True), ("channels", 8.0),
-                       ("kernel", 3), ("extra", 1)):
+                       ("kernel", 3), ("extra", 1), ("n_masks", 2)):
         yield f"config-{key}={value!r}", with_config(key, value)
 
 
