@@ -304,12 +304,12 @@ def _shared_pool(threads: int) -> ThreadPoolExecutor:
         return _pool[1]
 
 
-def _threads(*tasks, serial: bool = False) -> None:
+def _threads(*tasks) -> None:
     """Calls every task and returns once all are done, re-raising a
     task's error; ``_each`` hands it the parts that ``_parts`` or
-    ``_equal_parts`` cut. With ``serial``, one task, or
-    ``available_cpus()`` at 1 the tasks run in order on the calling
-    thread. Otherwise the calling thread runs the first task
+    ``_equal_parts`` cut. With one task, or ``available_cpus()`` at 1,
+    the tasks run in order on the calling thread. Otherwise the calling
+    thread runs the first task
     while the process's pool takes the rest; the caller then runs itself,
     last first, every task no pool thread has started. So a host that
     does not run the threads at once costs little more than the serial
@@ -329,21 +329,22 @@ def _threads(*tasks, serial: bool = False) -> None:
     tasks that no other pool thread has started, so nesting cannot wait
     on itself.
 
-    The pool runs editor, training and resampling parts, ``train_toy``'s
-    parts of its examples, ``synthesize``'s shards of records and
-    ``build_demo_catalog``'s two halves of its sources. An editor,
-    training or resampling task calls numpy only: nothing the benchmark
-    tracer wraps, ``Clip`` and ``EditingMask`` included, since the
-    tracer's span stack assumes one thread. Of ``train_toy``'s parts only
-    the first, which runs on the calling thread, calls the traced
-    ``forward`` and ``backward``; the others call their untraced bodies.
+    The pool runs the FiLM ``edit``'s windows, the STFT path's and
+    ``resample``'s parts, ``train_toy``'s parts of its examples,
+    ``synthesize``'s shards of records and ``build_demo_catalog``'s two
+    halves of its sources. An editor, STFT or resampling task calls numpy
+    only: nothing the benchmark tracer wraps, ``Clip`` and
+    ``EditingMask`` included, since the tracer's span stack assumes one
+    thread. Of ``train_toy``'s parts only the first, which runs on the
+    calling thread, calls the traced ``forward`` and ``backward``; the
+    others call their untraced bodies.
     Synthesis does call traced names; the benchmark runs it at one
     worker, so they run on the calling thread, and only ``resample``'s
     products reach the pool. The catalog's halves make a ``Clip`` and
     call ``write_wav``, both traced, but the benchmark builds its
     catalogs in set-up, so ``build_demo_catalog`` never runs under the
     tracer."""
-    if serial or len(tasks) == 1 or (cpus := available_cpus()) == 1:
+    if len(tasks) == 1 or (cpus := available_cpus()) == 1:
         for task in tasks:
             task()
         return

@@ -24,8 +24,7 @@ from functools import partial
 import numpy as np
 
 from .. import dsp
-from ..dsp import (Clip, _by_columns, _each, _equal_parts, _Fresh, _parts,
-                   _threads, overlap_add)
+from ..dsp import Clip, _each, _equal_parts, _Fresh, _parts, overlap_add
 from ..errors import MixeditError, check_types
 from ..metrics import _snr_error
 from .masking import DEFAULT_EMBED_DIM, DEFAULT_MASK_MAX, EditingMask
@@ -104,26 +103,14 @@ def latent_frames(n_samples: int, kernel: int) -> int:
     return (n_samples - kernel) // (kernel // 2) + 1
 
 
-# ``dsp._parts`` settings, in latent frames. The inference forward runs
-# in windows: one under 1024 frames, else an even count of equal windows
-# at most 8192 frames wide. The training pass splits its products into two
-# column halves from 1024 frames on, cut at a multiple of 64 frames. Every
-# part is at least 512 frames wide: OpenBLAS takes a narrow sgemm (N below
-# about 250) through another kernel, whose last bits differ from the
-# whole-clip product's, and a float64 split at an odd frame changes the
-# bits too. Cut this way, a part's products equal the whole-clip
-# product's columns bit for bit for the default shapes in both dtypes.
+# ``dsp._parts`` settings of the inference forward, in latent frames: one
+# window under 1024 frames, else an even count of equal windows at most
+# 8192 frames wide. Every window is at least 512 frames wide: OpenBLAS
+# takes a narrow sgemm (N below about 250) through another kernel, whose
+# last bits differ from the whole-clip product's. Cut this way, a
+# window's products equal the whole-clip product's columns bit for bit
+# for the default shapes.
 _EDIT_PARTS = (1024, 1, 8192)
-_TRAIN_PARTS = (1024, 64)
-
-
-def _by_rows(parts, step, *arrays) -> None:
-    """``step(*blocks)`` for each of ``len(parts)`` equal blocks of rows of
-    ``arrays``, which share their first axis, the blocks on threads
-    together. An element-wise step splits this way, so that each block is
-    one run of memory."""
-    _each(_equal_parts(len(arrays[0]), len(parts)),
-          lambda first, end: step(*(a[first:end] for a in arrays)))
 
 
 def _bool_scratch(buf: np.ndarray, count: int) -> list[np.ndarray]:
@@ -242,10 +229,7 @@ class FilmMaskNet:
         each block's input, perceptron activations and ``h_out``, from
         which ``backward`` rebuilds the modulated input and the ReLU
         gates, and the ``(C, L)`` mask as ``masks`` for the clamp gates.
-        A clip of 1024 latent frames or more runs its ``(C, L)`` work in
-        two parts (``_TRAIN_PARTS``) on up to two threads, one per CPU at
-        most; every output element is computed as on one thread, so the
-        cache does not depend on the thread count.
+        The cached pass runs whole on the calling thread.
 
         With ``keep_cache=False`` (inference) the clip runs in windows of
         latent frames (``_EDIT_PARTS``), on up to one thread per CPU, and
@@ -300,8 +284,9 @@ class FilmMaskNet:
 
     def _run(self, x: np.ndarray, z: np.ndarray, keep_cache: bool) -> dict:
         """``forward`` over the whole of ``x`` and ``z``, both already in
-        the params' dtype: the ``(C, L)`` mask as ``masks`` and the output
-        ``y``, plus the backward cache if ``keep_cache``.
+        the params' dtype, on the calling thread: the ``(C, L)`` mask as
+        ``masks`` and the output ``y``, plus the backward cache if
+        ``keep_cache``.
 
         Every block writes its modulated input ``h_tilde`` into one
         zero-margined buffer, with margins as wide as the last block's
@@ -309,27 +294,14 @@ class FilmMaskNet:
         cache each block's input is dropped once modulated, so the
         blocks' working set is three ``(C, L)`` arrays whatever their
         number, and the buffer is freed before the head and the decoder
-        allocate.
-
-        With the cache (training), the work runs on the pool in two parts
-        once ``_TRAIN_PARTS`` splits the clip: the encoder, each conv with
-        its bias and ReLU, and the head on the column halves
-        (``dsp._by_columns``), and each modulation and the decoder's masked
-        product on halves of the rows (``_by_rows``). Every part writes
-        its share of arrays allocated here, so the pass allocates what a
-        serial one does. The decoder's product
-        and overlap-add run whole on the calling thread. Without the cache
-        (``edit``'s windows, which have threads of their own) all of it
-        runs on the calling thread."""
+        allocate."""
         cfg, p = self.config, self.params
         dtype = p["enc.w"].dtype
         k, s, c = cfg.kernel, cfg.stride, cfg.channels
         n = len(x)
         n_frames = latent_frames(n, k)
-        parts = (_parts(n_frames, *_TRAIN_PARTS) if keep_cache
-                 else [(0, n_frames)])
         frames = np.lib.stride_tricks.sliding_window_view(x, k)[::s]
-        h_x = np.empty((c, n_frames), dtype=dtype)
+        h_x = p["enc.w"] @ frames.T
 
         cache = {"z": z, "frames": frames, "h_x": h_x, "blocks": []}
         prod = np.empty((c, n_frames), dtype=dtype)  # one tap's product
@@ -338,15 +310,11 @@ class FilmMaskNet:
         margin = 2 ** (cfg.blocks - 1)
         padded = _margined(c, n_frames, margin, dtype)
         h_tilde = padded[:, margin:margin + n_frames]
-        by_columns = partial(_by_columns, parts)
-        by_rows = partial(_by_rows, parts)
-        by_columns(lambda f, out: np.matmul(p["enc.w"], f, out=out),
-                   frames.T, h_x)
         h = h_x
         for i in range(cfg.blocks):
             a_f, gamma = self._mlp(p, f"block{i}.film.f", z)
             a_g, beta = self._mlp(p, f"block{i}.film.g", z)
-            by_rows(self._modulate, gamma, beta, h, h_tilde)
+            self._modulate(gamma, beta, h, h_tilde)
             if keep_cache:
                 cache["blocks"].append({"h_in": h, "a_f": a_f,
                                         "gamma": gamma, "a_g": a_g,
@@ -356,18 +324,16 @@ class FilmMaskNet:
             taps = [padded[:, start:start + n_frames]
                     for start in (margin - d, margin, margin + d)]
             h = np.empty((c, n_frames), dtype=dtype)
-            by_columns(partial(self._conv, p[f"block{i}.conv.w"],
-                               p[f"block{i}.conv.b"]), *taps, h, prod)
+            self._conv(p[f"block{i}.conv.w"], p[f"block{i}.conv.b"], *taps,
+                       h, prod)
             if keep_cache:
                 cache["blocks"][-1]["h_out"] = h
 
         del padded, h_tilde, taps  # spent: freed before the head allocates
         masks = np.empty((c, n_frames), dtype=dtype)
-        by_columns(partial(self._head, p["head.w"], p["head.b"],
-                           cfg.mask_max), h, masks)
+        self._head(p["head.w"], p["head.b"], cfg.mask_max, h, masks)
         del h  # without the cache, freed before the decoder allocates
-        by_rows(np.multiply, masks, h_x, prod)  # into prod
-        contrib = p["dec.w"].T @ prod
+        contrib = p["dec.w"].T @ np.multiply(masks, h_x, out=prod)
         y_full = overlap_add(contrib.T, s)  # <= n samples; tail is 0
         y = np.zeros(n, dtype=dtype)
         y[:len(y_full)] = y_full
@@ -402,46 +368,6 @@ class FilmMaskNet:
         return p[f"{name}1.w"].T @ g_pre
 
     @staticmethod
-    def _film_adjoint(gamma: np.ndarray, h_in: np.ndarray,
-                      grad_htilde: np.ndarray, prod: np.ndarray,
-                      grad_gamma: np.ndarray, grad_beta: np.ndarray) -> None:
-        """Adjoint of ``_modulate``: the gamma and beta gradients, each
-        row's sum over every frame, then d(loss)/d(h_in) over
-        ``grad_htilde`` in place; ``prod`` is scratch."""
-        np.sum(np.multiply(grad_htilde, h_in, out=prod), axis=1,
-               out=grad_gamma)
-        np.sum(grad_htilde, axis=1, out=grad_beta)
-        np.multiply(grad_htilde, gamma[:, None], out=grad_htilde)
-
-    @staticmethod
-    def _decoder_adjoint(grad_prod: np.ndarray, h_x: np.ndarray,
-                         mask: np.ndarray, grad_mask: np.ndarray,
-                         grad_hx: np.ndarray) -> None:
-        """The masked product's adjoint: the mask gradient into
-        ``grad_mask``, and the ``h_x`` gradient added to ``grad_hx``
-        through ``grad_prod``, which it overwrites."""
-        np.multiply(grad_prod, h_x, out=grad_mask)
-        grad_hx += np.multiply(grad_prod, mask, out=grad_prod)
-
-    @staticmethod
-    def _gate_relu(h_out: np.ndarray, grad_h: np.ndarray, gate: np.ndarray,
-                   out: np.ndarray) -> None:
-        """``grad_h * (h_out > 0)`` into ``out``, the comparison in the
-        boolean scratch ``gate``."""
-        np.greater(h_out, 0.0, out=gate)
-        np.multiply(grad_h, gate, out=out)
-
-    @staticmethod
-    def _gate_clamp(mask_max: float, mask: np.ndarray, grad: np.ndarray,
-                    above: np.ndarray, below: np.ndarray) -> None:
-        """``grad *= (mask > 0) & (mask < mask_max)``, zero where ``mask``
-        sits at a clamp, the comparisons in the boolean scratches
-        ``above`` and ``below``."""
-        np.greater(mask, 0.0, out=above)
-        np.less(mask, mask_max, out=below)
-        grad *= np.logical_and(above, below, out=above)
-
-    @staticmethod
     def _conv_backward(p: dict, i: int, h_out: np.ndarray,
                        padded: np.ndarray, grad_padded: np.ndarray,
                        grad_h: np.ndarray, prod: np.ndarray,
@@ -454,44 +380,28 @@ class FilmMaskNet:
         gradient, so tap j gathers from the mirrored window shifted
         (1-j)*d. Accumulates the conv gradients into ``grads``, then
         overwrites ``grad_h`` (d(loss)/d(h_out)) with d(loss)/d(h_tilde),
-        summing the taps in ``prod``, and returns it.
-
-        The gate runs on as many blocks of rows as ``_TRAIN_PARTS`` cuts
-        the frames into. The bias and weight gradients, each a sum over
-        every frame, then run whole as one task, and the three
-        input-gradient products as another, through ``dsp._threads``,
-        serially for a one-part clip, on the calling thread."""
+        summing the taps in ``prod``, and returns it."""
         w = p[f"block{i}.conv.w"]
         d, n = 2 ** i, h_out.shape[1]
         margin = (padded.shape[1] - n) // 2
         grad_pre = grad_padded[:, margin:margin + n]
-        parts = _parts(n, *_TRAIN_PARTS)
-        # prod's bytes hold the gate until the input-gradient taps need it.
-        _by_rows(parts, FilmMaskNet._gate_relu, h_out, grad_h,
-                 *_bool_scratch(prod, 1), grad_pre)
-        grad_w = np.empty((3,) + w.shape[:2], dtype=w.dtype)
-        grad_b = np.empty(w.shape[0], dtype=w.dtype)
-
-        def weight_grads():
-            np.sum(grad_pre, axis=1, out=grad_b)
-            for j in range(3):
-                start = margin + (j - 1) * d
-                np.matmul(grad_pre, padded[:, start:start + n].T,
-                          out=grad_w[j])
-
-        def input_grads():
-            start = margin + d
-            acc = np.matmul(w[:, :, 0].T, grad_padded[:, start:start + n],
-                            out=grad_h)
-            for j in (1, 2):
-                start = margin + (1 - j) * d
-                acc += np.matmul(w[:, :, j].T,
-                                 grad_padded[:, start:start + n], out=prod)
-
-        _threads(weight_grads, input_grads, serial=len(parts) == 1)
-        grads[f"block{i}.conv.b"] += grad_b
+        # The ReLU gate, its comparison in prod's bytes until the
+        # input-gradient taps need them.
+        gate = _bool_scratch(prod, 1)[0]
+        np.greater(h_out, 0.0, out=gate)
+        np.multiply(grad_h, gate, out=grad_pre)
+        grads[f"block{i}.conv.b"] += np.sum(grad_pre, axis=1)
         for j in range(3):
-            grads[f"block{i}.conv.w"][:, :, j] += grad_w[j]
+            start = margin + (j - 1) * d
+            grads[f"block{i}.conv.w"][:, :, j] += (
+                grad_pre @ padded[:, start:start + n].T)
+        start = margin + d
+        acc = np.matmul(w[:, :, 0].T, grad_padded[:, start:start + n],
+                        out=grad_h)
+        for j in (1, 2):
+            start = margin + (1 - j) * d
+            acc += np.matmul(w[:, :, j].T, grad_padded[:, start:start + n],
+                             out=prod)
         return grad_h
 
     def backward(self, cache: dict, grad_y: np.ndarray) -> dict:
@@ -510,13 +420,8 @@ class FilmMaskNet:
         ``_modulate``, gates the gradient into the second, and
         overwrites the incoming gradient's array with the next one.
 
-        Like the cached ``forward``, the pass runs on the pool once
-        ``_TRAIN_PARTS`` splits the clip: the element-wise steps on two
-        halves of the rows (``_by_rows``), and the weight gradients of the
-        decoder, the head and each block, which sum over every frame,
-        whole beside the input gradients, through ``dsp._threads`` (for a
-        one-part clip serially, on the calling thread). Tasks write only into
-        arrays allocated here; every element is computed as on one thread.
+        Like the cached ``forward``, the pass runs whole on the calling
+        thread.
         """
         return self._backward(cache, grad_y)
 
@@ -531,48 +436,34 @@ class FilmMaskNet:
         grad_y = np.asarray(grad_y, dtype=h_x.dtype)
         grads = {key: np.zeros_like(val) for key, val in p.items()}
         grad_z = np.zeros(cfg.embed_dim, dtype=h_x.dtype)
-        # What the tasks write besides the (C, L) arrays below.
-        grad_dec_w = np.empty_like(p["dec.w"])
-        grad_head_w = np.empty_like(p["head.w"])
-        grad_head_b = np.empty_like(p["head.b"])
         grad_gamma = np.empty(c, dtype=h_x.dtype)
         grad_beta = np.empty(c, dtype=h_x.dtype)
 
-        parts = _parts(n_frames, *_TRAIN_PARTS)
         prod = np.empty_like(h_x)  # scratch for one (C, L) product
         grad_mask = np.empty_like(mask)
         grad_hx = np.zeros_like(h_x)
-        by_rows = partial(_by_rows, parts)
         # The decoder's adjoint frames the gradient like the encoder; a
         # contiguous copy keeps the products on BLAS.
         grad_contrib = np.ascontiguousarray(
             np.lib.stride_tricks.sliding_window_view(grad_y, k)[::s].T)
-
-        def decoder_weight():
-            # grad_mask holds the decoder's input until the adjoint below
-            # overwrites it.
-            np.multiply(mask, h_x, out=grad_mask)
-            np.matmul(grad_mask, grad_contrib.T, out=grad_dec_w)
-
-        _threads(decoder_weight,
-                 partial(np.matmul, p["dec.w"], grad_contrib, out=prod),
-                 serial=len(parts) == 1)
-        grads["dec.w"] += grad_dec_w
-        by_rows(self._decoder_adjoint, prod, h_x, mask, grad_mask, grad_hx)
-        by_rows(partial(self._gate_clamp, cfg.mask_max), mask, grad_mask,
-                *_bool_scratch(prod, 2))
-        h_last = cache["blocks"][-1]["h_out"]
-
-        def head_weight():
-            np.matmul(grad_mask, h_last.T, out=grad_head_w)
-            np.sum(grad_mask, axis=1, out=grad_head_b)
-
-        grad_h = np.empty_like(h_x)
-        _threads(head_weight,
-                 partial(np.matmul, p["head.w"].T, grad_mask, out=grad_h),
-                 serial=len(parts) == 1)
-        grads["head.w"] += grad_head_w
-        grads["head.b"] += grad_head_b
+        # grad_mask holds the decoder's input until the adjoint below
+        # overwrites it.
+        np.multiply(mask, h_x, out=grad_mask)
+        grads["dec.w"] += grad_mask @ grad_contrib.T
+        np.matmul(p["dec.w"], grad_contrib, out=prod)
+        # The masked product's adjoint: the mask gradient, and the h_x
+        # gradient through prod, which it overwrites.
+        np.multiply(prod, h_x, out=grad_mask)
+        grad_hx += np.multiply(prod, mask, out=prod)
+        # Zero where the mask sits at a clamp; the comparisons in prod's
+        # bytes.
+        above, below = _bool_scratch(prod, 2)
+        np.greater(mask, 0.0, out=above)
+        np.less(mask, cfg.mask_max, out=below)
+        grad_mask *= np.logical_and(above, below, out=above)
+        grads["head.w"] += grad_mask @ cache["blocks"][-1]["h_out"].T
+        grads["head.b"] += np.sum(grad_mask, axis=1)
+        grad_h = p["head.w"].T @ grad_mask
         del grad_mask
 
         margin = 2 ** (cfg.blocks - 1)
@@ -581,13 +472,16 @@ class FilmMaskNet:
         h_tilde = padded[:, margin:margin + n_frames]
         for i in reversed(range(cfg.blocks)):
             blk = cache["blocks"][i]
-            by_rows(self._modulate, blk["gamma"], blk["beta"],
-                    blk["h_in"], h_tilde)
+            self._modulate(blk["gamma"], blk["beta"], blk["h_in"], h_tilde)
             grad_h = self._conv_backward(
                 p, i, blk["h_out"], padded, grad_padded, grad_h, prod,
                 grads)
-            by_rows(self._film_adjoint, blk["gamma"], blk["h_in"], grad_h,
-                    prod, grad_gamma, grad_beta)
+            # FiLM's adjoint: the gamma and beta gradients, each row's sum
+            # over every frame, then d(loss)/d(h_in) over grad_h in place.
+            np.sum(np.multiply(grad_h, blk["h_in"], out=prod), axis=1,
+                   out=grad_gamma)
+            np.sum(grad_h, axis=1, out=grad_beta)
+            np.multiply(grad_h, blk["gamma"][:, None], out=grad_h)
 
             grad_z += self._mlp_backward(p, f"block{i}.film.f",
                                          cache["z"], blk["a_f"],
@@ -597,7 +491,7 @@ class FilmMaskNet:
                                          grad_beta, grads)
 
         # The first block reads the encoded mixture.
-        by_rows(lambda acc, g: np.add(acc, g, out=acc), grad_hx, grad_h)
+        grad_hx += grad_h
         grads["enc.w"] += grad_hx @ cache["frames"]
         grads["z"] = grad_z
         return grads
@@ -644,10 +538,10 @@ def _loss_and_grad(forward, backward, x, z, y):
 def _examples_loss_and_grad(net: FilmMaskNet, examples, results: list,
                             first: int, end: int) -> None:
     """``(loss, grads)`` of ``examples[first:end]`` into the same slots of
-    ``results``. The part from 0, which ``dsp._threads`` runs on the
-    calling thread, goes through the net's public ``forward`` and
-    ``backward``, which the benchmark tracer wraps; the pool's parts go
-    through their bodies."""
+    ``results``, one example after another on the part's thread. The part
+    from 0, which ``dsp._threads`` runs on the calling thread, goes
+    through the net's public ``forward`` and ``backward``, which the
+    benchmark tracer wraps; the pool's parts go through their bodies."""
     passes = ((net.forward, net.backward) if first == 0
               else (net._forward, net._backward))
     for i in range(first, end):
@@ -676,17 +570,14 @@ def train_toy(net: FilmMaskNet, examples, steps: int = 200, lr: float = 1e-3,
     drift apart.
 
     Each step hands its examples to the pool (``dsp._each``) in
-    contiguous parts, one per CPU at most, the largest first. The calling
-    thread runs the first part through the public passes; the pool's
-    parts call no name the benchmark tracer wraps. Each pass still splits
-    a clip of 1024 latent frames or more in two (``_TRAIN_PARTS``), and
-    ``dsp._threads`` runs those halves on a pool thread that is free, else
-    on the pass's own thread: a lone example runs on two CPUs, and so
-    does the calling thread's last example once a pool thread is done
-    with its part. The step then sums every example's loss and float32
-    gradients in example order, as one thread does, so the losses and
-    params do not depend on the thread count. A step holds one pass per
-    CPU in use, and every example's gradients until the sum.
+    contiguous parts (``dsp._equal_parts``), one per CPU at most, and
+    each pass runs whole on its part's thread. The calling thread runs
+    the first part through the public passes; the pool's parts call no
+    name the benchmark tracer wraps. The step then sums every example's
+    loss and float32 gradients in example order, as one thread does, so
+    the losses and params do not depend on the thread count. A step
+    holds one pass per CPU in use, and every example's gradients until
+    the sum.
 
     The input net is left untouched; a trained copy with float64 params
     is returned along with the loss curve. Raises ShapeMismatch for an
@@ -700,10 +591,7 @@ def train_toy(net: FilmMaskNet, examples, steps: int = 200, lr: float = 1e-3,
     n = len(examples)
     if not n:
         raise ShapeMismatch("need at least one training example")
-    # _equal_parts' cuts mirrored, so that the calling thread's part is
-    # the largest.
-    parts = [(n - end, n - first) for first, end in
-             reversed(_equal_parts(n, min(n, dsp.available_cpus())))]
+    parts = _equal_parts(n, min(n, dsp.available_cpus()))
     trained = FilmMaskNet(net.config, {key: val.astype(np.float64)
                                        for key, val in net.params.items()})
     losses: list[float] = []

@@ -594,6 +594,10 @@ WIDE = MaskNetConfig(channels=8, kernel=4, blocks=6, embed_dim=8)
 # The head's bias starts at 1, so a mask_max of 1.1 keeps many bins at the
 # upper clamp, which float32 rounds above the float64 bound.
 CLAMPED = MaskNetConfig(mask_max=1.1)
+BLOCKS7 = MaskNetConfig(channels=8, kernel=4, blocks=7, embed_dim=8)
+_EDIT_CONFIGS = [pytest.param(MaskNetConfig(), id="default"),
+                 pytest.param(CLAMPED, id="clamped"),
+                 pytest.param(WIDE, id="wide")]
 
 
 def _whole_clip_edit(net, x, z):
@@ -618,16 +622,18 @@ def _samples_for(cfg, n_frames):
 
 
 @pytest.mark.parametrize("cfg,n", [
-    (MaskNetConfig(), 5 * RATE),
-    (CLAMPED, 5 * RATE),
-    (WIDE, 4000),
+    pytest.param(MaskNetConfig(), 5 * RATE, id="default-80000"),
+    pytest.param(CLAMPED, 5 * RATE, id="clamped-80000"),
+    pytest.param(WIDE, 4000, id="wide-4000"),
     # L = 4 frames against a widest margin of 2**5 columns: the outer
     # taps of the later blocks read nothing but the shared margins.
-    (WIDE, WIDE.kernel + 3 * WIDE.stride),
-    (MaskNetConfig(), 60 * RATE),
+    pytest.param(WIDE, WIDE.kernel + 3 * WIDE.stride, id="wide-10"),
+    pytest.param(MaskNetConfig(), 60 * RATE, id="default-960000"),
     # The longest clip that is one window, and the shortest that splits.
-    (MaskNetConfig(), _samples_for(MaskNetConfig(), 1023)),
-    (MaskNetConfig(), _samples_for(MaskNetConfig(), 1024)),
+    pytest.param(MaskNetConfig(), _samples_for(MaskNetConfig(), 1023),
+                 id="default-8192"),
+    pytest.param(MaskNetConfig(), _samples_for(MaskNetConfig(), 1024),
+                 id="default-8200"),
 ])
 def test_film_edit_equals_cached_float32_forward_bit_for_bit(cfg, n):
     net = FilmMaskNet.init(cfg, seed=2)
@@ -635,7 +641,7 @@ def test_film_edit_equals_cached_float32_forward_bit_for_bit(cfg, n):
     _assert_edits_whole_clip(net, x, unit_vec(cfg.embed_dim, seed=4))
 
 
-@pytest.mark.parametrize("cfg", [MaskNetConfig(), CLAMPED, WIDE])
+@pytest.mark.parametrize("cfg", _EDIT_CONFIGS)
 def test_film_edit_windows_equal_the_whole_clip_at_every_offset(cfg):
     # Clip lengths over two strides, so the clip's end and the sample
     # edges of the windows fall at every offset of the frame grid.
@@ -671,8 +677,8 @@ def test_film_edit_is_the_same_on_one_thread_or_four(monkeypatch):
         edits.append((est.samples.tobytes(), mask.values.tobytes()))
     dsp._pool[1].shutdown(wait=True)  # every started thread has set up
     # One CPU starts no thread. On four, one pool of three threads serves
-    # both passes: the edit's four windows (a 5-s clip) and the cached
-    # reference pass's two halves start no thread beyond those three.
+    # the edit's four windows (a 5-s clip); the cached reference pass
+    # runs on the calling thread.
     # The edit submits its three windows at once, so it normally starts
     # all three; a thread that ends a window before the next is submitted
     # takes that one too.
@@ -712,19 +718,12 @@ def test_film_windows_tile_the_clip_in_an_even_count(n_frames):
     assert max(widths) - min(widths) <= 1
 
 
-@pytest.mark.parametrize("n_frames", [1, 1023, 1024, 1025, 1151, 1152, 9999,
-                                      119999])
-def test_film_halves_split_on_the_64_frame_grid(n_frames):
-    _assert_parts(film._TRAIN_PARTS, n_frames, 512)
-
-
 def test_film_parts_are_wide_and_on_their_grid_from_1024_frames_on():
-    for settings in (film._EDIT_PARTS, film._TRAIN_PARTS):
-        grid = settings[1]
-        for n_frames in range(1024, 70000):
-            parts = dsp._parts(n_frames, *settings)
-            assert min(end - first for first, end in parts) >= 512
-            assert all(first % grid == 0 for first, _ in parts)
+    grid = film._EDIT_PARTS[1]
+    for n_frames in range(1024, 70000):
+        parts = dsp._parts(n_frames, *film._EDIT_PARTS)
+        assert min(end - first for first, end in parts) >= 512
+        assert all(first % grid == 0 for first, _ in parts)
 
 
 def test_threads_run_every_task_once_and_raise_its_error(monkeypatch):
@@ -912,31 +911,42 @@ def _training_runs(cfg, n, dtype):
 
 
 @pytest.mark.parametrize("cfg,n,dtype", [
-    (MaskNetConfig(), 5 * RATE, np.float32),
-    (CLAMPED, 5 * RATE, np.float32),
-    (WIDE, 4000, np.float32),
-    (MaskNetConfig(), 5 * RATE, np.float64),
-    # The longest clip that is one part, and the shortest that splits.
-    (MaskNetConfig(), _samples_for(MaskNetConfig(), 1023), np.float32),
-    (MaskNetConfig(), _samples_for(MaskNetConfig(), 1024), np.float32),
+    pytest.param(MaskNetConfig(), 5 * RATE, np.float32,
+                 id="default-80000-float32"),
+    pytest.param(CLAMPED, 5 * RATE, np.float32, id="clamped-80000-float32"),
+    pytest.param(WIDE, 4000, np.float32, id="wide-4000-float32"),
+    pytest.param(MaskNetConfig(), 5 * RATE, np.float64,
+                 id="default-80000-float64"),
 ])
 def test_training_pass_is_the_same_on_one_two_or_four_cpus(
         monkeypatch, cfg, n, dtype):
-    # The reference is the pass as it ran before it had threads: one CPU,
-    # the whole clip as one part.
+    # The reference is the run on one CPU, every example on the calling
+    # thread.
     monkeypatch.setattr(dsp, "available_cpus", lambda: 1)
-    with monkeypatch.context() as whole:
-        whole.setattr(film, "_TRAIN_PARTS", (math.inf, 64))
-        expected = _training_runs(cfg, n, dtype)
+    expected = _training_runs(cfg, n, dtype)
     for cpus in (1, 2, 4):
         monkeypatch.setattr(dsp, "available_cpus", lambda: cpus)
         _assert_same_bits(_training_runs(cfg, n, dtype), list(expected),
                           f"{cpus} cpus")
 
 
-def test_film_training_step_peak_memory_on_two_threads(monkeypatch):
+def test_training_threads_only_the_examples_of_a_step(monkeypatch):
+    # A pass runs on one thread; a step's examples are the only parts of
+    # training that reach the pool.
     monkeypatch.setattr(dsp, "available_cpus", lambda: 2)
-    test_film_training_step_peak_memory()
+    threads = dsp._threads
+    calls = []
+    monkeypatch.setattr(dsp, "_threads", lambda *tasks: (
+        calls.append(len(tasks)), threads(*tasks)))
+    cfg = MaskNetConfig()
+    net = FilmMaskNet.init(cfg, seed=2)
+    net = FilmMaskNet(cfg, net._params_as(np.float32))
+    example, other = _training_examples(cfg, 5 * RATE,
+                                        np.random.default_rng(3), (4, 5))
+    snr_loss_and_grad(net, example.x, example.z, example.y)
+    assert calls == []
+    train_toy(net, [example, other], steps=1)
+    assert calls == [2]
 
 
 def test_train_toy_step_peak_memory_on_two_cpus(monkeypatch):
@@ -960,8 +970,8 @@ def test_train_toy_step_peak_memory_on_two_cpus(monkeypatch):
 
 
 def _three_examples(bad=()):
-    """Three toy examples and the ``z`` of the last; on two CPUs the last
-    is the pool's part, the first two the calling thread's. The last, if
+    """Three toy examples and the ``z`` of the last; on two CPUs the first
+    is the calling thread's part, the last two the pool's. The last, if
     in ``bad``, has a target one sample short; another one in ``bad`` has
     a ``z`` one entry short."""
     x, z, y = toy_data()
@@ -1003,7 +1013,7 @@ def _raised(monkeypatch, cpus, examples, **kwargs):
 @pytest.mark.parametrize("bad,message", [
     ((2,), "target length must match the input"),
     # Both parts fail: the calling thread's example comes first.
-    ((1, 2), "conditioning vector must have size 8"),
+    ((0, 2), "conditioning vector must have size 8"),
 ])
 def test_train_toy_raises_an_examples_error_as_one_cpu_does(monkeypatch,
                                                             bad, message):
@@ -1082,13 +1092,12 @@ def test_film_threads_call_no_traced_layer(monkeypatch, tmp_path,
     film.snr_loss_and_grad(net, x, z, sources[0])
     example = editor.TrainExample(x, z, sources[0])
     editor.train_toy(net, [example], steps=1)
-    # Of three examples the calling thread runs two, through the traced
-    # passes, and the pool the third, through their bodies.
+    # Of three examples the calling thread runs the first, through the
+    # traced passes, and the pool the other two, through their bodies.
     start = len(calls)
     editor.train_toy(net, [example] * 3, steps=1)
     assert sorted(name for name, _ in calls[start:]) == [
-        "film.backward", "film.backward", "film.forward", "film.forward",
-        "film.train_toy"]
+        "film.backward", "film.forward", "film.train_toy"]
     # The STFT path splits a 5-s clip's 626 frames in two.
     for kind in MaskKind:
         mixture = Clip(x, RATE)
@@ -1154,7 +1163,7 @@ def _film_edit_with_zeroed_buffers(net, x, z):
     return np.array(y, dtype=np.float64), mask64
 
 
-@pytest.mark.parametrize("cfg", [MaskNetConfig(), CLAMPED, WIDE])
+@pytest.mark.parametrize("cfg", _EDIT_CONFIGS)
 @pytest.mark.parametrize("n", _EDIT_LENGTHS)
 def test_film_edit_equals_the_zeroed_buffer_path_bit_for_bit(cfg, n):
     net = FilmMaskNet.init(cfg, seed=2)
@@ -1228,10 +1237,10 @@ def _backward_with_cached_htilde(net, cache, grad_y):
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("cfg,n", [
-    (MaskNetConfig(), 5 * RATE),
-    (CLAMPED, 5 * RATE),
-    (WIDE, 4000),
-    (MaskNetConfig(channels=8, kernel=4, blocks=7, embed_dim=8), 97),
+    pytest.param(MaskNetConfig(), 5 * RATE, id="default-80000"),
+    pytest.param(CLAMPED, 5 * RATE, id="clamped-80000"),
+    pytest.param(WIDE, 4000, id="wide-4000"),
+    pytest.param(BLOCKS7, 97, id="blocks7-97"),
 ])
 def test_backward_equals_the_cached_htilde_path_bit_for_bit(cfg, n, dtype):
     net = FilmMaskNet.init(cfg, seed=2)
@@ -1444,7 +1453,8 @@ def test_net_serialization_round_trip(tmp_path):
     assert np.all(np.isfinite(a.samples))
 
 
-@pytest.mark.parametrize("cfg", [MaskNetConfig(), WIDE])
+@pytest.mark.parametrize("cfg", [pytest.param(MaskNetConfig(), id="default"),
+                                 pytest.param(WIDE, id="wide")])
 def test_film_edit_reads_only_the_float32_params(tmp_path, cfg):
     # edit runs on the float32 copy, so that copy, and the float32
     # checkpoint of the net, edit bit for bit as the net does.
@@ -1524,21 +1534,17 @@ def test_film_decoder_gradient_equals_per_tap_framing_bit_for_bit():
 
 
 @pytest.mark.parametrize("cfg, n", [
-    (MaskNetConfig(channels=8, kernel=12, blocks=3, embed_dim=8), 1003),
+    pytest.param(MaskNetConfig(channels=8, kernel=12, blocks=3, embed_dim=8),
+                 1003, id="kernel12-1003"),
     # 47 latent frames: the taps of dilation 32 reach past both ends, and
     # with a seventh block the dilation (64) exceeds the latent length.
-    (MaskNetConfig(channels=8, kernel=4, blocks=6, embed_dim=8), 97),
-    (MaskNetConfig(channels=8, kernel=4, blocks=7, embed_dim=8), 97),
+    pytest.param(WIDE, 97, id="wide-97"),
+    pytest.param(BLOCKS7, 97, id="blocks7-97"),
 ])
-def test_dilated_conv_and_adjoint_equal_shifted_copies_bit_for_bit(
-        monkeypatch, cfg, n):
+def test_dilated_conv_and_adjoint_equal_shifted_copies_bit_for_bit(cfg, n):
     net = FilmMaskNet.init(cfg, seed=4)
     rng = np.random.default_rng(8)
     cache = net.forward(rng.standard_normal(n) * 0.3, unit_vec(8, seed=6))
-    # Every clip here is under 1024 frames; split from 1 frame on, the
-    # conv adjoint's gate runs on two blocks of rows and its gradients on
-    # two threads.
-    monkeypatch.setattr(film, "_TRAIN_PARTS", (1, 1))
     n_frames, margin = cache["h_x"].shape[1], 2 ** (cfg.blocks - 1)
     for i, blk in enumerate(cache["blocks"]):
         w, d = net.params[f"block{i}.conv.w"], 2 ** i

@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from mixedit import dsp
 
 _DIGESTS = Path(__file__).resolve().parents[1] / "tools" / "digests.py"
@@ -59,6 +61,17 @@ def test_digests_of_the_resample_case_agree_on_one_and_two_cpus(monkeypatch):
     splits = len(digests.SPLIT_FROM)
     assert counts[-2 * splits:] == [1, 2] * splits
     assert len({digest for _, digest in runs[0]}) == len(runs[0])
+
+
+@pytest.mark.parametrize("case", ["film", "loss", "train"])
+def test_digests_of_a_film_case_agree_on_one_and_two_cpus(monkeypatch, case):
+    digests = _digests_module()
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(dsp, "available_cpus", lambda: cpus)
+        runs.append(list(digests.CASES[case]()))
+    assert runs[0] == runs[1]
+    assert len(runs[0]) == (1 if case == "train" else 2)
 
 
 def test_digests_of_the_demo_case_agree_on_one_and_two_cpus(tmp_path,
